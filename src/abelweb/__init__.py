@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for constant webs and their abelian relations."""
 
 from .errors import DegenerateWebError, InternalContradictionError
-from .exactalg import Matrix, binomial, format_rational, rational
+from .exactalg import Matrix, binomial, rational
 from .multilinear import (
     ExteriorForm,
     HomogeneousPoly,

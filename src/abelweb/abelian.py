@@ -19,7 +19,6 @@ InternalContradictionError instead of returning.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Sequence
 
@@ -168,19 +167,27 @@ class DegreeReport:
 
 
 class RankReport:
-    """Per-degree dimensions, bounds and totals for one web."""
+    """Per-degree dimensions, bounds and totals for one web.
+
+    The bounds are theorems about PG webs, so a web failing PG (reachable
+    with ``allow_degenerate``) is neither checked against rho nor called
+    semi-extremal or of maximal rank; ``"pg": false`` replaces both flags.
+    """
 
     def __init__(self, web: ConstantWeb, per_degree: Sequence[DegreeReport]):
         self.r, self.n, self.d = web.r, web.n, web.d
         self.per_degree = tuple(per_degree)
         self.total_rank = sum(item.dim for item in per_degree)
         self.rho = rho_bound(web.r, web.n, web.d)
-        self.maximal_rank = self.total_rank == self.rho
-        self.semi_extremal = _semi_extremal_from_dims(
-            web, {item.h: item.dim for item in per_degree}
-        )
-        if self.total_rank > self.rho:
-            raise InternalContradictionError("total rank exceeds the proven bound")
+        self.pg = web.is_pg()
+        self.maximal_rank = self.semi_extremal = None
+        if self.pg:
+            if self.total_rank > self.rho:
+                raise InternalContradictionError("total rank exceeds the proven bound")
+            self.maximal_rank = self.total_rank == self.rho
+            self.semi_extremal = _semi_extremal(
+                self.r, self.n, self.d, self.dim(0), self.dim(1)
+            )
 
     def dim(self, h: int) -> int:
         for item in self.per_degree:
@@ -189,6 +196,10 @@ class RankReport:
         return 0
 
     def to_json(self) -> dict:
+        flags = {"pg": False}
+        if self.pg:
+            flags = {"semi_extremal": self.semi_extremal,
+                     "maximal_rank": self.maximal_rank}
         return {
             "r": self.r,
             "n": self.n,
@@ -196,8 +207,7 @@ class RankReport:
             "per_degree": [item.to_json() for item in self.per_degree],
             "total_rank": self.total_rank,
             "rho": self.rho,
-            "semi_extremal": self.semi_extremal,
-            "maximal_rank": self.maximal_rank,
+            **flags,
         }
 
     def to_tsv(self) -> str:
@@ -206,29 +216,25 @@ class RankReport:
             lines.append(
                 f"{item.h}\t{item.dim}\t{item.bound}\t{str(item.saturated).lower()}"
             )
-        lines.append(f"total\t{self.total_rank}\trho={self.rho}\t"
-                     f"maximal={str(self.maximal_rank).lower()}")
+        verdict = f"maximal={str(self.maximal_rank).lower()}" if self.pg else "pg=false"
+        lines.append(f"total\t{self.total_rank}\trho={self.rho}\t{verdict}")
         return "\n".join(lines) + "\n"
 
 
-def _semi_extremal_from_dims(web: ConstantWeb, dims: dict[int, int]) -> bool:
-    r, n, d = web.r, web.n, web.d
-    if q_of(r, n, d) < n - 1:
-        return False
-    dim0 = dims.get(0)
-    dim1 = dims.get(1)
-    if dim0 is None:
-        dim0 = relation_space_dim(web, 0)
-    if dim1 is None:
-        dim1 = relation_space_dim(web, 1)
-    return dim0 == d - r * (n - 1) - 1 and dim1 == r * (d - (r + 1) * (n - 1) - 1)
+def _semi_extremal(r: int, n: int, d: int, dim0: int, dim1: int) -> bool:
+    """True iff q >= n-1 and dim R(0), dim R(1) are maximal.
+
+    q >= n-1 forces a cutoff of at least 2, so a rank report always has both.
+    """
+    return (
+        q_of(r, n, d) >= n - 1
+        and dim0 == d - r * (n - 1) - 1
+        and dim1 == r * (d - (r + 1) * (n - 1) - 1)
+    )
 
 
 def total_rank(
-    web: ConstantWeb,
-    allow_degenerate: bool = False,
-    paranoid: bool = False,
-    parallel: bool = False,
+    web: ConstantWeb, allow_degenerate: bool = False, paranoid: bool = False
 ) -> RankReport:
     """Rank report over all degrees below the provable cutoff.
 
@@ -238,13 +244,7 @@ def total_rank(
     web.require_pg(allow_degenerate)
     cutoff = h_cutoff(web.r, web.n, web.d)
     degrees = list(range(cutoff))
-    if parallel and len(degrees) > 1:
-        with ThreadPoolExecutor() as pool:
-            dims = list(
-                pool.map(lambda h: relation_space_dim(web, h, allow_degenerate), degrees)
-            )
-    else:
-        dims = [relation_space_dim(web, h, allow_degenerate) for h in degrees]
+    dims = [relation_space_dim(web, h, allow_degenerate) for h in degrees]
     if paranoid:
         extra = relation_space_dim(web, cutoff, allow_degenerate)
         if extra != 0:
@@ -260,17 +260,8 @@ def total_rank(
 
 def is_semi_extremal(web: ConstantWeb, allow_degenerate: bool = False) -> bool:
     """True iff R(0) and R(1) are both of maximal dimension (and q >= n-1)."""
-    web.require_pg(allow_degenerate)
-    r, n, d = web.r, web.n, web.d
-    if q_of(r, n, d) < n - 1:
-        return False
-    return _semi_extremal_from_dims(
-        web,
-        {
-            0: relation_space_dim(web, 0, allow_degenerate),
-            1: relation_space_dim(web, 1, allow_degenerate),
-        },
-    )
+    dims = [relation_space_dim(web, h, allow_degenerate) for h in (0, 1)]
+    return _semi_extremal(web.r, web.n, web.d, *dims)
 
 
 def subweb(web: ConstantWeb, indices: Sequence[int]) -> ConstantWeb:

@@ -218,19 +218,6 @@ class CanonicalData:
         }
 
 
-def _extend_basis(rows: list, candidates: list, target: int) -> None:
-    """Greedily append candidate vectors while the rank grows."""
-    for vec in candidates:
-        if len(rows) == target:
-            return
-        if Matrix(rows + [list(vec)]).rank() == len(rows) + 1:
-            rows.append(list(vec))
-    if len(rows) != target:
-        raise InternalContradictionError(
-            "kernel basis fails to complete the designated relations"
-        )
-
-
 def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     """Ordered relation basis, points, and curve of a moment web.
 

@@ -77,10 +77,7 @@ def _cmd_pg(args) -> int:
 def _cmd_rank(args) -> int:
     web = ConstantWeb.from_json(_load_json(args.web))
     report = total_rank(
-        web,
-        allow_degenerate=args.allow_degenerate,
-        paranoid=args.paranoid,
-        parallel=args.parallel,
+        web, allow_degenerate=args.allow_degenerate, paranoid=args.paranoid
     )
     if args.tsv:
         sys.stdout.write(report.to_tsv())
@@ -147,11 +144,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rank", help="per-degree relation-space dimensions")
     p.add_argument("--web", required=True)
     p.add_argument("--paranoid", action="store_true")
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--allow-degenerate", action="store_true")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--tsv", action="store_true")
+    p.add_argument("--tsv", action="store_true")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("moment", help="build a moment web")

@@ -7,11 +7,20 @@ equalities of dimensions, so tolerances would make them meaningless.
 
 Rationals serialize as strings ``"p/q"`` or ``"p"`` in all JSON formats.
 
+One fraction-free (Bareiss) kernel, :func:`_eliminate`, serves rank,
+RREF and det.  It runs on denominator-cleared integer rows: row scaling
+changes neither rank nor row space, and every intermediate entry is a
+minor of the integer matrix, so each division is exact.  ``rank`` and
+``det`` need only the pivot count and the last pivot (the integer
+determinant, up to the sign of the swaps), so they skip back-elimination
+and touch only rows below each pivot, dropping rows that become zero;
+that keeps tall rank-deficient relation matrices cheap.  ``rref`` also
+reduces the rows above each pivot (Gauss-Jordan), after which a pivot
+row divided by its pivot entry is a row of the RREF.
+
 The kernel basis returned by :meth:`Matrix.kernel_basis` is the canonical
 one read off the reduced row echelon form: free columns in increasing
 index order, with a 1 in the free coordinate of each basis vector.
-Ranks are computed by fraction-free (Bareiss) elimination on
-denominator-cleared integer rows.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ def rational(value) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"cannot interpret {value!r} as a rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -41,10 +52,6 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def binomial(k: int, l: int) -> int:
     """C(k, l), with the convention that it is 0 outside 0 <= l <= k."""
     if l < 0 or l > k or k < 0:
@@ -52,18 +59,53 @@ def binomial(k: int, l: int) -> int:
     return math.comb(k, l)
 
 
-def _clear_row(row: Sequence[Fraction]) -> list[int]:
-    """Scale a rational row to coprime integers (empty gcd -> zero row)."""
-    lcm = 1
-    for x in row:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in row]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+def _clear_row(row: Sequence[Fraction]) -> tuple[list[int], int, int]:
+    """Scale a rational row to coprime integers.
+
+    Returns ``(ints, lcm, g)`` with ``ints = row * lcm / g``; ``g`` is 0
+    for a zero row.
+    """
+    lcm = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (lcm // x.denominator) for x in row]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    return ints
+    return ints, lcm, g
+
+
+def _eliminate(
+    rows: list[list[int]], ncols: int, full: bool
+) -> tuple[list[int], list[list[int]], int]:
+    """Fraction-free elimination; see the module docstring.
+
+    Returns the pivot columns, the pivot rows in order, and the sign of
+    the row swaps (meaningful only at full row rank, since zero rows are
+    dropped).  ``full`` selects Gauss-Jordan over forward elimination.
+    """
+    m = [row for row in rows if any(row)]
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        k = len(pivots)
+        if k == len(m):
+            break
+        p = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        prow = m[k]
+        lead = prow[col]
+        for i in range(0 if full else k + 1, len(m)):
+            if i != k:
+                f = m[i][col]
+                m[i] = [(lead * a - f * b) // prev for a, b in zip(m[i], prow)]
+        m[k + 1 :] = [row for row in m[k + 1 :] if any(row)]
+        prev = lead
+        pivots.append(col)
+    return pivots, m[: len(pivots)], sign
 
 
 class Matrix:
@@ -157,54 +199,20 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        m = [list(row) for row in self.entries]
-        pivots: list[int] = []
-        pivot_row = 0
-        for col in range(self.cols):
-            pivot = next(
-                (i for i in range(pivot_row, self.rows) if m[i][col] != 0), None
-            )
-            if pivot is None:
-                continue
-            m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-            inv = 1 / m[pivot_row][col]
-            m[pivot_row] = [x * inv for x in m[pivot_row]]
-            for i in range(self.rows):
-                if i != pivot_row and m[i][col] != 0:
-                    factor = m[i][col]
-                    m[i] = [x - factor * y for x, y in zip(m[i], m[pivot_row])]
-            pivots.append(col)
-            pivot_row += 1
-            if pivot_row == self.rows:
-                break
+        ints = [_clear_row(row)[0] for row in self.entries]
+        pivots, reduced, _ = _eliminate(ints, self.cols, full=True)
+        zero = Fraction(0)
+        m = [
+            [Fraction(a, row[p]) if a else zero for a in row]
+            for row, p in zip(reduced, pivots)
+        ]
+        m.extend([zero] * self.cols for _ in range(self.rows - len(pivots)))
         return Matrix(m), tuple(pivots)
 
     def rank(self) -> int:
-        """Exact rank by fraction-free Bareiss elimination."""
-        m = [_clear_row(row) for row in self.entries]
-        m = [row for row in m if any(row)]
-        if not m:
-            return 0
-        rank = 0
-        prev = 1
-        for col in range(self.cols):
-            pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            lead = m[rank][col]
-            for i in range(rank + 1, len(m)):
-                if any(m[i]):
-                    f = m[i][col]
-                    m[i] = [
-                        (lead * m[i][j] - f * m[rank][j]) // prev
-                        for j in range(self.cols)
-                    ]
-            prev = lead
-            rank += 1
-            if rank == len(m):
-                break
-        return rank
+        """Exact rank by fraction-free elimination."""
+        ints = [_clear_row(row)[0] for row in self.entries]
+        return len(_eliminate(ints, self.cols, full=False)[0])
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Canonical basis of the right null space.
@@ -224,32 +232,21 @@ class Matrix:
             basis.append(tuple(vec))
         return basis
 
-    def nullity(self) -> int:
-        return self.cols - self.rank()
-
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        m = [list(row) for row in self.entries]
-        sign = 1
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                sign = -sign
-            for i in range(col + 1, n):
-                if m[i][col] != 0:
-                    factor = m[i][col] / m[col][col]
-                    m[i] = [x - factor * y for x, y in zip(m[i], m[col])]
-        result = Fraction(sign)
-        for i in range(n):
-            result *= m[i][i]
-        return result
+        cleared = [_clear_row(row) for row in self.entries]
+        pivots, reduced, sign = _eliminate(
+            [ints for ints, _, _ in cleared], self.cols, full=False
+        )
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        num = sign * (reduced[-1][pivots[-1]] if reduced else 1)
+        den = 1
+        for _, lcm, g in cleared:
+            num *= g
+            den *= lcm
+        return Fraction(num, den)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

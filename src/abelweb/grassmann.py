@@ -184,6 +184,11 @@ def normals_span_rank(web: ConstantWeb) -> int:
     return Matrix([generator_normal(f).vector() for f in web.foliations]).rank()
 
 
+def _castelnuovo_threshold(r: int, n: int) -> int:
+    """Fewest points for which :func:`castelnuovo_rnc_test` is decisive."""
+    return 2 * n + 1 if r == 2 else r * (n - 1) + 1
+
+
 def castelnuovo_rnc_test(points: Sequence[ProjectivePoint], r: int) -> bool:
     """Minimal-span criterion for lying on a rational normal curve.
 
@@ -197,8 +202,7 @@ def castelnuovo_rnc_test(points: Sequence[ProjectivePoint], r: int) -> bool:
         raise ValueError("empty point list")
     n = len(points[0].coords)
     d = len(points)
-    threshold = 2 * n + 1 if r == 2 else r * (n - 1) + 1
-    if d < threshold:
+    if d < _castelnuovo_threshold(r, n):
         raise ValueError("below Castelnuovo threshold")
     images = Matrix([veronese(p, r).coords for p in points])
     return images.rank() == r * (n - 1) + 1
@@ -412,8 +416,7 @@ def recover_normal_form(
                 f"fails to cut out foliation {k + 1}"
             )
 
-    threshold = 2 * n + 1 if r == 2 else r * (n - 1) + 1
-    if d >= threshold and not castelnuovo_rnc_test(points, r):
+    if d >= _castelnuovo_threshold(r, n) and not castelnuovo_rnc_test(points, r):
         # semi-extremality was verified above, which provably places the
         # points on a rational normal curve
         raise InternalContradictionError(
@@ -471,6 +474,11 @@ def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
     if not points:
         raise ValueError("empty point list")
     n = len(points[0].coords)
+    for i, p in enumerate(points, start=1):
+        if len(p.coords) != n:
+            raise ValueError(
+                f"point {i} has {len(p.coords)} coordinates; point 1 has {n}"
+            )
     d = len(points)
     if d < n + 3:
         raise ValueError(f"fitting needs at least n+3 = {n + 3} points")

@@ -138,9 +138,6 @@ class HomogeneousPoly:
             coeffs[e] = coeffs.get(e, Fraction(0)) + c
         return HomogeneousPoly(self.nvars, self.degree, coeffs)
 
-    def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "HomogeneousPoly":
         c = rational(c)
         return HomogeneousPoly(
@@ -300,9 +297,6 @@ class ExteriorForm:
         for s, c in other.coeffs.items():
             coeffs[s] = coeffs.get(s, Fraction(0)) + c
         return ExteriorForm(self.ambient_dim, self.grade, coeffs)
-
-    def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "ExteriorForm":
         c = rational(c)

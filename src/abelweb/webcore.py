@@ -6,6 +6,12 @@ as the rows of an r x (rn) matrix.  A constant web is a list of d such
 foliations.  The general-position condition (PG) asks that the wedge of
 any delta <= min(d, n) of the generator normals is nonzero.
 
+Each generator normal Omega_j is decomposable: it is the wedge of the r
+rows of kappa_j.  A wedge of delta such normals is therefore the wedge
+of the delta*r stacked rows, and a wedge of covectors is nonzero exactly
+when they are linearly independent.  So PG is decided by exact ranks of
+stacked row matrices, with no exterior algebra.
+
 The closed-form quantities:
 
 * q_of(r, n, d)        = d - r(n-1) - 2
@@ -21,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import Matrix, binomial
-from .multilinear import ExteriorForm, wedge, wedge_rows
+from .multilinear import ExteriorForm, wedge_rows
 
 
 class ConstantFoliation:
@@ -153,15 +159,15 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     """Test the general-position condition.
 
     Returns ``(True, None)`` or ``(False, subset)`` where ``subset`` is
-    the lexicographically first failing index set (1-based).
+    the first failing index set (1-based), by size and then
+    lexicographically.
     """
-    normals = [generator_normal(f) for f in web.foliations]
     for delta in range(1, min(web.d, web.n) + 1):
         for subset in itertools.combinations(range(web.d), delta):
-            product = normals[subset[0]]
-            for j in subset[1:]:
-                product = wedge(product, normals[j])
-            if product.is_zero:
+            stacked = Matrix(
+                [row for j in subset for row in web.foliations[j].matrix.entries]
+            )
+            if stacked.rank() < delta * web.r:
                 return False, tuple(j + 1 for j in subset)
     return True, None
 

@@ -91,14 +91,6 @@ def test_total_rank_report_fields():
     assert "total\t4" in report.to_tsv()
 
 
-def test_parallel_matches_serial():
-    spec = MomentWebSpec(2, 2, [0, 1, 2, 3, 4, 5, 6])
-    web = moment_web(spec)
-    serial = total_rank(web)
-    parallel = total_rank(web, parallel=True)
-    assert serial.to_json() == parallel.to_json()
-
-
 def test_random_webs_respect_bounds():
     rng = make_rng(8)
     for (r, n, d) in [(1, 2, 6), (2, 2, 6), (2, 3, 7)]:

@@ -51,8 +51,27 @@ def test_rank_deterministic(tmp_path, capsys):
     path = tmp_path / "w.json"
     run(capsys, "moment", "-r", "2", "-n", "2", "--taus", "0,1,2,3,4,5", "-o", str(path))
     _, first, _ = run(capsys, "rank", "--web", str(path))
-    _, second, _ = run(capsys, "rank", "--web", str(path), "--parallel")
+    _, second, _ = run(capsys, "rank", "--web", str(path))
     assert first == second
+
+
+def test_allow_degenerate_never_exits_3(tmp_path, capsys):
+    # five copies of one foliation: far from general position, and the
+    # relation space of degree 0 alone exceeds rho
+    web = {"r": 1, "n": 2, "foliations": [[["1", "1"]]] * 5}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(web))
+    code, _, err = run(capsys, "rank", "--web", str(path))
+    assert code == 2
+    code, out, _ = run(capsys, "rank", "--web", str(path), "--allow-degenerate")
+    assert code == 0
+    report = json.loads(out)
+    assert report["pg"] is False
+    assert report["total_rank"] > report["rho"]
+    assert "semi_extremal" not in report and "maximal_rank" not in report
+    code, out, _ = run(capsys, "rank", "--web", str(path), "--allow-degenerate", "--tsv")
+    assert code == 0
+    assert out.splitlines()[-1].endswith("pg=false")
 
 
 def test_pg_and_degenerate_exit(tmp_path, capsys):
@@ -127,6 +146,27 @@ def test_fit_rnc_success_and_failure(tmp_path, capsys):
     code, _, err = run(capsys, "fit-rnc", "--points", str(bad))
     assert code == 2
     assert "not on a common RNC" in err
+
+
+def test_json_booleans_are_not_rationals(tmp_path, capsys):
+    web = {"r": 1, "n": 2, "foliations": [[[True, False]], [[False, True]], [[True, True]]]}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(web))
+    code, _, err = run(capsys, "pg", "--web", str(path))
+    assert code == 1
+    assert "True" in err
+
+
+@pytest.mark.parametrize("extra", [["5"], None])
+def test_fit_rnc_mixed_lengths_is_bad_input(tmp_path, capsys, extra):
+    points = [["1", str(t), str(t * t)] for t in range(6)]
+    # one of the first n points is one coordinate longer, or shorter
+    points[1] = points[1] + extra if extra else points[1][:2]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    code, _, err = run(capsys, "fit-rnc", "--points", str(path))
+    assert code == 1
+    assert "point 2" in err
 
 
 def test_usage_error_is_exit_1(capsys):

@@ -15,6 +15,8 @@ def test_rational_parsing():
         rational("1/0")
     with pytest.raises(TypeError):
         rational(0.5)
+    with pytest.raises(TypeError):
+        rational(True)
 
 
 def test_binomial_conventions():
