@@ -12,6 +12,14 @@ layout is fixed once and for all: rows are indexed by (degree-h monomial
 in rn variables, graded-lex) x (r-subset, colex); columns by (foliation
 j) x (degree-h monomial in r variables, graded-lex).
 
+Assembly reads the pullbacks of the degree-h monomials from tables kept
+on each foliation (``ConstantFoliation.pullbacks``, built one degree from
+the previous one) and only places the products with the normal's
+coefficients.  Verification of a relation deliberately does not: it
+pulls each component back through ``multilinear.substitute``.  A wrong
+table would give a wrong kernel, and that kernel would sum to zero
+against the same wrong table, so checking it there would prove nothing.
+
 A computed dimension exceeding the per-degree bound on a general-position
 web would contradict a proven statement, so it aborts with
 InternalContradictionError instead of returning.
@@ -26,8 +34,6 @@ from .errors import DegenerateWebError, InternalContradictionError
 from .exactalg import Matrix
 from .multilinear import (
     HomogeneousPoly,
-    monomial_exponents,
-    monomial_position,
     poly_space_dim,
     subset_position,
     substitute,
@@ -88,25 +94,19 @@ def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
     """The assembled map from E_r(h)^d to Sym^h(V*) (x) Lambda^r(V*)."""
     r, n, d = web.r, web.n, web.d
     rn = r * n
-    mono_pos = monomial_position(rn, h)
     sub_pos = subset_position(rn, r)
     n_subsets = len(sub_pos)
     dim_e = poly_space_dim(r, h)
-    rows = len(mono_pos) * n_subsets
+    rows = poly_space_dim(rn, h) * n_subsets
     cols = d * dim_e
     entries = [[Fraction(0)] * cols for _ in range(rows)]
-    basis = monomial_exponents(r, h)
     for j, foliation in enumerate(web.foliations):
-        normal = generator_normal(foliation)
-        for b, expo in enumerate(basis):
-            col = j * dim_e + b
-            poly = substitute(
-                HomogeneousPoly(r, h, {expo: 1}), foliation.matrix.entries
-            )
-            for mono, pc in poly.coeffs.items():
-                base = mono_pos[mono] * n_subsets
-                for subset, nc in normal.coeffs.items():
-                    entries[base + sub_pos[subset]][col] += pc * nc
+        normal = [(sub_pos[s], c) for s, c in generator_normal(foliation).coeffs.items()]
+        for col, pullback in enumerate(foliation.pullbacks(h), j * dim_e):
+            for mono, pc in pullback.items():
+                base = mono * n_subsets
+                for s, nc in normal:
+                    entries[base + s][col] = pc * nc
     return Matrix(entries)
 
 

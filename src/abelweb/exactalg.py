@@ -18,6 +18,16 @@ that keeps tall rank-deficient relation matrices cheap.  ``rref`` also
 reduces the rows above each pivot (Gauss-Jordan), after which a pivot
 row divided by its pivot entry is a row of the RREF.
 
+A tall matrix A (more rows than columns, as every relation matrix is)
+is not eliminated itself: ``rank`` and ``rref`` eliminate its Gram
+matrix G = A^T A, formed from the cleared integer rows, instead.  This
+is exact over Q, which is ordered: x^T G x = |Ax|^2, so Gx = 0 forces
+Ax = 0 and ker G = ker A, hence rank G = rank A.  The rows of G are
+combinations of the rows of A, so the two row spaces are equal; the
+RREF, its pivots and the canonical kernel basis are the same matrices.
+G is cols x cols, so the step pays only when rows > cols; wide and
+square matrices (and ``det``) are eliminated as they are.
+
 The kernel basis returned by :meth:`Matrix.kernel_basis` is the canonical
 one read off the reduced row echelon form: free columns in increasing
 index order, with a 1 in the free coordinate of each basis vector.
@@ -106,6 +116,25 @@ def _eliminate(
         prev = lead
         pivots.append(col)
     return pivots, m[: len(pivots)], sign
+
+
+def _gram(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """A^T A of the integer rows of A.
+
+    The upper triangle is summed over the non-zeros of each row, then
+    mirrored.
+    """
+    gram = [[0] * ncols for _ in range(ncols)]
+    for row in rows:
+        nz = [(j, v) for j, v in enumerate(row) if v]
+        for k, (i, a) in enumerate(nz):
+            target = gram[i]
+            for j, b in nz[k:]:
+                target[j] += a * b
+    for i in range(ncols):
+        for j in range(i):
+            gram[i][j] = gram[j][i]
+    return gram
 
 
 class Matrix:
@@ -197,10 +226,14 @@ class Matrix:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
+    def _row_space_ints(self) -> list[list[int]]:
+        """Integer rows spanning the row space: the Gram matrix if tall."""
+        ints = [_clear_row(row)[0] for row in self.entries]
+        return _gram(ints, self.cols) if self.rows > self.cols else ints
+
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        ints = [_clear_row(row)[0] for row in self.entries]
-        pivots, reduced, _ = _eliminate(ints, self.cols, full=True)
+        pivots, reduced, _ = _eliminate(self._row_space_ints(), self.cols, full=True)
         zero = Fraction(0)
         m = [
             [Fraction(a, row[p]) if a else zero for a in row]
@@ -211,8 +244,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank by fraction-free elimination."""
-        ints = [_clear_row(row)[0] for row in self.entries]
-        return len(_eliminate(ints, self.cols, full=False)[0])
+        return len(_eliminate(self._row_space_ints(), self.cols, full=False)[0])
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Canonical basis of the right null space.

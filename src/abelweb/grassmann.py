@@ -24,7 +24,13 @@ from typing import Sequence
 from .errors import DegenerateWebError, InternalContradictionError
 from .exactalg import Matrix, rational
 from .multilinear import monomial_exponents, substitute, wedge, ExteriorForm
-from .webcore import ConstantFoliation, ConstantWeb, generator_normal, q_of
+from .webcore import (
+    ConstantFoliation,
+    ConstantWeb,
+    generator_normal,
+    q_of,
+    web_type_from_json,
+)
 from .abelian import relation_space, relation_space_dim, subweb as take_subweb
 
 
@@ -111,8 +117,7 @@ class MomentWebSpec:
     def from_json(cls, data: dict) -> "MomentWebSpec":
         base = data.get("base_change")
         return cls(
-            int(data["r"]),
-            int(data["n"]),
+            *web_type_from_json(data),
             data["taus"],
             Matrix.from_json(base) if base is not None else None,
         )

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import Matrix
-from .webcore import ConstantWeb
+from .webcore import ConstantWeb, web_type_from_json
 from .grassmann import ProjectivePoint, foliation_from_point
 
 
@@ -56,8 +56,7 @@ class PlaneArrangement:
     @classmethod
     def from_json(cls, data: dict) -> "PlaneArrangement":
         return cls(
-            int(data["r"]),
-            int(data["n"]),
+            *web_type_from_json(data),
             [Matrix.from_json(rows) for rows in data["planes"]],
         )
 

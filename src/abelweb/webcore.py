@@ -23,17 +23,18 @@ The closed-form quantities:
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import Matrix, binomial
-from .multilinear import ExteriorForm, wedge_rows
+from .multilinear import ExteriorForm, monomial_exponents, monomial_position, wedge_rows
 
 
 class ConstantFoliation:
     """One codimension-r foliation, given by the rows of its defining map."""
 
-    __slots__ = ("r", "n", "matrix", "_span")
+    __slots__ = ("r", "n", "matrix", "_span", "_normal", "_pullbacks")
 
     def __init__(self, r: int, n: int, matrix: Matrix):
         if matrix.rows != r or matrix.cols != r * n:
@@ -44,6 +45,8 @@ class ConstantFoliation:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_span", None)
+        object.__setattr__(self, "_normal", None)
+        object.__setattr__(self, "_pullbacks", [({0: Fraction(1)},)])
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ConstantFoliation is immutable")
@@ -53,6 +56,37 @@ class ConstantFoliation:
         if self._span is None:
             object.__setattr__(self, "_span", self.matrix.row_space_rref())
         return self._span
+
+    def pullbacks(self, h: int) -> tuple[dict[int, Fraction], ...]:
+        """Pullbacks along the defining rows of the degree-h monomials.
+
+        Entry b is the pullback of the b-th degree-h monomial in r
+        variables (graded-lex), as ``{position of a degree-h monomial in
+        rn variables: coefficient}`` without zero coefficients.  Degrees
+        are built in turn and kept: x^b pulls back to the pullback of
+        x^(b - e_i) times the i-th row, i the first index with b_i > 0.
+        """
+        tables = self._pullbacks
+        rn = self.r * self.n
+        rows = [[(k, a) for k, a in enumerate(row) if a] for row in self.matrix.entries]
+        while len(tables) <= h:
+            degree = len(tables)
+            lower = tables[-1]
+            lower_pos = monomial_position(self.r, degree - 1)
+            lower_expos = monomial_exponents(rn, degree - 1)
+            pos = monomial_position(rn, degree)
+            table = []
+            for b in monomial_exponents(self.r, degree):
+                i = next(i for i, e in enumerate(b) if e)
+                acc: dict[int, Fraction] = {}
+                for p, c in lower[lower_pos[b[:i] + (b[i] - 1,) + b[i + 1 :]]].items():
+                    e = lower_expos[p]
+                    for k, a in rows[i]:
+                        q = pos[e[:k] + (e[k] + 1,) + e[k + 1 :]]
+                        acc[q] = acc.get(q, 0) + c * a
+                table.append({q: c for q, c in acc.items() if c})
+            tables.append(tuple(table))
+        return tables[h]
 
     def __eq__(self, other) -> bool:
         return (
@@ -139,7 +173,7 @@ class ConstantWeb:
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstantWeb":
-        r, n = int(data["r"]), int(data["n"])
+        r, n = web_type_from_json(data)
         foliations = [
             ConstantFoliation(r, n, Matrix.from_json(rows))
             for rows in data["foliations"]
@@ -147,12 +181,32 @@ class ConstantWeb:
         return cls(r, n, foliations)
 
 
+def web_type_from_json(data: dict) -> tuple[int, int]:
+    """The fields ``r >= 1`` and ``n >= 2`` of a JSON object, as integers.
+
+    Checked before any matrix is built, so a bad value is reported under
+    its own name; ``true`` and ``2.5`` are refused, not truncated.
+    """
+    values = []
+    for field, least in (("r", 1), ("n", 2)):
+        value = data[field]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"expected an integer {field} >= {least}, got {value!r}")
+        values.append(value)
+    return values[0], values[1]
+
+
 def generator_normal(foliation: ConstantFoliation) -> ExteriorForm:
-    """The r-form obtained by wedging the defining rows; never zero."""
-    normal = wedge_rows(foliation.matrix.entries)
-    if normal.is_zero:
-        raise DegenerateWebError("not a foliation: generator normal vanishes")
-    return normal
+    """The r-form obtained by wedging the defining rows; never zero.
+
+    Computed once per foliation and kept on it.
+    """
+    if foliation._normal is None:
+        normal = wedge_rows(foliation.matrix.entries)
+        if normal.is_zero:
+            raise DegenerateWebError("not a foliation: generator normal vanishes")
+        object.__setattr__(foliation, "_normal", normal)
+    return foliation._normal
 
 
 def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
@@ -160,9 +214,10 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
 
     Returns ``(True, None)`` or ``(False, subset)`` where ``subset`` is
     the first failing index set (1-based), by size and then
-    lexicographically.
+    lexicographically.  Sizes start at 2: a single foliation has rank r
+    by construction, so its normal is never zero.
     """
-    for delta in range(1, min(web.d, web.n) + 1):
+    for delta in range(2, min(web.d, web.n) + 1):
         for subset in itertools.combinations(range(web.d), delta):
             stacked = Matrix(
                 [row for j in subset for row in web.foliations[j].matrix.entries]

@@ -1,11 +1,13 @@
-"""Reference implementations that the library's elimination kernel and
-general-position check are compared against.
+"""Reference implementations that the library's elimination kernel,
+general-position check and relation-matrix assembly are compared against.
 
 These are the former ``Matrix.rref``, ``Matrix.rank`` (Bareiss on
-integer rows), ``Matrix.det`` and ``check_pg`` (wedge products of the
-generator normals), kept verbatim as module-level functions of a
-``Matrix`` or ``ConstantWeb`` passed as ``self`` / ``web``.  They are
-slower and share no elimination code with ``abelweb.exactalg``.
+integer rows), ``Matrix.det``, ``check_pg`` (wedge products of the
+generator normals) and ``relation_matrix`` (each basis monomial pulled
+back on its own through ``substitute``), kept verbatim as module-level
+functions of a ``Matrix`` or ``ConstantWeb`` passed as ``self`` /
+``web``.  They are slower and share no elimination code with
+``abelweb.exactalg`` and no pullback tables with ``abelweb.webcore``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from abelweb import Matrix
-from abelweb.multilinear import wedge
+from abelweb.multilinear import (
+    HomogeneousPoly,
+    monomial_exponents,
+    monomial_position,
+    poly_space_dim,
+    subset_position,
+    substitute,
+    wedge,
+)
 from abelweb.webcore import ConstantWeb, generator_normal
 
 
@@ -127,3 +137,29 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
             if product.is_zero:
                 return False, tuple(j + 1 for j in subset)
     return True, None
+
+
+def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
+    """The assembled map from E_r(h)^d to Sym^h(V*) (x) Lambda^r(V*)."""
+    r, n, d = web.r, web.n, web.d
+    rn = r * n
+    mono_pos = monomial_position(rn, h)
+    sub_pos = subset_position(rn, r)
+    n_subsets = len(sub_pos)
+    dim_e = poly_space_dim(r, h)
+    rows = len(mono_pos) * n_subsets
+    cols = d * dim_e
+    entries = [[Fraction(0)] * cols for _ in range(rows)]
+    basis = monomial_exponents(r, h)
+    for j, foliation in enumerate(web.foliations):
+        normal = generator_normal(foliation)
+        for b, expo in enumerate(basis):
+            col = j * dim_e + b
+            poly = substitute(
+                HomogeneousPoly(r, h, {expo: 1}), foliation.matrix.entries
+            )
+            for mono, pc in poly.coeffs.items():
+                base = mono_pos[mono] * n_subsets
+                for subset, nc in normal.coeffs.items():
+                    entries[base + sub_pos[subset]][col] += pc * nc
+    return Matrix(entries)

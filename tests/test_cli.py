@@ -173,3 +173,36 @@ def test_usage_error_is_exit_1(capsys):
     code, _, err = run(capsys, "bound", "-r", "1", "-n", "2")
     assert code == 1
     assert "error" in err
+
+
+def _document(command):
+    """A valid (r, n) = (1, 2) input of the command, its option, and its JSON."""
+    taus = ["0", "1", "2", "3", "4"]
+    if command == "canonical":
+        return "--moment", {"r": 1, "n": 2, "taus": taus}
+    if command == "incidence":
+        return "--arrangement", {"r": 1, "n": 2, "planes": [[["1", t, "-1"]] for t in taus]}
+    return "--web", moment_web(MomentWebSpec(1, 2, taus)).to_json()
+
+
+@pytest.mark.parametrize("field, value", [("r", True), ("r", 1.5), ("n", 2.5), ("n", 2.0)])
+@pytest.mark.parametrize("command", ["rank", "pg", "canonical", "incidence"])
+def test_web_type_must_be_an_integer(tmp_path, capsys, command, field, value):
+    option, data = _document(command)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, command, option, str(path))[0] == 0
+    path.write_text(json.dumps({**data, field: value}))
+    code, _, err = run(capsys, command, option, str(path))
+    assert code == 1
+    assert f"integer {field} >=" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("command", ["rank", "pg"])
+def test_negative_r_is_reported_as_r(tmp_path, capsys, command):
+    option, data = _document(command)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**data, "r": -1}))
+    code, _, err = run(capsys, command, option, str(path))
+    assert code == 1
+    assert "r >= 1" in err

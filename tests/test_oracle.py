@@ -1,17 +1,27 @@
-"""The elimination kernel and the stacked-rank PG check against the oracle.
+"""The elimination kernel, the stacked-rank PG check and the relation-matrix
+assembly against the oracle.
 
 ``oracle`` holds the earlier Fraction Gauss-Jordan ``rref``, Fraction
-Gaussian ``det``, Bareiss ``rank`` and wedge-product ``check_pg``.  Inputs
-are seeded (``ABELWEB_SEED``) and cover the shapes where elimination
-bookkeeping goes wrong: tall, wide, rank-deficient, zero columns, and
-webs that fail general position at every subset size.
+Gaussian ``det``, Bareiss ``rank``, wedge-product ``check_pg`` and
+per-monomial ``relation_matrix``.  Inputs are seeded (``ABELWEB_SEED``)
+and cover the shapes where elimination bookkeeping goes wrong: tall,
+wide, rank-deficient, zero columns, webs that fail general position at
+every subset size, and relation matrices of webs with rational entries.
 """
 
 from fractions import Fraction
 
 import oracle
-from abelweb import ConstantFoliation, ConstantWeb, Matrix, check_pg
-from helpers import make_rng
+from abelweb import (
+    ConstantFoliation,
+    ConstantWeb,
+    Matrix,
+    MomentWebSpec,
+    check_pg,
+    moment_web,
+    relation_matrix,
+)
+from helpers import make_rng, random_invertible
 
 
 def _random_rational_matrix(rng) -> Matrix:
@@ -51,10 +61,10 @@ def test_kernel_matches_oracle():
     assert squares > 300
 
 
-def _random_web(rng, r, n, d) -> ConstantWeb:
+def _random_web(rng, r, n, d, entry) -> ConstantWeb:
     foliations = []
     while len(foliations) < d:
-        matrix = Matrix([[rng.randint(-2, 2) for _ in range(r * n)] for _ in range(r)])
+        matrix = Matrix([[entry() for _ in range(r * n)] for _ in range(r)])
         if matrix.rank() == r:
             foliations.append(ConstantFoliation(r, n, matrix))
     return ConstantWeb(r, n, foliations)
@@ -65,8 +75,35 @@ def test_check_pg_matches_oracle():
     types = [(1, 2, 4), (1, 3, 4), (2, 2, 4), (2, 3, 4), (3, 2, 3)]
     failing = 0
     for k in range(300):
-        web = _random_web(rng, *types[k % len(types)])
+        web = _random_web(rng, *types[k % len(types)], lambda: rng.randint(-2, 2))
         verdict = check_pg(web)
         assert verdict == oracle.check_pg(web), web.to_json()
         failing += not verdict[0]
     assert 60 <= failing <= 180  # about a third
+
+
+def test_relation_matrix_and_gram_route_match_oracle():
+    rng = make_rng(42)
+    # (r, n, d, degrees); degrees out of order, so later queries read
+    # pullback tables that earlier ones built
+    cases = [(1, 2, 6, (3, 0, 5, 1, 4)), (1, 3, 5, (2, 0, 3, 1)), (2, 2, 5, (2, 0, 3, 1)),
+             (2, 3, 4, (2, 0, 1)), (3, 2, 4, (1, 0))]
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    webs = [(_random_web(rng, r, n, d, entry), degrees)
+            for r, n, d, degrees in cases for _ in range(3)]
+    for r, n, d, degrees in cases:
+        taus = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4 * d)]
+        spec = MomentWebSpec(r, n, list(dict.fromkeys(taus))[:d], random_invertible(rng, r * n))
+        webs.append((moment_web(spec), degrees))
+    tall = 0
+    for web, degrees in webs:
+        for h in degrees:
+            matrix = relation_matrix(web, h)
+            assert matrix == oracle.relation_matrix(web, h), (web.to_json(), h)
+            assert matrix.rank() == oracle.rank(matrix), (web.to_json(), h)
+            assert matrix.rref() == oracle.rref(matrix), (web.to_json(), h)
+            tall += matrix.rows > matrix.cols
+    assert tall > 50
