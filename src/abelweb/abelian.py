@@ -169,15 +169,19 @@ class DegreeReport:
 class RankReport:
     """Per-degree dimensions, bounds and totals for one web.
 
-    The bounds are theorems about PG webs, so a web failing PG (reachable
-    with ``allow_degenerate``) is neither checked against rho nor called
+    ``dims[h]`` is dim R(h) for h = 0 .. h_cutoff - 1.  The bounds are
+    theorems about PG webs, so a web failing PG (reachable with
+    ``allow_degenerate``) is neither checked against rho nor called
     semi-extremal or of maximal rank; ``"pg": false`` replaces both flags.
     """
 
-    def __init__(self, web: ConstantWeb, per_degree: Sequence[DegreeReport]):
+    def __init__(self, web: ConstantWeb, dims: Sequence[int]):
         self.r, self.n, self.d = web.r, web.n, web.d
-        self.per_degree = tuple(per_degree)
-        self.total_rank = sum(item.dim for item in per_degree)
+        self.per_degree = tuple(
+            DegreeReport(h, dim, degree_bound(web.r, web.n, web.d, h))
+            for h, dim in enumerate(dims)
+        )
+        self.total_rank = sum(dims)
         self.rho = rho_bound(web.r, web.n, web.d)
         self.pg = web.is_pg()
         self.maximal_rank = self.semi_extremal = None
@@ -239,23 +243,19 @@ def total_rank(
     """Rank report over all degrees below the provable cutoff.
 
     ``paranoid`` additionally computes the first provably-zero degree and
-    asserts it really vanishes.
+    asserts it really vanishes.  That is a theorem about PG webs only, so
+    a web failing PG (``allow_degenerate``) is not checked.
     """
     web.require_pg(allow_degenerate)
     cutoff = h_cutoff(web.r, web.n, web.d)
-    degrees = list(range(cutoff))
-    dims = [relation_space_dim(web, h, allow_degenerate) for h in degrees]
-    if paranoid:
-        extra = relation_space_dim(web, cutoff, allow_degenerate)
+    dims = [relation_space_dim(web, h, allow_degenerate) for h in range(cutoff)]
+    if paranoid and web.is_pg():
+        extra = relation_space_dim(web, cutoff)
         if extra != 0:
             raise InternalContradictionError(
                 f"dim R({cutoff}) = {extra}, expected 0 beyond the cutoff"
             )
-    per_degree = [
-        DegreeReport(h, dim, degree_bound(web.r, web.n, web.d, h))
-        for h, dim in zip(degrees, dims)
-    ]
-    return RankReport(web, per_degree)
+    return RankReport(web, dims)
 
 
 def is_semi_extremal(web: ConstantWeb, allow_degenerate: bool = False) -> bool:

@@ -26,8 +26,8 @@ from typing import Sequence
 from .errors import DegenerateWebError, InternalContradictionError
 from .exactalg import Matrix, binomial, rational
 from .multilinear import HomogeneousPoly
-from .webcore import q_of
-from .abelian import RelationBasisElement, relation_space, total_rank
+from .webcore import h_cutoff, q_of
+from .abelian import RankReport, RelationBasisElement, relation_space
 from .grassmann import MomentWebSpec, ProjectivePoint, moment_web
 
 
@@ -221,12 +221,16 @@ class CanonicalData:
 def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     """Ordered relation basis, points, and curve of a moment web.
 
-    The basis order is fixed: the q+1 weighted power relations
-    z_j = c_j tau_j^rho of degree 0, then the r weighted linear relations
-    z_j = c_j y_a, then the canonical remainder degree by degree.  With
-    that order the j-th point is [1 : tau_j : ... : tau_j^q : 0 : ... : 0]
-    and the curve through them is [1 : t : ... : t^q : 0 : ... : 0]; both
-    facts are asserted rather than assumed.
+    Each relation space R(h), h below the cutoff, is computed once; the
+    rank report is read off their dimensions.  The basis order is fixed:
+    the q+1 weighted power relations z_j = c_j tau_j^rho of degree 0,
+    then the r weighted linear relations z_j = c_j y_a, then the
+    canonical kernel vectors of R(1) that the linear relations leave
+    independent (the pivot columns after them, in order), then R(h) for
+    h >= 2.  With that order the j-th point is
+    [1 : tau_j : ... : tau_j^q : 0 : ... : 0] and the curve through them
+    is [1 : t : ... : t^q : 0 : ... : 0]; both facts are asserted rather
+    than assumed.
     """
     r, n = spec.r, spec.n
     d = len(spec.taus)
@@ -236,7 +240,8 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
             f"canonical data requires at least (r+1)(n-1)+2 = {(r + 1) * (n - 1) + 2} parameters"
         )
     web = moment_web(spec)
-    report = total_rank(web)
+    spaces = [relation_space(web, h) for h in range(h_cutoff(r, n, d))]
+    report = RankReport(web, [len(space) for space in spaces])
     if not report.maximal_rank or not report.semi_extremal:
         raise InternalContradictionError("moment web fails to saturate the rank bounds")
     weights = vandermonde_weights(spec.taus)
@@ -255,38 +260,26 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
         )
 
     # designated degree-1 block: z_j = c_j y_a, a = 1..r
-    designated1 = []
     for a in range(r):
         components = [
             HomogeneousPoly(r, 1, {tuple(1 if i == a else 0 for i in range(r)): c})
             for c in weights
         ]
-        designated1.append(RelationBasisElement(web, 1, components))
-    basis.extend(designated1)
+        basis.append(RelationBasisElement(web, 1, components))
 
-    # canonical remainder, degree by degree
-    kernel1 = relation_space(web, 1)
-    rows = [list(el.vector()) for el in designated1]
-    chosen: list[RelationBasisElement] = []
-    for el in kernel1:
-        if len(rows) == len(kernel1):
-            break
-        candidate = list(el.vector())
-        if Matrix(rows + [candidate]).rank() == len(rows) + 1:
-            rows.append(candidate)
-            chosen.append(el)
-    if len(rows) != len(kernel1):
+    # completion of the degree-1 block from the canonical kernel basis: a
+    # vector is a pivot column exactly when it is independent of all
+    # vectors before it
+    kernel1 = spaces[1]
+    columns = Matrix([el.vector() for el in basis[q + 1 :] + kernel1]).transpose()
+    _, pivots = columns.rref()
+    if pivots[:r] != tuple(range(r)) or len(pivots) != len(kernel1):
         raise InternalContradictionError(
             "degree-1 kernel basis fails to complete the designated relations"
         )
-    basis.extend(chosen)
-    h = 2
-    while True:
-        space = relation_space(web, h)
-        if not space:
-            break
+    basis.extend(kernel1[p - r] for p in pivots[r:])
+    for space in spaces[2:]:
         basis.extend(space)
-        h += 1
 
     if len(basis) != report.total_rank:
         raise InternalContradictionError(

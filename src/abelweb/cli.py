@@ -21,10 +21,10 @@ from .webcore import ConstantWeb, degree_bound, h_cutoff, rho_bound
 from .abelian import total_rank
 from .grassmann import (
     MomentWebSpec,
-    ProjectivePoint,
     akivis_structure,
     fit_rnc,
     moment_web,
+    points_from_json,
     recover_normal_form,
 )
 from .canonical import canonical_data
@@ -87,7 +87,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_moment(args) -> int:
-    base = Matrix.from_json(_load_json(args.base)) if args.base else None
+    base = Matrix.from_json(_load_json(args.base), "base change") if args.base else None
     spec = MomentWebSpec(args.r, args.n, _parse_taus(args.taus), base)
     _emit(moment_web(spec).to_json(), args.output)
     return 0
@@ -121,8 +121,7 @@ def _cmd_incidence(args) -> int:
 
 
 def _cmd_fit_rnc(args) -> int:
-    points = [ProjectivePoint(coords) for coords in _load_json(args.points)]
-    _emit(fit_rnc(points).to_json(), args.output)
+    _emit(fit_rnc(points_from_json(_load_json(args.points))).to_json(), args.output)
     return 0
 
 

@@ -62,6 +62,17 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def json_array(value, field: str) -> list:
+    """``value``, which was read from JSON for ``field``, if it is an array.
+
+    Anything else is bad input naming the field: a string would
+    otherwise be taken apart into characters, "10" as the row [1, 0].
+    """
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON array, got {value!r}")
+    return value
+
+
 def binomial(k: int, l: int) -> int:
     """C(k, l), with the convention that it is 0 outside 0 <= l <= k."""
     if l < 0 or l > k or k < 0:
@@ -161,10 +172,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
@@ -187,16 +194,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.entries)) if self.rows else Matrix([])
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -204,10 +201,6 @@ class Matrix:
         return Matrix(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
         )
-
-    def scale(self, c) -> "Matrix":
-        c = rational(c)
-        return Matrix([[c * x for x in row] for row in self.entries])
 
     def apply_row(self, vector: Sequence) -> tuple[Fraction, ...]:
         """Row vector times matrix."""
@@ -327,5 +320,9 @@ class Matrix:
         return [[str(x) for x in row] for row in self.entries]
 
     @classmethod
-    def from_json(cls, data) -> "Matrix":
-        return cls(data)
+    def from_json(cls, data, field: str = "matrix") -> "Matrix":
+        """A matrix from a JSON array of row arrays; ``field`` names it in errors."""
+        rows = json_array(data, field)
+        return cls(
+            json_array(row, f"{field} row {i}") for i, row in enumerate(rows, start=1)
+        )

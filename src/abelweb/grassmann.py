@@ -11,9 +11,11 @@ p = [xi_1 : ... : xi_n] of P^{n-1} the codimension-r foliation cut out by
 Moment webs take the points on the rational normal curve
 [1 : tau : ... : tau^(n-1)]; they realize every rank bound with equality.
 Recovery goes the other way: from a semi-extremal web alone, rebuild a
-basis and points exhibiting it as F(p_j), and certify with the
-Castelnuovo minimal-span criterion that the points lie on a common
-rational normal curve.
+basis from the degree-1 relations of a subweb of the critical order,
+read every point p_j off foliation j written in that basis (F(p) has
+rows e_a (x) p there), certify by rebuilding that the web is
+F(p_1), ..., F(p_d), and certify with the Castelnuovo minimal-span
+criterion that the points lie on a common rational normal curve.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
-from .exactalg import Matrix, rational
-from .multilinear import monomial_exponents, substitute, wedge, ExteriorForm
+from .exactalg import Matrix, json_array, rational
+from .multilinear import monomial_exponents, wedge, ExteriorForm
 from .webcore import (
     ConstantFoliation,
     ConstantWeb,
@@ -31,7 +33,12 @@ from .webcore import (
     q_of,
     web_type_from_json,
 )
-from .abelian import relation_space, relation_space_dim, subweb as take_subweb
+from .abelian import (
+    _semi_extremal,
+    relation_space,
+    relation_space_dim,
+    subweb as take_subweb,
+)
 
 
 class ProjectivePoint:
@@ -118,9 +125,17 @@ class MomentWebSpec:
         base = data.get("base_change")
         return cls(
             *web_type_from_json(data),
-            data["taus"],
-            Matrix.from_json(base) if base is not None else None,
+            json_array(data["taus"], "taus"),
+            Matrix.from_json(base, "base_change") if base is not None else None,
         )
+
+
+def points_from_json(data) -> list[ProjectivePoint]:
+    """A JSON array of coordinate arrays as points, named point 1, 2, ... in errors."""
+    return [
+        ProjectivePoint(json_array(coords, f"point {i}"))
+        for i, coords in enumerate(json_array(data, "points"), start=1)
+    ]
 
 
 def foliation_from_point(basis: Matrix, p: ProjectivePoint) -> ConstantFoliation:
@@ -255,34 +270,33 @@ class AdaptedStructure:
     @classmethod
     def from_json(cls, data: dict) -> "AdaptedStructure":
         return cls(
-            Matrix.from_json(data["basis"]),
-            [ProjectivePoint(c) for c in data["points"]],
+            Matrix.from_json(data["basis"], "basis"),
+            points_from_json(data["points"]),
             data.get("permutation"),
         )
 
 
-def _recover_base_case(web: ConstantWeb) -> AdaptedStructure:
-    """Recovery for webs of the critical order d = (r+1)(n-1)+2."""
-    r, n, d = web.r, web.n, web.d
+def _recover_basis(web: ConstantWeb) -> Matrix:
+    """The covector basis of a web of the critical order d = (r+1)(n-1)+2.
 
+    Row a*n + alpha is the linear component of the a-th canonical
+    degree-1 relation along foliation alpha, pulled back to the ambient
+    space.
+    """
+    r, n, d = web.r, web.n, web.d
     dim0 = relation_space_dim(web, 0)
-    if dim0 != d - r * (n - 1) - 1:
-        raise DegenerateWebError(
-            "web is not semi-extremal / degenerate: "
-            f"degree-0 relation space has dimension {dim0}"
-        )
     relations = relation_space(web, 1)
-    if len(relations) != r:
+    if not _semi_extremal(r, n, d, dim0, len(relations)):
         raise DegenerateWebError(
-            "web is not semi-extremal / degenerate: "
-            f"degree-1 relation space has dimension {len(relations)}"
+            "web is not semi-extremal / degenerate: relation spaces of degree "
+            f"0 and 1 have dimensions {dim0} and {len(relations)}"
         )
 
     # u_{a,j}: the linear component of relation a along foliation j,
     # pulled back to a covector on the ambient space
     u = [
         [
-            substitute(comp, web.foliations[j].matrix.entries).vector()
+            web.foliations[j].matrix.apply_row(comp.vector())
             for j, comp in enumerate(rel.components)
         ]
         for rel in relations
@@ -300,37 +314,7 @@ def _recover_base_case(web: ConstantWeb) -> AdaptedStructure:
         raise DegenerateWebError(
             "web is not semi-extremal / degenerate: recovered covector basis is singular"
         )
-
-    # express the normal of each foliation alpha <= n in the normals of
-    # foliations n+1..d; the coefficient columns are the missing points
-    tail = Matrix([generator_normal(f).vector() for f in web.foliations[n:]])
-    if tail.rank() != d - n:
-        raise DegenerateWebError(
-            "web is not semi-extremal / degenerate: normals of foliations "
-            f"{n + 1}..{d} are linearly dependent"
-        )
-    system = tail.transpose()
-    xi = []
-    for alpha in range(n):
-        omega = generator_normal(web.foliations[alpha]).vector()
-        solution = system.solve(omega)
-        if solution is None:
-            raise DegenerateWebError(
-                "web is not semi-extremal / degenerate: basis normal "
-                f"{alpha + 1} lies outside the span of the remaining normals"
-            )
-        xi.append(solution)
-
-    points = [ProjectivePoint.unit(n, j) for j in range(n)]
-    for idx in range(d - n):
-        coords = [xi[alpha][idx] for alpha in range(n)]
-        if all(c == 0 for c in coords):
-            raise DegenerateWebError(
-                "web is not semi-extremal / degenerate: foliation "
-                f"{n + idx + 1} received no point coordinates"
-            )
-        points.append(ProjectivePoint(coords))
-    return AdaptedStructure(basis, points)
+    return basis
 
 
 def _point_from_block_matrix(basis_inv: Matrix, foliation: ConstantFoliation, r: int, n: int, k: int) -> ProjectivePoint:
@@ -373,10 +357,12 @@ def recover_normal_form(
 ) -> AdaptedStructure:
     """Rebuild an adapted structure (basis, points) from a semi-extremal web.
 
-    The construction runs on a subweb of the critical order
-    d0 = (r+1)(n-1)+2 — by default foliations 1..d0 — and extends to the
-    remaining foliations by expressing their covectors in the recovered
-    coordinates.  ``subweb_indices`` overrides the choice (1-based, must
+    The basis comes from a subweb of the critical order
+    d0 = (r+1)(n-1)+2 — by default foliations 1..d0.  Every point is then
+    read off its foliation's covectors expressed in the recovered
+    coordinates, and the rebuild check below certifies each one: it
+    passes only if foliation k is F(p_k) in that basis.
+    ``subweb_indices`` overrides the choice of subweb (1-based, must
     contain 1..n+1 and have length d0); structures from different
     admissible choices agree up to the basis group C (x) A.
     """
@@ -400,18 +386,12 @@ def recover_normal_form(
         if any(i not in subweb_indices for i in range(1, n + 2)):
             raise ValueError("recovery subweb must contain foliations 1..n+1")
 
-    base = _recover_base_case(take_subweb(web, subweb_indices))
-    basis = base.basis
+    basis = _recover_basis(take_subweb(web, subweb_indices))
     basis_inv = basis.inverse()
-
-    points: list[ProjectivePoint | None] = [None] * d
-    for pos, j in enumerate(subweb_indices):
-        points[j - 1] = base.points[pos]
-    for k in range(d):
-        if points[k] is None:
-            points[k] = _point_from_block_matrix(
-                basis_inv, web.foliations[k], r, n, k + 1
-            )
+    points = [
+        _point_from_block_matrix(basis_inv, foliation, r, n, k)
+        for k, foliation in enumerate(web.foliations, start=1)
+    ]
 
     for k in range(d):
         rebuilt = foliation_from_point(basis, points[k])

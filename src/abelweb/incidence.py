@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DegenerateWebError
-from .exactalg import Matrix
+from .exactalg import Matrix, json_array
 from .webcore import ConstantWeb, web_type_from_json
 from .grassmann import ProjectivePoint, foliation_from_point
 
@@ -57,7 +57,10 @@ class PlaneArrangement:
     def from_json(cls, data: dict) -> "PlaneArrangement":
         return cls(
             *web_type_from_json(data),
-            [Matrix.from_json(rows) for rows in data["planes"]],
+            [
+                Matrix.from_json(rows, f"plane {i}")
+                for i, rows in enumerate(json_array(data["planes"], "planes"), start=1)
+            ],
         )
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DegenerateWebError
-from .exactalg import Matrix, binomial
+from .exactalg import Matrix, binomial, json_array
 from .multilinear import ExteriorForm, monomial_exponents, monomial_position, wedge_rows
 
 
@@ -132,10 +132,6 @@ class ConstantWeb:
     def d(self) -> int:
         return len(self.foliations)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.r * self.n
-
     def foliation_set(self) -> frozenset:
         return frozenset(self.foliations)
 
@@ -174,9 +170,10 @@ class ConstantWeb:
     @classmethod
     def from_json(cls, data: dict) -> "ConstantWeb":
         r, n = web_type_from_json(data)
+        matrices = json_array(data["foliations"], "foliations")
         foliations = [
-            ConstantFoliation(r, n, Matrix.from_json(rows))
-            for rows in data["foliations"]
+            ConstantFoliation(r, n, Matrix.from_json(rows, f"foliation {j}"))
+            for j, rows in enumerate(matrices, start=1)
         ]
         return cls(r, n, foliations)
 

@@ -1,5 +1,6 @@
 """Reference implementations that the library's elimination kernel,
-general-position check and relation-matrix assembly are compared against.
+general-position check, relation-matrix assembly, normal-form recovery
+and canonical data are compared against.
 
 These are the former ``Matrix.rref``, ``Matrix.rank`` (Bareiss on
 integer rows), ``Matrix.det``, ``check_pg`` (wedge products of the
@@ -8,6 +9,15 @@ back on its own through ``substitute``), kept verbatim as module-level
 functions of a ``Matrix`` or ``ConstantWeb`` passed as ``self`` /
 ``web``.  They are slower and share no elimination code with
 ``abelweb.exactalg`` and no pullback tables with ``abelweb.webcore``.
+
+``recover_base_case`` / ``recover_normal_form`` are the former recovery:
+it pulls the degree-1 relations back through ``substitute`` and solves
+for the points of the critical subweb from the generator normals, where
+the library reads every point off the recovered coordinates.
+``canonical_data`` is the former canonical data: it eliminates every
+degree twice (``total_rank``, then ``relation_space`` until a space is
+empty) and completes the degree-1 block greedily, one rank per
+candidate, where the library reads pivot columns once.
 """
 
 from __future__ import annotations
@@ -18,6 +28,25 @@ from fractions import Fraction
 from typing import Sequence
 
 from abelweb import Matrix
+from abelweb.abelian import (
+    RelationBasisElement,
+    relation_space,
+    relation_space_dim,
+    subweb as take_subweb,
+    total_rank,
+)
+from abelweb.canonical import CanonicalData, _cofactor, vandermonde_weights
+from abelweb.errors import DegenerateWebError, InternalContradictionError
+from abelweb.grassmann import (
+    AdaptedStructure,
+    MomentWebSpec,
+    ProjectivePoint,
+    _castelnuovo_threshold,
+    _point_from_block_matrix,
+    castelnuovo_rnc_test,
+    foliation_from_point,
+    moment_web,
+)
 from abelweb.multilinear import (
     HomogeneousPoly,
     monomial_exponents,
@@ -27,7 +56,7 @@ from abelweb.multilinear import (
     substitute,
     wedge,
 )
-from abelweb.webcore import ConstantWeb, generator_normal
+from abelweb.webcore import ConstantWeb, generator_normal, q_of
 
 
 def _clear_row(row: Sequence[Fraction]) -> list[int]:
@@ -163,3 +192,260 @@ def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
                 for subset, nc in normal.coeffs.items():
                     entries[base + sub_pos[subset]][col] += pc * nc
     return Matrix(entries)
+
+
+def recover_base_case(web: ConstantWeb) -> AdaptedStructure:
+    """Recovery for webs of the critical order d = (r+1)(n-1)+2."""
+    r, n, d = web.r, web.n, web.d
+
+    dim0 = relation_space_dim(web, 0)
+    if dim0 != d - r * (n - 1) - 1:
+        raise DegenerateWebError(
+            "web is not semi-extremal / degenerate: "
+            f"degree-0 relation space has dimension {dim0}"
+        )
+    relations = relation_space(web, 1)
+    if len(relations) != r:
+        raise DegenerateWebError(
+            "web is not semi-extremal / degenerate: "
+            f"degree-1 relation space has dimension {len(relations)}"
+        )
+
+    # u_{a,j}: the linear component of relation a along foliation j,
+    # pulled back to a covector on the ambient space
+    u = [
+        [
+            substitute(comp, web.foliations[j].matrix.entries).vector()
+            for j, comp in enumerate(rel.components)
+        ]
+        for rel in relations
+    ]
+    for j in range(d):
+        block = Matrix([u[a][j] for a in range(r)])
+        if block.rank() != r or block.row_space_rref() != web.foliations[j].row_span():
+            raise DegenerateWebError(
+                "web is not semi-extremal / degenerate: recovered covectors "
+                f"do not cut out foliation {j + 1}"
+            )
+
+    basis = Matrix([u[a][alpha] for a in range(r) for alpha in range(n)])
+    if not basis.is_invertible():
+        raise DegenerateWebError(
+            "web is not semi-extremal / degenerate: recovered covector basis is singular"
+        )
+
+    # express the normal of each foliation alpha <= n in the normals of
+    # foliations n+1..d; the coefficient columns are the missing points
+    tail = Matrix([generator_normal(f).vector() for f in web.foliations[n:]])
+    if tail.rank() != d - n:
+        raise DegenerateWebError(
+            "web is not semi-extremal / degenerate: normals of foliations "
+            f"{n + 1}..{d} are linearly dependent"
+        )
+    system = tail.transpose()
+    xi = []
+    for alpha in range(n):
+        omega = generator_normal(web.foliations[alpha]).vector()
+        solution = system.solve(omega)
+        if solution is None:
+            raise DegenerateWebError(
+                "web is not semi-extremal / degenerate: basis normal "
+                f"{alpha + 1} lies outside the span of the remaining normals"
+            )
+        xi.append(solution)
+
+    points = [ProjectivePoint.unit(n, j) for j in range(n)]
+    for idx in range(d - n):
+        coords = [xi[alpha][idx] for alpha in range(n)]
+        if all(c == 0 for c in coords):
+            raise DegenerateWebError(
+                "web is not semi-extremal / degenerate: foliation "
+                f"{n + idx + 1} received no point coordinates"
+            )
+        points.append(ProjectivePoint(coords))
+    return AdaptedStructure(basis, points)
+
+
+def recover_normal_form(
+    web: ConstantWeb, subweb_indices: Sequence[int] | None = None
+) -> AdaptedStructure:
+    """Rebuild an adapted structure (basis, points) from a semi-extremal web.
+
+    The construction runs on a subweb of the critical order
+    d0 = (r+1)(n-1)+2 — by default foliations 1..d0 — and extends to the
+    remaining foliations by expressing their covectors in the recovered
+    coordinates.  ``subweb_indices`` overrides the choice (1-based, must
+    contain 1..n+1 and have length d0); structures from different
+    admissible choices agree up to the basis group C (x) A.
+    """
+    r, n, d = web.r, web.n, web.d
+    if r < 2:
+        raise ValueError("recovery requires r >= 2")
+    q = q_of(r, n, d)
+    if q < n - 1:
+        raise ValueError(
+            f"recovery requires at least (r+1)(n-1)+2 = {(r + 1) * (n - 1) + 2} foliations"
+        )
+    web.require_pg()
+    d0 = (r + 1) * (n - 1) + 2
+
+    if subweb_indices is None:
+        subweb_indices = list(range(1, d0 + 1))
+    else:
+        subweb_indices = list(subweb_indices)
+        if len(subweb_indices) != d0:
+            raise ValueError(f"recovery subweb must have exactly {d0} foliations")
+        if any(i not in subweb_indices for i in range(1, n + 2)):
+            raise ValueError("recovery subweb must contain foliations 1..n+1")
+
+    base = recover_base_case(take_subweb(web, subweb_indices))
+    basis = base.basis
+    basis_inv = basis.inverse()
+
+    points: list[ProjectivePoint | None] = [None] * d
+    for pos, j in enumerate(subweb_indices):
+        points[j - 1] = base.points[pos]
+    for k in range(d):
+        if points[k] is None:
+            points[k] = _point_from_block_matrix(
+                basis_inv, web.foliations[k], r, n, k + 1
+            )
+
+    for k in range(d):
+        rebuilt = foliation_from_point(basis, points[k])
+        if rebuilt != web.foliations[k]:
+            raise DegenerateWebError(
+                "web is not semi-extremal / degenerate: recovered structure "
+                f"fails to cut out foliation {k + 1}"
+            )
+
+    if d >= _castelnuovo_threshold(r, n) and not castelnuovo_rnc_test(points, r):
+        # semi-extremality was verified above, which provably places the
+        # points on a rational normal curve
+        raise InternalContradictionError(
+            "recovered points of a semi-extremal web fail the rational-normal-curve test"
+        )
+    permutation = None if subweb_indices == list(range(1, d0 + 1)) else subweb_indices
+    return AdaptedStructure(basis, points, permutation)
+
+
+def canonical_data(spec: MomentWebSpec) -> CanonicalData:
+    """Ordered relation basis, points, and curve of a moment web.
+
+    The basis order is fixed: the q+1 weighted power relations
+    z_j = c_j tau_j^rho of degree 0, then the r weighted linear relations
+    z_j = c_j y_a, then the canonical remainder degree by degree.  With
+    that order the j-th point is [1 : tau_j : ... : tau_j^q : 0 : ... : 0]
+    and the curve through them is [1 : t : ... : t^q : 0 : ... : 0]; both
+    facts are asserted rather than assumed.
+    """
+    r, n = spec.r, spec.n
+    d = len(spec.taus)
+    q = q_of(r, n, d)
+    if q < n - 1:
+        raise ValueError(
+            f"canonical data requires at least (r+1)(n-1)+2 = {(r + 1) * (n - 1) + 2} parameters"
+        )
+    web = moment_web(spec)
+    report = total_rank(web)
+    if not report.maximal_rank or not report.semi_extremal:
+        raise InternalContradictionError("moment web fails to saturate the rank bounds")
+    weights = vandermonde_weights(spec.taus)
+
+    # designated degree-0 block: z_j = c_j tau_j^rho, rho = 0..q
+    basis: list[RelationBasisElement] = []
+    for rho in range(q + 1):
+        components = [
+            HomogeneousPoly.constant(r, c * t**rho)
+            for c, t in zip(weights, spec.taus)
+        ]
+        basis.append(RelationBasisElement(web, 0, components))
+    if report.dim(0) != q + 1:
+        raise InternalContradictionError(
+            f"degree-0 relation space has dimension {report.dim(0)}, expected {q + 1}"
+        )
+
+    # designated degree-1 block: z_j = c_j y_a, a = 1..r
+    designated1 = []
+    for a in range(r):
+        components = [
+            HomogeneousPoly(r, 1, {tuple(1 if i == a else 0 for i in range(r)): c})
+            for c in weights
+        ]
+        designated1.append(RelationBasisElement(web, 1, components))
+    basis.extend(designated1)
+
+    # canonical remainder, degree by degree
+    kernel1 = relation_space(web, 1)
+    rows = [list(el.vector()) for el in designated1]
+    chosen: list[RelationBasisElement] = []
+    for el in kernel1:
+        if len(rows) == len(kernel1):
+            break
+        candidate = list(el.vector())
+        if Matrix(rows + [candidate]).rank() == len(rows) + 1:
+            rows.append(candidate)
+            chosen.append(el)
+    if len(rows) != len(kernel1):
+        raise InternalContradictionError(
+            "degree-1 kernel basis fails to complete the designated relations"
+        )
+    basis.extend(chosen)
+    h = 2
+    while True:
+        space = relation_space(web, h)
+        if not space:
+            break
+        basis.extend(space)
+        h += 1
+
+    if len(basis) != report.total_rank:
+        raise InternalContradictionError(
+            f"assembled {len(basis)} relations, expected rank {report.total_rank}"
+        )
+    N = report.total_rank - 1
+
+    # evaluation at the origin: constants survive, positive degrees vanish
+    columns = []
+    for j in range(d):
+        column = [
+            el.components[j].coefficient((0,) * r) if el.degree == 0 else Fraction(0)
+            for el in basis
+        ]
+        columns.append(column)
+
+    points = []
+    for j, column in enumerate(columns):
+        point = ProjectivePoint(column)
+        expected = tuple(spec.taus[j] ** rho for rho in range(q + 1)) + (
+            Fraction(0),
+        ) * (N - q)
+        if point.coords != expected:
+            raise InternalContradictionError(
+                f"point {j + 1} differs from its displayed coordinate form"
+            )
+        points.append(point)
+    if len(set(points)) != d:
+        raise InternalContradictionError("canonical points are not pairwise distinct")
+
+    # curve z(t) = sum_j P(t)/(t - tau_j) z_j; must close at degree q
+    curve = [[Fraction(0)] * (N + 1) for _ in range(d)]
+    for j, column in enumerate(columns):
+        for e, c in enumerate(_cofactor(spec.taus, j)):
+            if c != 0:
+                for i, zc in enumerate(column):
+                    curve[e][i] += c * zc
+    for e in range(q + 1, d):
+        if any(c != 0 for c in curve[e]):
+            raise InternalContradictionError(
+                f"canonical curve has a nonzero coefficient in degree {e} > q = {q}"
+            )
+    curve_coeffs = curve[: q + 1]
+
+    data = CanonicalData(N, q, spec.taus, weights, points, curve_coeffs)
+    for tau, point in zip(spec.taus, points):
+        if data.point_at(tau) != point:
+            raise InternalContradictionError(
+                "canonical curve fails to interpolate its defining points"
+            )
+    return data

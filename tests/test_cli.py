@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from abelweb import ConstantWeb, Matrix, MomentWebSpec, moment_web
-from abelweb.cli import main
+from abelweb.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -72,6 +74,12 @@ def test_allow_degenerate_never_exits_3(tmp_path, capsys):
     code, out, _ = run(capsys, "rank", "--web", str(path), "--allow-degenerate", "--tsv")
     assert code == 0
     assert out.splitlines()[-1].endswith("pg=false")
+    # dim R(cutoff) = 0 is a theorem about PG webs, so --paranoid skips it here
+    code, out, _ = run(
+        capsys, "rank", "--web", str(path), "--allow-degenerate", "--paranoid"
+    )
+    assert code == 0
+    assert json.loads(out) == report
 
 
 def test_pg_and_degenerate_exit(tmp_path, capsys):
@@ -206,3 +214,41 @@ def test_negative_r_is_reported_as_r(tmp_path, capsys, command):
     code, _, err = run(capsys, command, option, str(path))
     assert code == 1
     assert "r >= 1" in err
+
+
+# a string where an array belongs would be read character by character:
+# each of these exits 0 if it is
+@pytest.mark.parametrize("argv, option, data, field", [
+    (["rank"], "--web", {"r": 1, "n": 2, "foliations": [["10"], ["01"], ["11"], ["12"]]},
+     "foliation 1 row 1"),
+    (["fit-rnc"], "--points", [["1", "0"], ["0", "1"], ["1", "1"], ["1", "2"], "13"],
+     "point 5"),
+    (["canonical"], "--moment", {"r": 1, "n": 2, "taus": "01234"}, "taus"),
+    (["canonical"], "--moment",
+     {"r": 1, "n": 2, "taus": ["0", "1", "2", "3", "4"], "base_change": ["10", "01"]},
+     "base_change row 1"),
+    (["moment", "-r", "1", "-n", "2", "--taus", "0,1,2"], "--base", ["10", "01"],
+     "base change row 1"),
+], ids=["rank-row", "fit-rnc-point", "canonical-taus", "canonical-base_change", "moment-base"])
+def test_json_strings_are_not_arrays(tmp_path, capsys, argv, option, data, field):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, *argv, option, str(path))
+    assert code == 1
+    assert f"{field} must be a JSON array" in err
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    lines = [line for line in lines if line.startswith("abelweb ")]
+    assert len(lines) >= 9
+    parser = _build_parser()
+    for line in lines:
+        # each bracketed optional flag is tried on its own
+        optional = re.findall(r"\[([^]]*)\]", line)
+        required = re.sub(r"\[[^]]*\]", "", line).split()[1:]
+        for extra in [""] + optional:
+            args = parser.parse_args(required + extra.split())
+            assert args.command == required[0]

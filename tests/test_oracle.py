@@ -1,12 +1,14 @@
-"""The elimination kernel, the stacked-rank PG check and the relation-matrix
-assembly against the oracle.
+"""The elimination kernel, the stacked-rank PG check, the relation-matrix
+assembly, normal-form recovery and canonical data against the oracle.
 
 ``oracle`` holds the earlier Fraction Gauss-Jordan ``rref``, Fraction
-Gaussian ``det``, Bareiss ``rank``, wedge-product ``check_pg`` and
-per-monomial ``relation_matrix``.  Inputs are seeded (``ABELWEB_SEED``)
-and cover the shapes where elimination bookkeeping goes wrong: tall,
-wide, rank-deficient, zero columns, webs that fail general position at
-every subset size, and relation matrices of webs with rational entries.
+Gaussian ``det``, Bareiss ``rank``, wedge-product ``check_pg``,
+per-monomial ``relation_matrix``, normals-based recovery and
+greedy-completion ``canonical_data``.  Inputs are seeded
+(``ABELWEB_SEED``) and cover the shapes where elimination bookkeeping
+goes wrong: tall, wide, rank-deficient, zero columns, webs that fail
+general position at every subset size, relation matrices of webs with
+rational entries, and moment webs under random gauges.
 """
 
 from fractions import Fraction
@@ -17,8 +19,10 @@ from abelweb import (
     ConstantWeb,
     Matrix,
     MomentWebSpec,
+    canonical_data,
     check_pg,
     moment_web,
+    recover_normal_form,
     relation_matrix,
 )
 from helpers import make_rng, random_invertible
@@ -107,3 +111,28 @@ def test_relation_matrix_and_gram_route_match_oracle():
             assert matrix.rref() == oracle.rref(matrix), (web.to_json(), h)
             tall += matrix.rows > matrix.cols
     assert tall > 50
+
+
+def test_recovery_and_canonical_data_match_oracle():
+    rng = make_rng(43)
+    # recovery on d foliations, above the critical order (r+1)(n-1)+2 so
+    # some points lie outside the default subweb; canonical data on the
+    # first d_can parameters (R(2), R(3) non-zero at (2,2,7))
+    for r, n, d, d_can in [(2, 2, 7, 7), (2, 3, 9, 8), (3, 2, 7, 6)]:
+        taus = []
+        while len(taus) < d:
+            tau = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            if tau not in taus:
+                taus.append(tau)
+        gauge = random_invertible(rng, r * n)
+        web = moment_web(MomentWebSpec(r, n, taus, gauge))
+        d0 = (r + 1) * (n - 1) + 2
+        # an admissible subweb other than the default 1..d0
+        rest = sorted(rng.sample(range(n + 2, d + 1), d0 - n - 1))
+        if rest == list(range(n + 2, d0 + 1)):
+            rest[-1] = d
+        for indices in (None, list(range(1, n + 2)) + rest):
+            expected = oracle.recover_normal_form(web, indices).to_json()
+            assert recover_normal_form(web, indices).to_json() == expected, (taus, indices)
+        spec = MomentWebSpec(r, n, taus[:d_can], gauge)
+        assert canonical_data(spec).to_json() == oracle.canonical_data(spec).to_json(), taus
