@@ -12,10 +12,19 @@ layout is fixed once and for all: rows are indexed by (degree-h monomial
 in rn variables, graded-lex) x (r-subset, colex); columns by (foliation
 j) x (degree-h monomial in r variables, graded-lex).
 
-Assembly reads the pullbacks of the degree-h monomials from tables kept
-on each foliation (``ConstantFoliation.pullbacks``, built one degree from
-the previous one) and only places the products with the normal's
-coefficients.  Verification of a relation deliberately does not: it
+Assembly works in integers.  It reads the pullbacks of the degree-h
+monomials from integer tables kept on each foliation
+(``ConstantFoliation.pullbacks``, built one degree from the previous
+one), places their products with the normal's coefficients, and scales
+each foliation's columns to one common factor, so the sparse rows are a
+multiple of the relation matrix and have its kernel.  That kernel comes
+from :func:`exactalg.certified_kernel`: elimination modulo a 61-bit
+prime (rank_p <= rank_Q), lifted to Q and checked against the rows in
+exact integers, which also proves the dimension and that the basis is
+the canonical (RREF) one.  ``relation_matrix`` is the same rows divided
+by their factor, as a dense matrix.
+
+Verification of a relation deliberately does not read the tables: it
 pulls each component back through ``multilinear.substitute``.  A wrong
 table would give a wrong kernel, and that kernel would sum to zero
 against the same wrong table, so checking it there would prove nothing.
@@ -27,11 +36,12 @@ InternalContradictionError instead of returning.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
-from .exactalg import Matrix
+from .exactalg import Matrix, binomial, certified_kernel
 from .multilinear import (
     HomogeneousPoly,
     poly_space_dim,
@@ -90,24 +100,60 @@ def _verify_relation(web: ConstantWeb, components: Sequence[HomogeneousPoly]) ->
         raise InternalContradictionError("claimed abelian relation does not sum to zero")
 
 
-def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
-    """The assembled map from E_r(h)^d to Sym^h(V*) (x) Lambda^r(V*)."""
-    r, n, d = web.r, web.n, web.d
-    rn = r * n
-    sub_pos = subset_position(rn, r)
+def _relation_rows(web: ConstantWeb, h: int) -> tuple[dict[int, dict[int, int]], int]:
+    """``scale`` times the degree-h relation matrix as sparse integer rows, and ``scale``.
+
+    Rows are keyed by their index in the layout and hold their non-zero
+    entries by column.  Foliation j, of denominator D_j, contributes its
+    integer pullback table (D_j^h times the pullbacks) times the normal
+    of its integer rows (D_j^r times its normal); each block is then
+    multiplied up to the common factor ``scale`` = lcm_j D_j^(h+r).
+    """
+    r = web.r
+    sub_pos = subset_position(r * web.n, r)
     n_subsets = len(sub_pos)
     dim_e = poly_space_dim(r, h)
-    rows = poly_space_dim(rn, h) * n_subsets
-    cols = d * dim_e
-    entries = [[Fraction(0)] * cols for _ in range(rows)]
-    for j, foliation in enumerate(web.foliations):
-        normal = [(sub_pos[s], c) for s, c in generator_normal(foliation).coeffs.items()]
+    powers = [f.denominator ** (h + r) for f in web.foliations]
+    scale = math.lcm(*powers)
+    rows: dict[int, dict[int, int]] = {}
+    for j, (foliation, power) in enumerate(zip(web.foliations, powers)):
+        factor = scale // power
+        integral = foliation.denominator**r
+        normal = [
+            (sub_pos[s], (c * integral).numerator * factor)
+            for s, c in generator_normal(foliation).coeffs.items()
+        ]
         for col, pullback in enumerate(foliation.pullbacks(h), j * dim_e):
             for mono, pc in pullback.items():
                 base = mono * n_subsets
                 for s, nc in normal:
-                    entries[base + s][col] = pc * nc
+                    rows.setdefault(base + s, {})[col] = pc * nc
+    return rows, scale
+
+
+def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
+    """The assembled map from E_r(h)^d to Sym^h(V*) (x) Lambda^r(V*).
+
+    The rows of :func:`_relation_rows` divided by their scale, as a
+    dense matrix; rank and kernel computations read those rows directly.
+    """
+    rn = web.r * web.n
+    rows, scale = _relation_rows(web, h)
+    zero = Fraction(0)
+    entries = [
+        [zero] * (web.d * poly_space_dim(web.r, h))
+        for _ in range(poly_space_dim(rn, h) * binomial(rn, web.r))
+    ]
+    for i, row in rows.items():
+        for j, a in row.items():
+            entries[i][j] = Fraction(a, scale)
     return Matrix(entries)
+
+
+def _relation_kernel(web: ConstantWeb, h: int) -> list[tuple[Fraction, ...]]:
+    """The canonical kernel basis of the degree-h relation matrix."""
+    rows, _ = _relation_rows(web, h)
+    return certified_kernel(rows.values(), web.d * poly_space_dim(web.r, h))
 
 
 def _guard_bound(web: ConstantWeb, h: int, dim: int) -> None:
@@ -121,10 +167,9 @@ def _guard_bound(web: ConstantWeb, h: int, dim: int) -> None:
 
 
 def relation_space_dim(web: ConstantWeb, h: int, allow_degenerate: bool = False) -> int:
-    """dim R(h), computed from the rank of the assembled matrix."""
+    """dim R(h), the number of certified canonical kernel vectors."""
     web.require_pg(allow_degenerate)
-    matrix = relation_matrix(web, h)
-    dim = matrix.cols - matrix.rank()
+    dim = len(_relation_kernel(web, h))
     _guard_bound(web, h, dim)
     return dim
 
@@ -134,8 +179,7 @@ def relation_space(
 ) -> list[RelationBasisElement]:
     """Canonical kernel basis of the degree-h relation space."""
     web.require_pg(allow_degenerate)
-    matrix = relation_matrix(web, h)
-    kernel = matrix.kernel_basis()
+    kernel = _relation_kernel(web, h)
     _guard_bound(web, h, len(kernel))
     dim_e = poly_space_dim(web.r, h)
     basis = []
@@ -265,11 +309,19 @@ def is_semi_extremal(web: ConstantWeb, allow_degenerate: bool = False) -> bool:
 
 
 def subweb(web: ConstantWeb, indices: Sequence[int]) -> ConstantWeb:
-    """Restriction to the 1-based foliation indices, order preserved."""
+    """Restriction to the 1-based foliation indices, order preserved.
+
+    A web already known to be in general position passes that on: every
+    subset the subweb's PG check would test is one the web's check
+    tested, so the subweb needs no check of its own.
+    """
     indices = list(indices)
     if len(set(indices)) != len(indices):
         raise ValueError("subweb indices must be distinct")
     for i in indices:
         if not 1 <= i <= web.d:
             raise ValueError(f"foliation index {i} outside 1..{web.d}")
-    return ConstantWeb(web.r, web.n, [web.foliations[i - 1] for i in indices])
+    sub = ConstantWeb(web.r, web.n, [web.foliations[i - 1] for i in indices])
+    if web._pg == (True, None):
+        object.__setattr__(sub, "_pg", web._pg)
+    return sub

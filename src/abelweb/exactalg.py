@@ -18,15 +18,11 @@ that keeps tall rank-deficient relation matrices cheap.  ``rref`` also
 reduces the rows above each pivot (Gauss-Jordan), after which a pivot
 row divided by its pivot entry is a row of the RREF.
 
-A tall matrix A (more rows than columns, as every relation matrix is)
-is not eliminated itself: ``rank`` and ``rref`` eliminate its Gram
-matrix G = A^T A, formed from the cleared integer rows, instead.  This
-is exact over Q, which is ordered: x^T G x = |Ax|^2, so Gx = 0 forces
-Ax = 0 and ker G = ker A, hence rank G = rank A.  The rows of G are
-combinations of the rows of A, so the two row spaces are equal; the
-RREF, its pivots and the canonical kernel basis are the same matrices.
-G is cols x cols, so the step pays only when rows > cols; wide and
-square matrices (and ``det``) are eliminated as they are.
+Relation matrices do not go through :class:`Matrix`: :func:`certified_kernel`
+takes their sparse integer rows and returns the canonical kernel basis
+from elimination modulo a 61-bit prime, lifted to Q and checked exactly.
+Arithmetic modulo p only proposes the basis; the exact check over Q and
+the certificate in its docstring make it a result.
 
 The kernel basis returned by :meth:`Matrix.kernel_basis` is the canonical
 one read off the reduced row echelon form: free columns in increasing
@@ -35,9 +31,10 @@ index order, with a 1 in the free coordinate of each basis vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
 
@@ -129,23 +126,227 @@ def _eliminate(
     return pivots, m[: len(pivots)], sign
 
 
-def _gram(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """A^T A of the integer rows of A.
+# Miller-Rabin with these bases is exact for every n < 3.3 * 10**24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    The upper triangle is summed over the non-zeros of each row, then
-    mirrored.
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < 3.3 * 10**24."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.cache
+def _prime_below(n: int) -> int:
+    """The largest odd prime below ``n`` > 3.
+
+    Kept: every kernel asks for the same few again.
     """
-    gram = [[0] * ncols for _ in range(ncols)]
-    for row in rows:
-        nz = [(j, v) for j, v in enumerate(row) if v]
-        for k, (i, a) in enumerate(nz):
-            target = gram[i]
-            for j, b in nz[k:]:
-                target[j] += a * b
-    for i in range(ncols):
-        for j in range(i):
-            gram[i][j] = gram[j][i]
-    return gram
+    n -= 1 + n % 2
+    while not _is_prime(n):
+        n -= 2
+    return n
+
+
+def _primes() -> Iterator[int]:
+    """The primes below 2**61 in descending order, 2**61 - 1 first."""
+    p = 2**61
+    while True:
+        p = _prime_below(p)
+        yield p
+
+
+def _rref_mod(
+    rows: list[list[int]], ncols: int, p: int
+) -> tuple[list[int], list[list[int]]]:
+    """Pivot columns and non-zero rows of the RREF of ``rows`` modulo ``p``.
+
+    Gauss-Jordan with a normalized pivot row.  The pivot row comes from
+    below the earlier pivots, so it is zero left of the current column
+    and only the columns from there on change.
+    """
+    m = [row for row in ([a % p for a in row] for row in rows) if any(row)]
+    pivots: list[int] = []
+    for col in range(ncols):
+        k = len(pivots)
+        if k == len(m):
+            break
+        i = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if i is None:
+            continue
+        inv = pow(m[i][col], -1, p)
+        tail = [a * inv % p for a in m[i][col:]]
+        m[i] = m[k]
+        m[k] = [0] * col + tail
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != k:
+                m[i] = row[:col] + [(a - f * b) % p for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+    return pivots, m[: len(pivots)]
+
+
+def _reconstruct(u: int, modulus: int) -> Fraction | None:
+    """The fraction a/b = u modulo ``modulus`` with |a|, |b| <= sqrt(modulus/2).
+
+    There is at most one (Wang's half-extended Euclid); None if there is
+    none.  A result is only a candidate: the caller checks it exactly.
+    """
+    bound = math.isqrt(modulus // 2)
+    r0, r1, s0, s1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= bound else None
+
+
+def _lift(
+    rows: list[dict[int, int]], ncols: int, pivots: list[int], free: list[int],
+    residues: list[list[int]], modulus: int,
+) -> list[tuple[Fraction, ...]] | None:
+    """The kernel vectors with these residues, if each lifts and ``rows . v = 0``.
+
+    ``residues[k]`` holds the entries of the vector of free column
+    ``free[k]`` at the pivots before it, modulo ``modulus``.
+
+    The check runs once over the rows for all vectors together.  Each
+    vector is scaled to integers w_k, and column j carries the packed
+    integer P_j = sum_k w_k[j] * 2**(k*bits).  A row a then has
+    a . P = sum_k (a . w_k) * 2**(k*bits), and every |a . w_k| <=
+    |a|_1 * max|w_k| < 2**bits, so a . P = 0 exactly when a . w_k = 0
+    for every k (the lowest non-zero term could not be cancelled).
+    """
+    vectors, ints = [], []
+    for f, column in zip(free, residues):
+        entries = {f: Fraction(1)}
+        for q, u in zip(pivots, column):
+            if u:
+                x = _reconstruct(u, modulus)
+                if x is None:
+                    return None
+                entries[q] = x
+        den = math.lcm(*(x.denominator for x in entries.values()))
+        vectors.append(entries)
+        ints.append({j: x.numerator * (den // x.denominator) for j, x in entries.items()})
+    top = max((sum(map(abs, row.values())) for row in rows), default=0)
+    bits = (top * max(abs(w) for vec in ints for w in vec.values())).bit_length()
+    packed = [0] * ncols
+    for k, vec in enumerate(ints):
+        for j, w in vec.items():
+            packed[j] += w << (k * bits)
+    if any(sum(a * packed[j] for j, a in row.items()) for row in rows):
+        return None
+    zero = Fraction(0)
+    basis = []
+    for entries in vectors:
+        vec = [zero] * ncols
+        for j, x in entries.items():
+            vec[j] = x
+        basis.append(tuple(vec))
+    return basis
+
+
+def certified_kernel(
+    rows: Iterable[dict[int, int]], ncols: int
+) -> list[tuple[Fraction, ...]]:
+    """Canonical kernel basis over Q of an integer matrix, given by sparse rows.
+
+    Each row maps column indices to non-zero integers.  The result is
+    the basis :meth:`Matrix.kernel_basis` returns: one vector per free
+    column f of the RREF, in increasing order, with v[f] = 1, zero at
+    every other free column, and support in f and the pivots before f.
+
+    Method (Dixon's p-adic idea in its simplest, one-shot form).  For p
+    in a fixed descending sequence of primes below 2**61, eliminate
+    modulo p: a wide or square matrix A as it is, a tall one through
+    G = A^T A.  Over Q, x^T G x = |Ax|^2, so ker G = ker A and G has the
+    row space, hence the RREF, of A; modulo p, ker G contains ker A.
+    Either way the rank rank_p found modulo p is at most rank_Q, the rank
+    of A over Q.  Full column rank modulo p therefore means an empty
+    kernel.  Otherwise each kernel vector modulo p is lifted to Q by
+    rational reconstruction and A v = 0 is checked exactly in integers.
+
+    Why a result that passes the check is exact.  The checked vectors are
+    independent (each is 1 at its own free column, 0 at the others), so
+    dim_Q ker A >= their number = ncols - rank_p >= ncols - rank_Q =
+    dim_Q ker A: they are a basis.  The set of last non-zero positions of
+    the non-zero vectors of a subspace depends only on the subspace and
+    has its dimension as size; the checked vectors have distinct last
+    positions (their free columns), so the free columns are those of the
+    RREF over Q.  The canonical basis vector of a free column f is the
+    only kernel vector with v[f] = 1 and zero at the other free columns,
+    and the checked vector for f is such a vector.
+
+    A check can fail when p divides a minor (an unlucky prime) or when
+    the entries need more than one prime.  Then the residues of the next
+    prime are combined with the earlier ones by the Chinese remainder
+    theorem.  Only primes with the largest rank and, among those, the
+    least pivot tuple are combined.  The bound rank_p <= rank_Q holds for
+    every leading block of columns too, so the pivots over Q are least
+    in the componentwise (Gale) order, hence lexicographically.  A prime
+    with the rank and pivots over Q has the RREF over Q, reduced modulo
+    p, as its RREF, and all primes but the finitely many dividing one
+    fixed non-zero minor are such primes.  Once the product of the
+    combined primes exceeds 2 H**2, H the largest numerator or
+    denominator in the RREF, reconstruction returns the RREF entries and
+    the check passes.  So the loop ends on every input and never raises.
+    """
+    rows = [row for row in rows if row]
+    if len(rows) > ncols:
+        system = [[0] * ncols for _ in range(ncols)]
+        for row in rows:
+            nz = sorted(row.items())
+            for k, (i, a) in enumerate(nz):
+                target = system[i]
+                for j, b in nz[k:]:
+                    target[j] += a * b
+        for i in range(ncols):
+            for j in range(i):
+                system[i][j] = system[j][i]
+    else:
+        system = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    best = None
+    for p in _primes():
+        pivots, reduced = _rref_mod(system, ncols, p)
+        if len(pivots) == ncols:
+            return []
+        pivot_set = set(pivots)
+        free = [f for f in range(ncols) if f not in pivot_set]
+        residues = [
+            [-row[f] % p for row, q in zip(reduced, pivots) if q < f] for f in free
+        ]
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, modulus, combined = key, p, residues
+        elif key == best:
+            inv = pow(modulus, -1, p)
+            combined = [
+                [x + modulus * ((y - x) * inv % p) for x, y in zip(xs, ys)]
+                for xs, ys in zip(combined, residues)
+            ]
+            modulus *= p
+        else:
+            continue
+        basis = _lift(rows, ncols, pivots, free, combined, modulus)
+        if basis is not None:
+            return basis
 
 
 class Matrix:
@@ -220,9 +421,8 @@ class Matrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
     def _row_space_ints(self) -> list[list[int]]:
-        """Integer rows spanning the row space: the Gram matrix if tall."""
-        ints = [_clear_row(row)[0] for row in self.entries]
-        return _gram(ints, self.cols) if self.rows > self.cols else ints
+        """Integer rows spanning the row space: each row scaled to coprime integers."""
+        return [_clear_row(row)[0] for row in self.entries]
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""

@@ -23,7 +23,7 @@ The closed-form quantities:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 from typing import Iterable, Sequence
 
 from .errors import DegenerateWebError
@@ -34,7 +34,7 @@ from .multilinear import ExteriorForm, monomial_exponents, monomial_position, we
 class ConstantFoliation:
     """One codimension-r foliation, given by the rows of its defining map."""
 
-    __slots__ = ("r", "n", "matrix", "_span", "_normal", "_pullbacks")
+    __slots__ = ("r", "n", "matrix", "denominator", "_span", "_normal", "_pullbacks")
 
     def __init__(self, r: int, n: int, matrix: Matrix):
         if matrix.rows != r or matrix.cols != r * n:
@@ -44,9 +44,14 @@ class ConstantFoliation:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", matrix)
+        # least common denominator of the entries: denominator * matrix is integral
+        object.__setattr__(
+            self, "denominator",
+            math.lcm(*(x.denominator for row in matrix.entries for x in row)),
+        )
         object.__setattr__(self, "_span", None)
         object.__setattr__(self, "_normal", None)
-        object.__setattr__(self, "_pullbacks", [({0: Fraction(1)},)])
+        object.__setattr__(self, "_pullbacks", [({0: 1},)])
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ConstantFoliation is immutable")
@@ -57,18 +62,25 @@ class ConstantFoliation:
             object.__setattr__(self, "_span", self.matrix.row_space_rref())
         return self._span
 
-    def pullbacks(self, h: int) -> tuple[dict[int, Fraction], ...]:
-        """Pullbacks along the defining rows of the degree-h monomials.
+    def pullbacks(self, h: int) -> tuple[dict[int, int], ...]:
+        """Pullbacks of the degree-h monomials along the integer rows
+        ``denominator * matrix``.
 
         Entry b is the pullback of the b-th degree-h monomial in r
         variables (graded-lex), as ``{position of a degree-h monomial in
-        rn variables: coefficient}`` without zero coefficients.  Degrees
-        are built in turn and kept: x^b pulls back to the pullback of
-        x^(b - e_i) times the i-th row, i the first index with b_i > 0.
+        rn variables: integer coefficient}`` without zero coefficients;
+        it is ``denominator**h`` times the pullback along the defining
+        rows.  Degrees are built in turn and kept: x^b pulls back to the
+        pullback of x^(b - e_i) times the i-th row, i the first index
+        with b_i > 0.
         """
         tables = self._pullbacks
         rn = self.r * self.n
-        rows = [[(k, a) for k, a in enumerate(row) if a] for row in self.matrix.entries]
+        den = self.denominator
+        rows = [
+            [(k, a.numerator * (den // a.denominator)) for k, a in enumerate(row) if a]
+            for row in self.matrix.entries
+        ]
         while len(tables) <= h:
             degree = len(tables)
             lower = tables[-1]
@@ -78,7 +90,7 @@ class ConstantFoliation:
             table = []
             for b in monomial_exponents(self.r, degree):
                 i = next(i for i, e in enumerate(b) if e)
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for p, c in lower[lower_pos[b[:i] + (b[i] - 1,) + b[i + 1 :]]].items():
                     e = lower_expos[p]
                     for k, a in rows[i]:

@@ -20,6 +20,7 @@ from abelweb import (
     subweb,
     total_rank,
 )
+from abelweb.webcore import check_pg
 from abelweb.errors import InternalContradictionError
 from helpers import make_rng, random_pg_web
 
@@ -174,3 +175,39 @@ def test_subweb_of_moment_web_stays_semi_extremal():
     assert is_semi_extremal(web)
     smaller = subweb(web, [1, 2, 3, 4, 6, 7, 8])
     assert is_semi_extremal(smaller)
+
+
+
+def _small_entry_web(rng, r, n, d) -> ConstantWeb:
+    """A web with entries in -2..2, so that many fail general position."""
+    foliations = []
+    while len(foliations) < d:
+        matrix = Matrix([[rng.randint(-2, 2) for _ in range(r * n)] for _ in range(r)])
+        if matrix.rank() == r:
+            foliations.append(ConstantFoliation(r, n, matrix))
+    return ConstantWeb(r, n, foliations)
+
+
+def test_subweb_of_pg_web_inherits_the_result():
+    rng = make_rng(25)
+    pg = 0
+    for k in range(90):
+        r, n, d = [(1, 2, 5), (2, 2, 4), (1, 3, 4)][k % 3]
+        web = _small_entry_web(rng, r, n, d)
+        pg += web.is_pg()
+        indices = rng.sample(range(1, d + 1), rng.randint(1, d))
+        sub = subweb(web, indices)
+        assert sub.pg() == check_pg(sub), (web.to_json(), indices)
+    assert 10 <= pg <= 80
+
+
+def test_subweb_of_pg_web_runs_no_pg_check(monkeypatch):
+    web = moment_web(MomentWebSpec(2, 2, list(range(7))))
+    assert web.is_pg()
+
+    def refuse(_web):
+        raise AssertionError("check_pg called on a subweb of a PG web")
+
+    monkeypatch.setattr("abelweb.webcore.check_pg", refuse)
+    assert subweb(web, [7, 2, 5, 1]).pg() == (True, None)
+    assert relation_space_dim(subweb(web, [1, 2, 3, 4, 5]), 0) == degree_bound(2, 2, 5, 0)

@@ -1,8 +1,11 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from abelweb import Matrix, binomial, rational
+from abelweb.exactalg import _is_prime, _primes
 from helpers import make_rng, random_invertible, random_matrix
 
 
@@ -95,3 +98,18 @@ def test_json_round_trip():
     m = Matrix([[Fraction(1, 3), -2], [0, Fraction(7, 2)]])
     assert Matrix.from_json(m.to_json()) == m
     assert m.to_json()[0][0] == "1/3"
+
+
+def test_prime_sequence():
+    assert [n for n in range(60) if _is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    for n in range(60, 5000):
+        assert _is_prime(n) == all(n % q for q in range(2, math.isqrt(n) + 1)), n
+    # strong pseudoprimes to several of the bases, and a Carmichael number
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 561):
+        assert not _is_prime(n)
+    primes = list(itertools.islice(_primes(), 5))
+    assert primes[0] == 2**61 - 1
+    assert primes == sorted(primes, reverse=True) and all(map(_is_prime, primes))
+    assert not any(_is_prime(n) for n in range(primes[1] + 1, primes[0]))

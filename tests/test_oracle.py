@@ -1,5 +1,6 @@
 """The elimination kernel, the stacked-rank PG check, the relation-matrix
-assembly, normal-form recovery and canonical data against the oracle.
+assembly, the certified (mod-p, lifted, exactly checked) relation
+kernels, normal-form recovery and canonical data against the oracle.
 
 ``oracle`` holds the earlier Fraction Gauss-Jordan ``rref``, Fraction
 Gaussian ``det``, Bareiss ``rank``, wedge-product ``check_pg``,
@@ -8,9 +9,11 @@ greedy-completion ``canonical_data``.  Inputs are seeded
 (``ABELWEB_SEED``) and cover the shapes where elimination bookkeeping
 goes wrong: tall, wide, rank-deficient, zero columns, webs that fail
 general position at every subset size, relation matrices of webs with
-rational entries, and moment webs under random gauges.
+rational entries, and moment webs under random gauges.  The certified
+kernel is also driven past an unlucky prime and into a second prime.
 """
 
+import math
 from fractions import Fraction
 
 import oracle
@@ -21,10 +24,13 @@ from abelweb import (
     MomentWebSpec,
     canonical_data,
     check_pg,
+    h_cutoff,
     moment_web,
     recover_normal_form,
     relation_matrix,
 )
+from abelweb.abelian import _relation_rows
+from abelweb.exactalg import _primes, certified_kernel
 from helpers import make_rng, random_invertible
 
 
@@ -86,31 +92,93 @@ def test_check_pg_matches_oracle():
     assert 60 <= failing <= 180  # about a third
 
 
-def test_relation_matrix_and_gram_route_match_oracle():
-    rng = make_rng(42)
-    # (r, n, d, degrees); degrees out of order, so later queries read
-    # pullback tables that earlier ones built
-    cases = [(1, 2, 6, (3, 0, 5, 1, 4)), (1, 3, 5, (2, 0, 3, 1)), (2, 2, 5, (2, 0, 3, 1)),
-             (2, 3, 4, (2, 0, 1)), (3, 2, 4, (1, 0))]
-
+def _relation_webs(rng, types):
+    """Per (r, n, d): three random webs with rational entries and one
+    moment web with rational taus under a random gauge."""
     def entry():
         return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
 
-    webs = [(_random_web(rng, r, n, d, entry), degrees)
-            for r, n, d, degrees in cases for _ in range(3)]
-    for r, n, d, degrees in cases:
+    webs = [_random_web(rng, r, n, d, entry) for r, n, d in types for _ in range(3)]
+    for r, n, d in types:
         taus = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4 * d)]
         spec = MomentWebSpec(r, n, list(dict.fromkeys(taus))[:d], random_invertible(rng, r * n))
-        webs.append((moment_web(spec), degrees))
+        webs.append(moment_web(spec))
+    return webs
+
+
+def test_relation_matrix_and_tall_elimination_match_oracle():
+    rng = make_rng(42)
+    # degrees out of order, so later queries read pullback tables that
+    # earlier ones built
+    degrees = {(1, 2): (3, 0, 5, 1, 4), (1, 3): (2, 0, 3, 1), (2, 2): (2, 0, 3, 1),
+               (2, 3): (2, 0, 1), (3, 2): (1, 0)}
+    webs = _relation_webs(rng, [(1, 2, 6), (1, 3, 5), (2, 2, 5), (2, 3, 4), (3, 2, 4)])
     tall = 0
-    for web, degrees in webs:
-        for h in degrees:
+    for web in webs:
+        for h in degrees[web.r, web.n]:
             matrix = relation_matrix(web, h)
             assert matrix == oracle.relation_matrix(web, h), (web.to_json(), h)
             assert matrix.rank() == oracle.rank(matrix), (web.to_json(), h)
             assert matrix.rref() == oracle.rref(matrix), (web.to_json(), h)
             tall += matrix.rows > matrix.cols
     assert tall > 50
+
+
+def _oracle_kernel(matrix: Matrix) -> list[tuple[Fraction, ...]]:
+    """The canonical kernel basis read off ``oracle.rref``."""
+    reduced, pivots = oracle.rref(matrix)
+    basis = []
+    for f in (j for j in range(matrix.cols) if j not in pivots):
+        vec = [Fraction(0)] * matrix.cols
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -reduced[i, f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def test_certified_kernel_matches_oracle():
+    rng = make_rng(44)
+    webs = _relation_webs(rng, [(1, 2, 7), (1, 3, 6), (2, 2, 7), (2, 3, 8), (3, 2, 6)])
+    nonzero = 0
+    for web in webs:
+        for h in range(h_cutoff(web.r, web.n, web.d)):
+            rows, _ = _relation_rows(web, h)
+            matrix = oracle.relation_matrix(web, h)
+            kernel = certified_kernel(rows.values(), matrix.cols)
+            rank = oracle.rank(matrix)
+            # full column rank: the slow oracle RREF has no free column to show
+            expected = _oracle_kernel(matrix) if rank < matrix.cols else []
+            assert kernel == expected, (web.to_json(), h)
+            assert len(kernel) == matrix.cols - rank, (web.to_json(), h)
+            nonzero += bool(kernel)
+    assert nonzero > 25
+
+
+def test_certified_kernel_moves_past_an_unlucky_prime():
+    p0 = next(_primes())
+    # singular modulo p0 only: the kernel vector (-1, 1) found there fails
+    # the exact check, and the next prime shows rank 2
+    assert certified_kernel([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}], 2) == []
+    assert certified_kernel([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}, {0: 2, 1: 2}], 2) == []
+    # both kernel vectors modulo p0 fail, by p0 and -p0: the one check run
+    # for all vectors together must not let the two errors cancel
+    assert certified_kernel([{0: 1, 1: 1 + p0, 2: 1 - p0}], 3) == [
+        (Fraction(-1 - p0), Fraction(1), Fraction(0)),
+        (Fraction(p0 - 1), Fraction(0), Fraction(1)),
+    ]
+
+
+def test_certified_kernel_combines_primes():
+    rng = make_rng(45)
+    for _ in range(20):
+        a, b = rng.randint(2**39, 2**40), rng.randint(-2**40, 2**40)
+        while math.gcd(a, b) != 1:
+            b += 1
+        # -b/a needs about 81 bits, more than one 61-bit prime reconstructs
+        assert certified_kernel([{0: a, 1: b}], 2) == [(Fraction(-b, a), Fraction(1))]
+        assert certified_kernel([{0: a, 2: b}, {1: 1}], 3) == [
+            (Fraction(-b, a), Fraction(0), Fraction(1))]
 
 
 def test_recovery_and_canonical_data_match_oracle():
