@@ -1,33 +1,35 @@
 """Abelian-relation spaces of constant webs, degree by degree.
 
 A degree-h relation of a web with foliation maps kappa_j and generator
-normals Omega_j is a d-tuple (c_1, ..., c_d) of degree-h homogeneous
-polynomials in r variables with
+normals Omega_j is a d-tuple c of degree-h forms in r variables with
+sum_j c_j(kappa_j) * Omega_j = 0 in Sym^h(V*) (x) Lambda^r(V*).  It is
+stored as one vector over (foliation j) x (monomial, graded-lex), that
+is d * C(r-1+h, h) columns.  R(0) is the kernel of the C(rn, r) x d
+matrix whose column j is the normal Omega_j.
 
-    sum_j  c_j(kappa_j) * Omega_j  =  0.
+R(h), h >= 1, comes from R(h-1) by prolongation (Chern and Griffiths,
+"Abel's theorem and webs", Jahresber. DMV 80, 1978).  Along a direction
+a of V, the left-hand side differentiates to that of the degree-(h-1)
+tuple D_a c = (sum_i kappa_j[i, a] * dc_j/dx_i)_j, so D_a maps R(h) into
+R(h-1).  Conversely, if every D_a c lies in R(h-1), every first
+derivative of the left-hand side vanishes, and so does the left-hand
+side, by Euler's identity (h times a degree-h form is sum_a x_a times
+its derivative along a).  This holds for every web, PG or not.  Since y
+lies in R(h-1) exactly when y_q = sum_f K_f[q] * y_f at every column q
+outside the free columns f of its canonical basis K, R(h) is the kernel
+of rn * (d * C(r+h-2, h-1) - dim R(h-1)) sparse integer rows, where the
+relation matrix has C(rn+h-1, h) * C(rn, r).  The bases are kept on the
+web (``ConstantWeb._relations``), so each degree is eliminated once.
 
-The relation space R(h) is the kernel of the linear map assembling the
-left-hand side in the space Sym^h(V*) (x) Lambda^r(V*).  The matrix
-layout is fixed once and for all: rows are indexed by (degree-h monomial
-in rn variables, graded-lex) x (r-subset, colex); columns by (foliation
-j) x (degree-h monomial in r variables, graded-lex).
+Every kernel comes from :func:`exactalg.certified_kernel`: computed
+modulo a 61-bit prime, lifted to Q and checked against the rows in
+exact integers, which proves it is the canonical (RREF) basis of the
+rows' kernel.  That kernel is R(h), so the certificate carries over.
 
-Assembly works in integers.  It reads the pullbacks of the degree-h
-monomials from integer tables kept on each foliation
-(``ConstantFoliation.pullbacks``, built one degree from the previous
-one), places their products with the normal's coefficients, and scales
-each foliation's columns to one common factor, so the sparse rows are a
-multiple of the relation matrix and have its kernel.  That kernel comes
-from :func:`exactalg.certified_kernel`: elimination modulo a 61-bit
-prime (rank_p <= rank_Q), lifted to Q and checked against the rows in
-exact integers, which also proves the dimension and that the basis is
-the canonical (RREF) one.  ``relation_matrix`` is the same rows divided
-by their factor, as a dense matrix.
-
-Verification of a relation deliberately does not read the tables: it
-pulls each component back through ``multilinear.substitute``.  A wrong
-table would give a wrong kernel, and that kernel would sum to zero
-against the same wrong table, so checking it there would prove nothing.
+Verification of a relation reads neither R(h-1) nor the prolonged rows:
+it pulls each component back through ``multilinear.substitute``, as
+``relation_matrix``, the relation map by its definition, does.  A wrong
+prolongation would pass any check made with its own rows.
 
 A computed dimension exceeding the per-degree bound on a general-position
 web would contradict a proven statement, so it aborts with
@@ -38,17 +40,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import DegenerateWebError, InternalContradictionError
-from .exactalg import Matrix, binomial, certified_kernel
+from .errors import InternalContradictionError
+from .exactalg import Matrix, certified_kernel
 from .multilinear import (
     HomogeneousPoly,
+    monomial_exponents,
+    monomial_position,
     poly_space_dim,
     subset_position,
     substitute,
 )
 from .webcore import (
+    ConstantFoliation,
     ConstantWeb,
     degree_bound,
     generator_normal,
@@ -85,111 +90,147 @@ class RelationBasisElement:
         return tuple(out)
 
 
+def _pullback(foliation: ConstantFoliation, c: HomogeneousPoly) -> dict[tuple, Fraction]:
+    """c(kappa) * Omega of one foliation, by (monomial in rn variables, r-subset)."""
+    normal = generator_normal(foliation).coeffs
+    return {
+        (expo, subset): pc * nc
+        for expo, pc in substitute(c, foliation.matrix.entries).coeffs.items()
+        for subset, nc in normal.items()
+    }
+
+
 def _verify_relation(web: ConstantWeb, components: Sequence[HomogeneousPoly]) -> None:
     total: dict[tuple, Fraction] = {}
     for foliation, c in zip(web.foliations, components):
         if c.is_zero:
             continue
-        normal = generator_normal(foliation)
-        poly = substitute(c, foliation.matrix.entries)
-        for expo, pc in poly.coeffs.items():
-            for subset, nc in normal.coeffs.items():
-                key = (expo, subset)
-                total[key] = total.get(key, Fraction(0)) + pc * nc
-    if any(v != 0 for v in total.values()):
+        for key, value in _pullback(foliation, c).items():
+            total[key] = total.get(key, 0) + value
+    if any(total.values()):
         raise InternalContradictionError("claimed abelian relation does not sum to zero")
 
 
-def _relation_rows(web: ConstantWeb, h: int) -> tuple[dict[int, dict[int, int]], int]:
-    """``scale`` times the degree-h relation matrix as sparse integer rows, and ``scale``.
-
-    Rows are keyed by their index in the layout and hold their non-zero
-    entries by column.  Foliation j, of denominator D_j, contributes its
-    integer pullback table (D_j^h times the pullbacks) times the normal
-    of its integer rows (D_j^r times its normal); each block is then
-    multiplied up to the common factor ``scale`` = lcm_j D_j^(h+r).
-    """
-    r = web.r
-    sub_pos = subset_position(r * web.n, r)
-    n_subsets = len(sub_pos)
-    dim_e = poly_space_dim(r, h)
-    powers = [f.denominator ** (h + r) for f in web.foliations]
-    scale = math.lcm(*powers)
-    rows: dict[int, dict[int, int]] = {}
-    for j, (foliation, power) in enumerate(zip(web.foliations, powers)):
-        factor = scale // power
-        integral = foliation.denominator**r
-        normal = [
-            (sub_pos[s], (c * integral).numerator * factor)
-            for s, c in generator_normal(foliation).coeffs.items()
-        ]
-        for col, pullback in enumerate(foliation.pullbacks(h), j * dim_e):
-            for mono, pc in pullback.items():
-                base = mono * n_subsets
-                for s, nc in normal:
-                    rows.setdefault(base + s, {})[col] = pc * nc
-    return rows, scale
-
-
 def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
-    """The assembled map from E_r(h)^d to Sym^h(V*) (x) Lambda^r(V*).
+    """The map from E_r(h)^d to Sym^h(V*) (x) Lambda^r(V*), by its definition.
 
-    The rows of :func:`_relation_rows` divided by their scale, as a
-    dense matrix; rank and kernel computations read those rows directly.
+    Rows are indexed by (degree-h monomial in rn variables, graded-lex)
+    x (r-subset, colex), columns as relation vectors.  Relation spaces
+    are not computed from it (see the module docstring).
     """
-    rn = web.r * web.n
-    rows, scale = _relation_rows(web, h)
-    zero = Fraction(0)
-    entries = [
-        [zero] * (web.d * poly_space_dim(web.r, h))
-        for _ in range(poly_space_dim(rn, h) * binomial(rn, web.r))
-    ]
-    for i, row in rows.items():
-        for j, a in row.items():
-            entries[i][j] = Fraction(a, scale)
+    mono_pos = monomial_position(web.r * web.n, h)
+    sub_pos = subset_position(web.r * web.n, web.r)
+    basis = monomial_exponents(web.r, h)
+    entries = [[0] * (web.d * len(basis)) for _ in range(len(mono_pos) * len(sub_pos))]
+    for j, foliation in enumerate(web.foliations):
+        for col, expo in enumerate(basis, j * len(basis)):
+            monomial = HomogeneousPoly(web.r, h, {expo: 1})
+            for (mono, subset), value in _pullback(foliation, monomial).items():
+                entries[mono_pos[mono] * len(sub_pos) + sub_pos[subset]][col] = value
     return Matrix(entries)
 
 
-def _relation_kernel(web: ConstantWeb, h: int) -> list[tuple[Fraction, ...]]:
-    """The canonical kernel basis of the degree-h relation matrix."""
-    rows, _ = _relation_rows(web, h)
-    return certified_kernel(rows.values(), web.d * poly_space_dim(web.r, h))
+def _integral(row: dict[int, Fraction]) -> dict[int, int]:
+    """A sparse rational row times the lcm of its denominators."""
+    den = math.lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 
 
-def _guard_bound(web: ConstantWeb, h: int, dim: int) -> None:
-    if web.is_pg():
-        bound = degree_bound(web.r, web.n, web.d, h)
-        if dim > bound:
-            raise InternalContradictionError(
-                f"dim R({h}) = {dim} exceeds the proven bound {bound} "
-                f"for a general-position web of type ({web.r},{web.n}), d={web.d}"
-            )
+def _normal_rows(web: ConstantWeb) -> list[dict[int, int]]:
+    """The rows of R(0): one per r-subset, the normals' coefficients there."""
+    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for j, foliation in enumerate(web.foliations):
+        for subset, c in generator_normal(foliation).coeffs.items():
+            rows.setdefault(subset, {})[j] = c
+    return [_integral(row) for row in rows.values()]
+
+
+def _prolonged_rows(
+    web: ConstantWeb, h: int, lower: list[tuple[Fraction, ...]]
+) -> Iterator[dict[int, int]]:
+    """Rows whose kernel is R(h), h >= 1, from the canonical basis K of R(h-1).
+
+    One row per direction a and non-free column q of K:
+    (e_q - sum_f K_f[q] e_f) applied to D_a c, denominators cleared.
+    """
+    r, rn = web.r, web.r * web.n
+    dim_e = poly_space_dim(r, h)
+    pos = monomial_position(r, h)
+    kappas = [f.matrix.entries for f in web.foliations]
+    den = math.lcm(*(x.denominator for kappa in kappas for row in kappa for x in row))
+    # derivative[t][a]: den times coordinate t = (j, m) of D_a c, as
+    # (column, integer) pairs; x^m in dc_j/dx_i has (m_i + 1) times the
+    # coefficient of x^(m + e_i) in c_j
+    derivative = [
+        [
+            [
+                (j * dim_e + pos[m[:i] + (m[i] + 1,) + m[i + 1 :]],
+                 (m[i] + 1) * kappa[i][a].numerator * (den // kappa[i][a].denominator))
+                for i in range(r) if kappa[i][a]
+            ]
+            for a in range(rn)
+        ]
+        for j, kappa in enumerate(kappas)
+        for m in monomial_exponents(r, h - 1)
+    ]
+    # y is in span K iff y_q = sum_f K_f[q] * y_f at every non-free q; the
+    # free column of a canonical basis vector is its last non-zero position
+    weights = {q: {q: Fraction(1)} for q in range(len(derivative))}
+    for vec in lower:
+        support = [(q, x) for q, x in enumerate(vec) if x]
+        f = support.pop()[0]
+        del weights[f]
+        for q, x in support:
+            weights[q][f] = -x
+    for weight in weights.values():
+        weight = _integral(weight)
+        for a in range(rn):
+            row: dict[int, int] = {}
+            for t, w in weight.items():
+                for col, c in derivative[t][a]:
+                    row[col] = row.get(col, 0) + w * c
+            yield {col: c for col, c in row.items() if c}
+
+
+def _relation_kernel(
+    web: ConstantWeb, h: int, allow_degenerate: bool
+) -> list[tuple[Fraction, ...]]:
+    """The canonical basis of R(h), gated on PG and checked against the bound.
+
+    Every lower degree is computed first; all of them are kept on the web.
+    """
+    web.require_pg(allow_degenerate)
+    chain = web._relations
+    while len(chain) <= h:
+        g = len(chain)
+        rows = _prolonged_rows(web, g, chain[-1]) if g else _normal_rows(web)
+        chain.append(certified_kernel(rows, web.d * poly_space_dim(web.r, g)))
+    bound = degree_bound(web.r, web.n, web.d, h)
+    if web.is_pg() and len(chain[h]) > bound:
+        raise InternalContradictionError(
+            f"dim R({h}) = {len(chain[h])} exceeds the proven bound {bound} "
+            f"for a general-position web of type ({web.r},{web.n}), d={web.d}"
+        )
+    return chain[h]
 
 
 def relation_space_dim(web: ConstantWeb, h: int, allow_degenerate: bool = False) -> int:
     """dim R(h), the number of certified canonical kernel vectors."""
-    web.require_pg(allow_degenerate)
-    dim = len(_relation_kernel(web, h))
-    _guard_bound(web, h, dim)
-    return dim
+    return len(_relation_kernel(web, h, allow_degenerate))
 
 
 def relation_space(
     web: ConstantWeb, h: int, allow_degenerate: bool = False
 ) -> list[RelationBasisElement]:
     """Canonical kernel basis of the degree-h relation space."""
-    web.require_pg(allow_degenerate)
-    kernel = _relation_kernel(web, h)
-    _guard_bound(web, h, len(kernel))
     dim_e = poly_space_dim(web.r, h)
-    basis = []
-    for vec in kernel:
-        components = [
+    return [
+        RelationBasisElement(web, h, [
             HomogeneousPoly.from_vector(web.r, h, vec[j * dim_e : (j + 1) * dim_e])
             for j in range(web.d)
-        ]
-        basis.append(RelationBasisElement(web, h, components))
-    return basis
+        ])
+        for vec in _relation_kernel(web, h, allow_degenerate)
+    ]
 
 
 class DegreeReport:

@@ -12,6 +12,7 @@ JSON is the only interchange format; rationals are "p/q" strings.  The
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -125,7 +126,9 @@ def _cmd_fit_rnc(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process."""
     parser = _Parser(prog="abelweb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,13 +14,14 @@ minor of the integer matrix, so each division is exact.  ``rank`` and
 ``det`` need only the pivot count and the last pivot (the integer
 determinant, up to the sign of the swaps), so they skip back-elimination
 and touch only rows below each pivot, dropping rows that become zero;
-that keeps tall rank-deficient relation matrices cheap.  ``rref`` also
+that keeps tall rank-deficient matrices cheap.  ``rref`` also
 reduces the rows above each pivot (Gauss-Jordan), after which a pivot
 row divided by its pivot entry is a row of the RREF.
 
-Relation matrices do not go through :class:`Matrix`: :func:`certified_kernel`
-takes their sparse integer rows and returns the canonical kernel basis
-from elimination modulo a 61-bit prime, lifted to Q and checked exactly.
+Relation spaces do not go through :class:`Matrix`: :func:`certified_kernel`
+takes the sparse integer rows that cut them out and returns the canonical
+kernel basis from elimination modulo a 61-bit prime, lifted to Q and
+checked exactly.
 Arithmetic modulo p only proposes the basis; the exact check over Q and
 the certificate in its docstring make it a result.
 

@@ -420,6 +420,8 @@ class RncFit:
     ``parameters[i]`` is the affine parameter of point n+1+i (1-based
     numbering: points n+1..d), pinned so point n+2 gets 0 and point n+3
     gets 1; any other choice differs by a Moebius reparametrization.
+    ``line_a`` is point n+2 and ``line_b`` point n+3, scaled as
+    :func:`fit_rnc` says so that no point sits at parameter infinity.
     """
 
     __slots__ = ("transform", "line_a", "line_b", "parameters")
@@ -454,6 +456,11 @@ def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
     Raises DegenerateWebError("not on a common RNC") when no such curve
     exists, and a general-position error when the first n+1 points do
     not form a projective frame.
+
+    An image lam * a + mu * b (a, b those of points n+2, n+3) gets the
+    parameter mu / (lam + mu).  If some image has lam + mu = 0, b becomes
+    c * b for the least integer c >= 2 with no lam + mu / c = 0, and the
+    parameters (mu / c) / (lam + mu / c); points n+2, n+3 keep 0 and 1.
     """
     points = list(points)
     if not points:
@@ -495,15 +502,14 @@ def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
         raise DegenerateWebError("not on a common RNC")
 
     system = Matrix(list(zip(line_a, line_b)))
-    parameters = []
-    for image in images:
-        solution = system.solve(image)
-        if solution is None:
-            raise DegenerateWebError("not on a common RNC")
-        lam, mu = solution
-        if lam + mu == 0:
-            raise DegenerateWebError("degenerate parametrization on the fitted line")
-        parameters.append(mu / (lam + mu))
+    coordinates = [system.solve(image) for image in images]
+    if None in coordinates:
+        raise DegenerateWebError("not on a common RNC")
+    c = 1
+    while any(lam + mu / c == 0 for lam, mu in coordinates):
+        c += 1
+    line_b = tuple(c * x for x in line_b)
+    parameters = [(mu / c) / (lam + mu / c) for lam, mu in coordinates]
     return RncFit(transform, line_a, line_b, parameters)
 
 

@@ -324,15 +324,6 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     return ExteriorForm(a.ambient_dim, grade, coeffs)
 
 
-def wedge_all(forms: Sequence[ExteriorForm]) -> ExteriorForm:
-    if not forms:
-        raise ValueError("empty wedge")
-    result = forms[0]
-    for form in forms[1:]:
-        result = wedge(result, form)
-    return result
-
-
 def wedge_rows(rows: Sequence[Sequence]) -> ExteriorForm:
     """Wedge of covectors; subset coefficients are the maximal minors.
 

@@ -23,18 +23,17 @@ The closed-form quantities:
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import Matrix, binomial, json_array
-from .multilinear import ExteriorForm, monomial_exponents, monomial_position, wedge_rows
+from .multilinear import ExteriorForm, wedge_rows
 
 
 class ConstantFoliation:
     """One codimension-r foliation, given by the rows of its defining map."""
 
-    __slots__ = ("r", "n", "matrix", "denominator", "_span", "_normal", "_pullbacks")
+    __slots__ = ("r", "n", "matrix", "_span", "_normal")
 
     def __init__(self, r: int, n: int, matrix: Matrix):
         if matrix.rows != r or matrix.cols != r * n:
@@ -44,14 +43,8 @@ class ConstantFoliation:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", matrix)
-        # least common denominator of the entries: denominator * matrix is integral
-        object.__setattr__(
-            self, "denominator",
-            math.lcm(*(x.denominator for row in matrix.entries for x in row)),
-        )
         object.__setattr__(self, "_span", None)
         object.__setattr__(self, "_normal", None)
-        object.__setattr__(self, "_pullbacks", [({0: 1},)])
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ConstantFoliation is immutable")
@@ -61,44 +54,6 @@ class ConstantFoliation:
         if self._span is None:
             object.__setattr__(self, "_span", self.matrix.row_space_rref())
         return self._span
-
-    def pullbacks(self, h: int) -> tuple[dict[int, int], ...]:
-        """Pullbacks of the degree-h monomials along the integer rows
-        ``denominator * matrix``.
-
-        Entry b is the pullback of the b-th degree-h monomial in r
-        variables (graded-lex), as ``{position of a degree-h monomial in
-        rn variables: integer coefficient}`` without zero coefficients;
-        it is ``denominator**h`` times the pullback along the defining
-        rows.  Degrees are built in turn and kept: x^b pulls back to the
-        pullback of x^(b - e_i) times the i-th row, i the first index
-        with b_i > 0.
-        """
-        tables = self._pullbacks
-        rn = self.r * self.n
-        den = self.denominator
-        rows = [
-            [(k, a.numerator * (den // a.denominator)) for k, a in enumerate(row) if a]
-            for row in self.matrix.entries
-        ]
-        while len(tables) <= h:
-            degree = len(tables)
-            lower = tables[-1]
-            lower_pos = monomial_position(self.r, degree - 1)
-            lower_expos = monomial_exponents(rn, degree - 1)
-            pos = monomial_position(rn, degree)
-            table = []
-            for b in monomial_exponents(self.r, degree):
-                i = next(i for i, e in enumerate(b) if e)
-                acc: dict[int, int] = {}
-                for p, c in lower[lower_pos[b[:i] + (b[i] - 1,) + b[i + 1 :]]].items():
-                    e = lower_expos[p]
-                    for k, a in rows[i]:
-                        q = pos[e[:k] + (e[k] + 1,) + e[k + 1 :]]
-                        acc[q] = acc.get(q, 0) + c * a
-                table.append({q: c for q, c in acc.items() if c})
-            tables.append(tuple(table))
-        return tables[h]
 
     def __eq__(self, other) -> bool:
         return (
@@ -119,9 +74,10 @@ class ConstantWeb:
 
     Construction never refuses a web that fails general position; the
     ``pg`` result is computed lazily and rank computations gate on it.
+    ``_relations`` keeps the bases of R(0), R(1), ... (see ``abelian``).
     """
 
-    __slots__ = ("r", "n", "foliations", "_pg")
+    __slots__ = ("r", "n", "foliations", "_pg", "_relations")
 
     def __init__(self, r: int, n: int, foliations: Sequence[ConstantFoliation]):
         foliations = tuple(foliations)
@@ -136,6 +92,7 @@ class ConstantWeb:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "foliations", foliations)
         object.__setattr__(self, "_pg", None)
+        object.__setattr__(self, "_relations", [])
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ConstantWeb is immutable")

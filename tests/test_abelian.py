@@ -140,34 +140,50 @@ def test_rank_count_identity():
 
 
 def test_dims_invariant_under_symmetry():
+    """Every dim R(h) below the cutoff is invariant under permuting the
+    foliations, mixing the rows of one, and a global change of coordinates
+    (prolongation differentiates in coordinates, so it must not see them)."""
     rng = make_rng(24)
     from helpers import random_invertible
 
-    web = random_pg_web(rng, 2, 2, 5)
-    dims = [relation_space_dim(web, h) for h in (0, 1)]
-
-    # permuting the foliations
-    order = list(range(1, 6))
-    rng.shuffle(order)
-    permuted = subweb(web, order)
-    assert [relation_space_dim(permuted, h) for h in (0, 1)] == dims
-
-    # invertible row mixing of one foliation matrix
+    webs = []
+    for r, n, d in [(2, 2, 8), (3, 2, 7)]:
+        taus = []
+        while len(taus) < d:
+            tau = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            if tau not in taus:
+                taus.append(tau)
+        webs.append(moment_web(MomentWebSpec(r, n, taus, random_invertible(rng, r * n))))
+    # fails PG: the last foliation repeats the first, rows mixed
+    web = random_pg_web(rng, 2, 2, 6)
     mix = random_invertible(rng, 2)
-    mixed = ConstantWeb(
-        2,
-        2,
-        [ConstantFoliation(2, 2, mix * web.foliations[0].matrix)]
-        + list(web.foliations[1:]),
-    )
-    assert [relation_space_dim(mixed, h) for h in (0, 1)] == dims
+    webs.append(ConstantWeb(2, 2, list(web.foliations) + [
+        ConstantFoliation(2, 2, mix * web.foliations[0].matrix)]))
 
-    # one global linear change of coordinates
-    g = random_invertible(rng, 4)
-    moved = ConstantWeb(
-        2, 2, [ConstantFoliation(2, 2, f.matrix * g) for f in web.foliations]
-    )
-    assert [relation_space_dim(moved, h) for h in (0, 1)] == dims
+    for web in webs:
+        r, n, d = web.r, web.n, web.d
+        degrees = range(h_cutoff(r, n, d))
+
+        def dims(other):
+            return [relation_space_dim(other, h, allow_degenerate=True) for h in degrees]
+
+        expected = dims(web)
+        assert any(expected[2:]), web.to_json()  # R(h) != 0 at some h >= 2
+
+        order = list(range(1, d + 1))
+        rng.shuffle(order)
+        assert dims(subweb(web, order)) == expected, (web.to_json(), order)
+
+        k = rng.randrange(d)
+        foliations = list(web.foliations)
+        foliations[k] = ConstantFoliation(
+            r, n, random_invertible(rng, r) * foliations[k].matrix)
+        assert dims(ConstantWeb(r, n, foliations)) == expected, (web.to_json(), k)
+
+        g = random_invertible(rng, r * n)
+        moved = ConstantWeb(r, n, [ConstantFoliation(r, n, f.matrix * g) for f in web.foliations])
+        assert dims(moved) == expected, web.to_json()
+    assert not webs[-1].is_pg()
 
 
 def test_subweb_of_moment_web_stays_semi_extremal():

@@ -183,6 +183,18 @@ def test_usage_error_is_exit_1(capsys):
     assert "error" in err
 
 
+def test_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    # the parser is built once and shared by every call of main
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps(moment_web(MomentWebSpec(2, 2, [0, 1, 2, 3, 4])).to_json()))
+    expected = run(capsys, "rank", "--web", str(path), "--tsv")
+    assert expected[0] == 0
+    for bad in (["rank", "--tsv"], ["rank", "--web", str(path), "--bogus"], ["nope"]):
+        assert run(capsys, *bad)[0] == 1
+        assert run(capsys, "rank", "--web", str(path), "--tsv") == expected
+    assert _build_parser() is _build_parser()
+
+
 def _document(command):
     """A valid (r, n) = (1, 2) input of the command, its option, and its JSON."""
     taus = ["0", "1", "2", "3", "4"]

@@ -171,6 +171,26 @@ def test_fit_rnc_moment_points():
         assert fit.point_at(s) == points[3 + i]
 
 
+def test_fit_rnc_point_at_parameter_infinity():
+    # t = 0..4 on P^1 puts one point at parameter infinity, so line_b is
+    # rescaled; the order 0, 1, 3, 2, 4 needs no rescaling and keeps its fit
+    cases = [((0, 1, 2, 3, 4), (-1, 0, 1), ["2/3", "1"]),
+             ((0, 1, 3, 2, 4), (Fraction(6, 7), 0, 1), ["2/3", "3/4"])]
+    for ts, parameters, line_b in cases:
+        points = [ProjectivePoint([1, t]) for t in ts]
+        fit = fit_rnc(points)
+        assert fit.parameters == parameters
+        assert fit.to_json()["line_b"] == line_b
+        for s, point in zip(fit.parameters, points[2:]):
+            assert fit.point_at(s) == point
+    # the same on a conic of P^2
+    points = [moment_point(3, t) for t in (-2, -1, 0, 2, 3, 4)]
+    fit = fit_rnc(points)
+    assert fit.parameters[1:3] == (0, 1)
+    for s, point in zip(fit.parameters, points[3:]):
+        assert fit.point_at(s) == point
+
+
 def test_fit_rnc_rejects_generic_points():
     rng = make_rng(15)
     while True:

@@ -11,7 +11,6 @@ from abelweb import (
     poly_space_dim,
     substitute,
     wedge,
-    wedge_all,
     wedge_rows,
 )
 from helpers import make_rng, random_matrix
@@ -75,7 +74,9 @@ def test_wedge_rows_equals_iterated_wedge():
     for _ in range(10):
         rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(3)]
         direct = wedge_rows(rows)
-        iterated = wedge_all([ExteriorForm.covector(r) for r in rows])
+        iterated = ExteriorForm.covector(rows[0])
+        for row in rows[1:]:
+            iterated = wedge(iterated, ExteriorForm.covector(row))
         assert direct == iterated
 
 

@@ -1,6 +1,6 @@
-"""The elimination kernel, the stacked-rank PG check, the relation-matrix
-assembly, the certified (mod-p, lifted, exactly checked) relation
-kernels, normal-form recovery and canonical data against the oracle.
+"""The elimination kernel, the stacked-rank PG check, the relation matrix,
+the certified (mod-p, lifted, exactly checked) relation spaces built by
+prolongation, normal-form recovery and canonical data against the oracle.
 
 ``oracle`` holds the earlier Fraction Gauss-Jordan ``rref``, Fraction
 Gaussian ``det``, Bareiss ``rank``, wedge-product ``check_pg``,
@@ -28,8 +28,9 @@ from abelweb import (
     moment_web,
     recover_normal_form,
     relation_matrix,
+    relation_space,
+    relation_space_dim,
 )
-from abelweb.abelian import _relation_rows
 from abelweb.exactalg import _primes, certified_kernel
 from helpers import make_rng, random_invertible
 
@@ -108,8 +109,7 @@ def _relation_webs(rng, types):
 
 def test_relation_matrix_and_tall_elimination_match_oracle():
     rng = make_rng(42)
-    # degrees out of order, so later queries read pullback tables that
-    # earlier ones built
+    # a few degrees per (r, n), in no particular order
     degrees = {(1, 2): (3, 0, 5, 1, 4), (1, 3): (2, 0, 3, 1), (2, 2): (2, 0, 3, 1),
                (2, 3): (2, 0, 1), (3, 2): (1, 0)}
     webs = _relation_webs(rng, [(1, 2, 6), (1, 3, 5), (2, 2, 5), (2, 3, 4), (3, 2, 4)])
@@ -138,21 +138,35 @@ def _oracle_kernel(matrix: Matrix) -> list[tuple[Fraction, ...]]:
 
 
 def test_certified_kernel_matches_oracle():
+    """R(h) by prolongation from R(h-1) against the kernel of the relation
+    matrix, at every degree up to the cutoff, PG webs and webs failing PG."""
     rng = make_rng(44)
-    webs = _relation_webs(rng, [(1, 2, 7), (1, 3, 6), (2, 2, 7), (2, 3, 8), (3, 2, 6)])
-    nonzero = 0
+    types = [(1, 2, 7), (1, 3, 6), (2, 2, 7), (2, 3, 8), (3, 2, 6)]
+    webs = _relation_webs(rng, types)
+    for r, n, d in types:
+        # entries in -2..2 fail PG often; a repeated foliation always does
+        webs.append(_random_web(rng, r, n, d, lambda: rng.randint(-2, 2)))
+        web = _random_web(rng, r, n, d - 1, lambda: rng.randint(-2, 2))
+        mix = random_invertible(rng, r)
+        webs.append(ConstantWeb(r, n, list(web.foliations) + [
+            ConstantFoliation(r, n, mix * web.foliations[0].matrix)]))
+    nonzero = not_pg = 0
     for web in webs:
-        for h in range(h_cutoff(web.r, web.n, web.d)):
-            rows, _ = _relation_rows(web, h)
+        not_pg += not web.is_pg()
+        degrees = list(range(h_cutoff(web.r, web.n, web.d) + 1))
+        rng.shuffle(degrees)  # later queries extend the chain earlier ones built
+        for h in degrees:
             matrix = oracle.relation_matrix(web, h)
-            kernel = certified_kernel(rows.values(), matrix.cols)
             rank = oracle.rank(matrix)
             # full column rank: the slow oracle RREF has no free column to show
             expected = _oracle_kernel(matrix) if rank < matrix.cols else []
-            assert kernel == expected, (web.to_json(), h)
-            assert len(kernel) == matrix.cols - rank, (web.to_json(), h)
-            nonzero += bool(kernel)
-    assert nonzero > 25
+            dim = relation_space_dim(web, h, allow_degenerate=True)
+            assert dim == matrix.cols - rank, (web.to_json(), h)
+            basis = relation_space(web, h, allow_degenerate=True)
+            assert [b.vector() for b in basis] == expected, (web.to_json(), h)
+            nonzero += h > 1 and dim > 0
+    assert nonzero > 15
+    assert not_pg >= len(types)
 
 
 def test_certified_kernel_moves_past_an_unlucky_prime():
