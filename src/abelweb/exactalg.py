@@ -204,6 +204,32 @@ def _rref_mod(
     return pivots, m[: len(pivots)]
 
 
+def _extend_mod(
+    echelon: list[tuple[int, list[int]]], rows: Iterable[list[int]], p: int
+) -> list[tuple[int, list[int]]]:
+    """An echelon basis modulo ``p`` of the span of ``echelon`` and ``rows``.
+
+    ``echelon`` lists (pivot column, row) pairs: each row is 1 at its
+    pivot and 0 at the pivots listed before it.  A new row, reduced by
+    the rows in that order, is 0 at every pivot; if anything is left it
+    is scaled to 1 at its first non-zero column and appended.  So the
+    length of the result is the rank modulo ``p``; ``echelon`` is not
+    changed and can be extended again.
+    """
+    echelon = list(echelon)
+    for row in rows:
+        row = [a % p for a in row]
+        for col, basis_row in echelon:
+            f = row[col]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, basis_row)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is not None:
+            inv = pow(row[col], -1, p)
+            echelon.append((col, [a * inv % p for a in row]))
+    return echelon
+
+
 def _reconstruct(u: int, modulus: int) -> Fraction | None:
     """The fraction a/b = u modulo ``modulus`` with |a|, |b| <= sqrt(modulus/2).
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exactalg import Matrix, binomial, rational
+from .exactalg import Matrix, _clear_row, binomial, rational
 
 
 @lru_cache(maxsize=None)
@@ -327,16 +327,33 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
 def wedge_rows(rows: Sequence[Sequence]) -> ExteriorForm:
     """Wedge of covectors; subset coefficients are the maximal minors.
 
-    Equivalent to wedging the rows one by one, but computed directly as
-    the k x k minors of the stacked row matrix.
+    Equivalent to wedging the rows one by one.  Each row is scaled once
+    to coprime integers, ``a_i = row_i * lcm_i / g_i``; then one Laplace
+    sweep over subset sizes gives every minor of the integer rows,
+    M_i(S) = sum_t (-1)^(i-1+t) a_{i,S[t]} M_{i-1}(S minus S[t]) along
+    row i (1-based) over the columns S, and a single division by
+    prod(lcm_i) / prod(g_i) returns them to the given rows.
     """
     matrix = Matrix(rows)
     k = matrix.rows
     n = matrix.cols
     if k > n:
         raise ValueError("grade exceeds ambient dimension")
-    coeffs = {}
-    for subset in index_subsets(n, k):
-        minor = Matrix([[matrix[i, j] for j in subset] for i in range(k)])
-        coeffs[subset] = minor.det()
-    return ExteriorForm(n, k, coeffs)
+    num = den = 1
+    minors = {(): 1}
+    for i, row in enumerate(matrix.entries):
+        ints, lcm, g = _clear_row(row)
+        if not g:
+            return ExteriorForm(n, k)
+        num, den = num * g, den * lcm
+        minors = {
+            subset: sum(
+                (-1) ** (i + t) * ints[c] * minors[subset[:t] + subset[t + 1 :]]
+                for t, c in enumerate(subset)
+                if ints[c]
+            )
+            for subset in index_subsets(n, i + 1)
+        }
+    return ExteriorForm(
+        n, k, {subset: Fraction(v * num, den) for subset, v in minors.items() if v}
+    )

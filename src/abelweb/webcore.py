@@ -9,8 +9,15 @@ any delta <= min(d, n) of the generator normals is nonzero.
 Each generator normal Omega_j is decomposable: it is the wedge of the r
 rows of kappa_j.  A wedge of delta such normals is therefore the wedge
 of the delta*r stacked rows, and a wedge of covectors is nonzero exactly
-when they are linearly independent.  So PG is decided by exact ranks of
-stacked row matrices, with no exterior algebra.
+when they are linearly independent.  So PG is a rank condition on
+stacked rows, with no exterior algebra.
+
+``check_pg`` takes those ranks modulo the prime p below 2**61 first, on
+the rows scaled to integers, extending one echelon per prefix of the
+current subset.  Rank modulo p never exceeds rank over Q, so full rank
+modulo p proves independence; only a subset that looks deficient gets
+an exact rank, so the first failing subset is the one exact ranks alone
+report.
 
 The closed-form quantities:
 
@@ -26,7 +33,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from .errors import DegenerateWebError
-from .exactalg import Matrix, binomial, json_array
+from .exactalg import Matrix, _clear_row, _extend_mod, _prime_below, binomial, json_array
 from .multilinear import ExteriorForm, wedge_rows
 
 
@@ -182,14 +189,28 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     the first failing index set (1-based), by size and then
     lexicographically.  Sizes start at 2: a single foliation has rank r
     by construction, so its normal is never zero.
+
+    ``stack[k]`` is the echelon modulo p of the first k foliations of the
+    current subset; the next subset in order keeps the echelons of the
+    prefix it shares and extends them (see the module docstring).
     """
+    p = _prime_below(2**61)
+    rows = [[_clear_row(row)[0] for row in f.matrix.entries] for f in web.foliations]
     for delta in range(2, min(web.d, web.n) + 1):
+        stack: list[list] = [[]]
+        previous: tuple[int, ...] = ()
         for subset in itertools.combinations(range(web.d), delta):
-            stacked = Matrix(
-                [row for j in subset for row in web.foliations[j].matrix.entries]
+            shared = next(
+                (k for k, (a, b) in enumerate(zip(previous, subset)) if a != b), 0
             )
-            if stacked.rank() < delta * web.r:
-                return False, tuple(j + 1 for j in subset)
+            del stack[shared + 1 :]
+            for j in subset[shared:]:
+                stack.append(_extend_mod(stack[-1], rows[j], p))
+            previous = subset
+            if len(stack[-1]) < delta * web.r:
+                stacked = Matrix([row for j in subset for row in rows[j]])
+                if stacked.rank() < delta * web.r:
+                    return False, tuple(j + 1 for j in subset)
     return True, None
 
 

@@ -4,11 +4,13 @@ and canonical data are compared against.
 
 These are the former ``Matrix.rref``, ``Matrix.rank`` (Bareiss on
 integer rows), ``Matrix.det``, ``check_pg`` (wedge products of the
-generator normals) and ``relation_matrix`` (each basis monomial pulled
-back on its own through ``substitute``), kept verbatim as module-level
-functions of a ``Matrix`` or ``ConstantWeb`` passed as ``self`` /
-``web``.  They are slower and share no elimination code with
-``abelweb.exactalg`` and no pullback tables with ``abelweb.webcore``.
+generator normals), ``wedge_rows`` (one determinant per minor) and
+``relation_matrix`` (each basis monomial pulled back on its own through
+``substitute``), kept verbatim as module-level functions of a ``Matrix``
+or ``ConstantWeb`` passed as ``self`` / ``web``.  They are slower and
+share no elimination code with ``abelweb.exactalg``, no modular
+arithmetic with ``abelweb.webcore.check_pg`` and no Laplace sweep with
+``abelweb.multilinear.wedge_rows``.
 
 ``recover_base_case`` / ``recover_normal_form`` are the former recovery:
 it pulls the degree-1 relations back through ``substitute`` and solves
@@ -48,7 +50,9 @@ from abelweb.grassmann import (
     moment_web,
 )
 from abelweb.multilinear import (
+    ExteriorForm,
     HomogeneousPoly,
+    index_subsets,
     monomial_exponents,
     monomial_position,
     poly_space_dim,
@@ -166,6 +170,24 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
             if product.is_zero:
                 return False, tuple(j + 1 for j in subset)
     return True, None
+
+
+def wedge_rows(rows: Sequence[Sequence]) -> ExteriorForm:
+    """Wedge of covectors; subset coefficients are the maximal minors.
+
+    Equivalent to wedging the rows one by one, but computed directly as
+    the k x k minors of the stacked row matrix.
+    """
+    matrix = Matrix(rows)
+    k = matrix.rows
+    n = matrix.cols
+    if k > n:
+        raise ValueError("grade exceeds ambient dimension")
+    coeffs = {}
+    for subset in index_subsets(n, k):
+        minor = Matrix([[matrix[i, j] for j in subset] for i in range(k)])
+        coeffs[subset] = minor.det()
+    return ExteriorForm(n, k, coeffs)
 
 
 def relation_matrix(web: ConstantWeb, h: int) -> Matrix:

@@ -4,13 +4,15 @@ prolongation, normal-form recovery and canonical data against the oracle.
 
 ``oracle`` holds the earlier Fraction Gauss-Jordan ``rref``, Fraction
 Gaussian ``det``, Bareiss ``rank``, wedge-product ``check_pg``,
-per-monomial ``relation_matrix``, normals-based recovery and
-greedy-completion ``canonical_data``.  Inputs are seeded
-(``ABELWEB_SEED``) and cover the shapes where elimination bookkeeping
-goes wrong: tall, wide, rank-deficient, zero columns, webs that fail
-general position at every subset size, relation matrices of webs with
-rational entries, and moment webs under random gauges.  The certified
-kernel is also driven past an unlucky prime and into a second prime.
+determinant-per-minor ``wedge_rows``, per-monomial ``relation_matrix``,
+normals-based recovery and greedy-completion ``canonical_data``.  Inputs
+are seeded (``ABELWEB_SEED``) and cover the shapes where elimination
+bookkeeping goes wrong: tall, wide, rank-deficient, zero columns, webs
+that fail general position at every subset size, high-n moment webs,
+webs whose first failure needs three foliations, relation matrices of
+webs with rational entries, and moment webs under random gauges.  The
+certified kernel is also driven past an unlucky prime and into a second
+prime.
 """
 
 import math
@@ -32,7 +34,8 @@ from abelweb import (
     relation_space_dim,
 )
 from abelweb.exactalg import _primes, certified_kernel
-from helpers import make_rng, random_invertible
+from abelweb.multilinear import wedge_rows
+from helpers import make_rng, random_invertible, random_pg_web
 
 
 def _random_rational_matrix(rng) -> Matrix:
@@ -72,6 +75,24 @@ def test_kernel_matches_oracle():
     assert squares > 300
 
 
+def test_wedge_rows_matches_oracle():
+    rng = make_rng(47)
+    deficient = zero_columns = 0
+    for _ in range(600):
+        k = rng.randint(0, 4)
+        rows = [list(row) for row in _random_rational_matrix(rng).entries][:k]
+        ncols = len(rows[0]) if rows else 0
+        if len(rows) < k or ncols < k:
+            continue
+        form = wedge_rows(rows)
+        expected = oracle.wedge_rows(rows)
+        assert form == expected, rows
+        assert list(form.coeffs) == list(expected.coeffs), rows  # colex order
+        deficient += form.is_zero
+        zero_columns += any(not any(col) for col in zip(*rows))
+    assert deficient > 30 and zero_columns > 30
+
+
 def _random_web(rng, r, n, d, entry) -> ConstantWeb:
     foliations = []
     while len(foliations) < d:
@@ -91,6 +112,32 @@ def test_check_pg_matches_oracle():
         assert verdict == oracle.check_pg(web), web.to_json()
         failing += not verdict[0]
     assert 60 <= failing <= 180  # about a third
+
+    rng = make_rng(46)
+    for r, n, d in [(1, 5, 8), (2, 4, 9), (1, 6, 9)]:
+        taus = list(dict.fromkeys(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                  for _ in range(4 * d)))[:d]
+        web = moment_web(MomentWebSpec(r, n, taus, random_invertible(rng, r * n)))
+        assert check_pg(web) == oracle.check_pg(web) == (True, None), web.to_json()
+    # foliation k replaced by A kappa_i + B kappa_j (i < j < k, A and B
+    # invertible) on a PG web: no two foliations fail, the three do
+    late = 0
+    for r, n, d in [(1, 3, 5), (1, 4, 6), (2, 3, 5), (2, 4, 5), (3, 3, 4)] * 6:
+        web = random_pg_web(rng, r, n, d)
+        i, j, k = sorted(rng.sample(range(d), 3))
+        a = random_invertible(rng, r) * web.foliations[i].matrix
+        b = random_invertible(rng, r) * web.foliations[j].matrix
+        mixed = Matrix([[x + y for x, y in zip(*rows)] for rows in zip(a.entries, b.entries)])
+        if mixed.rank() < r:
+            continue
+        foliations = list(web.foliations)
+        foliations[k] = ConstantFoliation(r, n, mixed)
+        web = ConstantWeb(r, n, foliations)
+        verdict = check_pg(web)
+        assert verdict == oracle.check_pg(web), web.to_json()
+        assert not verdict[0]
+        late += len(verdict[1]) >= 3
+    assert late >= 20
 
 
 def _relation_webs(rng, types):

@@ -12,6 +12,7 @@ from abelweb import (
     q_of,
     rho_bound,
 )
+from abelweb.exactalg import _prime_below
 from helpers import make_rng, random_pg_web
 
 
@@ -42,6 +43,18 @@ def test_check_pg_reports_first_failure():
     with pytest.raises(DegenerateWebError):
         web.require_pg()
     web.require_pg(allow_degenerate=True)
+
+
+def test_check_pg_survives_an_unlucky_prime():
+    p0 = 2**61 - 1
+    assert _prime_below(2**61) == p0  # the prime check_pg works modulo
+
+    def web(*rows):
+        return ConstantWeb(1, 2, [ConstantFoliation(1, 2, Matrix([row])) for row in rows])
+
+    # foliations 1 and 2 are parallel modulo p0 only: the exact rank decides
+    assert check_pg(web([1, 0], [1, p0], [0, 1])) == (True, None)
+    assert check_pg(web([1, 0], [2, 0])) == (False, (1, 2))
 
 
 def test_pg_holds_for_seeded_webs():
