@@ -47,7 +47,7 @@ def invertible(draw, r: int) -> Matrix:
 @seed(DEFAULT_SEED)
 @SETTINGS
 @given(webs())
-def test_check_pg_matches_oracle(web):
+def test_check_pg_matches_oracle_on_drawn_webs(web):
     assert check_pg(web) == oracle.check_pg(web)
 
 
