@@ -26,10 +26,18 @@ modulo a 61-bit prime, lifted to Q and checked against the rows in
 exact integers, which proves it is the canonical (RREF) basis of the
 rows' kernel.  That kernel is R(h), so the certificate carries over.
 
-Verification of a relation reads neither R(h-1) nor the prolonged rows:
-it pulls each component back through ``multilinear.substitute``, as
-``relation_matrix``, the relation map by its definition, does.  A wrong
-prolongation would pass any check made with its own rows.
+Verification of a relation (``_verify_relation``) runs in integers.  The
+kappa_j of the whole web are cleared by one lcm L of their denominators,
+the coefficients of all components by one lcm D and their normals by
+one lcm M; each non-zero component is pulled back by
+``multilinear._expand`` and the sum of P_j (x) N_j over (monomial in rn
+variables, r-subset) must vanish.  That sum is L^h * M * D times the
+rational one because the scale is common to every term; a scale per
+foliation would weight the foliations differently and could accept a
+false relation.  Verification reads neither R(h-1) nor the prolonged
+rows, since a wrong prolongation would pass any check made with its own
+rows, and ``relation_matrix``, the relation map by its definition, pulls
+back through ``multilinear.substitute``, the same expansion.
 
 A computed dimension exceeding the per-degree bound on a general-position
 web would contradict a proven statement, so it aborts with
@@ -43,9 +51,10 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InternalContradictionError
-from .exactalg import Matrix, certified_kernel
+from .exactalg import Matrix, _clear_denominators, certified_kernel
 from .multilinear import (
     HomogeneousPoly,
+    _expand,
     monomial_exponents,
     monomial_position,
     poly_space_dim,
@@ -53,7 +62,6 @@ from .multilinear import (
     substitute,
 )
 from .webcore import (
-    ConstantFoliation,
     ConstantWeb,
     degree_bound,
     generator_normal,
@@ -90,23 +98,29 @@ class RelationBasisElement:
         return tuple(out)
 
 
-def _pullback(foliation: ConstantFoliation, c: HomogeneousPoly) -> dict[tuple, Fraction]:
-    """c(kappa) * Omega of one foliation, by (monomial in rn variables, r-subset)."""
-    normal = generator_normal(foliation).coeffs
-    return {
-        (expo, subset): pc * nc
-        for expo, pc in substitute(c, foliation.matrix.entries).coeffs.items()
-        for subset, nc in normal.items()
-    }
-
-
 def _verify_relation(web: ConstantWeb, components: Sequence[HomogeneousPoly]) -> None:
-    total: dict[tuple, Fraction] = {}
-    for foliation, c in zip(web.foliations, components):
-        if c.is_zero:
-            continue
-        for key, value in _pullback(foliation, c).items():
-            total[key] = total.get(key, 0) + value
+    """Raise unless sum_j c_j(kappa_j) * Omega_j = 0; see the module docstring."""
+    live = [j for j, c in enumerate(components) if not c.is_zero]
+    if not live:
+        return
+    r, rn, h = web.r, web.r * web.n, components[live[0]].degree
+    kappas, _ = _clear_denominators(
+        row for foliation in web.foliations for row in foliation.matrix.entries
+    )
+    coeffs, _ = _clear_denominators(components[j].coeffs.values() for j in live)
+    normals = [generator_normal(web.foliations[j]).coeffs for j in live]
+    scaled, _ = _clear_denominators(normal.values() for normal in normals)
+    positions = subset_position(rn, r)
+    width = len(positions)
+    total: dict[int, int] = {}
+    for j, values, normal, normal_ints in zip(live, coeffs, normals, scaled):
+        terms = [(positions[s], v) for s, v in zip(normal, normal_ints)]
+        pulled = _expand(dict(zip(components[j].coeffs, values)), kappas[j * r : (j + 1) * r], h)
+        for code, p in pulled.items():
+            if p:
+                for pos, v in terms:
+                    key = code * width + pos
+                    total[key] = total.get(key, 0) + p * v
     if any(total.values()):
         raise InternalContradictionError("claimed abelian relation does not sum to zero")
 
@@ -123,10 +137,12 @@ def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
     basis = monomial_exponents(web.r, h)
     entries = [[0] * (web.d * len(basis)) for _ in range(len(mono_pos) * len(sub_pos))]
     for j, foliation in enumerate(web.foliations):
+        normal = generator_normal(foliation).coeffs
         for col, expo in enumerate(basis, j * len(basis)):
-            monomial = HomogeneousPoly(web.r, h, {expo: 1})
-            for (mono, subset), value in _pullback(foliation, monomial).items():
-                entries[mono_pos[mono] * len(sub_pos) + sub_pos[subset]][col] = value
+            pulled = substitute(HomogeneousPoly(web.r, h, {expo: 1}), foliation.matrix.entries)
+            for mono, pc in pulled.coeffs.items():
+                for subset, nc in normal.items():
+                    entries[mono_pos[mono] * len(sub_pos) + sub_pos[subset]][col] = pc * nc
     return Matrix(entries)
 
 

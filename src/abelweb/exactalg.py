@@ -92,6 +92,13 @@ def _clear_row(row: Sequence[Fraction]) -> tuple[list[int], int, int]:
     return ints, lcm, g
 
 
+def _clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rational rows times one lcm ``den`` of all their denominators: ``(ints, den)``."""
+    rows = [list(row) for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 def _eliminate(
     rows: list[list[int]], ncols: int, full: bool
 ) -> tuple[list[int], list[list[int]], int]:

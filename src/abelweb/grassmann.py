@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
-from .exactalg import Matrix, json_array, rational
+from .exactalg import Matrix, _clear_denominators, _clear_row, json_array, rational
 from .multilinear import monomial_exponents, wedge, ExteriorForm
 from .webcore import (
     ConstantFoliation,
@@ -317,38 +317,36 @@ def _recover_basis(web: ConstantWeb) -> Matrix:
     return basis
 
 
-def _point_from_block_matrix(basis_inv: Matrix, foliation: ConstantFoliation, r: int, n: int, k: int) -> ProjectivePoint:
+def _point_from_block_matrix(
+    columns: Sequence[Sequence[int]], foliation: ConstantFoliation, r: int, n: int, k: int
+) -> ProjectivePoint:
     """Read p_k off a foliation expressed in the recovered coordinates.
 
-    Each defining covector, written in the m-basis and reshaped r x n,
-    must be rank 1 with one common right factor; that factor is the point.
+    ``columns`` are the columns of the inverse of the recovered basis,
+    all times one integer.  Each defining covector, cleared of
+    denominators, then has integer m-basis coefficients, which are its
+    rational ones times one non-zero scale.  Reshaped r x n, they must
+    be rank 1 with one common right factor xi, the point: every block
+    row x passes x[i] * xi[lead] == x[lead] * xi[i], lead the first
+    non-zero position of xi.
     """
-    xi: tuple[Fraction, ...] | None = None
-    rows_m = [basis_inv.apply_row(row) for row in foliation.matrix.entries]
-    blocks = [
-        [coeffs[a * n : (a + 1) * n] for a in range(r)] for coeffs in rows_m
-    ]
-    for block in blocks:
-        for row in block:
-            if any(c != 0 for c in row):
-                xi = row
-                break
-        if xi is not None:
-            break
+    blocks = []
+    for row in foliation.matrix.entries:
+        ints = _clear_row(row)[0]
+        coeffs = [sum(a * b for a, b in zip(ints, col)) for col in columns]
+        blocks.extend(coeffs[a * n : (a + 1) * n] for a in range(r))
+    xi = next((row for row in blocks if any(row)), None)
     if xi is None:
         raise DegenerateWebError(
             f"web is not semi-extremal / degenerate: foliation {k} vanishes"
         )
-    lead_pos = next(i for i, c in enumerate(xi) if c != 0)
-    for block in blocks:
-        for row in block:
-            # proportional to xi: cross-ratios with the leading entry agree
-            factor = row[lead_pos] / xi[lead_pos]
-            if any(c != factor * x for c, x in zip(row, xi)):
-                raise DegenerateWebError(
-                    "web is not semi-extremal / degenerate: foliation "
-                    f"{k} is not of the form F(p) in the recovered coordinates"
-                )
+    lead = next(i for i, c in enumerate(xi) if c)
+    for row in blocks:
+        if any(c * xi[lead] != row[lead] * x for c, x in zip(row, xi)):
+            raise DegenerateWebError(
+                "web is not semi-extremal / degenerate: foliation "
+                f"{k} is not of the form F(p) in the recovered coordinates"
+            )
     return ProjectivePoint(xi)
 
 
@@ -387,9 +385,9 @@ def recover_normal_form(
             raise ValueError("recovery subweb must contain foliations 1..n+1")
 
     basis = _recover_basis(take_subweb(web, subweb_indices))
-    basis_inv = basis.inverse()
+    columns, _ = _clear_denominators(zip(*basis.inverse().entries))
     points = [
-        _point_from_block_matrix(basis_inv, foliation, r, n, k)
+        _point_from_block_matrix(columns, foliation, r, n, k)
         for k, foliation in enumerate(web.foliations, start=1)
     ]
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exactalg import Matrix, _clear_row, binomial, rational
+from .exactalg import Matrix, _clear_denominators, _clear_row, binomial, rational
 
 
 @lru_cache(maxsize=None)
@@ -175,31 +175,71 @@ def poly_space_dim(nvars: int, degree: int) -> int:
     return binomial(nvars - 1 + degree, nvars - 1)
 
 
+def _multiply(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """Product of two integer polynomials keyed by monomial code (see :func:`_expand`)."""
+    out: dict[int, int] = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return out
+
+
+def _expand(
+    coeffs: Mapping[tuple[int, ...], int], forms: Sequence[Sequence[int]], degree: int
+) -> dict[int, int]:
+    """sum_e coeffs[e] * prod_i forms[i]^e_i, over the integers.
+
+    ``coeffs`` maps exponent tuples of total degree ``degree``, one
+    exponent per form, to integers; the forms are integer covectors on
+    one space.  A monomial x^m of the result is keyed by its code
+    sum_v m_v * (degree + 1)^v, so multiplying monomials adds codes.
+    Each power of a form is expanded once per call.  Entries that cancel
+    to 0 are kept.
+    """
+    step = degree + 1
+    powers = [[{0: 1}, {step**v: a for v, a in enumerate(form) if a}] for form in forms]
+    total: dict[int, int] = {}
+    for expo, c in coeffs.items():
+        term = {0: c}
+        for i, e in enumerate(expo):
+            if e:
+                cache = powers[i]
+                while len(cache) <= e:
+                    cache.append(_multiply(cache[-1], cache[1]))
+                term = _multiply(term, cache[e])
+        for code, v in term.items():
+            total[code] = total.get(code, 0) + v
+    return total
+
+
 def substitute(poly: HomogeneousPoly, forms: Sequence[Sequence]) -> HomogeneousPoly:
     """Pull a polynomial back along linear forms.
 
     Substitutes ``forms[i]`` (a covector on the target space) for the
     i-th variable of ``poly``; the result is homogeneous of the same
-    degree in ``len(forms[0])`` variables.
+    degree in ``len(forms[0])`` variables.  The forms are cleared by the
+    lcm L of their denominators and the coefficients by theirs, D; the
+    integer expansion (:func:`_expand`) is divided once by L^degree * D.
     """
     if len(forms) != poly.nvars:
         raise ValueError("one linear form per variable is required")
-    linear = [HomogeneousPoly.linear_form(f) for f in forms]
-    nvars = linear[0].nvars if linear else 0
-    if any(f.nvars != nvars for f in linear):
+    forms = [[rational(x) for x in f] for f in forms]
+    nvars = len(forms[0]) if forms else 0
+    if any(len(f) != nvars for f in forms):
         raise ValueError("forms live on different spaces")
-    result = HomogeneousPoly.zero(nvars, poly.degree)
-    power_cache: dict[tuple[int, int], HomogeneousPoly] = {}
-    for expo, c in poly.coeffs.items():
-        term = HomogeneousPoly.constant(nvars, c)
-        for i, e in enumerate(expo):
-            if e:
-                key = (i, e)
-                if key not in power_cache:
-                    power_cache[key] = linear[i].power(e)
-                term = term * power_cache[key]
-        result = result + term
-    return result
+    ints, den = _clear_denominators(forms)
+    (values,), scale = _clear_denominators([poly.coeffs.values()])
+    scale *= den**poly.degree
+    step = poly.degree + 1
+    coeffs = {}
+    for code, v in _expand(dict(zip(poly.coeffs, values)), ints, poly.degree).items():
+        if v:
+            expo = []
+            for _ in range(nvars):
+                code, e = divmod(code, step)
+                expo.append(e)
+            coeffs[tuple(expo)] = Fraction(v, scale)
+    return HomogeneousPoly(nvars, poly.degree, coeffs)
 
 
 @lru_cache(maxsize=None)

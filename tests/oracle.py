@@ -1,25 +1,35 @@
 """Reference implementations that the library's elimination kernel,
-general-position check, relation-matrix assembly, normal-form recovery
-and canonical data are compared against.
+general-position check, relation-matrix assembly, relation
+verification, point reading, normal-form recovery and canonical data are
+compared against.
 
 These are the former ``Matrix.rref``, ``Matrix.rank`` (Bareiss on
 integer rows), ``Matrix.det``, ``check_pg`` (wedge products of the
-generator normals), ``wedge_rows`` (one determinant per minor) and
-``relation_matrix`` (each basis monomial pulled back on its own through
-``substitute``), kept verbatim as module-level functions of a ``Matrix``
-or ``ConstantWeb`` passed as ``self`` / ``web``.  They are slower and
-share no elimination code with ``abelweb.exactalg``, no modular
-arithmetic with ``abelweb.webcore.check_pg`` and no Laplace sweep with
-``abelweb.multilinear.wedge_rows``.
+generator normals), ``wedge_rows`` (one determinant per minor),
+``substitute`` (``Fraction`` polynomial products), ``_verify_relation``
+with ``_pullback`` (each component pulled back through that
+``substitute`` and multiplied by its normal in ``Fraction``),
+``_point_from_block_matrix`` (``Fraction`` dot products with the inverse
+basis and quotients against the leading entry) and ``relation_matrix``
+(each basis monomial pulled back on its own through ``substitute``),
+kept verbatim as module-level functions of a ``Matrix`` or
+``ConstantWeb`` passed as ``self`` / ``web``.  They are slower and share
+no elimination code with ``abelweb.exactalg``, no modular arithmetic
+with ``abelweb.webcore.check_pg``, no Laplace sweep with
+``abelweb.multilinear.wedge_rows`` and no integer expansion with
+``abelweb.multilinear.substitute`` or ``abelweb.abelian._verify_relation``.
 
-``recover_base_case`` / ``recover_normal_form`` are the former recovery:
-it pulls the degree-1 relations back through ``substitute`` and solves
-for the points of the critical subweb from the generator normals, where
-the library reads every point off the recovered coordinates.
-``canonical_data`` is the former canonical data: it eliminates every
-degree twice (``total_rank``, then ``relation_space`` until a space is
-empty) and completes the degree-1 block greedily, one rank per
-candidate, where the library reads pivot columns once.
+``RelationBasisElement`` and ``relation_space`` wrap the library's
+canonical kernel vectors, as the library does, but verify each relation
+with the ``Fraction`` ``_verify_relation`` here.  ``recover_base_case`` /
+``recover_normal_form`` are the former recovery: it pulls the degree-1
+relations back through ``substitute`` and solves for the points of the
+critical subweb from the generator normals, where the library reads
+every point off the recovered coordinates.  ``canonical_data`` is the
+former canonical data: it eliminates every degree twice (``total_rank``,
+then ``relation_space`` until a space is empty) and completes the
+degree-1 block greedily, one rank per candidate, where the library reads
+pivot columns once.  Both use only the ``Fraction`` copies above.
 """
 
 from __future__ import annotations
@@ -31,8 +41,7 @@ from typing import Sequence
 
 from abelweb import Matrix
 from abelweb.abelian import (
-    RelationBasisElement,
-    relation_space,
+    _relation_kernel,
     relation_space_dim,
     subweb as take_subweb,
     total_rank,
@@ -44,7 +53,6 @@ from abelweb.grassmann import (
     MomentWebSpec,
     ProjectivePoint,
     _castelnuovo_threshold,
-    _point_from_block_matrix,
     castelnuovo_rnc_test,
     foliation_from_point,
     moment_web,
@@ -57,10 +65,9 @@ from abelweb.multilinear import (
     monomial_position,
     poly_space_dim,
     subset_position,
-    substitute,
     wedge,
 )
-from abelweb.webcore import ConstantWeb, generator_normal, q_of
+from abelweb.webcore import ConstantFoliation, ConstantWeb, generator_normal, q_of
 
 
 def _clear_row(row: Sequence[Fraction]) -> list[int]:
@@ -188,6 +195,113 @@ def wedge_rows(rows: Sequence[Sequence]) -> ExteriorForm:
         minor = Matrix([[matrix[i, j] for j in subset] for i in range(k)])
         coeffs[subset] = minor.det()
     return ExteriorForm(n, k, coeffs)
+
+
+def substitute(poly: HomogeneousPoly, forms: Sequence[Sequence]) -> HomogeneousPoly:
+    """Pull a polynomial back along linear forms.
+
+    Substitutes ``forms[i]`` (a covector on the target space) for the
+    i-th variable of ``poly``; the result is homogeneous of the same
+    degree in ``len(forms[0])`` variables.
+    """
+    if len(forms) != poly.nvars:
+        raise ValueError("one linear form per variable is required")
+    linear = [HomogeneousPoly.linear_form(f) for f in forms]
+    nvars = linear[0].nvars if linear else 0
+    if any(f.nvars != nvars for f in linear):
+        raise ValueError("forms live on different spaces")
+    result = HomogeneousPoly.zero(nvars, poly.degree)
+    power_cache: dict[tuple[int, int], HomogeneousPoly] = {}
+    for expo, c in poly.coeffs.items():
+        term = HomogeneousPoly.constant(nvars, c)
+        for i, e in enumerate(expo):
+            if e:
+                key = (i, e)
+                if key not in power_cache:
+                    power_cache[key] = linear[i].power(e)
+                term = term * power_cache[key]
+        result = result + term
+    return result
+
+
+def _pullback(foliation: ConstantFoliation, c: HomogeneousPoly) -> dict[tuple, Fraction]:
+    """c(kappa) * Omega of one foliation, by (monomial in rn variables, r-subset)."""
+    normal = generator_normal(foliation).coeffs
+    return {
+        (expo, subset): pc * nc
+        for expo, pc in substitute(c, foliation.matrix.entries).coeffs.items()
+        for subset, nc in normal.items()
+    }
+
+
+def _verify_relation(web: ConstantWeb, components: Sequence[HomogeneousPoly]) -> None:
+    total: dict[tuple, Fraction] = {}
+    for foliation, c in zip(web.foliations, components):
+        if c.is_zero:
+            continue
+        for key, value in _pullback(foliation, c).items():
+            total[key] = total.get(key, 0) + value
+    if any(total.values()):
+        raise InternalContradictionError("claimed abelian relation does not sum to zero")
+
+
+class RelationBasisElement:
+    """One abelian relation, re-verified by ``_verify_relation`` above."""
+
+    def __init__(self, web: ConstantWeb, degree: int, components: Sequence[HomogeneousPoly]):
+        self.degree = degree
+        self.components = tuple(components)
+        _verify_relation(web, self.components)
+
+    def vector(self) -> tuple[Fraction, ...]:
+        return tuple(x for c in self.components for x in c.vector())
+
+
+def relation_space(web: ConstantWeb, h: int) -> list[RelationBasisElement]:
+    """The library's canonical basis of R(h), verified by ``_verify_relation``."""
+    dim_e = poly_space_dim(web.r, h)
+    return [
+        RelationBasisElement(web, h, [
+            HomogeneousPoly.from_vector(web.r, h, vec[j * dim_e : (j + 1) * dim_e])
+            for j in range(web.d)
+        ])
+        for vec in _relation_kernel(web, h, False)
+    ]
+
+
+def _point_from_block_matrix(basis_inv: Matrix, foliation: ConstantFoliation, r: int, n: int, k: int) -> ProjectivePoint:
+    """Read p_k off a foliation expressed in the recovered coordinates.
+
+    Each defining covector, written in the m-basis and reshaped r x n,
+    must be rank 1 with one common right factor; that factor is the point.
+    """
+    xi: tuple[Fraction, ...] | None = None
+    rows_m = [basis_inv.apply_row(row) for row in foliation.matrix.entries]
+    blocks = [
+        [coeffs[a * n : (a + 1) * n] for a in range(r)] for coeffs in rows_m
+    ]
+    for block in blocks:
+        for row in block:
+            if any(c != 0 for c in row):
+                xi = row
+                break
+        if xi is not None:
+            break
+    if xi is None:
+        raise DegenerateWebError(
+            f"web is not semi-extremal / degenerate: foliation {k} vanishes"
+        )
+    lead_pos = next(i for i, c in enumerate(xi) if c != 0)
+    for block in blocks:
+        for row in block:
+            # proportional to xi: cross-ratios with the leading entry agree
+            factor = row[lead_pos] / xi[lead_pos]
+            if any(c != factor * x for c, x in zip(row, xi)):
+                raise DegenerateWebError(
+                    "web is not semi-extremal / degenerate: foliation "
+                    f"{k} is not of the form F(p) in the recovered coordinates"
+                )
+    return ProjectivePoint(xi)
 
 
 def relation_matrix(web: ConstantWeb, h: int) -> Matrix:

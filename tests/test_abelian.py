@@ -63,6 +63,18 @@ def test_relation_elements_are_verified():
     bad = [HomogeneousPoly.constant(1, c) for c in (1, 1, 1)]
     with pytest.raises(InternalContradictionError):
         RelationBasisElement(web, 0, bad)
+    # foliations with denominators 2, 3, 1, 2, 3: the verifier clears them
+    # by one scale common to all terms; a scale per foliation would
+    # reject the true relation or accept the rescaled one
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    rows = [[half, 0], [0, third], [1, 1], [1, -half], [2 * third, 1]]
+    web = ConstantWeb(1, 2, [ConstantFoliation(1, 2, Matrix([row])) for row in rows])
+    for h in (1, 2):
+        relation = relation_space(web, h)[0].components
+        RelationBasisElement(web, h, relation)
+        rescaled = [c.scale(lcm) for c, lcm in zip(relation, (2, 3, 1, 2, 3))]
+        with pytest.raises(InternalContradictionError):
+            RelationBasisElement(web, h, rescaled)
 
 
 def test_rank_requires_pg():

@@ -1,27 +1,36 @@
 """The elimination kernel, the stacked-rank PG check, the relation matrix,
 the certified (mod-p, lifted, exactly checked) relation spaces built by
-prolongation, normal-form recovery and canonical data against the oracle.
+prolongation, the integer pullback, relation verification and point
+reader, normal-form recovery and canonical data against the oracle.
 
 ``oracle`` holds the earlier Fraction Gauss-Jordan ``rref``, Fraction
 Gaussian ``det``, Bareiss ``rank``, wedge-product ``check_pg``,
 determinant-per-minor ``wedge_rows``, per-monomial ``relation_matrix``,
-normals-based recovery and greedy-completion ``canonical_data``.  Inputs
+Fraction ``substitute``, ``_verify_relation`` and
+``_point_from_block_matrix``, normals-based recovery and
+greedy-completion ``canonical_data``.  Inputs
 are seeded (``ABELWEB_SEED``) and cover the shapes where elimination
 bookkeeping goes wrong: tall, wide, rank-deficient, zero columns, webs
 that fail general position at every subset size, high-n moment webs,
 webs whose first failure needs three foliations, relation matrices of
 webs with rational entries, and moment webs under random gauges.  The
 certified kernel is also driven past an unlucky prime and into a second
-prime.
+prime.  Verification runs on moment webs under rational gauges, whose
+foliations have different denominators, and on perturbed relations that
+both verifiers must reject.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
+
 import oracle
 from abelweb import (
     ConstantFoliation,
     ConstantWeb,
+    DegenerateWebError,
+    HomogeneousPoly,
     Matrix,
     MomentWebSpec,
     canonical_data,
@@ -32,9 +41,13 @@ from abelweb import (
     relation_matrix,
     relation_space,
     relation_space_dim,
+    substitute,
 )
-from abelweb.exactalg import _primes, certified_kernel
-from abelweb.multilinear import wedge_rows
+from abelweb.abelian import _verify_relation
+from abelweb.errors import InternalContradictionError
+from abelweb.exactalg import _clear_denominators, _primes, certified_kernel
+from abelweb.grassmann import ProjectivePoint, _point_from_block_matrix, foliation_from_point
+from abelweb.multilinear import monomial_exponents, poly_space_dim, wedge_rows
 from helpers import make_rng, random_invertible, random_pg_web
 
 
@@ -264,3 +277,114 @@ def test_recovery_and_canonical_data_match_oracle():
             assert recover_normal_form(web, indices).to_json() == expected, (taus, indices)
         spec = MomentWebSpec(r, n, taus[:d_can], gauge)
         assert canonical_data(spec).to_json() == oracle.canonical_data(spec).to_json(), taus
+
+
+def _rational_invertible(rng, m: int) -> Matrix:
+    while True:
+        candidate = Matrix([[Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5)))
+                             for _ in range(m)] for _ in range(m)])
+        if candidate.is_invertible():
+            return candidate
+
+
+def test_substitute_matches_oracle():
+    rng = make_rng(48)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 5)))
+
+    cancelled = 0
+    for _ in range(300):
+        nvars, target, degree = rng.randint(1, 3), rng.randint(1, 5), rng.randint(0, 4)
+        poly = HomogeneousPoly.from_vector(
+            nvars, degree, [entry() for _ in range(poly_space_dim(nvars, degree))])
+        forms = [[entry() for _ in range(target)] for _ in range(nvars)]
+        if nvars > 1 and rng.random() < 0.3:
+            forms[1] = [-x for x in forms[0]]  # dependent forms make terms cancel
+            cancelled += 1
+        assert substitute(poly, forms) == oracle.substitute(poly, forms), (poly, forms)
+    assert cancelled > 30
+
+
+def test_verify_relation_matches_oracle():
+    """Both verifiers accept every canonical basis element of gauged moment
+    webs with mixed denominators, h = 0..2, and reject three perturbations
+    of it: one coefficient + 1, one component times its own foliation's
+    denominator lcm, one component zeroed."""
+    rng = make_rng(49)
+    verifiers = (_verify_relation, oracle._verify_relation)
+    checked = 0
+    for r, n, d in [(2, 2, 6), (2, 3, 8), (3, 2, 8)]:
+        taus = list(dict.fromkeys(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                  for _ in range(4 * d)))[:d]
+        web = moment_web(MomentWebSpec(r, n, taus, _rational_invertible(rng, r * n)))
+        lcms = [math.lcm(*(x.denominator for row in f.matrix.entries for x in row))
+                for f in web.foliations]
+        assert len(set(lcms)) > 1, lcms
+        for h in range(3):
+            for element in relation_space(web, h):
+                good = list(element.components)
+                for verify in verifiers:
+                    verify(web, good)
+                live = [j for j, c in enumerate(good) if not c.is_zero]
+                j = rng.choice(live)
+                expo = rng.choice(monomial_exponents(r, h))
+                bumped = good[:j] + [good[j] + HomogeneousPoly(r, h, {expo: 1})] + good[j + 1 :]
+                j = rng.choice([j for j in live if lcms[j] > 1])
+                rescaled = good[:j] + [good[j].scale(lcms[j])] + good[j + 1 :]
+                j = rng.choice(live)
+                dropped = good[:j] + [HomogeneousPoly.zero(r, h)] + good[j + 1 :]
+                for bad in (bumped, rescaled, dropped):
+                    for verify in verifiers:
+                        with pytest.raises(InternalContradictionError):
+                            verify(web, bad)
+                checked += 1
+    assert checked == 40  # the degree bounds, which moment webs attain
+
+
+def test_point_reader_matches_oracle():
+    """The integer point reader against the Fraction one: the same point
+    on F(p) and on F(p) with its rows mixed, for any common scale of the
+    inverse's columns, and the same error on foliations not of that form."""
+    rng = make_rng(50)
+    not_fp = 0
+    for r, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        basis = _rational_invertible(rng, r * n)
+        inverse = basis.inverse()
+        scale = rng.choice((1, -2, 3))
+        columns = [[scale * x for x in col]
+                   for col in _clear_denominators(zip(*inverse.entries))[0]]
+        for k in range(1, 9):
+            coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            if not any(coords):
+                continue
+            p = ProjectivePoint(coords)
+            f = foliation_from_point(basis, p)
+            mixed = ConstantFoliation(r, n, _rational_invertible(rng, r) * f.matrix)
+            for foliation in (f, mixed):
+                point = _point_from_block_matrix(columns, foliation, r, n, k)
+                assert point == oracle._point_from_block_matrix(inverse, foliation, r, n, k) == p
+            # rows of F(p) and F(p'), or random rows: rank r, not F(p)
+            other = foliation_from_point(basis, ProjectivePoint(
+                [rng.randint(1, 3) for _ in range(n)]))
+            rows = [f.matrix.row(0)] + list(other.matrix.entries[1:])
+            if rng.random() < 0.5:
+                rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r * n)]
+                        for _ in range(r)]
+            matrix = Matrix(rows)
+            if matrix.rank() < r:
+                continue
+            foliation = ConstantFoliation(r, n, matrix)
+            got = _outcome(lambda: _point_from_block_matrix(columns, foliation, r, n, k))
+            assert got == _outcome(
+                lambda: oracle._point_from_block_matrix(inverse, foliation, r, n, k))
+            not_fp += isinstance(got, str)
+    assert not_fp > 20
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the message of the DegenerateWebError it raises."""
+    try:
+        return read()
+    except DegenerateWebError as error:
+        return str(error)

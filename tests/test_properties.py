@@ -1,18 +1,33 @@
-"""Seeded Hypothesis properties of general position and generator normals.
+"""Seeded Hypothesis properties of general position, generator normals
+and relation spaces.
 
 On small webs with entries in -2..2: ``check_pg`` agrees with the
 wedge-product oracle, the PG verdict does not depend on the basis chosen
 for each foliation or on the order of the foliations, and a change of
-basis g of one foliation scales its generator normal by det(g).  The
-examples are drawn from ``DEFAULT_SEED`` (``ABELWEB_SEED``), so a run is
-reproducible, and no example database is written.
+basis g of one foliation scales its generator normal by det(g).  On
+small PG webs with rational entries, the per-degree dimensions do not
+depend on the scale of each defining row or on the order of the
+foliations, and every relation of degree <= 1 passes its verification.
+The examples are drawn from ``DEFAULT_SEED`` (``ABELWEB_SEED``), so a
+run is reproducible, and no example database is written.
 """
+
+from fractions import Fraction
 
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import oracle
-from abelweb import ConstantFoliation, ConstantWeb, Matrix, check_pg, generator_normal
+from abelweb import (
+    ConstantFoliation,
+    ConstantWeb,
+    Matrix,
+    check_pg,
+    generator_normal,
+    h_cutoff,
+    relation_space,
+    relation_space_dim,
+)
 from helpers import DEFAULT_SEED
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -29,6 +44,22 @@ def webs(draw) -> ConstantWeb:
         assume(matrix.rank() == r)
         foliations.append(ConstantFoliation(r, n, matrix))
     return ConstantWeb(r, n, foliations)
+
+
+@st.composite
+def rational_pg_webs(draw) -> ConstantWeb:
+    r, n, d = draw(st.sampled_from([(1, 2, 3), (1, 2, 5), (1, 2, 6), (1, 3, 5), (1, 3, 6),
+                                    (2, 2, 6), (2, 2, 7)]))
+    entry = st.sampled_from(sorted({Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)}))
+    foliations = []
+    for _ in range(d):
+        matrix = Matrix(draw(st.lists(st.lists(entry, min_size=r * n, max_size=r * n),
+                                      min_size=r, max_size=r)))
+        assume(matrix.rank() == r)
+        foliations.append(ConstantFoliation(r, n, matrix))
+    web = ConstantWeb(r, n, foliations)
+    assume(web.is_pg())
+    return web
 
 
 @st.composite
@@ -74,3 +105,28 @@ def test_generator_normal_scales_by_det(data):
     g = data.draw(invertible(web.r))
     moved = ConstantFoliation(web.r, web.n, g * foliation.matrix)
     assert generator_normal(moved) == generator_normal(foliation).scale(g.det())
+
+
+ROW_SCALES = [Fraction(s * a, b) for s in (1, -1) for a, b in ((1, 3), (1, 2), (2, 1), (3, 1))]
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(st.data())
+def test_dims_invariant_under_row_scaling_and_permutation(data):
+    web = data.draw(rational_pg_webs())
+    scaled = ConstantWeb(web.r, web.n, [
+        ConstantFoliation(web.r, web.n, Matrix(
+            [[x * scale for x in row] for row, scale in zip(
+                f.matrix.entries, data.draw(st.lists(st.sampled_from(ROW_SCALES),
+                                                     min_size=web.r, max_size=web.r)))]))
+        for f in web.foliations
+    ])
+    order = data.draw(st.permutations(range(web.d)))
+    permuted = ConstantWeb(web.r, web.n, [web.foliations[j] for j in order])
+    cutoff = h_cutoff(web.r, web.n, web.d)
+    dims = [relation_space_dim(web, h) for h in range(cutoff)]
+    for other in (scaled, permuted):
+        assert [relation_space_dim(other, h) for h in range(cutoff)] == dims
+        for h in range(min(2, cutoff)):
+            assert len(relation_space(other, h)) == dims[h]  # each one verified
