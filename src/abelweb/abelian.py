@@ -172,16 +172,17 @@ def _prolonged_rows(
     r, rn = web.r, web.r * web.n
     dim_e = poly_space_dim(r, h)
     pos = monomial_position(r, h)
-    kappas = [f.matrix.entries for f in web.foliations]
-    den = math.lcm(*(x.denominator for kappa in kappas for row in kappa for x in row))
-    # derivative[t][a]: den times coordinate t = (j, m) of D_a c, as
-    # (column, integer) pairs; x^m in dc_j/dx_i has (m_i + 1) times the
-    # coefficient of x^(m + e_i) in c_j
+    cleared, _ = _clear_denominators(
+        row for foliation in web.foliations for row in foliation.matrix.entries
+    )
+    kappas = [cleared[j * r : (j + 1) * r] for j in range(web.d)]
+    # derivative[t][a]: the lcm of the kappas' denominators times
+    # coordinate t = (j, m) of D_a c, as (column, integer) pairs; x^m in
+    # dc_j/dx_i has (m_i + 1) times the coefficient of x^(m + e_i) in c_j
     derivative = [
         [
             [
-                (j * dim_e + pos[m[:i] + (m[i] + 1,) + m[i + 1 :]],
-                 (m[i] + 1) * kappa[i][a].numerator * (den // kappa[i][a].denominator))
+                (j * dim_e + pos[m[:i] + (m[i] + 1,) + m[i + 1 :]], (m[i] + 1) * kappa[i][a])
                 for i in range(r) if kappa[i][a]
             ]
             for a in range(rn)

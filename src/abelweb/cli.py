@@ -58,13 +58,14 @@ def _parse_taus(text: str) -> list:
 
 
 def _cmd_bound(args) -> int:
+    total = rho_bound(args.r, args.n, args.d)
     if args.per_degree:
         sys.stdout.write("h\tbound\n")
         for h in range(h_cutoff(args.r, args.n, args.d)):
             sys.stdout.write(f"{h}\t{degree_bound(args.r, args.n, args.d, h)}\n")
-        sys.stdout.write(f"total\t{rho_bound(args.r, args.n, args.d)}\n")
+        sys.stdout.write(f"total\t{total}\n")
     else:
-        sys.stdout.write(f"{rho_bound(args.r, args.n, args.d)}\n")
+        sys.stdout.write(f"{total}\n")
     return 0
 
 

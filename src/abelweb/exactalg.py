@@ -21,7 +21,9 @@ row divided by its pivot entry is a row of the RREF.
 Relation spaces do not go through :class:`Matrix`: :func:`certified_kernel`
 takes the sparse integer rows that cut them out and returns the canonical
 kernel basis from elimination modulo a 61-bit prime, lifted to Q and
-checked exactly.
+checked exactly.  The one elimination modulo p is :func:`_extend_mod`,
+which also serves the general-position check; the kernel back-substitutes
+its echelon into the RREF modulo p.
 Arithmetic modulo p only proposes the basis; the exact check over Q and
 the certificate in its docstring make it a result.
 
@@ -181,59 +183,31 @@ def _primes() -> Iterator[int]:
         yield p
 
 
-def _rref_mod(
-    rows: list[list[int]], ncols: int, p: int
-) -> tuple[list[int], list[list[int]]]:
-    """Pivot columns and non-zero rows of the RREF of ``rows`` modulo ``p``.
-
-    Gauss-Jordan with a normalized pivot row.  The pivot row comes from
-    below the earlier pivots, so it is zero left of the current column
-    and only the columns from there on change.
-    """
-    m = [row for row in ([a % p for a in row] for row in rows) if any(row)]
-    pivots: list[int] = []
-    for col in range(ncols):
-        k = len(pivots)
-        if k == len(m):
-            break
-        i = next((i for i in range(k, len(m)) if m[i][col]), None)
-        if i is None:
-            continue
-        inv = pow(m[i][col], -1, p)
-        tail = [a * inv % p for a in m[i][col:]]
-        m[i] = m[k]
-        m[k] = [0] * col + tail
-        for i, row in enumerate(m):
-            f = row[col]
-            if f and i != k:
-                m[i] = row[:col] + [(a - f * b) % p for a, b in zip(row[col:], tail)]
-        pivots.append(col)
-    return pivots, m[: len(pivots)]
-
-
 def _extend_mod(
     echelon: list[tuple[int, list[int]]], rows: Iterable[list[int]], p: int
 ) -> list[tuple[int, list[int]]]:
     """An echelon basis modulo ``p`` of the span of ``echelon`` and ``rows``.
 
-    ``echelon`` lists (pivot column, row) pairs: each row is 1 at its
-    pivot and 0 at the pivots listed before it.  A new row, reduced by
-    the rows in that order, is 0 at every pivot; if anything is left it
-    is scaled to 1 at its first non-zero column and appended.  So the
-    length of the result is the rank modulo ``p``; ``echelon`` is not
-    changed and can be extended again.
+    ``echelon`` lists (pivot column, tail) pairs: the tail is the basis
+    row from its pivot on, starting with 1, since the row is 0 before
+    its pivot; each row is also 0 at the pivots listed before it.  A new
+    row, reduced by the rows in that order (``row[col:] -= f * tail``),
+    is 0 at every pivot; if anything is left it is scaled to 1 at its
+    first non-zero column, which becomes its pivot, and appended.  So
+    the length of the result is the rank modulo ``p``; ``echelon`` is
+    not changed and can be extended again.
     """
     echelon = list(echelon)
     for row in rows:
         row = [a % p for a in row]
-        for col, basis_row in echelon:
+        for col, tail in echelon:
             f = row[col]
             if f:
-                row = [(a - f * b) % p for a, b in zip(row, basis_row)]
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
         col = next((j for j, a in enumerate(row) if a), None)
         if col is not None:
             inv = pow(row[col], -1, p)
-            echelon.append((col, [a * inv % p for a in row]))
+            echelon.append((col, [a * inv % p for a in row[col:]]))
     return echelon
 
 
@@ -358,14 +332,22 @@ def certified_kernel(
         system = [[row.get(j, 0) for j in range(ncols)] for row in rows]
     best = None
     for p in _primes():
-        pivots, reduced = _rref_mod(system, ncols, p)
-        if len(pivots) == ncols:
+        echelon = sorted(_extend_mod([], system, p))
+        if len(echelon) == ncols:
             return []
+        # back-substitution, last pivot first, leaves the RREF modulo p
+        for k in range(len(echelon) - 1, 0, -1):
+            q, tail = echelon[k]
+            for col, above in echelon[:k]:
+                f = above[q - col]
+                if f:
+                    above[q - col :] = [
+                        (a - f * b) % p for a, b in zip(above[q - col :], tail)
+                    ]
+        pivots = [q for q, _ in echelon]
         pivot_set = set(pivots)
         free = [f for f in range(ncols) if f not in pivot_set]
-        residues = [
-            [-row[f] % p for row, q in zip(reduced, pivots) if q < f] for f in free
-        ]
+        residues = [[-tail[f - q] % p for q, tail in echelon if q < f] for f in free]
         key = (-len(pivots), pivots)
         if best is None or key < best:
             best, modulus, combined = key, p, residues

@@ -220,17 +220,22 @@ def q_of(r: int, n: int, d: int) -> int:
     return d - r * (n - 1) - 2
 
 
-def degree_bound(r: int, n: int, d: int, h: int) -> int:
-    """Upper bound for the dimension of the degree-h relation space."""
+def _require_bound_type(r: int, n: int, d: int) -> None:
     if r < 1 or n < 2:
         raise ValueError("bounds require r >= 1, n >= 2")
+    if d < 1:
+        raise ValueError(f"bounds require d >= 1, got d = {d}")
+
+
+def degree_bound(r: int, n: int, d: int, h: int) -> int:
+    """Upper bound for the dimension of the degree-h relation space."""
+    _require_bound_type(r, n, d)
     return binomial(r - 1 + h, r - 1) * max(d - (r + h) * (n - 1) - 1, 0)
 
 
 def h_cutoff(r: int, n: int, d: int) -> int:
     """Smallest h with d <= (r+h)(n-1)+1; all higher relation spaces vanish."""
-    if r < 1 or n < 2:
-        raise ValueError("bounds require r >= 1, n >= 2")
+    _require_bound_type(r, n, d)
     h = 0
     while d > (r + h) * (n - 1) + 1:
         h += 1

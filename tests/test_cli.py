@@ -28,6 +28,15 @@ def test_bound_per_degree(capsys):
     assert lines[-1] == "total\t4"
 
 
+@pytest.mark.parametrize("d", ["-3", "0"])
+@pytest.mark.parametrize("extra", [[], ["--per-degree"]])
+def test_bound_rejects_d_below_1(capsys, d, extra):
+    code, out, err = run(capsys, "bound", "-r", "2", "-n", "2", "-d", d, *extra)
+    assert code == 1
+    assert out == ""
+    assert "d >= 1" in err and f"d = {d}" in err
+
+
 def test_moment_then_rank(tmp_path, capsys):
     path = tmp_path / "w.json"
     code, _, _ = run(
@@ -120,6 +129,16 @@ def test_recover_degenerate_exit(tmp_path, capsys):
     assert code == 1  # too few foliations is an input error
     code, _, err = run(capsys, "rank", "--web", "no-such-file.json")
     assert code == 1
+
+
+def test_recover_foliation_not_of_the_form_F_p_exits_2(tmp_path, capsys):
+    data = moment_web(MomentWebSpec(2, 2, list(range(7)))).to_json()
+    data["foliations"][6] = [["1", "2", "0", "3"], ["0", "1", "5", "-1"]]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "recover", "--web", str(path))
+    assert code == 2
+    assert "foliation 7 is not of the form F(p)" in err
 
 
 def test_akivis(tmp_path, capsys):

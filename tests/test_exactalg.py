@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from abelweb import Matrix, binomial, rational
-from abelweb.exactalg import _is_prime, _primes
+from abelweb.exactalg import _extend_mod, _is_prime, _prime_below, _primes
 from helpers import make_rng, random_invertible, random_matrix
 
 
@@ -113,3 +113,24 @@ def test_prime_sequence():
     assert primes[0] == 2**61 - 1
     assert primes == sorted(primes, reverse=True) and all(map(_is_prime, primes))
     assert not any(_is_prime(n) for n in range(primes[1] + 1, primes[0]))
+
+
+def test_extend_mod_rank_and_persistence():
+    # check_pg extends one echelon per prefix of a subset, so an extension
+    # must leave the echelon it starts from as it was
+    rng = make_rng(40)
+    p = _prime_below(2**61)
+    for _ in range(60):
+        rows = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), -3, 3)
+        ints = [[int(x) for x in row] for row in rows.entries]
+        if rng.random() < 0.5:
+            ints.append([2 * a - b for a, b in zip(ints[0], ints[-1])])
+        split = rng.randint(0, len(ints))
+        head = _extend_mod([], ints[:split], p)
+        frozen = [(col, list(tail)) for col, tail in head]
+        full = _extend_mod(head, ints[split:], p)
+        assert head == frozen
+        assert full[: len(head)] == head
+        assert len(full) == Matrix(ints).rank()
+        for col, tail in full:
+            assert tail[0] == 1 and len(tail) == len(ints[0]) - col

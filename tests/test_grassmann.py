@@ -4,6 +4,7 @@ import pytest
 
 from abelweb import (
     AdaptedStructure,
+    ConstantFoliation,
     ConstantWeb,
     DegenerateWebError,
     Matrix,
@@ -149,6 +150,18 @@ def test_recover_rejects_non_semi_extremal():
     rng = make_rng(14)
     web = random_pg_web(rng, 2, 2, 6)
     with pytest.raises(DegenerateWebError, match="not semi-extremal"):
+        recover_normal_form(web)
+
+
+def test_recover_rejects_a_foliation_not_of_the_form_F_p():
+    # the first five foliations fix the basis; the seventh is in general
+    # position with them but is not F(p) for any p, which only the point
+    # reader can see
+    moment = moment_web(MomentWebSpec(2, 2, list(range(7))))
+    foreign = ConstantFoliation(2, 2, Matrix([[1, 2, 0, 3], [0, 1, 5, -1]]))
+    web = ConstantWeb(2, 2, list(moment.foliations[:6]) + [foreign])
+    assert web.is_pg()
+    with pytest.raises(DegenerateWebError, match="foliation 7 is not of the form F\\(p\\)"):
         recover_normal_form(web)
 
 

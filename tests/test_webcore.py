@@ -88,6 +88,13 @@ def test_closed_forms():
                 assert (rho_bound(r, n, d) == 0) == (d <= r * (n - 1) + 1)
 
 
+def test_bounds_reject_d_below_1():
+    for bound in (rho_bound, h_cutoff, lambda r, n, d: degree_bound(r, n, d, 0)):
+        for d in (0, -3):
+            with pytest.raises(ValueError, match="d >= 1"):
+                bound(2, 2, d)
+
+
 def test_degree_bound_values():
     assert degree_bound(2, 2, 5, 0) == 2
     assert degree_bound(2, 2, 5, 1) == 2
