@@ -26,12 +26,14 @@ modulo a 61-bit prime, lifted to Q and checked against the rows in
 exact integers, which proves it is the canonical (RREF) basis of the
 rows' kernel.  That kernel is R(h), so the certificate carries over.
 
-Verification of a relation (``_verify_relation``) runs in integers.  The
-kappa_j of the whole web are cleared by one lcm L of their denominators,
-the coefficients of all components by one lcm D and their normals by
-one lcm M; each non-zero component is pulled back by
+Every row is built from ``ConstantWeb.cleared_kappas``, the kappa_j
+times one lcm L of all their denominators; their maximal minors
+(``multilinear._minors``) are L^r * Omega_j, the integer normals.
+Verification of a relation (``_verify_relation``) also runs in integers.
+The coefficients of all components are cleared by one lcm D; each
+non-zero component is pulled back along its cleared kappa_j by
 ``multilinear._expand`` and the sum of P_j (x) N_j over (monomial in rn
-variables, r-subset) must vanish.  That sum is L^h * M * D times the
+variables, r-subset) must vanish.  That sum is L^(h+r) * D times the
 rational one because the scale is common to every term; a scale per
 foliation would weight the foliations differently and could accept a
 false relation.  Verification reads neither R(h-1) nor the prolonged
@@ -46,7 +48,6 @@ InternalContradictionError instead of returning.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -55,6 +56,7 @@ from .exactalg import Matrix, _clear_denominators, certified_kernel
 from .multilinear import (
     HomogeneousPoly,
     _expand,
+    _minors,
     monomial_exponents,
     monomial_position,
     poly_space_dim,
@@ -103,19 +105,15 @@ def _verify_relation(web: ConstantWeb, components: Sequence[HomogeneousPoly]) ->
     live = [j for j, c in enumerate(components) if not c.is_zero]
     if not live:
         return
-    r, rn, h = web.r, web.r * web.n, components[live[0]].degree
-    kappas, _ = _clear_denominators(
-        row for foliation in web.foliations for row in foliation.matrix.entries
-    )
+    rn, h = web.r * web.n, components[live[0]].degree
+    kappas = web.cleared_kappas()
     coeffs, _ = _clear_denominators(components[j].coeffs.values() for j in live)
-    normals = [generator_normal(web.foliations[j]).coeffs for j in live]
-    scaled, _ = _clear_denominators(normal.values() for normal in normals)
-    positions = subset_position(rn, r)
+    positions = subset_position(rn, web.r)
     width = len(positions)
     total: dict[int, int] = {}
-    for j, values, normal, normal_ints in zip(live, coeffs, normals, scaled):
-        terms = [(positions[s], v) for s, v in zip(normal, normal_ints)]
-        pulled = _expand(dict(zip(components[j].coeffs, values)), kappas[j * r : (j + 1) * r], h)
+    for j, values in zip(live, coeffs):
+        terms = [(positions[s], v) for s, v in _minors(kappas[j], rn).items() if v]
+        pulled = _expand(dict(zip(components[j].coeffs, values)), kappas[j], h)
         for code, p in pulled.items():
             if p:
                 for pos, v in terms:
@@ -146,19 +144,14 @@ def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
     return Matrix(entries)
 
 
-def _integral(row: dict[int, Fraction]) -> dict[int, int]:
-    """A sparse rational row times the lcm of its denominators."""
-    den = math.lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-
-
 def _normal_rows(web: ConstantWeb) -> list[dict[int, int]]:
-    """The rows of R(0): one per r-subset, the normals' coefficients there."""
-    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for j, foliation in enumerate(web.foliations):
-        for subset, c in generator_normal(foliation).coeffs.items():
-            rows.setdefault(subset, {})[j] = c
-    return [_integral(row) for row in rows.values()]
+    """The rows of R(0): one per r-subset, the cleared normals' minors there."""
+    rows: dict[tuple[int, ...], dict[int, int]] = {}
+    for j, kappa in enumerate(web.cleared_kappas()):
+        for subset, c in _minors(kappa, web.r * web.n).items():
+            if c:
+                rows.setdefault(subset, {})[j] = c
+    return list(rows.values())
 
 
 def _prolonged_rows(
@@ -172,10 +165,6 @@ def _prolonged_rows(
     r, rn = web.r, web.r * web.n
     dim_e = poly_space_dim(r, h)
     pos = monomial_position(r, h)
-    cleared, _ = _clear_denominators(
-        row for foliation in web.foliations for row in foliation.matrix.entries
-    )
-    kappas = [cleared[j * r : (j + 1) * r] for j in range(web.d)]
     # derivative[t][a]: the lcm of the kappas' denominators times
     # coordinate t = (j, m) of D_a c, as (column, integer) pairs; x^m in
     # dc_j/dx_i has (m_i + 1) times the coefficient of x^(m + e_i) in c_j
@@ -187,7 +176,7 @@ def _prolonged_rows(
             ]
             for a in range(rn)
         ]
-        for j, kappa in enumerate(kappas)
+        for j, kappa in enumerate(web.cleared_kappas())
         for m in monomial_exponents(r, h - 1)
     ]
     # y is in span K iff y_q = sum_f K_f[q] * y_f at every non-free q; the
@@ -200,10 +189,10 @@ def _prolonged_rows(
         for q, x in support:
             weights[q][f] = -x
     for weight in weights.values():
-        weight = _integral(weight)
+        (values,), _ = _clear_denominators([weight.values()])
         for a in range(rn):
             row: dict[int, int] = {}
-            for t, w in weight.items():
+            for t, w in zip(weight, values):
                 for col, c in derivative[t][a]:
                     row[col] = row.get(col, 0) + w * c
             yield {col: c for col, c in row.items() if c}

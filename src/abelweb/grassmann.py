@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
-from .exactalg import Matrix, _clear_denominators, _clear_row, json_array, rational
+from .exactalg import Matrix, _clear_denominators, json_array, rational
 from .multilinear import monomial_exponents, wedge, ExteriorForm
 from .webcore import (
     ConstantFoliation,
@@ -315,17 +315,18 @@ def _recover_basis(web: ConstantWeb) -> Matrix:
 
 
 def _point_from_block_matrix(
-    columns: Sequence[Sequence[int]], foliation: ConstantFoliation, r: int, n: int, k: int
+    columns: Sequence[Sequence[int]], kappa: Sequence[Sequence[int]], r: int, n: int, k: int
 ) -> ProjectivePoint:
-    """Read p_k off a foliation expressed in the recovered coordinates.
+    """Read p_k off foliation k expressed in the recovered coordinates.
 
     ``columns`` are the columns of the inverse of the recovered basis,
-    all times one integer.  Each defining covector, cleared of
-    denominators, then has integer m-basis coefficients, which are its
-    rational ones times one non-zero scale.  Reshaped r x n, they must
-    be rank 1 with one common right factor xi, the point: every block
-    row x passes x[i] * xi[lead] == x[lead] * xi[i], lead the first
-    non-zero position of xi.
+    all times one integer, and ``kappa`` the foliation's defining rows,
+    all times another (``ConstantWeb.cleared_kappas``).  Each covector
+    then has integer m-basis coefficients, which are its rational ones
+    times one non-zero scale.  Reshaped r x n, they must be rank 1 with
+    one common right factor xi, the point: every block row x passes
+    x[i] * xi[lead] == x[lead] * xi[i], lead the first non-zero position
+    of xi.
 
     Acceptance certifies the foliation.  Every covector then has
     coefficients c (x) xi, so it is sum_a c_a sum_alpha xi_alpha m_{a,alpha},
@@ -333,9 +334,8 @@ def _point_from_block_matrix(
     independent covectors, so they are equal.
     """
     blocks = []
-    for row in foliation.matrix.entries:
-        ints = _clear_row(row)[0]
-        coeffs = [sum(a * b for a, b in zip(ints, col)) for col in columns]
+    for row in kappa:
+        coeffs = [sum(a * b for a, b in zip(row, col)) for col in columns]
         blocks.extend(coeffs[a * n : (a + 1) * n] for a in range(r))
     xi = next((row for row in blocks if any(row)), None)
     if xi is None:
@@ -390,8 +390,8 @@ def recover_normal_form(
     basis = _recover_basis(take_subweb(web, subweb_indices))
     columns, _ = _clear_denominators(zip(*basis.inverse().entries))
     points = [
-        _point_from_block_matrix(columns, foliation, r, n, k)
-        for k, foliation in enumerate(web.foliations, start=1)
+        _point_from_block_matrix(columns, kappa, r, n, k)
+        for k, kappa in enumerate(web.cleared_kappas(), start=1)
     ]
     if d >= _castelnuovo_threshold(r, n) and not castelnuovo_rnc_test(points, r):
         # semi-extremality was verified above, which provably places the

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exactalg import Matrix, _clear_denominators, _clear_row, binomial, rational
+from .exactalg import Matrix, _clear_denominators, binomial, rational
 
 
 @lru_cache(maxsize=None)
@@ -364,36 +364,39 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     return ExteriorForm(a.ambient_dim, grade, coeffs)
 
 
+def _minors(rows: Sequence[Sequence[int]], n: int) -> dict[tuple[int, ...], int]:
+    """Every maximal minor of integer rows with n columns, by column subset (colex).
+
+    One Laplace sweep over subset sizes: along row i (1-based) over the
+    columns S, M_i(S) = sum_t (-1)^(i-1+t) a_{i,S[t]} M_{i-1}(S minus S[t]).
+    """
+    minors = {(): 1}
+    for i, row in enumerate(rows):
+        minors = {
+            subset: sum(
+                (-1) ** (i + t) * row[c] * minors[subset[:t] + subset[t + 1 :]]
+                for t, c in enumerate(subset)
+                if row[c]
+            )
+            for subset in index_subsets(n, i + 1)
+        }
+    return minors
+
+
 def wedge_rows(rows: Sequence[Sequence]) -> ExteriorForm:
     """Wedge of covectors; subset coefficients are the maximal minors.
 
-    Equivalent to wedging the rows one by one.  Each row is scaled once
-    to coprime integers, ``a_i = row_i * lcm_i / g_i``; then one Laplace
-    sweep over subset sizes gives every minor of the integer rows,
-    M_i(S) = sum_t (-1)^(i-1+t) a_{i,S[t]} M_{i-1}(S minus S[t]) along
-    row i (1-based) over the columns S, and a single division by
-    prod(lcm_i) / prod(g_i) returns them to the given rows.
+    Equivalent to wedging the rows one by one.  The k rows are cleared by
+    one lcm ``den`` of their denominators, :func:`_minors` gives every
+    minor of the integer rows, and a single division by den^k returns
+    them to the given rows.
     """
     matrix = Matrix(rows)
     k = matrix.rows
     n = matrix.cols
     if k > n:
         raise ValueError("grade exceeds ambient dimension")
-    num = den = 1
-    minors = {(): 1}
-    for i, row in enumerate(matrix.entries):
-        ints, lcm, g = _clear_row(row)
-        if not g:
-            return ExteriorForm(n, k)
-        num, den = num * g, den * lcm
-        minors = {
-            subset: sum(
-                (-1) ** (i + t) * ints[c] * minors[subset[:t] + subset[t + 1 :]]
-                for t, c in enumerate(subset)
-                if ints[c]
-            )
-            for subset in index_subsets(n, i + 1)
-        }
+    ints, den = _clear_denominators(matrix.entries)
     return ExteriorForm(
-        n, k, {subset: Fraction(v * num, den) for subset, v in minors.items() if v}
+        n, k, {subset: Fraction(v, den**k) for subset, v in _minors(ints, n).items() if v}
     )

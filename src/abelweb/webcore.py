@@ -13,11 +13,11 @@ when they are linearly independent.  So PG is a rank condition on
 stacked rows, with no exterior algebra.
 
 ``check_pg`` takes those ranks modulo the prime p below 2**61 first, on
-the rows scaled to integers, extending one echelon per prefix of the
-current subset.  Rank modulo p never exceeds rank over Q, so full rank
-modulo p proves independence; only a subset that looks deficient gets
-an exact rank, so the first failing subset is the one exact ranks alone
-report.
+the web's rows cleared by one lcm (``ConstantWeb.cleared_kappas``),
+extending one echelon per prefix of the current subset.  Rank modulo p
+never exceeds rank over Q, so full rank modulo p proves independence;
+only a subset that looks deficient gets an exact rank, so the first
+failing subset is the one exact ranks alone report.
 
 The closed-form quantities:
 
@@ -33,14 +33,14 @@ import itertools
 from typing import Iterable, Sequence
 
 from .errors import DegenerateWebError
-from .exactalg import Matrix, _clear_row, _extend_mod, _prime_below, binomial, json_array
+from .exactalg import Matrix, _clear_denominators, _extend_mod, _prime_below, binomial, json_array
 from .multilinear import ExteriorForm, wedge_rows
 
 
 class ConstantFoliation:
     """One codimension-r foliation, given by the rows of its defining map."""
 
-    __slots__ = ("r", "n", "matrix", "_span", "_normal")
+    __slots__ = ("r", "n", "matrix", "_span")
 
     def __init__(self, r: int, n: int, matrix: Matrix):
         if matrix.rows != r or matrix.cols != r * n:
@@ -51,7 +51,6 @@ class ConstantFoliation:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_span", None)
-        object.__setattr__(self, "_normal", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ConstantFoliation is immutable")
@@ -84,7 +83,7 @@ class ConstantWeb:
     ``_relations`` keeps the bases of R(0), R(1), ... (see ``abelian``).
     """
 
-    __slots__ = ("r", "n", "foliations", "_pg", "_relations")
+    __slots__ = ("r", "n", "foliations", "_pg", "_relations", "_kappas")
 
     def __init__(self, r: int, n: int, foliations: Sequence[ConstantFoliation]):
         foliations = tuple(foliations)
@@ -100,6 +99,7 @@ class ConstantWeb:
         object.__setattr__(self, "foliations", foliations)
         object.__setattr__(self, "_pg", None)
         object.__setattr__(self, "_relations", [])
+        object.__setattr__(self, "_kappas", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ConstantWeb is immutable")
@@ -110,6 +110,17 @@ class ConstantWeb:
 
     def foliation_set(self) -> frozenset:
         return frozenset(self.foliations)
+
+    def cleared_kappas(self) -> list[list[list[int]]]:
+        """kappa_1, ..., kappa_d as integer rows, all times the lcm L of every
+        denominator in the web: one scale, so relations stay relations."""
+        if self._kappas is None:
+            rows, _ = _clear_denominators(
+                row for foliation in self.foliations for row in foliation.matrix.entries
+            )
+            kappas = [rows[j * self.r : (j + 1) * self.r] for j in range(self.d)]
+            object.__setattr__(self, "_kappas", kappas)
+        return self._kappas
 
     def pg(self) -> tuple[bool, tuple[int, ...] | None]:
         if self._pg is None:
@@ -170,16 +181,11 @@ def web_type_from_json(data: dict) -> tuple[int, int]:
 
 
 def generator_normal(foliation: ConstantFoliation) -> ExteriorForm:
-    """The r-form obtained by wedging the defining rows; never zero.
-
-    Computed once per foliation and kept on it.
-    """
-    if foliation._normal is None:
-        normal = wedge_rows(foliation.matrix.entries)
-        if normal.is_zero:
-            raise DegenerateWebError("not a foliation: generator normal vanishes")
-        object.__setattr__(foliation, "_normal", normal)
-    return foliation._normal
+    """The r-form obtained by wedging the defining rows; never zero."""
+    normal = wedge_rows(foliation.matrix.entries)
+    if normal.is_zero:
+        raise DegenerateWebError("not a foliation: generator normal vanishes")
+    return normal
 
 
 def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
@@ -195,7 +201,7 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     prefix it shares and extends them (see the module docstring).
     """
     p = _prime_below(2**61)
-    rows = [[_clear_row(row)[0] for row in f.matrix.entries] for f in web.foliations]
+    rows = web.cleared_kappas()
     for delta in range(2, min(web.d, web.n) + 1):
         stack: list[list] = [[]]
         previous: tuple[int, ...] = ()

@@ -362,7 +362,7 @@ def test_point_reader_matches_oracle():
             f = foliation_from_point(basis, p)
             mixed = ConstantFoliation(r, n, _rational_invertible(rng, r) * f.matrix)
             for foliation in (f, mixed):
-                point = _point_from_block_matrix(columns, foliation, r, n, k)
+                point = _point_from_block_matrix(columns, _kappa(foliation), r, n, k)
                 assert point == oracle._point_from_block_matrix(inverse, foliation, r, n, k) == p
             # rows of F(p) and F(p'), or random rows: rank r, not F(p)
             other = foliation_from_point(basis, ProjectivePoint(
@@ -375,11 +375,16 @@ def test_point_reader_matches_oracle():
             if matrix.rank() < r:
                 continue
             foliation = ConstantFoliation(r, n, matrix)
-            got = _outcome(lambda: _point_from_block_matrix(columns, foliation, r, n, k))
+            got = _outcome(lambda: _point_from_block_matrix(columns, _kappa(foliation), r, n, k))
             assert got == _outcome(
                 lambda: oracle._point_from_block_matrix(inverse, foliation, r, n, k))
             not_fp += isinstance(got, str)
     assert not_fp > 20
+
+
+def _kappa(foliation):
+    """The foliation's rows as the point reader gets them: cleared to integers."""
+    return ConstantWeb(foliation.r, foliation.n, [foliation]).cleared_kappas()[0]
 
 
 def _outcome(read):
