@@ -538,7 +538,13 @@ class Matrix:
     @classmethod
     def from_json(cls, data, field: str = "matrix") -> "Matrix":
         """A matrix from a JSON array of row arrays; ``field`` names it in errors."""
-        rows = json_array(data, field)
-        return cls(
-            json_array(row, f"{field} row {i}") for i, row in enumerate(rows, start=1)
-        )
+        rows = [
+            json_array(row, f"{field} row {i}")
+            for i, row in enumerate(json_array(data, field), start=1)
+        ]
+        for i, row in enumerate(rows, start=1):
+            if len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{field} row {i} has {len(row)} entries; row 1 has {len(rows[0])}"
+                )
+        return cls(rows)

@@ -487,14 +487,12 @@ def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
             raise DegenerateWebError("not on a common RNC")
         images.append(tuple(1 / c for c in y))
     line_a, line_b = images[1], images[2]
-    span = Matrix([line_a, line_b])
-    if span.rank() != 2:
+    reduced, pivots = Matrix(list(zip(line_a, line_b, *images))).rref()
+    if pivots[:2] != (0, 1):
         raise DegenerateWebError("degenerate: coincident points on the candidate curve")
-
-    system = Matrix(list(zip(line_a, line_b)))
-    coordinates = [system.solve(image) for image in images]
-    if None in coordinates:
+    if len(pivots) > 2:
         raise DegenerateWebError("not on a common RNC")
+    coordinates = [(reduced[0, k], reduced[1, k]) for k in range(2, 2 + len(images))]
     c = 1
     while any(lam + mu / c == 0 for lam, mu in coordinates):
         c += 1

@@ -30,11 +30,11 @@ class PlaneArrangement:
         planes = tuple(planes)
         if not planes:
             raise ValueError("an arrangement needs at least one plane")
-        for plane in planes:
+        for i, plane in enumerate(planes, start=1):
             if plane.rows != n - 1 or plane.cols != r + n:
-                raise ValueError(f"each plane needs a {n - 1}x{r + n} form matrix")
+                raise ValueError(f"plane {i} needs a {n - 1}x{r + n} form matrix")
             if plane.rank() != n - 1:
-                raise ValueError("plane forms are not independent")
+                raise ValueError(f"plane {i} forms are not independent")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "planes", planes)

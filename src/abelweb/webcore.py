@@ -157,11 +157,13 @@ class ConstantWeb:
     @classmethod
     def from_json(cls, data: dict) -> "ConstantWeb":
         r, n = web_type_from_json(data)
-        matrices = json_array(data["foliations"], "foliations")
-        foliations = [
-            ConstantFoliation(r, n, Matrix.from_json(rows, f"foliation {j}"))
-            for j, rows in enumerate(matrices, start=1)
-        ]
+        foliations = []
+        for j, rows in enumerate(json_array(data["foliations"], "foliations"), start=1):
+            matrix = Matrix.from_json(rows, f"foliation {j}")
+            try:
+                foliations.append(ConstantFoliation(r, n, matrix))
+            except (ValueError, DegenerateWebError) as exc:
+                raise type(exc)(f"foliation {j}: {exc}") from None
         return cls(r, n, foliations)
 
 
@@ -196,9 +198,11 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     lexicographically.  Sizes start at 2: a single foliation has rank r
     by construction, so its normal is never zero.
 
-    ``stack[k]`` is the echelon modulo p of the first k foliations of the
-    current subset; the next subset in order keeps the echelons of the
-    prefix it shares and extends them (see the module docstring).
+    The rows are ``web.cleared_kappas()``: scaling by L != 0 changes no
+    rank, and every failure is confirmed by an exact rank.  ``stack[k]``
+    is the echelon modulo p of the first k foliations of the current
+    subset; the next subset in order keeps the echelons of the prefix it
+    shares and extends them (see the module docstring).
     """
     p = _prime_below(2**61)
     rows = web.cleared_kappas()

@@ -115,6 +115,12 @@ def _random_web(rng, r, n, d, entry) -> ConstantWeb:
     return ConstantWeb(r, n, foliations)
 
 
+def _over(rng, row):
+    """A row times a random rational, so each row has its own denominator."""
+    scale = Fraction(rng.choice((1, -2, 3)), rng.choice((2, 3, 5, 7)))
+    return [x * scale for x in row]
+
+
 def test_check_pg_matches_oracle():
     rng = make_rng(41)
     types = [(1, 2, 4), (1, 3, 4), (2, 2, 4), (2, 3, 4), (3, 2, 3)]
@@ -124,7 +130,21 @@ def test_check_pg_matches_oracle():
         verdict = check_pg(web)
         assert verdict == oracle.check_pg(web), web.to_json()
         failing += not verdict[0]
+        # each row over its own denominator: a web with the same verdict
+        scaled = ConstantWeb(web.r, web.n, [
+            ConstantFoliation(web.r, web.n, Matrix([_over(rng, row) for row in f.matrix.entries]))
+            for f in web.foliations
+        ])
+        assert check_pg(scaled) == oracle.check_pg(scaled) == verdict, scaled.to_json()
     assert 60 <= failing <= 180  # about a third
+    failing = 0
+    for k in range(150):
+        web = _random_web(rng, *types[k % len(types)],
+                          lambda: Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))))
+        verdict = check_pg(web)
+        assert verdict == oracle.check_pg(web), web.to_json()
+        failing += not verdict[0]
+    assert failing >= 5  # about one in eight
 
     rng = make_rng(46)
     for r, n, d in [(1, 5, 8), (2, 4, 9), (1, 6, 9)]:

@@ -7,7 +7,10 @@ for each foliation or on the order of the foliations, and a change of
 basis g of one foliation scales its generator normal by det(g).  On
 small PG webs with rational entries, the per-degree dimensions do not
 depend on the scale of each defining row or on the order of the
-foliations, and every relation of degree <= 1 passes its verification.
+foliations, and every relation of degree <= 1 passes its verification;
+under a rational gauge g of V, kappa_j -> kappa_j g, the relation bases
+and the rank report do not change at all (the normal of kappa_j g is
+the pullback of Omega_j by g, so each relation pulls back to zero).
 The examples are drawn from ``DEFAULT_SEED`` (``ABELWEB_SEED``), so a
 run is reproducible, and no example database is written.
 """
@@ -27,6 +30,7 @@ from abelweb import (
     h_cutoff,
     relation_space,
     relation_space_dim,
+    total_rank,
 )
 from helpers import DEFAULT_SEED
 
@@ -130,3 +134,21 @@ def test_dims_invariant_under_row_scaling_and_permutation(data):
         assert [relation_space_dim(other, h) for h in range(cutoff)] == dims
         for h in range(min(2, cutoff)):
             assert len(relation_space(other, h)) == dims[h]  # each one verified
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(st.data())
+def test_relation_bases_invariant_under_gauge(data):
+    web = data.draw(rational_pg_webs())
+    rn = web.r * web.n
+    g = data.draw(invertible(rn))
+    column_scales = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=rn, max_size=rn))
+    g = Matrix([[x * s for x, s in zip(row, column_scales)] for row in g.entries])
+    gauged = ConstantWeb(web.r, web.n, [
+        ConstantFoliation(web.r, web.n, f.matrix * g) for f in web.foliations
+    ])
+    for h in range(h_cutoff(web.r, web.n, web.d)):
+        assert ([e.vector() for e in relation_space(gauged, h)]
+                == [e.vector() for e in relation_space(web, h)])
+    assert total_rank(gauged).to_json() == total_rank(web).to_json()
