@@ -544,7 +544,6 @@ class Matrix:
         ]
         for i, row in enumerate(rows, start=1):
             if len(row) != len(rows[0]):
-                raise ValueError(
-                    f"{field} row {i} has {len(row)} entries; row 1 has {len(rows[0])}"
-                )
+                raise ValueError(f"ragged rows in {field}: row {i} has {len(row)} entries, "
+                                 f"row 1 has {len(rows[0])}")
         return cls(rows)

@@ -492,7 +492,7 @@ def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
         raise DegenerateWebError("degenerate: coincident points on the candidate curve")
     if len(pivots) > 2:
         raise DegenerateWebError("not on a common RNC")
-    coordinates = [(reduced[0, k], reduced[1, k]) for k in range(2, 2 + len(images))]
+    coordinates = [(reduced[0, k], reduced[1, k]) for k in range(2, reduced.cols)]
     c = 1
     while any(lam + mu / c == 0 for lam, mu in coordinates):
         c += 1

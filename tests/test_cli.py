@@ -269,30 +269,33 @@ def test_json_strings_are_not_arrays(tmp_path, capsys, argv, option, data, field
     assert f"{field} must be a JSON array" in err
 
 
-_ZERO_ONE = [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+# a valid first foliation of type (2, 2), and a valid first plane of type (1, 3)
+_FOLIATION = [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+_PLANE = [["1", "0", "0", "1"], ["0", "1", "0", "1"]]
 
 
 # each shape or rank error names the foliation, plane or matrix field at fault
 @pytest.mark.parametrize("argv, option, data, code, message", [
     (["rank"], "--web", {"r": 1, "n": 2, "foliations": [[["1", "0"]], [["0", "1", "1"]]]},
      1, "foliation 2: expected a 1x2 coefficient matrix"),
-    (["rank"], "--web", {"r": 2, "n": 2, "foliations": [_ZERO_ONE, [["0", "0", "1", "0"], ["1"]]]},
-     1, "foliation 2 row 2 has 1 entries; row 1 has 4"),
+    (["rank"], "--web",
+     {"r": 2, "n": 2, "foliations": [_FOLIATION, [["0", "0", "1", "0"], ["1"]]]},
+     1, "ragged rows in foliation 2: row 2 has 1 entries, row 1 has 4"),
     (["pg"], "--web", {"r": 1, "n": 2, "foliations": [[["1", "0"]], [["0", "0"]]]},
      2, "foliation 2: not a foliation: coefficient matrix is rank deficient"),
-    (["incidence"], "--arrangement", {"r": 1, "n": 3, "planes": [
-        [["1", "0", "0", "1"], ["0", "1", "0", "1"]], [["1", "0", "0", "2"], ["0", "1"]]]},
-     1, "plane 2 row 2 has 2 entries; row 1 has 4"),
+    (["incidence"], "--arrangement",
+     {"r": 1, "n": 3, "planes": [_PLANE, [["1", "0", "0", "2"], ["0", "1"]]]},
+     1, "ragged rows in plane 2: row 2 has 2 entries, row 1 has 4"),
     (["incidence"], "--arrangement", {"r": 1, "n": 2, "planes": [[["1", "0", "1"]], [["1", "0"]]]},
      1, "plane 2 needs a 1x3 form matrix"),
-    (["incidence"], "--arrangement", {"r": 1, "n": 3, "planes": [
-        [["1", "0", "0", "1"], ["0", "1", "0", "1"]], [["1", "0", "0", "2"], ["2", "0", "0", "4"]]]},
+    (["incidence"], "--arrangement",
+     {"r": 1, "n": 3, "planes": [_PLANE, [["1", "0", "0", "2"], ["2", "0", "0", "4"]]]},
      1, "plane 2 forms are not independent"),
     (["canonical"], "--moment",
      {"r": 1, "n": 2, "taus": ["0", "1", "2", "3", "4"], "base_change": [["1", "0"], ["1"]]},
-     1, "base_change row 2 has 1 entries; row 1 has 2"),
+     1, "ragged rows in base_change: row 2 has 1 entries, row 1 has 2"),
     (["moment", "-r", "1", "-n", "2", "--taus", "0,1,2"], "--base", [["1", "0"], ["1"]],
-     1, "base change row 2 has 1 entries; row 1 has 2"),
+     1, "ragged rows in base change: row 2 has 1 entries, row 1 has 2"),
 ], ids=["foliation-shape", "foliation-ragged", "foliation-rank", "plane-ragged",
         "plane-shape", "plane-rank", "canonical-base_change-ragged", "moment-base-ragged"])
 def test_shape_errors_name_their_field(tmp_path, capsys, argv, option, data, code, message):

@@ -11,7 +11,8 @@ Fraction ``substitute``, ``_verify_relation`` and
 greedy-completion ``canonical_data``.  Inputs
 are seeded (``ABELWEB_SEED``) and cover the shapes where elimination
 bookkeeping goes wrong: tall, wide, rank-deficient, zero columns, webs
-that fail general position at every subset size, high-n moment webs,
+that fail general position at every subset size (also with rows over
+different denominators), high-n moment webs,
 webs whose first failure needs three foliations, relation matrices of
 webs with rational entries, and moment webs under random gauges.  The
 certified kernel is also driven past an unlucky prime and into a second
