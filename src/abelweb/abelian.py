@@ -28,7 +28,8 @@ rows' kernel.  That kernel is R(h), so the certificate carries over.
 
 Every row is built from ``ConstantWeb.cleared_kappas``, the kappa_j
 times one lcm L of all their denominators; their maximal minors
-(``multilinear._minors``) are L^r * Omega_j, the integer normals.
+(``ConstantWeb.cleared_normals``, one table per web) are L^r * Omega_j,
+the integer normals.
 Verification of a relation (``_verify_relation``) also runs in integers.
 The coefficients of all components are cleared by one lcm D; each
 non-zero component is pulled back along its cleared kappa_j by
@@ -56,7 +57,6 @@ from .exactalg import Matrix, _clear_denominators, certified_kernel
 from .multilinear import (
     HomogeneousPoly,
     _expand,
-    _minors,
     monomial_exponents,
     monomial_position,
     poly_space_dim,
@@ -106,13 +106,13 @@ def _verify_relation(web: ConstantWeb, components: Sequence[HomogeneousPoly]) ->
     if not live:
         return
     rn, h = web.r * web.n, components[live[0]].degree
-    kappas = web.cleared_kappas()
+    kappas, normals = web.cleared_kappas(), web.cleared_normals()
     coeffs, _ = _clear_denominators(components[j].coeffs.values() for j in live)
     positions = subset_position(rn, web.r)
     width = len(positions)
     total: dict[int, int] = {}
     for j, values in zip(live, coeffs):
-        terms = [(positions[s], v) for s, v in _minors(kappas[j], rn).items() if v]
+        terms = [(positions[s], v) for s, v in normals[j].items()]
         pulled = _expand(dict(zip(components[j].coeffs, values)), kappas[j], h)
         for code, p in pulled.items():
             if p:
@@ -147,10 +147,9 @@ def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
 def _normal_rows(web: ConstantWeb) -> list[dict[int, int]]:
     """The rows of R(0): one per r-subset, the cleared normals' minors there."""
     rows: dict[tuple[int, ...], dict[int, int]] = {}
-    for j, kappa in enumerate(web.cleared_kappas()):
-        for subset, c in _minors(kappa, web.r * web.n).items():
-            if c:
-                rows.setdefault(subset, {})[j] = c
+    for j, normal in enumerate(web.cleared_normals()):
+        for subset, c in normal.items():
+            rows.setdefault(subset, {})[j] = c
     return list(rows.values())
 
 

@@ -21,11 +21,13 @@ row divided by its pivot entry is a row of the RREF.
 Relation spaces do not go through :class:`Matrix`: :func:`certified_kernel`
 takes the sparse integer rows that cut them out and returns the canonical
 kernel basis from elimination modulo a 61-bit prime, lifted to Q and
-checked exactly.  The one elimination modulo p is :func:`_extend_mod`,
-which also serves the general-position check; the kernel back-substitutes
-its echelon into the RREF modulo p.
+checked exactly.  The one elimination modulo p is :func:`_extend_mod`, a
+sparse echelon (rows as dicts, each reduced at the pivots it touches, in
+increasing order); it also serves the general-position check, and the
+kernel back-substitutes its echelon into the RREF modulo p with it.
 Arithmetic modulo p only proposes the basis; the exact check over Q and
-the certificate in its docstring make it a result.
+the certificate in its docstring make it a result, and a proven bound on
+the primes tried turns a faulty elimination into an error, not a hang.
 
 The kernel basis returned by :meth:`Matrix.kernel_basis` is the canonical
 one read off the reduced row echelon form: free columns in increasing
@@ -34,10 +36,15 @@ index order, with a 1 in the free coordinate of each basis vector.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+from .errors import InternalContradictionError
 
 Scalar = Fraction
 
@@ -184,30 +191,47 @@ def _primes() -> Iterator[int]:
 
 
 def _extend_mod(
-    echelon: list[tuple[int, list[int]]], rows: Iterable[list[int]], p: int
-) -> list[tuple[int, list[int]]]:
+    echelon: dict[int, dict[int, int]], rows: Iterable[dict[int, int]], p: int
+) -> dict[int, dict[int, int]]:
     """An echelon basis modulo ``p`` of the span of ``echelon`` and ``rows``.
 
-    ``echelon`` lists (pivot column, tail) pairs: the tail is the basis
-    row from its pivot on, starting with 1, since the row is 0 before
-    its pivot; each row is also 0 at the pivots listed before it.  A new
-    row, reduced by the rows in that order (``row[col:] -= f * tail``),
-    is 0 at every pivot; if anything is left it is scaled to 1 at its
-    first non-zero column, which becomes its pivot, and appended.  So
-    the length of the result is the rank modulo ``p``; ``echelon`` is
-    not changed and can be extended again.
+    ``echelon`` maps each pivot column to its basis row, a sparse dict of
+    residues whose least column is the pivot; no row has a column left
+    of its pivot, so reducing a row by another never fills in left of
+    that pivot.  A new row (column -> integer) is reduced at the pivots
+    in its support in increasing order, kept on a heap as fill adds
+    more; what is left, if anything, is stored under its least column.
+    A basis row is scaled to 1 at its pivot only when it first reduces a
+    row, in place, which changes neither pivot nor span.  So the length
+    of the result is the rank modulo ``p``; the outer dict is copied, so
+    ``echelon`` keeps its pivots and span and can be extended again.
     """
-    echelon = list(echelon)
+    echelon = dict(echelon)
     for row in rows:
-        row = [a % p for a in row]
-        for col, tail in echelon:
-            f = row[col]
-            if f:
-                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
-        col = next((j for j, a in enumerate(row) if a), None)
-        if col is not None:
-            inv = pow(row[col], -1, p)
-            echelon.append((col, [a * inv % p for a in row[col:]]))
+        row = {c: a % p for c, a in row.items() if a % p}
+        heap = [c for c in row if c in echelon]
+        heapq.heapify(heap)
+        while heap:
+            col = heapq.heappop(heap)
+            f = row.get(col)
+            if not f:
+                continue
+            basis = echelon[col]
+            if basis[col] != 1:
+                inv = pow(basis[col], -1, p)
+                for c, b in basis.items():
+                    basis[c] = b * inv % p
+            for c, b in basis.items():
+                a = row.get(c, 0)
+                v = (a - f * b) % p
+                if v:
+                    row[c] = v
+                    if not a and c in echelon:
+                        heapq.heappush(heap, c)
+                else:  # f * b is not 0 modulo p, so a was not
+                    del row[c]
+        if row:
+            echelon[min(row)] = row
     return echelon
 
 
@@ -282,12 +306,13 @@ def certified_kernel(
     every other free column, and support in f and the pivots before f.
 
     Method (Dixon's p-adic idea in its simplest, one-shot form).  For p
-    in a fixed descending sequence of primes below 2**61, eliminate
-    modulo p: a wide or square matrix A as it is, a tall one through
-    G = A^T A.  Over Q, x^T G x = |Ax|^2, so ker G = ker A and G has the
-    row space, hence the RREF, of A; modulo p, ker G contains ker A.
-    Either way the rank rank_p found modulo p is at most rank_Q, the rank
-    of A over Q.  Full column rank modulo p therefore means an empty
+    in a fixed descending sequence of primes below 2**61, the rows A,
+    sparsest first, are eliminated modulo p by :func:`_extend_mod`.  Fed
+    to it once more from the last pivot up, each echelon row is reduced
+    at the later pivots in its support, whose rows are reduced already,
+    which leaves the RREF modulo p.  Whatever the order of the row
+    operations, the rank rank_p found modulo p is at most rank_Q, the
+    rank of A over Q.  Full column rank modulo p therefore means an empty
     kernel.  Otherwise each kernel vector modulo p is lifted to Q by
     rational reconstruction and A v = 0 is checked exactly in integers.
 
@@ -310,44 +335,50 @@ def certified_kernel(
     every leading block of columns too, so the pivots over Q are least
     in the componentwise (Gale) order, hence lexicographically.  A prime
     with the rank and pivots over Q has the RREF over Q, reduced modulo
-    p, as its RREF, and all primes but the finitely many dividing one
-    fixed non-zero minor are such primes.  Once the product of the
-    combined primes exceeds 2 H**2, H the largest numerator or
+    p, as its RREF, and all other primes divide one fixed non-zero minor
+    D (rank_Q independent rows at the pivots over Q).  Once the product
+    of the combined primes exceeds 2 H**2, H the largest numerator or
     denominator in the RREF, reconstruction returns the RREF entries and
-    the check passes.  So the loop ends on every input and never raises.
+    the check passes.
+
+    Why the loop ends.  Let B be the product of the min(rows, ncols)
+    largest row norms, rounded up.  Every RREF entry is a ratio of two
+    minors of A (Cramer's rule), so Hadamard's bound gives H <= B, and
+    |D| <= B.  The primes other than those combined divide D, so their
+    product is at most B; the combined ones before the last multiply to
+    at most 2 H**2, and every prime is below 2**61.  So a correct
+    elimination returns before the product of all primes tried, skipped
+    and reset ones included, reaches 2**62 B**3; past that point the
+    elimination is at fault, and InternalContradictionError is raised.
     """
-    rows = [row for row in rows if row]
-    if len(rows) > ncols:
-        system = [[0] * ncols for _ in range(ncols)]
-        for row in rows:
-            nz = sorted(row.items())
-            for k, (i, a) in enumerate(nz):
-                target = system[i]
-                for j, b in nz[k:]:
-                    target[j] += a * b
-        for i in range(ncols):
-            for j in range(i):
-                system[i][j] = system[j][i]
-    else:
-        system = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-    best = None
+    rows = sorted((row for row in rows if row), key=len)
+    tried, cap, best = 1, None, None
     for p in _primes():
-        echelon = sorted(_extend_mod([], system, p))
+        if tried > 1:
+            if cap is None:  # needed only once a prime has failed
+                squares = sorted(sum(map(operator.mul, r.values(), r.values())) for r in rows)
+                cap = 2**62 * (math.isqrt(math.prod(squares[-ncols:])) + 1) ** 3
+            if tried >= cap:
+                raise InternalContradictionError(
+                    "certified_kernel: no certified kernel within the proven number of primes"
+                )
+        tried *= p
+        echelon = _extend_mod({}, rows, p)
         if len(echelon) == ncols:
             return []
-        # back-substitution, last pivot first, leaves the RREF modulo p
-        for k in range(len(echelon) - 1, 0, -1):
-            q, tail = echelon[k]
-            for col, above in echelon[:k]:
-                f = above[q - col]
-                if f:
-                    above[q - col :] = [
-                        (a - f * b) % p for a, b in zip(above[q - col :], tail)
-                    ]
-        pivots = [q for q, _ in echelon]
-        pivot_set = set(pivots)
-        free = [f for f in range(ncols) if f not in pivot_set]
-        residues = [[-tail[f - q] % p for q, tail in echelon if q < f] for f in free]
+        reduced = _extend_mod({}, (echelon[q] for q in sorted(echelon, reverse=True)), p)
+        pivots = sorted(reduced)
+        # kernel vector f is -(RREF column f) at the pivots before f; an
+        # entry at another pivot means a faulty elimination, and is left
+        # for the check to fail on and the cap to catch
+        residues = {f: [0] * bisect.bisect(pivots, f) for f in range(ncols) if f not in reduced}
+        for k, q in enumerate(pivots):
+            row = reduced[q]
+            scale = -pow(row.pop(q), -1, p)
+            for f, b in row.items():
+                if f in residues:
+                    residues[f][k] = b * scale % p
+        free, residues = list(residues), list(residues.values())
         key = (-len(pivots), pivots)
         if best is None or key < best:
             best, modulus, combined = key, p, residues

@@ -14,10 +14,11 @@ stacked rows, with no exterior algebra.
 
 ``check_pg`` takes those ranks modulo the prime p below 2**61 first, on
 the web's rows cleared by one lcm (``ConstantWeb.cleared_kappas``),
-extending one echelon per prefix of the current subset.  Rank modulo p
-never exceeds rank over Q, so full rank modulo p proves independence;
-only a subset that looks deficient gets an exact rank, so the first
-failing subset is the one exact ranks alone report.
+extending one sparse echelon (``exactalg._extend_mod``) per prefix of
+the current subset.  Rank modulo p never exceeds rank over Q, so full
+rank modulo p proves independence; only a subset that looks deficient
+gets an exact rank, so the first failing subset is the one exact ranks
+alone report.
 
 The closed-form quantities:
 
@@ -34,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import Matrix, _clear_denominators, _extend_mod, _prime_below, binomial, json_array
-from .multilinear import ExteriorForm, wedge_rows
+from .multilinear import ExteriorForm, _minors, wedge_rows
 
 
 class ConstantFoliation:
@@ -83,7 +84,7 @@ class ConstantWeb:
     ``_relations`` keeps the bases of R(0), R(1), ... (see ``abelian``).
     """
 
-    __slots__ = ("r", "n", "foliations", "_pg", "_relations", "_kappas")
+    __slots__ = ("r", "n", "foliations", "_pg", "_relations", "_kappas", "_normals")
 
     def __init__(self, r: int, n: int, foliations: Sequence[ConstantFoliation]):
         foliations = tuple(foliations)
@@ -100,6 +101,7 @@ class ConstantWeb:
         object.__setattr__(self, "_pg", None)
         object.__setattr__(self, "_relations", [])
         object.__setattr__(self, "_kappas", None)
+        object.__setattr__(self, "_normals", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ConstantWeb is immutable")
@@ -121,6 +123,17 @@ class ConstantWeb:
             kappas = [rows[j * self.r : (j + 1) * self.r] for j in range(self.d)]
             object.__setattr__(self, "_kappas", kappas)
         return self._kappas
+
+    def cleared_normals(self) -> list[dict[tuple[int, ...], int]]:
+        """The non-zero maximal minors of each cleared kappa_j by column
+        subset (colex): L^r * Omega_j, one table per foliation."""
+        if self._normals is None:
+            normals = [
+                {s: v for s, v in _minors(kappa, self.r * self.n).items() if v}
+                for kappa in self.cleared_kappas()
+            ]
+            object.__setattr__(self, "_normals", normals)
+        return self._normals
 
     def pg(self) -> tuple[bool, tuple[int, ...] | None]:
         if self._pg is None:
@@ -198,16 +211,20 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     lexicographically.  Sizes start at 2: a single foliation has rank r
     by construction, so its normal is never zero.
 
-    The rows are ``web.cleared_kappas()``: scaling by L != 0 changes no
-    rank, and every failure is confirmed by an exact rank.  ``stack[k]``
-    is the echelon modulo p of the first k foliations of the current
-    subset; the next subset in order keeps the echelons of the prefix it
-    shares and extends them (see the module docstring).
+    The rows are ``web.cleared_kappas()``, turned into sparse dicts once:
+    scaling by L != 0 changes no rank, and every failure is confirmed by
+    an exact rank.  ``stack[k]`` is the echelon modulo p of the first k
+    foliations of the current subset; the next subset in order keeps the
+    echelons of the prefix it shares and extends them (see the module
+    docstring).  An echelon row is scaled to 1 at its pivot only when it
+    first reduces another row, so the rows of a leaf echelon, which the
+    next subset drops, are not all normalized for nothing.
     """
     p = _prime_below(2**61)
-    rows = web.cleared_kappas()
+    kappas = web.cleared_kappas()
+    rows = [[{c: a for c, a in enumerate(row) if a} for row in kappa] for kappa in kappas]
     for delta in range(2, min(web.d, web.n) + 1):
-        stack: list[list] = [[]]
+        stack: list[dict] = [{}]
         previous: tuple[int, ...] = ()
         for subset in itertools.combinations(range(web.d), delta):
             shared = next(
@@ -218,7 +235,7 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
                 stack.append(_extend_mod(stack[-1], rows[j], p))
             previous = subset
             if len(stack[-1]) < delta * web.r:
-                stacked = Matrix([row for j in subset for row in rows[j]])
+                stacked = Matrix([row for j in subset for row in kappas[j]])
                 if stacked.rank() < delta * web.r:
                     return False, tuple(j + 1 for j in subset)
     return True, None

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from abelweb import Matrix, binomial, rational
+from abelweb import InternalContradictionError, Matrix, binomial, rational
+from abelweb import exactalg
 from abelweb.exactalg import _extend_mod, _is_prime, _prime_below, _primes
 from helpers import make_rng, random_invertible, random_matrix
 
@@ -117,7 +118,8 @@ def test_prime_sequence():
 
 def test_extend_mod_rank_and_persistence():
     # check_pg extends one echelon per prefix of a subset, so an extension
-    # must leave the echelon it starts from as it was
+    # must leave the pivots and span of the echelon it starts from as they
+    # were; a lazy rescale may rewrite a shared row in place, by a unit
     rng = make_rng(40)
     p = _prime_below(2**61)
     for _ in range(60):
@@ -125,12 +127,55 @@ def test_extend_mod_rank_and_persistence():
         ints = [[int(x) for x in row] for row in rows.entries]
         if rng.random() < 0.5:
             ints.append([2 * a - b for a, b in zip(ints[0], ints[-1])])
+        sparse = [{c: a for c, a in enumerate(row) if a} for row in ints]
         split = rng.randint(0, len(ints))
-        head = _extend_mod([], ints[:split], p)
-        frozen = [(col, list(tail)) for col, tail in head]
-        full = _extend_mod(head, ints[split:], p)
-        assert head == frozen
-        assert full[: len(head)] == head
+        head = _extend_mod({}, sparse[:split], p)
+        frozen = {q: dict(row) for q, row in head.items()}
+        full = _extend_mod(head, sparse[split:], p)
+        assert head.keys() == frozen.keys()
+        for q, row in head.items():
+            assert full[q] is row and row.keys() == frozen[q].keys()
+            assert all(a * row[q] % p == b * frozen[q][q] % p for a, b in zip(
+                frozen[q].values(), row.values()))
         assert len(full) == Matrix(ints).rank()
-        for col, tail in full:
-            assert tail[0] == 1 and len(tail) == len(ints[0]) - col
+        for q, row in full.items():
+            assert min(row) == q and all(0 < a < p for a in row.values())
+        # every input row reduces to zero: the echelon spans the rows
+        assert _extend_mod(full, sparse, p).keys() == full.keys()
+
+
+@pytest.mark.parametrize("fault", ["drop a row", "skip back-substitution"])
+def test_broken_elimination_raises_instead_of_hanging(monkeypatch, fault):
+    # a correct elimination certifies before the product of the primes it
+    # tries reaches 2**62 B**3; a faulty one must hit that cap and raise,
+    # not try primes forever
+    real = exactalg._extend_mod
+    calls = []
+
+    def broken(echelon, rows, p):
+        calls.append(p)
+        assert len(calls) < 1000, "certified_kernel kept trying primes"
+        rows = list(rows)
+        if fault == "drop a row":
+            return real(echelon, rows[:-1], p)
+        # calls alternate: elimination, then back-substitution of its echelon
+        if len(calls) % 2:
+            return real(echelon, rows, p)
+        return {min(row): dict(row) for row in rows}
+
+    rng = make_rng(41)
+    cases = [([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 2, 3: 1}], 4)]
+    for _ in range(10):
+        # dense rows of full row rank: every row counts, and the first row has
+        # entries at the later pivots, so back-substitution has work to do
+        while True:
+            k = rng.randint(2, 6)
+            rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k + 3)] for _ in range(k)]
+            if Matrix(rows).rank() == k:
+                break
+        cases.append(([dict(enumerate(row)) for row in rows], k + 3))
+    monkeypatch.setattr(exactalg, "_extend_mod", broken)
+    for rows, ncols in cases:
+        calls.clear()
+        with pytest.raises(InternalContradictionError):
+            exactalg.certified_kernel(rows, ncols)

@@ -10,7 +10,12 @@ depend on the scale of each defining row or on the order of the
 foliations, and every relation of degree <= 1 passes its verification;
 under a rational gauge g of V, kappa_j -> kappa_j g, the relation bases
 and the rank report do not change at all (the normal of kappa_j g is
-the pullback of Omega_j by g, so each relation pulls back to zero).
+the pullback of Omega_j by g, so each relation pulls back to zero),
+nor under kappa_j -> A_j kappa_j with a rational A_j in GL(r) per
+foliation (Omega_j scales by det A_j and c_j is composed with A_j).
+On sparse integer matrices, tall and wide, rank-deficient, with
+repeated rows, empty columns and entries too large for one prime, the
+certified kernel is the RREF kernel basis whatever the row order.
 The examples are drawn from ``DEFAULT_SEED`` (``ABELWEB_SEED``), so a
 run is reproducible, and no example database is written.
 """
@@ -32,6 +37,7 @@ from abelweb import (
     relation_space_dim,
     total_rank,
 )
+from abelweb.exactalg import certified_kernel
 from helpers import DEFAULT_SEED
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -64,6 +70,21 @@ def rational_pg_webs(draw) -> ConstantWeb:
     web = ConstantWeb(r, n, foliations)
     assume(web.is_pg())
     return web
+
+
+@st.composite
+def sparse_int_matrices(draw) -> list[list[int]]:
+    ncols = draw(st.integers(1, 9))
+    empty = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    entry = st.one_of(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), st.integers(-2**70, 2**70))
+    rows = [[0 if j in empty else draw(entry) for j in range(ncols)]
+            for _ in range(draw(st.integers(1, 9)))]
+    for _ in range(draw(st.integers(0, 4))):
+        # a repeated row (c = 0) or a combination of two rows
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(st.integers(-2, 2))
+        rows.append([x + c * y for x, y in zip(a, b)])
+    return rows
 
 
 @st.composite
@@ -152,3 +173,30 @@ def test_relation_bases_invariant_under_gauge(data):
         assert ([e.vector() for e in relation_space(gauged, h)]
                 == [e.vector() for e in relation_space(web, h)])
     assert total_rank(gauged).to_json() == total_rank(web).to_json()
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(st.data())
+def test_certified_kernel_matches_rref_kernel_in_any_row_order(data):
+    rows = data.draw(sparse_int_matrices())
+    ncols = len(rows[0])
+    sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
+    expected = Matrix(rows).kernel_basis()
+    assert certified_kernel(sparse, ncols) == expected
+    assert certified_kernel(data.draw(st.permutations(sparse)), ncols) == expected
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(st.data())
+def test_rank_invariant_under_row_mixing(data):
+    web = data.draw(rational_pg_webs())
+    mixed = []
+    for f in web.foliations:
+        a = data.draw(invertible(web.r))
+        scales = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=web.r, max_size=web.r))
+        a = Matrix([[x * s for x in row] for row, s in zip(a.entries, scales)])
+        mixed.append(ConstantFoliation(web.r, web.n, a * f.matrix))
+    mixed = ConstantWeb(web.r, web.n, mixed)
+    assert total_rank(mixed).to_json() == total_rank(web).to_json()
