@@ -19,7 +19,11 @@ lies in R(h-1) exactly when y_q = sum_f K_f[q] * y_f at every column q
 outside the free columns f of its canonical basis K, R(h) is the kernel
 of rn * (d * C(r+h-2, h-1) - dim R(h-1)) sparse integer rows, where the
 relation matrix has C(rn+h-1, h) * C(rn, r).  The bases are kept on the
-web (``ConstantWeb._relations``), so each degree is eliminated once.
+web (``ConstantWeb._relations``), so each degree is eliminated once, in
+the sparse integer form ``certified_kernel`` returns: each vector as a
+dict of integers over its support and one positive denominator, so the
+next degree's rows are built in integers.  ``relation_space`` alone
+turns them into ``Fraction`` coefficients.
 
 Every kernel comes from :func:`exactalg.certified_kernel`: computed
 modulo a 61-bit prime, lifted to Q and checked against the rows in
@@ -49,6 +53,7 @@ InternalContradictionError instead of returning.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -154,12 +159,15 @@ def _normal_rows(web: ConstantWeb) -> list[dict[int, int]]:
 
 
 def _prolonged_rows(
-    web: ConstantWeb, h: int, lower: list[tuple[Fraction, ...]]
+    web: ConstantWeb, h: int, lower: list[tuple[int, dict[int, int]]]
 ) -> Iterator[dict[int, int]]:
     """Rows whose kernel is R(h), h >= 1, from the canonical basis K of R(h-1).
 
-    One row per direction a and non-free column q of K:
-    (e_q - sum_f K_f[q] e_f) applied to D_a c, denominators cleared.
+    K comes as ``certified_kernel`` returns it: each K_f as ``(den, vec)``
+    with K_f = vec / den, keys ascending and the free column f last.  One
+    row per direction a and non-free column q of K: (e_q - sum_f K_f[q]
+    e_f) applied to D_a c, times the lcm of the denominators of the
+    K_f[q], so that every weight is an integer, computed in integers.
     """
     r, rn = web.r, web.r * web.n
     dim_e = poly_space_dim(r, h)
@@ -167,31 +175,32 @@ def _prolonged_rows(
     # derivative[t][a]: the lcm of the kappas' denominators times
     # coordinate t = (j, m) of D_a c, as (column, integer) pairs; x^m in
     # dc_j/dx_i has (m_i + 1) times the coefficient of x^(m + e_i) in c_j
-    derivative = [
-        [
-            [
-                (j * dim_e + pos[m[:i] + (m[i] + 1,) + m[i + 1 :]], (m[i] + 1) * kappa[i][a])
-                for i in range(r) if kappa[i][a]
+    derivative = []
+    for j, kappa in enumerate(web.cleared_kappas()):
+        for m in monomial_exponents(r, h - 1):
+            raised = [
+                (kappa[i], j * dim_e + pos[m[:i] + (m[i] + 1,) + m[i + 1 :]], m[i] + 1)
+                for i in range(r)
             ]
-            for a in range(rn)
-        ]
-        for j, kappa in enumerate(web.cleared_kappas())
-        for m in monomial_exponents(r, h - 1)
-    ]
-    # y is in span K iff y_q = sum_f K_f[q] * y_f at every non-free q; the
-    # free column of a canonical basis vector is its last non-zero position
-    weights = {q: {q: Fraction(1)} for q in range(len(derivative))}
-    for vec in lower:
-        support = [(q, x) for q, x in enumerate(vec) if x]
-        f = support.pop()[0]
-        del weights[f]
-        for q, x in support:
-            weights[q][f] = -x
-    for weight in weights.values():
-        (values,), _ = _clear_denominators([weight.values()])
+            derivative.append([
+                [(col, factor * row[a]) for row, col, factor in raised if row[a]]
+                for a in range(rn)
+            ])
+    # y is in span K iff y_q = sum_f K_f[q] * y_f at every non-free q
+    touching: dict[int, list[tuple[int, int, int]]] = {q: [] for q in range(len(derivative))}
+    for den, vec in lower:
+        f = next(reversed(vec))
+        del touching[f]
+        for q, x in vec.items():
+            if q != f:
+                touching[q].append((f, x, den))
+    for q, terms in touching.items():
+        # K_f[q] = x / den has the denominator den / gcd(x, den) in lowest terms
+        scale = math.lcm(*(den // math.gcd(x, den) for _, x, den in terms))
+        weight = [(q, scale)] + [(f, -x * scale // den) for f, x, den in terms]
         for a in range(rn):
             row: dict[int, int] = {}
-            for t, w in zip(weight, values):
+            for t, w in weight:
                 for col, c in derivative[t][a]:
                     row[col] = row.get(col, 0) + w * c
             yield {col: c for col, c in row.items() if c}
@@ -199,7 +208,7 @@ def _prolonged_rows(
 
 def _relation_kernel(
     web: ConstantWeb, h: int, allow_degenerate: bool
-) -> list[tuple[Fraction, ...]]:
+) -> list[tuple[int, dict[int, int]]]:
     """The canonical basis of R(h), gated on PG and checked against the bound.
 
     Every lower degree is computed first; all of them are kept on the web.
@@ -227,15 +236,22 @@ def relation_space_dim(web: ConstantWeb, h: int, allow_degenerate: bool = False)
 def relation_space(
     web: ConstantWeb, h: int, allow_degenerate: bool = False
 ) -> list[RelationBasisElement]:
-    """Canonical kernel basis of the degree-h relation space."""
-    dim_e = poly_space_dim(web.r, h)
-    return [
-        RelationBasisElement(web, h, [
-            HomogeneousPoly.from_vector(web.r, h, vec[j * dim_e : (j + 1) * dim_e])
-            for j in range(web.d)
-        ])
-        for vec in _relation_kernel(web, h, allow_degenerate)
-    ]
+    """Canonical kernel basis of the degree-h relation space.
+
+    The only place the kernel vectors become ``Fraction`` coefficients;
+    each component's are set in column order, that is graded-lex.
+    """
+    monomials = monomial_exponents(web.r, h)
+    elements = []
+    for den, vec in _relation_kernel(web, h, allow_degenerate):
+        coeffs: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(web.d)]
+        for c, x in vec.items():
+            j, k = divmod(c, len(monomials))
+            coeffs[j][monomials[k]] = Fraction(x, den)
+        elements.append(RelationBasisElement(
+            web, h, [HomogeneousPoly(web.r, h, coeff) for coeff in coeffs]
+        ))
+    return elements
 
 
 class DegreeReport:

@@ -21,10 +21,12 @@ row divided by its pivot entry is a row of the RREF.
 Relation spaces do not go through :class:`Matrix`: :func:`certified_kernel`
 takes the sparse integer rows that cut them out and returns the canonical
 kernel basis from elimination modulo a 61-bit prime, lifted to Q and
-checked exactly.  The one elimination modulo p is :func:`_extend_mod`, a
-sparse echelon (rows as dicts, each reduced at the pivots it touches, in
-increasing order); it also serves the general-position check, and the
-kernel back-substitutes its echelon into the RREF modulo p with it.
+checked exactly.  The basis stays sparse and in integers: each vector is
+a dict of integers over its support and one positive denominator.  The
+one elimination modulo p is :func:`_extend_mod`, a sparse echelon (rows
+as dicts, each reduced at the pivots it touches, in increasing order);
+it also serves the general-position check, and the kernel
+back-substitutes its echelon into the RREF modulo p with it.
 Arithmetic modulo p only proposes the basis; the exact check over Q and
 the certificate in its docstring make it a result, and a proven bound on
 the primes tried turns a faulty elimination into an error, not a hang.
@@ -77,6 +79,21 @@ def json_array(value, field: str) -> list:
     """
     if not isinstance(value, list):
         raise ValueError(f"{field} must be a JSON array, got {value!r}")
+    return value
+
+
+def json_object(value, field: str, keys: Iterable[str] = ()) -> dict:
+    """``value``, which was read from JSON for ``field``, if it is an object
+    holding every one of ``keys``.
+
+    Anything else is bad input naming the field (and the missing key),
+    not an ``AttributeError`` or a bare ``KeyError`` from a lookup.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, got {value!r}")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{field} has no field {key!r}")
     return value
 
 
@@ -235,75 +252,81 @@ def _extend_mod(
     return echelon
 
 
-def _reconstruct(u: int, modulus: int) -> Fraction | None:
+def _reconstruct(u: int, modulus: int) -> tuple[int, int] | None:
     """The fraction a/b = u modulo ``modulus`` with |a|, |b| <= sqrt(modulus/2).
 
-    There is at most one (Wang's half-extended Euclid); None if there is
-    none.  A result is only a candidate: the caller checks it exactly.
+    There is at most one (Wang's half-extended Euclid); it is returned as
+    the integer pair (a, b) in lowest terms with b > 0, or None if there
+    is none.  A result is only a candidate: the caller checks it exactly.
     """
     bound = math.isqrt(modulus // 2)
     r0, r1, s0, s1 = modulus, u, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    return Fraction(r1, s1) if abs(s1) <= bound else None
+    if abs(s1) > bound:
+        return None
+    g = math.gcd(r1, s1) if s1 > 0 else -math.gcd(r1, s1)
+    return r1 // g, s1 // g
 
 
 def _lift(
     rows: list[dict[int, int]], ncols: int, pivots: list[int], free: list[int],
     residues: list[list[int]], modulus: int,
-) -> list[tuple[Fraction, ...]] | None:
+) -> list[tuple[int, dict[int, int]]] | None:
     """The kernel vectors with these residues, if each lifts and ``rows . v = 0``.
 
     ``residues[k]`` holds the entries of the vector of free column
-    ``free[k]`` at the pivots before it, modulo ``modulus``.
+    ``free[k]`` at the pivots before it, modulo ``modulus``.  Each vector
+    v is returned as ``(den, vec)``: ``den`` > 0 is the least common
+    denominator of v, and ``vec`` = den * v holds the integers at the
+    non-zero entries, keys ascending, so its last key is the free column
+    f and ``vec[f] == den``.
 
-    The check runs once over the rows for all vectors together.  Each
-    vector is scaled to integers w_k, and column j carries the packed
-    integer P_j = sum_k w_k[j] * 2**(k*bits).  A row a then has
-    a . P = sum_k (a . w_k) * 2**(k*bits), and every |a . w_k| <=
-    |a|_1 * max|w_k| < 2**bits, so a . P = 0 exactly when a . w_k = 0
-    for every k (the lowest non-zero term could not be cancelled).
+    The check runs once over the rows for all vectors together, on those
+    integer vectors w_k.  Column j carries the packed integer P_j =
+    sum_k w_k[j] * 2**(k*bits).  A row a then has a . P = sum_k (a . w_k)
+    * 2**(k*bits), and every |a . w_k| <= |a|_1 * max|w_k| < 2**bits, so
+    a . P = 0 exactly when a . w_k = 0 for every k (the lowest non-zero
+    term could not be cancelled).
     """
-    vectors, ints = [], []
+    basis = []
     for f, column in zip(free, residues):
-        entries = {f: Fraction(1)}
+        entries = {}
         for q, u in zip(pivots, column):
             if u:
                 x = _reconstruct(u, modulus)
                 if x is None:
                     return None
                 entries[q] = x
-        den = math.lcm(*(x.denominator for x in entries.values()))
-        vectors.append(entries)
-        ints.append({j: x.numerator * (den // x.denominator) for j, x in entries.items()})
+        den = math.lcm(*(b for _, b in entries.values()))
+        vec = {q: a * (den // b) for q, (a, b) in entries.items()}
+        vec[f] = den
+        basis.append((den, vec))
     top = max((sum(map(abs, row.values())) for row in rows), default=0)
-    bits = (top * max(abs(w) for vec in ints for w in vec.values())).bit_length()
+    bits = (top * max(abs(w) for _, vec in basis for w in vec.values())).bit_length()
     packed = [0] * ncols
-    for k, vec in enumerate(ints):
+    for k, (_, vec) in enumerate(basis):
         for j, w in vec.items():
             packed[j] += w << (k * bits)
     if any(sum(a * packed[j] for j, a in row.items()) for row in rows):
         return None
-    zero = Fraction(0)
-    basis = []
-    for entries in vectors:
-        vec = [zero] * ncols
-        for j, x in entries.items():
-            vec[j] = x
-        basis.append(tuple(vec))
     return basis
 
 
 def certified_kernel(
     rows: Iterable[dict[int, int]], ncols: int
-) -> list[tuple[Fraction, ...]]:
+) -> list[tuple[int, dict[int, int]]]:
     """Canonical kernel basis over Q of an integer matrix, given by sparse rows.
 
     Each row maps column indices to non-zero integers.  The result is
     the basis :meth:`Matrix.kernel_basis` returns: one vector per free
     column f of the RREF, in increasing order, with v[f] = 1, zero at
     every other free column, and support in f and the pivots before f.
+    Each vector v comes as ``(den, vec)`` with v = vec / den: ``den`` > 0
+    is its least common denominator and ``vec`` maps the columns of its
+    non-zero entries, in increasing order, to integers, so the last key
+    is f and ``vec[f] == den`` (see :func:`_lift`).
 
     Method (Dixon's p-adic idea in its simplest, one-shot form).  For p
     in a fixed descending sequence of primes below 2**61, the rows A,

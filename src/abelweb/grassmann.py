@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
-from .exactalg import Matrix, _clear_denominators, json_array, rational
+from .exactalg import Matrix, _clear_denominators, json_array, json_object, rational
 from .multilinear import monomial_exponents, wedge, ExteriorForm
 from .webcore import (
     ConstantFoliation,
@@ -123,9 +123,10 @@ class MomentWebSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "MomentWebSpec":
+        r, n = web_type_from_json(data, "moment web", ("taus",))
         base = data.get("base_change")
         return cls(
-            *web_type_from_json(data),
+            r, n,
             json_array(data["taus"], "taus"),
             Matrix.from_json(base, "base_change") if base is not None else None,
         )
@@ -145,13 +146,14 @@ def foliation_from_point(basis: Matrix, p: ProjectivePoint) -> ConstantFoliation
     if basis.rows != basis.cols or basis.rows % n != 0:
         raise ValueError("basis shape incompatible with the point's space")
     r = basis.rows // n
+    terms = [(alpha, xi) for alpha, xi in enumerate(p.coords) if xi]
     rows = []
     for a in range(r):
-        row = [Fraction(0)] * basis.cols
-        for alpha, xi in enumerate(p.coords):
-            if xi != 0:
-                block = basis.row(a * n + alpha)
-                row = [x + xi * y for x, y in zip(row, block)]
+        row = [0] * basis.cols
+        for alpha, xi in terms:
+            for c, y in enumerate(basis.row(a * n + alpha)):
+                if y:
+                    row[c] += xi * y
         rows.append(row)
     return ConstantFoliation(r, n, Matrix(rows))
 
@@ -270,6 +272,7 @@ class AdaptedStructure:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdaptedStructure":
+        json_object(data, "adapted structure", ("basis", "points"))
         return cls(
             Matrix.from_json(data["basis"], "basis"),
             points_from_json(data["points"]),

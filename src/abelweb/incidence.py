@@ -56,7 +56,7 @@ class PlaneArrangement:
     @classmethod
     def from_json(cls, data: dict) -> "PlaneArrangement":
         return cls(
-            *web_type_from_json(data),
+            *web_type_from_json(data, "arrangement", ("planes",)),
             [
                 Matrix.from_json(rows, f"plane {i}")
                 for i, rows in enumerate(json_array(data["planes"], "planes"), start=1)

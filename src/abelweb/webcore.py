@@ -34,7 +34,9 @@ import itertools
 from typing import Iterable, Sequence
 
 from .errors import DegenerateWebError
-from .exactalg import Matrix, _clear_denominators, _extend_mod, _prime_below, binomial, json_array
+from .exactalg import (
+    Matrix, _clear_denominators, _extend_mod, _prime_below, binomial, json_array, json_object,
+)
 from .multilinear import ExteriorForm, _minors, wedge_rows
 
 
@@ -169,7 +171,7 @@ class ConstantWeb:
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstantWeb":
-        r, n = web_type_from_json(data)
+        r, n = web_type_from_json(data, "web", ("foliations",))
         foliations = []
         for j, rows in enumerate(json_array(data["foliations"], "foliations"), start=1):
             matrix = Matrix.from_json(rows, f"foliation {j}")
@@ -180,12 +182,15 @@ class ConstantWeb:
         return cls(r, n, foliations)
 
 
-def web_type_from_json(data: dict) -> tuple[int, int]:
-    """The fields ``r >= 1`` and ``n >= 2`` of a JSON object, as integers.
+def web_type_from_json(data, field: str, keys: Sequence[str]) -> tuple[int, int]:
+    """The fields ``r >= 1`` and ``n >= 2`` of the JSON object ``field``, as integers.
 
-    Checked before any matrix is built, so a bad value is reported under
-    its own name; ``true`` and ``2.5`` are refused, not truncated.
+    ``data`` must be an object holding ``r``, ``n`` and every one of
+    ``keys`` (see ``exactalg.json_object``).  Checked before any matrix
+    is built, so a bad value is reported under its own name; ``true``
+    and ``2.5`` are refused, not truncated.
     """
+    json_object(data, field, ("r", "n", *keys))
     values = []
     for field, least in (("r", 1), ("n", 2)):
         value = data[field]

@@ -67,3 +67,15 @@ def arrangement_through_points(rng, r, n, points):
                 planes.append(matrix)
                 break
     return PlaneArrangement(r, n, planes)
+
+
+def dense_kernel(basis, ncols: int) -> list[tuple[Fraction, ...]]:
+    """``certified_kernel`` vectors ``(den, vec)`` as dense ``Fraction`` tuples
+    of width ``ncols``, the form ``Matrix.kernel_basis`` returns."""
+    dense = []
+    for den, vec in basis:
+        row = [Fraction(0)] * ncols
+        for c, x in vec.items():
+            row[c] = Fraction(x, den)
+        dense.append(tuple(row))
+    return dense

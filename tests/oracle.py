@@ -10,7 +10,9 @@ generator normals), ``wedge_rows`` (one determinant per minor),
 with ``_pullback`` (each component pulled back through that
 ``substitute`` and multiplied by its normal in ``Fraction``),
 ``_point_from_block_matrix`` (``Fraction`` dot products with the inverse
-basis and quotients against the leading entry) and ``relation_matrix``
+basis and quotients against the leading entry), ``foliation_from_point``
+(each row of F(p) by full-length ``Fraction`` vector additions, one per
+non-zero coordinate of p) and ``relation_matrix``
 (each basis monomial pulled back on its own through ``substitute``),
 kept verbatim as module-level functions of a ``Matrix`` or
 ``ConstantWeb`` passed as ``self`` / ``web``.  They are slower and share
@@ -20,12 +22,12 @@ with ``abelweb.webcore.check_pg``, no Laplace sweep with
 ``abelweb.multilinear.substitute`` or ``abelweb.abelian._verify_relation``.
 
 ``RelationBasisElement`` and ``relation_space`` wrap the library's
-canonical kernel vectors, as the library does, but verify each relation
-with the ``Fraction`` ``_verify_relation`` here.  ``recover_base_case`` /
-``recover_normal_form`` are the former recovery: it pulls the degree-1
-relations back through ``substitute`` and solves for the points of the
-critical subweb from the generator normals, where the library reads
-every point off the recovered coordinates.  ``canonical_data`` is the
+canonical kernel vectors, densified by ``helpers.dense_kernel``, but
+verify each relation with the ``Fraction`` ``_verify_relation`` here.
+``recover_base_case`` / ``recover_normal_form`` are the former recovery:
+it pulls the degree-1 relations back through ``substitute`` and solves
+for the points of the critical subweb from the generator normals, where
+the library reads every point off the recovered coordinates.  ``canonical_data`` is the
 former canonical data: it eliminates every degree twice (``total_rank``,
 then ``relation_space`` until a space is empty) and completes the
 degree-1 block greedily, one rank per candidate, where the library reads
@@ -54,7 +56,6 @@ from abelweb.grassmann import (
     ProjectivePoint,
     _castelnuovo_threshold,
     castelnuovo_rnc_test,
-    foliation_from_point,
     moment_web,
 )
 from abelweb.multilinear import (
@@ -68,6 +69,7 @@ from abelweb.multilinear import (
     wedge,
 )
 from abelweb.webcore import ConstantFoliation, ConstantWeb, generator_normal, q_of
+from helpers import dense_kernel
 
 
 def _clear_row(row: Sequence[Fraction]) -> list[int]:
@@ -265,8 +267,25 @@ def relation_space(web: ConstantWeb, h: int) -> list[RelationBasisElement]:
             HomogeneousPoly.from_vector(web.r, h, vec[j * dim_e : (j + 1) * dim_e])
             for j in range(web.d)
         ])
-        for vec in _relation_kernel(web, h, False)
+        for vec in dense_kernel(_relation_kernel(web, h, False), web.d * dim_e)
     ]
+
+
+def foliation_from_point(basis: Matrix, p: ProjectivePoint) -> ConstantFoliation:
+    """The foliation F(p): rows sum_alpha xi_alpha m_{a,alpha}, a = 1..r."""
+    n = len(p.coords)
+    if basis.rows != basis.cols or basis.rows % n != 0:
+        raise ValueError("basis shape incompatible with the point's space")
+    r = basis.rows // n
+    rows = []
+    for a in range(r):
+        row = [Fraction(0)] * basis.cols
+        for alpha, xi in enumerate(p.coords):
+            if xi != 0:
+                block = basis.row(a * n + alpha)
+                row = [x + xi * y for x, y in zip(row, block)]
+        rows.append(row)
+    return ConstantFoliation(r, n, Matrix(rows))
 
 
 def _point_from_block_matrix(basis_inv: Matrix, foliation: ConstantFoliation, r: int, n: int, k: int) -> ProjectivePoint:

@@ -224,6 +224,28 @@ def _document(command):
     return "--web", moment_web(MomentWebSpec(1, 2, taus)).to_json()
 
 
+# a document that is not a JSON object, or an object without one of its
+# fields, exits 1 naming the document and the field; nothing raises out
+# of cli.main
+@pytest.mark.parametrize("bad", [[], None, 3, "r", "n", "body"],
+                         ids=["array", "null", "number", "no-r", "no-n", "no-body"])
+@pytest.mark.parametrize("command", ["rank", "recover", "akivis", "canonical", "incidence"])
+def test_documents_must_be_objects_with_their_fields(tmp_path, capsys, command, bad):
+    option, data = _document(command)
+    name = {"--web": "web", "--moment": "moment web", "--arrangement": "arrangement"}[option]
+    if isinstance(bad, str):
+        key = list(data)[2] if bad == "body" else bad  # foliations, taus or planes
+        del data[key]
+        message = f"{name} has no field {key!r}"
+    else:
+        data, message = bad, f"{name} must be a JSON object, got {bad!r}"
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, option, str(path))
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("field, value", [("r", True), ("r", 1.5), ("n", 2.5), ("n", 2.0)])
 @pytest.mark.parametrize("command", ["rank", "pg", "canonical", "incidence"])
 def test_web_type_must_be_an_integer(tmp_path, capsys, command, field, value):

@@ -49,7 +49,7 @@ from abelweb.errors import InternalContradictionError
 from abelweb.exactalg import _clear_denominators, _primes, certified_kernel
 from abelweb.grassmann import ProjectivePoint, _point_from_block_matrix, foliation_from_point
 from abelweb.multilinear import monomial_exponents, poly_space_dim, wedge_rows
-from helpers import make_rng, random_invertible, random_pg_web
+from helpers import dense_kernel, make_rng, random_invertible, random_pg_web
 
 
 def _random_rational_matrix(rng) -> Matrix:
@@ -249,15 +249,20 @@ def test_certified_kernel_matches_oracle():
     assert not_pg >= len(types)
 
 
+def _dense_certified_kernel(rows, ncols):
+    """``certified_kernel`` densified to the tuples ``Matrix.kernel_basis`` gives."""
+    return dense_kernel(certified_kernel(rows, ncols), ncols)
+
+
 def test_certified_kernel_moves_past_an_unlucky_prime():
     p0 = next(_primes())
     # singular modulo p0 only: the kernel vector (-1, 1) found there fails
     # the exact check, and the next prime shows rank 2
-    assert certified_kernel([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}], 2) == []
-    assert certified_kernel([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}, {0: 2, 1: 2}], 2) == []
+    assert _dense_certified_kernel([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}], 2) == []
+    assert _dense_certified_kernel([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}, {0: 2, 1: 2}], 2) == []
     # both kernel vectors modulo p0 fail, by p0 and -p0: the one check run
     # for all vectors together must not let the two errors cancel
-    assert certified_kernel([{0: 1, 1: 1 + p0, 2: 1 - p0}], 3) == [
+    assert _dense_certified_kernel([{0: 1, 1: 1 + p0, 2: 1 - p0}], 3) == [
         (Fraction(-1 - p0), Fraction(1), Fraction(0)),
         (Fraction(p0 - 1), Fraction(0), Fraction(1)),
     ]
@@ -270,8 +275,9 @@ def test_certified_kernel_combines_primes():
         while math.gcd(a, b) != 1:
             b += 1
         # -b/a needs about 81 bits, more than one 61-bit prime reconstructs
-        assert certified_kernel([{0: a, 1: b}], 2) == [(Fraction(-b, a), Fraction(1))]
-        assert certified_kernel([{0: a, 2: b}, {1: 1}], 3) == [
+        assert _dense_certified_kernel([{0: a, 1: b}], 2) == [(Fraction(-b, a), Fraction(1))]
+        assert certified_kernel([{0: a, 1: b}], 2) == [(a, {0: -b, 1: a})]
+        assert _dense_certified_kernel([{0: a, 2: b}, {1: 1}], 3) == [
             (Fraction(-b, a), Fraction(0), Fraction(1))]
 
 
@@ -306,6 +312,26 @@ def _rational_invertible(rng, m: int) -> Matrix:
                              for _ in range(m)] for _ in range(m)])
         if candidate.is_invertible():
             return candidate
+
+
+def test_foliation_from_point_matches_oracle():
+    """F(p) built row by row over the non-zero coordinates against the
+    full-length vector additions: the same entries, on rational and
+    identity bases and on points with zero coordinates."""
+    rng = make_rng(53)
+    zeros = 0
+    for r, n in [(1, 2), (2, 2), (2, 3), (3, 2), (2, 4)]:
+        for basis in (_rational_invertible(rng, r * n), Matrix.identity(r * n)):
+            for _ in range(6):
+                coords = [Fraction(rng.choice((0, 0, rng.randint(-4, 4))), rng.randint(1, 3))
+                          for _ in range(n)]
+                if not any(coords):
+                    continue
+                zeros += 0 in coords
+                p = ProjectivePoint(coords)
+                assert (foliation_from_point(basis, p).matrix.entries
+                        == oracle.foliation_from_point(basis, p).matrix.entries)
+    assert zeros > 10
 
 
 def test_substitute_matches_oracle():

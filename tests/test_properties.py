@@ -15,11 +15,14 @@ nor under kappa_j -> A_j kappa_j with a rational A_j in GL(r) per
 foliation (Omega_j scales by det A_j and c_j is composed with A_j).
 On sparse integer matrices, tall and wide, rank-deficient, with
 repeated rows, empty columns and entries too large for one prime, the
-certified kernel is the RREF kernel basis whatever the row order.
+certified kernel is the RREF kernel basis whatever the row order, and
+each vector comes as ``(den, vec)``: keys ascending, ``den`` > 0 the
+least common denominator, held at the last key, the free column.
 The examples are drawn from ``DEFAULT_SEED`` (``ABELWEB_SEED``), so a
 run is reproducible, and no example database is written.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, seed, settings
@@ -38,7 +41,7 @@ from abelweb import (
     total_rank,
 )
 from abelweb.exactalg import certified_kernel
-from helpers import DEFAULT_SEED
+from helpers import DEFAULT_SEED, dense_kernel
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
@@ -183,8 +186,15 @@ def test_certified_kernel_matches_rref_kernel_in_any_row_order(data):
     ncols = len(rows[0])
     sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
     expected = Matrix(rows).kernel_basis()
-    assert certified_kernel(sparse, ncols) == expected
-    assert certified_kernel(data.draw(st.permutations(sparse)), ncols) == expected
+    basis = certified_kernel(sparse, ncols)
+    assert dense_kernel(basis, ncols) == expected
+    for den, vec in basis:
+        # support ascending up to the free column, which holds den; den is
+        # the least common denominator, so the integers are coprime
+        keys = list(vec)
+        assert keys == sorted(keys) and den > 0 and vec[keys[-1]] == den
+        assert 0 not in vec.values() and math.gcd(*vec.values()) == 1
+    assert certified_kernel(data.draw(st.permutations(sparse)), ncols) == basis
 
 
 @seed(DEFAULT_SEED)
