@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 bad input or arguments, 2 mathematical
 degeneracy (general position fails, a web is not semi-extremal, a
 non-transverse arrangement, points off a common curve), 3 violation of a
-proven identity (a bug, never caused by input).
+proven identity (a bug, never caused by input).  Any other exception is
+a bug as well and is not mapped to an exit code.
 
 JSON is the only interchange format; rationals are "p/q" strings.  The
 ``rank`` table is also available as TSV for reading by eye.
@@ -17,7 +18,7 @@ import json
 import sys
 
 from .errors import DegenerateWebError, InternalContradictionError
-from .exactalg import Matrix, rational
+from .exactalg import Matrix, json_rational
 from .webcore import ConstantWeb, degree_bound, h_cutoff, rho_bound
 from .abelian import total_rank
 from .grassmann import (
@@ -54,7 +55,11 @@ def _emit(data, path: str | None) -> None:
 
 
 def _parse_taus(text: str) -> list:
-    return [rational(part) for part in text.split(",") if part.strip()]
+    return [
+        json_rational(part, f"taus entry {k}")
+        for k, part in enumerate(text.split(","), start=1)
+        if part.strip()
+    ]
 
 
 def _cmd_bound(args) -> int:
@@ -192,7 +197,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DegenerateWebError as exc:

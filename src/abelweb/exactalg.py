@@ -7,33 +7,21 @@ equalities of dimensions, so tolerances would make them meaningless.
 
 Rationals serialize as strings ``"p/q"`` or ``"p"`` in all JSON formats.
 
-One fraction-free (Bareiss) kernel, :func:`_eliminate`, serves rank,
-RREF and det.  It runs on denominator-cleared integer rows: row scaling
-changes neither rank nor row space, and every intermediate entry is a
-minor of the integer matrix, so each division is exact.  ``rank`` and
-``det`` need only the pivot count and the last pivot (the integer
-determinant, up to the sign of the swaps), so they skip back-elimination
-and touch only rows below each pivot, dropping rows that become zero;
-that keeps tall rank-deficient matrices cheap.  ``rref`` also
-reduces the rows above each pivot (Gauss-Jordan), after which a pivot
-row divided by its pivot entry is a row of the RREF.
+There is one exact elimination, :func:`certified_kernel`: the canonical
+kernel basis of sparse integer rows, from elimination modulo a 61-bit
+prime (:func:`_extend_mod`, the sparse echelon that the general-position
+check shares), lifted to Q and checked exactly.  Arithmetic modulo p
+only proposes the basis; the check and the certificate in its docstring
+make it a result, and a proven bound on the primes tried turns a faulty
+elimination into an error, not a hang.  Each basis vector is a dict of
+integers over its support and one positive denominator.
 
-Relation spaces do not go through :class:`Matrix`: :func:`certified_kernel`
-takes the sparse integer rows that cut them out and returns the canonical
-kernel basis from elimination modulo a 61-bit prime, lifted to Q and
-checked exactly.  The basis stays sparse and in integers: each vector is
-a dict of integers over its support and one positive denominator.  The
-one elimination modulo p is :func:`_extend_mod`, a sparse echelon (rows
-as dicts, each reduced at the pivots it touches, in increasing order);
-it also serves the general-position check, and the kernel
-back-substitutes its echelon into the RREF modulo p with it.
-Arithmetic modulo p only proposes the basis; the exact check over Q and
-the certificate in its docstring make it a result, and a proven bound on
-the primes tried turns a faulty elimination into an error, not a hang.
-
-The kernel basis returned by :meth:`Matrix.kernel_basis` is the canonical
-one read off the reduced row echelon form: free columns in increasing
-index order, with a 1 in the free coordinate of each basis vector.
+Relation spaces call it on their rows.  :class:`Matrix` reads its rank,
+RREF, kernel basis, inverse and solutions off it, on its rows times one
+lcm of their denominators (row scaling changes neither kernel nor row
+space); only ``rank`` may return first, when the rank modulo p is full,
+which proves it over Q.  ``det`` reads the one maximal minor off the
+Laplace sweep :func:`_minors`.
 """
 
 from __future__ import annotations
@@ -41,6 +29,8 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import itertools
+import json
 import math
 import operator
 from fractions import Fraction
@@ -78,7 +68,7 @@ def json_array(value, field: str) -> list:
     otherwise be taken apart into characters, "10" as the row [1, 0].
     """
     if not isinstance(value, list):
-        raise ValueError(f"{field} must be a JSON array, got {value!r}")
+        raise ValueError(f"{field} must be a JSON array, got {json.dumps(value)}")
     return value
 
 
@@ -90,11 +80,21 @@ def json_object(value, field: str, keys: Iterable[str] = ()) -> dict:
     not an ``AttributeError`` or a bare ``KeyError`` from a lookup.
     """
     if not isinstance(value, dict):
-        raise ValueError(f"{field} must be a JSON object, got {value!r}")
+        raise ValueError(f"{field} must be a JSON object, got {json.dumps(value)}")
     for key in keys:
         if key not in value:
             raise ValueError(f"{field} has no field {key!r}")
     return value
+
+
+def json_rational(value, field: str) -> Fraction:
+    """``value``, which was read from JSON for ``field``, as a rational;
+    anything but an integer or a "p/q" string is bad input naming the field."""
+    try:
+        return rational(value)
+    except (TypeError, ValueError):
+        raise ValueError(f'{field} must be an integer or a "p/q" string with q != 0, '
+                         f"got {json.dumps(value)}") from None
 
 
 def binomial(k: int, l: int) -> int:
@@ -104,20 +104,6 @@ def binomial(k: int, l: int) -> int:
     return math.comb(k, l)
 
 
-def _clear_row(row: Sequence[Fraction]) -> tuple[list[int], int, int]:
-    """Scale a rational row to coprime integers.
-
-    Returns ``(ints, lcm, g)`` with ``ints = row * lcm / g``; ``g`` is 0
-    for a zero row.
-    """
-    lcm = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (lcm // x.denominator) for x in row]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints, lcm, g
-
-
 def _clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Rational rows times one lcm ``den`` of all their denominators: ``(ints, den)``."""
     rows = [list(row) for row in rows]
@@ -125,39 +111,30 @@ def _clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[i
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _eliminate(
-    rows: list[list[int]], ncols: int, full: bool
-) -> tuple[list[int], list[list[int]], int]:
-    """Fraction-free elimination; see the module docstring.
+@functools.cache
+def index_subsets(ambient_dim: int, grade: int) -> tuple[tuple[int, ...], ...]:
+    """Strictly increasing index subsets, in colexicographic order."""
+    combos = itertools.combinations(range(ambient_dim), grade)
+    return tuple(sorted(combos, key=lambda s: tuple(reversed(s))))
 
-    Returns the pivot columns, the pivot rows in order, and the sign of
-    the row swaps (meaningful only at full row rank, since zero rows are
-    dropped).  ``full`` selects Gauss-Jordan over forward elimination.
+
+def _minors(rows: Sequence[Sequence[int]], n: int) -> dict[tuple[int, ...], int]:
+    """Every maximal minor of integer rows with n columns, by column subset (colex).
+
+    One Laplace sweep over subset sizes: along row i (1-based) over the
+    columns S, M_i(S) = sum_t (-1)^(i-1+t) a_{i,S[t]} M_{i-1}(S minus S[t]).
     """
-    m = [row for row in rows if any(row)]
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for col in range(ncols):
-        k = len(pivots)
-        if k == len(m):
-            break
-        p = next((i for i in range(k, len(m)) if m[i][col]), None)
-        if p is None:
-            continue
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        prow = m[k]
-        lead = prow[col]
-        for i in range(0 if full else k + 1, len(m)):
-            if i != k:
-                f = m[i][col]
-                m[i] = [(lead * a - f * b) // prev for a, b in zip(m[i], prow)]
-        m[k + 1 :] = [row for row in m[k + 1 :] if any(row)]
-        prev = lead
-        pivots.append(col)
-    return pivots, m[: len(pivots)], sign
+    minors = {(): 1}
+    for i, row in enumerate(rows):
+        minors = {
+            subset: sum(
+                (-1) ** (i + t) * row[c] * minors[subset[:t] + subset[t + 1 :]]
+                for t, c in enumerate(subset)
+                if row[c]
+            )
+            for subset in index_subsets(n, i + 1)
+        }
+    return minors
 
 
 # Miller-Rabin with these bases is exact for every n < 3.3 * 10**24
@@ -490,24 +467,37 @@ class Matrix:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
-    def _row_space_ints(self) -> list[list[int]]:
-        """Integer rows spanning the row space: each row scaled to coprime integers."""
-        return [_clear_row(row)[0] for row in self.entries]
+    def _sparse_rows(self) -> list[dict[int, int]]:
+        """The rows times one lcm of their denominators, as sparse integer dicts."""
+        ints, _ = _clear_denominators(self.entries)
+        return [{c: a for c, a in enumerate(row) if a} for row in ints]
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns."""
-        pivots, reduced, _ = _eliminate(self._row_space_ints(), self.cols, full=True)
-        zero = Fraction(0)
-        m = [
-            [Fraction(a, row[p]) if a else zero for a in row]
-            for row, p in zip(reduced, pivots)
-        ]
-        m.extend([zero] * self.cols for _ in range(self.rows - len(pivots)))
+        """Reduced row echelon form and its pivot columns, read off the kernel.
+
+        The pivots are the columns that are not free (a kernel vector's
+        last key); row i is 1 at pivot q_i and -K_f[q_i] at each free f.
+        """
+        kernel = certified_kernel(self._sparse_rows(), self.cols)
+        free = {next(reversed(vec)): (den, vec) for den, vec in kernel}
+        pivots = [q for q in range(self.cols) if q not in free]
+        row_of = {q: i for i, q in enumerate(pivots)}
+        m = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        for q, i in row_of.items():
+            m[i][q] = Fraction(1)
+        for f, (den, vec) in free.items():
+            for q, a in vec.items():
+                if q != f:
+                    m[row_of[q]][f] = Fraction(-a, den)
         return Matrix(m), tuple(pivots)
 
     def rank(self) -> int:
-        """Exact rank by fraction-free elimination."""
-        return len(_eliminate(self._row_space_ints(), self.cols, full=False)[0])
+        """Exact rank: full rank modulo p proves it, else the kernel size gives it."""
+        full = min(self.rows, self.cols)
+        rows = self._sparse_rows()
+        if len(_extend_mod({}, rows, _prime_below(2**61))) == full:
+            return full
+        return self.cols - len(certified_kernel(rows, self.cols))
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Canonical basis of the right null space.
@@ -516,32 +506,18 @@ class Matrix:
         increasing order, and each vector normalized so its free
         coordinate equals 1.
         """
-        reduced, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                vec[p] = -reduced[i, f]
-            basis.append(tuple(vec))
-        return basis
+        return [
+            tuple(Fraction(vec.get(c, 0), den) for c in range(self.cols))
+            for den, vec in certified_kernel(self._sparse_rows(), self.cols)
+        ]
 
     def det(self) -> Fraction:
+        """The one maximal minor of :func:`_minors`: about n * 2**(n-1) products,
+        0.09 s at 14 x 14 (CPython 3.11, one core of a 2-vCPU Xeon VM)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        cleared = [_clear_row(row) for row in self.entries]
-        pivots, reduced, sign = _eliminate(
-            [ints for ints, _, _ in cleared], self.cols, full=False
-        )
-        if len(pivots) < self.rows:
-            return Fraction(0)
-        num = sign * (reduced[-1][pivots[-1]] if reduced else 1)
-        den = 1
-        for _, lcm, g in cleared:
-            num *= g
-            den *= lcm
-        return Fraction(num, den)
+        ints, den = _clear_denominators(self.entries)
+        return Fraction(_minors(ints, self.cols)[tuple(range(self.cols))], den**self.rows)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -550,12 +526,8 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        augmented = Matrix(
-            [
-                list(self.entries[i]) + [1 if i == j else 0 for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        augmented = Matrix([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(self.entries)])
         reduced, pivots = augmented.rref()
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
@@ -570,10 +542,7 @@ class Matrix:
         vec = [rational(x) for x in rhs]
         if len(vec) != self.rows:
             raise ValueError("shape mismatch")
-        augmented = Matrix(
-            [list(row) + [vec[i]] for i, row in enumerate(self.entries)]
-        )
-        reduced, pivots = augmented.rref()
+        reduced, pivots = Matrix([list(row) + [b] for row, b in zip(self.entries, vec)]).rref()
         if self.cols in pivots:
             return None
         solution = [Fraction(0)] * self.cols
@@ -593,7 +562,10 @@ class Matrix:
     def from_json(cls, data, field: str = "matrix") -> "Matrix":
         """A matrix from a JSON array of row arrays; ``field`` names it in errors."""
         rows = [
-            json_array(row, f"{field} row {i}")
+            [
+                json_rational(x, f"{field} row {i} entry {k}")
+                for k, x in enumerate(json_array(row, f"{field} row {i}"), start=1)
+            ]
             for i, row in enumerate(json_array(data, field), start=1)
         ]
         for i, row in enumerate(rows, start=1):

@@ -25,7 +25,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
-from .exactalg import Matrix, _clear_denominators, json_array, json_object, rational
+from .exactalg import (
+    Matrix, _clear_denominators, json_array, json_object, json_rational, rational,
+)
 from .multilinear import monomial_exponents, wedge, ExteriorForm
 from .webcore import (
     ConstantFoliation,
@@ -127,7 +129,8 @@ class MomentWebSpec:
         base = data.get("base_change")
         return cls(
             r, n,
-            json_array(data["taus"], "taus"),
+            [json_rational(t, f"taus entry {k}")
+             for k, t in enumerate(json_array(data["taus"], "taus"), start=1)],
             Matrix.from_json(base, "base_change") if base is not None else None,
         )
 
@@ -135,7 +138,10 @@ class MomentWebSpec:
 def points_from_json(data) -> list[ProjectivePoint]:
     """A JSON array of coordinate arrays as points, named point 1, 2, ... in errors."""
     return [
-        ProjectivePoint(json_array(coords, f"point {i}"))
+        ProjectivePoint([
+            json_rational(c, f"point {i} entry {k}")
+            for k, c in enumerate(json_array(coords, f"point {i}"), start=1)
+        ])
         for i, coords in enumerate(json_array(data, "points"), start=1)
     ]
 

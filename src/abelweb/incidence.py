@@ -71,20 +71,17 @@ def intersect_with_base_plane(arr: PlaneArrangement) -> list[ProjectivePoint]:
     anything else (empty, positive-dimensional, or a plane containing
     the base plane) is rejected.
     """
-    r, n = arr.r, arr.n
-    eta_rows = [
-        [1 if j == a else 0 for j in range(r + n)] for a in range(r)
-    ]
     points = []
     for idx, plane in enumerate(arr.planes):
-        stacked = Matrix(list(plane.entries) + eta_rows)
-        kernel = stacked.kernel_basis()
+        # a point with eta = 0 lies on the plane exactly when its xi
+        # coordinates are in the kernel of the plane's xi-block
+        kernel = Matrix([row[arr.r :] for row in plane.entries]).kernel_basis()
         if len(kernel) != 1:
             raise DegenerateWebError(
                 "arrangement not in general position w.r.t. base plane: "
                 f"plane {idx + 1} meets it in a {len(kernel)}-dimensional set"
             )
-        points.append(ProjectivePoint(kernel[0][r:]))
+        points.append(ProjectivePoint(kernel[0]))
     return points
 
 

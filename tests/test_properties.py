@@ -185,7 +185,7 @@ def test_certified_kernel_matches_rref_kernel_in_any_row_order(data):
     rows = data.draw(sparse_int_matrices())
     ncols = len(rows[0])
     sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
-    expected = Matrix(rows).kernel_basis()
+    expected = oracle.kernel_basis(Matrix(rows))
     basis = certified_kernel(sparse, ncols)
     assert dense_kernel(basis, ncols) == expected
     for den, vec in basis:
