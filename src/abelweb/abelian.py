@@ -18,7 +18,13 @@ its derivative along a).  This holds for every web, PG or not.  Since y
 lies in R(h-1) exactly when y_q = sum_f K_f[q] * y_f at every column q
 outside the free columns f of its canonical basis K, R(h) is the kernel
 of rn * (d * C(r+h-2, h-1) - dim R(h-1)) sparse integer rows, where the
-relation matrix has C(rn+h-1, h) * C(rn, r).  The bases are kept on the
+relation matrix has C(rn+h-1, h) * C(rn, r).
+
+An empty R(h-1) leaves only the rows D_a c = 0 for every a.  For each
+j these say kappa_j^T grad c_j = 0, and kappa_j has rank r, so every
+c_j is constant, hence zero in degree h >= 1: R(h) = 0, for every web,
+PG or not.  So the chain ends at its first empty degree, and no degree
+above it builds rows or calls the kernel.  The bases are kept on the
 web (``ConstantWeb._relations``), so each degree is eliminated once, in
 the sparse integer form ``certified_kernel`` returns: each vector as a
 dict of integers over its support and one positive denominator, so the
@@ -212,11 +218,16 @@ def _relation_kernel(
     """The canonical basis of R(h), gated on PG and checked against the bound.
 
     Every lower degree is computed first; all of them are kept on the web.
+    The chain ends at its first empty degree: R(g-1) = 0 forces R(g) = 0
+    (see the module docstring), so no rows are built above it.
     """
     web.require_pg(allow_degenerate)
     chain = web._relations
     while len(chain) <= h:
         g = len(chain)
+        if g and not chain[-1]:
+            chain.append([])
+            continue
         rows = _prolonged_rows(web, g, chain[-1]) if g else _normal_rows(web)
         chain.append(certified_kernel(rows, web.d * poly_space_dim(web.r, g)))
     bound = degree_bound(web.r, web.n, web.d, h)

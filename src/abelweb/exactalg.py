@@ -19,7 +19,8 @@ integers over its support and one positive denominator.
 Relation spaces call it on their rows.  :class:`Matrix` reads its rank,
 RREF, kernel basis, inverse and solutions off it, on its rows times one
 lcm of their denominators (row scaling changes neither kernel nor row
-space); only ``rank`` may return first, when the rank modulo p is full,
+space), the inverse off the kernel of [A | I] and a solution off that of
+[A | b]; only ``rank`` may return first, when the rank modulo p is full,
 which proves it over Q.  ``det`` reads the one maximal minor off the
 Laplace sweep :func:`_minors`.
 """
@@ -523,32 +524,41 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "Matrix":
+        """A^-1 read off the kernel of [A | I]: the vector of free column
+        n + k is (-A^-1 e_k, e_k), and A is singular exactly when the free
+        columns are not n .. 2n - 1."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        augmented = Matrix([list(row) + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(self.entries)])
-        reduced, pivots = augmented.rref()
-        if pivots != tuple(range(n)):
+        ints, scale = _clear_denominators(self.entries)
+        rows = [
+            {c: a for c, a in enumerate(row) if a} | {n + i: scale}
+            for i, row in enumerate(ints)
+        ]
+        kernel = certified_kernel(rows, 2 * n)
+        if [next(reversed(vec)) for _, vec in kernel] != list(range(n, 2 * n)):
             raise ValueError("matrix is singular")
-        return Matrix([reduced.row(i)[n:] for i in range(n)])
+        columns = [[Fraction(-vec.get(i, 0), den) for i in range(n)] for den, vec in kernel]
+        return Matrix(zip(*columns))
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...] | None:
         """One exact solution of ``self @ x = rhs``, or None if inconsistent.
 
         With several solutions, returns the one with zeros in the free
-        coordinates (canonical particular solution).
+        coordinates (canonical particular solution).  Read off the kernel
+        of [A | b]: the system is inconsistent exactly when b's column is
+        a pivot, and otherwise that column's kernel vector is (-x, 1).
         """
         vec = [rational(x) for x in rhs]
         if len(vec) != self.rows:
             raise ValueError("shape mismatch")
-        reduced, pivots = Matrix([list(row) + [b] for row, b in zip(self.entries, vec)]).rref()
-        if self.cols in pivots:
+        ints, _ = _clear_denominators(list(row) + [b] for row, b in zip(self.entries, vec))
+        rows = [{c: a for c, a in enumerate(row) if a} for row in ints]
+        kernel = certified_kernel(rows, self.cols + 1)
+        if not kernel or next(reversed(kernel[-1][1])) != self.cols:
             return None
-        solution = [Fraction(0)] * self.cols
-        for i, p in enumerate(pivots):
-            solution[p] = reduced[i, self.cols]
-        return tuple(solution)
+        den, x = kernel[-1]
+        return tuple(Fraction(-x.get(c, 0), den) for c in range(self.cols))
 
     def row_space_rref(self) -> "Matrix":
         """Canonical form of the row span (RREF with zero rows dropped)."""

@@ -90,13 +90,6 @@ class HomogeneousPoly:
             coeffs[tuple(expo)] = c
         return cls(n, 1, coeffs)
 
-    @classmethod
-    def from_vector(cls, nvars: int, degree: int, vector: Sequence) -> "HomogeneousPoly":
-        basis = monomial_exponents(nvars, degree)
-        if len(vector) != len(basis):
-            raise ValueError("coefficient vector has wrong length")
-        return cls(nvars, degree, dict(zip(basis, vector)))
-
     def coefficient(self, expo: Sequence[int]) -> Fraction:
         return self.coeffs.get(tuple(expo), Fraction(0))
 

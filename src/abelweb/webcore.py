@@ -10,7 +10,9 @@ Each generator normal Omega_j is decomposable: it is the wedge of the r
 rows of kappa_j.  A wedge of delta such normals is therefore the wedge
 of the delta*r stacked rows, and a wedge of covectors is nonzero exactly
 when they are linearly independent.  So PG is a rank condition on
-stacked rows, with no exterior algebra.
+stacked rows, with no exterior algebra.  Independent rows stay
+independent in every subset, so the subsets of the top size min(d, n)
+decide PG; smaller ones are searched only to report the first failure.
 
 ``check_pg`` takes those ranks modulo the prime p below 2**61 first, on
 the web's rows cleared by one lcm (``ConstantWeb.cleared_kappas``),
@@ -215,8 +217,15 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
 
     Returns ``(True, None)`` or ``(False, subset)`` where ``subset`` is
     the first failing index set (1-based), by size and then
-    lexicographically.  Sizes start at 2: a single foliation has rank r
-    by construction, so its normal is never zero.
+    lexicographically.
+
+    Only the subsets of the top size min(d, n) are tested first: rows
+    that are independent stay independent in every subset, and every
+    smaller subset lies in one of the top size, so if all of those pass
+    the web is PG.  Otherwise let T be the first failing one; sizes
+    2 .. top - 1 are searched in order and their first failure, if any,
+    is reported, else T.  Size 1 never fails (a foliation has rank r),
+    and no top-size subset is tested twice.
 
     The rows are ``web.cleared_kappas()``, turned into sparse dicts once:
     scaling by L != 0 changes no rank, and every failure is confirmed by
@@ -232,7 +241,8 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     p = _prime_below(2**61)
     kappas = web.cleared_kappas()
     rows = [[{c: a for c, a in enumerate(row) if a} for row in kappa] for kappa in kappas]
-    for delta in range(2, min(web.d, web.n) + 1):
+
+    def first_failure(delta: int) -> tuple[int, ...] | None:
         stack: list[dict] = [{}]
         previous: tuple[int, ...] = ()
         for subset in itertools.combinations(range(web.d), delta):
@@ -246,8 +256,16 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
             if len(stack[-1]) < delta * web.r:
                 stacked = [row for j in subset for row in rows[j]]
                 if len(certified_kernel(stacked, web.r * web.n)) > web.r * (web.n - delta):
-                    return False, tuple(j + 1 for j in subset)
-    return True, None
+                    return subset
+        return None
+
+    top = min(web.d, web.n)
+    failing = first_failure(top)
+    if failing is None:
+        return True, None
+    smaller = (first_failure(delta) for delta in range(2, top))
+    failing = next((subset for subset in smaller if subset), failing)
+    return False, tuple(j + 1 for j in failing)
 
 
 def q_of(r: int, n: int, d: int) -> int:

@@ -42,6 +42,16 @@ def random_pg_web(rng, r, n, d) -> ConstantWeb:
             return web
 
 
+def small_entry_web(rng, r, n, d) -> ConstantWeb:
+    """A web with entries in -2..2, so that many fail general position."""
+    foliations = []
+    while len(foliations) < d:
+        matrix = Matrix([[rng.randint(-2, 2) for _ in range(r * n)] for _ in range(r)])
+        if matrix.rank() == r:
+            foliations.append(ConstantFoliation(r, n, matrix))
+    return ConstantWeb(r, n, foliations)
+
+
 def arrangement_through_points(rng, r, n, points):
     """Planes through given points of the base plane, transverse to it.
 

@@ -38,6 +38,8 @@ former canonical data: it eliminates every degree twice (``total_rank``,
 then ``relation_space`` until a space is empty) and completes the
 degree-1 block greedily, one rank per candidate, where the library reads
 pivot columns once.  Both use only the ``Fraction`` copies above.
+``from_vector``, a polynomial from its graded-lex coefficients, is a test
+helper that the library does not need.
 """
 
 from __future__ import annotations
@@ -219,6 +221,14 @@ def wedge_rows(rows: Sequence[Sequence]) -> ExteriorForm:
     return ExteriorForm(n, k, coeffs)
 
 
+def from_vector(nvars: int, degree: int, vector: Sequence) -> HomogeneousPoly:
+    """The polynomial with these coefficients in the graded-lex monomial order."""
+    basis = monomial_exponents(nvars, degree)
+    if len(vector) != len(basis):
+        raise ValueError("coefficient vector has wrong length")
+    return HomogeneousPoly(nvars, degree, dict(zip(basis, vector)))
+
+
 def substitute(poly: HomogeneousPoly, forms: Sequence[Sequence]) -> HomogeneousPoly:
     """Pull a polynomial back along linear forms.
 
@@ -284,7 +294,7 @@ def relation_space(web: ConstantWeb, h: int) -> list[RelationBasisElement]:
     dim_e = poly_space_dim(web.r, h)
     return [
         RelationBasisElement(web, h, [
-            HomogeneousPoly.from_vector(web.r, h, vec[j * dim_e : (j + 1) * dim_e])
+            from_vector(web.r, h, vec[j * dim_e : (j + 1) * dim_e])
             for j in range(web.d)
         ])
         for vec in dense_kernel(_relation_kernel(web, h, False), web.d * dim_e)

@@ -21,9 +21,10 @@ from abelweb import (
     subweb,
     total_rank,
 )
+from abelweb import abelian
 from abelweb.webcore import check_pg
 from abelweb.errors import InternalContradictionError
-from helpers import make_rng, random_pg_web
+from helpers import make_rng, random_pg_web, small_entry_web
 
 
 def three_pencils():
@@ -207,22 +208,12 @@ def test_subweb_of_moment_web_stays_semi_extremal():
 
 
 
-def _small_entry_web(rng, r, n, d) -> ConstantWeb:
-    """A web with entries in -2..2, so that many fail general position."""
-    foliations = []
-    while len(foliations) < d:
-        matrix = Matrix([[rng.randint(-2, 2) for _ in range(r * n)] for _ in range(r)])
-        if matrix.rank() == r:
-            foliations.append(ConstantFoliation(r, n, matrix))
-    return ConstantWeb(r, n, foliations)
-
-
 def test_subweb_of_pg_web_inherits_the_result():
     rng = make_rng(25)
     pg = 0
     for k in range(90):
         r, n, d = [(1, 2, 5), (2, 2, 4), (1, 3, 4)][k % 3]
-        web = _small_entry_web(rng, r, n, d)
+        web = small_entry_web(rng, r, n, d)
         pg += web.is_pg()
         indices = rng.sample(range(1, d + 1), rng.randint(1, d))
         sub = subweb(web, indices)
@@ -240,3 +231,55 @@ def test_subweb_of_pg_web_runs_no_pg_check(monkeypatch):
     monkeypatch.setattr("abelweb.webcore.check_pg", refuse)
     assert subweb(web, [7, 2, 5, 1]).pg() == (True, None)
     assert relation_space_dim(subweb(web, [1, 2, 3, 4, 5]), 0) == degree_bound(2, 2, 5, 0)
+
+
+def _webs_whose_chain_empties(rng) -> list[ConstantWeb]:
+    """Seeded PG webs of types (2,2,5..7) and (2,3,8), and one (2,2,5) web
+    failing PG (foliation 2 shares a row with foliation 1): for each the
+    relation chain empties below the cutoff."""
+    webs = [random_pg_web(rng, 2, n, d) for n, d in [(2, 5), (2, 6), (2, 7), (3, 8)] * 2]
+    foliations = list(random_pg_web(rng, 2, 2, 5).foliations)
+    shared = foliations[0].matrix.row(0)
+    foliations[1] = ConstantFoliation(2, 2, Matrix([shared, foliations[1].matrix.row(1)]))
+    webs.append(ConstantWeb(2, 2, foliations))
+    assert not webs[-1].is_pg()
+    return webs
+
+
+def _oracle_dims(web) -> list[int]:
+    """dim R(h) for h = 0 .. cutoff, from the relation matrix by its definition."""
+    dims = []
+    for h in range(h_cutoff(web.r, web.n, web.d) + 1):
+        matrix = oracle.relation_matrix(web, h)
+        dims.append(matrix.cols - oracle.rank(matrix))
+    return dims
+
+
+def test_relation_chain_ends_at_its_first_empty_degree(monkeypatch):
+    calls = []
+    real = abelian.certified_kernel
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    for web in _webs_whose_chain_empties(make_rng(26)):
+        expected = _oracle_dims(web)
+        empty = expected.index(0)
+        assert empty < len(expected) - 1, web.to_json()  # below the cutoff
+        calls.clear()
+        monkeypatch.setattr(abelian, "certified_kernel", counted)
+        dims = [relation_space_dim(web, h, allow_degenerate=True) for h in range(len(expected))]
+        monkeypatch.undo()
+        assert dims == expected, web.to_json()
+        # one kernel per degree up to the first empty one, none above it
+        assert len(calls) == empty + 1, web.to_json()
+
+
+def test_relation_chain_stop_matches_oracle_under_paranoid():
+    for web in _webs_whose_chain_empties(make_rng(27)):
+        expected = _oracle_dims(web)
+        report = total_rank(web, allow_degenerate=True, paranoid=True)
+        assert [item.dim for item in report.per_degree] == expected[:-1], web.to_json()
+        cutoff = len(expected) - 1
+        assert relation_space_dim(web, cutoff, allow_degenerate=True) == expected[-1] == 0

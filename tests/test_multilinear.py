@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from abelweb import (
     ExteriorForm,
     HomogeneousPoly,
@@ -45,7 +46,7 @@ def test_substitute_is_pullback():
 def test_substitute_respects_evaluation():
     rng = make_rng(4)
     for _ in range(10):
-        f = HomogeneousPoly.from_vector(
+        f = oracle.from_vector(
             2, 3, [rng.randint(-4, 4) for _ in range(poly_space_dim(2, 3))]
         )
         forms = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]

@@ -390,7 +390,7 @@ def test_substitute_matches_oracle():
     cancelled = 0
     for _ in range(300):
         nvars, target, degree = rng.randint(1, 3), rng.randint(1, 5), rng.randint(0, 4)
-        poly = HomogeneousPoly.from_vector(
+        poly = oracle.from_vector(
             nvars, degree, [entry() for _ in range(poly_space_dim(nvars, degree))])
         forms = [[entry() for _ in range(target)] for _ in range(nvars)]
         if nvars > 1 and rng.random() < 0.3:
