@@ -25,7 +25,6 @@ from .webcore import (
 from .abelian import (
     RankReport,
     RelationBasisElement,
-    is_semi_extremal,
     relation_matrix,
     relation_space,
     relation_space_dim,
@@ -43,7 +42,6 @@ from .grassmann import (
     foliation_from_point,
     moment_point,
     moment_web,
-    normals_span_rank,
     omega_expansion,
     recover_normal_form,
     structures_equivalent,

@@ -375,12 +375,6 @@ def total_rank(
     return RankReport(web, dims)
 
 
-def is_semi_extremal(web: ConstantWeb, allow_degenerate: bool = False) -> bool:
-    """True iff R(0) and R(1) are both of maximal dimension (and q >= n-1)."""
-    dims = [relation_space_dim(web, h, allow_degenerate) for h in (0, 1)]
-    return _semi_extremal(web.r, web.n, web.d, *dims)
-
-
 def subweb(web: ConstantWeb, indices: Sequence[int]) -> ConstantWeb:
     """Restriction to the 1-based foliation indices, order preserved.
 

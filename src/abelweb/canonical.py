@@ -204,9 +204,6 @@ class CanonicalData:
                 coords[i] += t**rho * c
         return ProjectivePoint(coords)
 
-    def fresh_parameter(self) -> Fraction:
-        return max(self.taus) + 1
-
     def to_json(self) -> dict:
         return {
             "N": self.N,

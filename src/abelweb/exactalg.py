@@ -17,12 +17,11 @@ elimination into an error, not a hang.  Each basis vector is a dict of
 integers over its support and one positive denominator.
 
 Relation spaces call it on their rows.  :class:`Matrix` reads its rank,
-RREF, kernel basis, inverse and solutions off it, on its rows times one
-lcm of their denominators (row scaling changes neither kernel nor row
-space), the inverse off the kernel of [A | I] and a solution off that of
-[A | b]; only ``rank`` may return first, when the rank modulo p is full,
-which proves it over Q.  ``det`` reads the one maximal minor off the
-Laplace sweep :func:`_minors`.
+RREF, kernel basis and inverse off it, on its rows times one lcm of
+their denominators (row scaling changes neither kernel nor row space),
+the inverse off the kernel of [A | I]; only ``rank`` may return first,
+when the rank modulo p is full, which proves it over Q.  ``det`` reads
+the one maximal minor off the Laplace sweep :func:`_minors`.
 """
 
 from __future__ import annotations
@@ -428,9 +427,6 @@ class Matrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.entries == other.entries
 
@@ -540,25 +536,6 @@ class Matrix:
             raise ValueError("matrix is singular")
         columns = [[Fraction(-vec.get(i, 0), den) for i in range(n)] for den, vec in kernel]
         return Matrix(zip(*columns))
-
-    def solve(self, rhs: Sequence) -> tuple[Fraction, ...] | None:
-        """One exact solution of ``self @ x = rhs``, or None if inconsistent.
-
-        With several solutions, returns the one with zeros in the free
-        coordinates (canonical particular solution).  Read off the kernel
-        of [A | b]: the system is inconsistent exactly when b's column is
-        a pivot, and otherwise that column's kernel vector is (-x, 1).
-        """
-        vec = [rational(x) for x in rhs]
-        if len(vec) != self.rows:
-            raise ValueError("shape mismatch")
-        ints, _ = _clear_denominators(list(row) + [b] for row, b in zip(self.entries, vec))
-        rows = [{c: a for c, a in enumerate(row) if a} for row in ints]
-        kernel = certified_kernel(rows, self.cols + 1)
-        if not kernel or next(reversed(kernel[-1][1])) != self.cols:
-            return None
-        den, x = kernel[-1]
-        return tuple(Fraction(-x.get(c, 0), den) for c in range(self.cols))
 
     def row_space_rref(self) -> "Matrix":
         """Canonical form of the row span (RREF with zero rows dropped)."""

@@ -32,7 +32,6 @@ from .multilinear import monomial_exponents, wedge, ExteriorForm
 from .webcore import (
     ConstantFoliation,
     ConstantWeb,
-    generator_normal,
     q_of,
     web_type_from_json,
 )
@@ -62,10 +61,6 @@ class ProjectivePoint:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ProjectivePoint is immutable")
-
-    @classmethod
-    def unit(cls, n: int, index: int) -> "ProjectivePoint":
-        return cls([1 if i == index else 0 for i in range(n)])
 
     @property
     def dim(self) -> int:
@@ -137,13 +132,17 @@ class MomentWebSpec:
 
 def points_from_json(data) -> list[ProjectivePoint]:
     """A JSON array of coordinate arrays as points, named point 1, 2, ... in errors."""
-    return [
-        ProjectivePoint([
+    points = []
+    for i, coords in enumerate(json_array(data, "points"), start=1):
+        coords = [
             json_rational(c, f"point {i} entry {k}")
             for k, c in enumerate(json_array(coords, f"point {i}"), start=1)
-        ])
-        for i, coords in enumerate(json_array(data, "points"), start=1)
-    ]
+        ]
+        try:
+            points.append(ProjectivePoint(coords))
+        except ValueError as exc:
+            raise ValueError(f"point {i}: {exc}") from None
+    return points
 
 
 def foliation_from_point(basis: Matrix, p: ProjectivePoint) -> ConstantFoliation:
@@ -206,11 +205,6 @@ def veronese(p: ProjectivePoint, r: int) -> ProjectivePoint:
             value *= c**e
         coords.append(value)
     return ProjectivePoint(coords)
-
-
-def normals_span_rank(web: ConstantWeb) -> int:
-    """Rank of the d generator normals inside Lambda^r V*."""
-    return Matrix([generator_normal(f).vector() for f in web.foliations]).rank()
 
 
 def _castelnuovo_threshold(r: int, n: int) -> int:
@@ -498,7 +492,7 @@ def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
     line_a, line_b = images[1], images[2]
     reduced, pivots = Matrix(list(zip(line_a, line_b, *images))).rref()
     if pivots[:2] != (0, 1):
-        raise DegenerateWebError("degenerate: coincident points on the candidate curve")
+        raise DegenerateWebError("coincident points on the candidate curve")
     if len(pivots) > 2:
         raise DegenerateWebError("not on a common RNC")
     coordinates = [(reduced[0, k], reduced[1, k]) for k in range(2, reduced.cols)]
@@ -514,7 +508,8 @@ def akivis_structure(foliations: Sequence[ConstantFoliation]) -> Matrix:
     """The unique covector basis adapted to n+1 foliations in general position.
 
     Decomposes each defining covector of the last foliation in the joint
-    basis of the first n; the block-alpha components are the rows
+    basis of the first n, C = kappa_{n+1} joint^-1 (r x rn); with C_alpha
+    the alpha-th block of r columns of C, row a of C_alpha kappa_alpha is
     m_{a,alpha}.  The first n foliations are then cut by the blocks and
     the last by the row sums.
     """
@@ -526,26 +521,14 @@ def akivis_structure(foliations: Sequence[ConstantFoliation]) -> Matrix:
         raise ValueError(f"exactly n+1 = {n + 1} foliations are required")
     ConstantWeb(r, n, foliations).require_pg()
 
-    joint = Matrix(
-        [
-            foliations[alpha].matrix.row(b)
-            for alpha in range(n)
-            for b in range(r)
-        ]
-    )
-    joint_inv = joint.inverse()
-    rows = [[None] * n for _ in range(r)]
-    for a in range(r):
-        coeffs = joint_inv.apply_row(foliations[n].matrix.row(a))
-        for alpha in range(n):
-            row = [Fraction(0)] * (r * n)
-            for b in range(r):
-                c = coeffs[alpha * r + b]
-                if c != 0:
-                    source = foliations[alpha].matrix.row(b)
-                    row = [x + c * y for x, y in zip(row, source)]
-            rows[a][alpha] = row
-    basis = Matrix([rows[a][alpha] for a in range(r) for alpha in range(n)])
+    joint = Matrix([row for f in foliations[:n] for row in f.matrix.entries])
+    coeffs = foliations[n].matrix * joint.inverse()
+    blocks = [
+        Matrix([row[alpha * r : (alpha + 1) * r] for row in coeffs.entries])
+        * foliations[alpha].matrix
+        for alpha in range(n)
+    ]
+    basis = Matrix([blocks[alpha].row(a) for a in range(r) for alpha in range(n)])
     if not basis.is_invertible():
         raise DegenerateWebError(
             "foliations admit no adapted basis: block decomposition is singular"

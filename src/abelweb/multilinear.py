@@ -11,8 +11,9 @@ compare bit-exactly across runs:
 
 Indices are 0-based throughout the in-memory API.
 
-Polynomial multiplication is naive convolution; every degree in scope is
-tiny, so exactness and simplicity win over clever algorithms.
+Polynomial multiplication (:func:`_multiply`, in integers) is naive
+convolution; every degree in scope is tiny, so exactness and simplicity
+win over clever algorithms.
 """
 
 from __future__ import annotations
@@ -65,30 +66,8 @@ class HomogeneousPoly:
         raise AttributeError("HomogeneousPoly is immutable")
 
     @classmethod
-    def zero(cls, nvars: int, degree: int) -> "HomogeneousPoly":
-        return cls(nvars, degree)
-
-    @classmethod
     def constant(cls, nvars: int, value) -> "HomogeneousPoly":
         return cls(nvars, 0, {(0,) * nvars: rational(value)})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "HomogeneousPoly":
-        expo = [0] * nvars
-        expo[index] = 1
-        return cls(nvars, 1, {tuple(expo): 1})
-
-    @classmethod
-    def linear_form(cls, coefficients: Sequence) -> "HomogeneousPoly":
-        """Degree-1 polynomial with the given covector of coefficients."""
-        coefficients = [rational(c) for c in coefficients]
-        n = len(coefficients)
-        coeffs = {}
-        for i, c in enumerate(coefficients):
-            expo = [0] * n
-            expo[i] = 1
-            coeffs[tuple(expo)] = c
-        return cls(n, 1, coeffs)
 
     def coefficient(self, expo: Sequence[int]) -> Fraction:
         return self.coeffs.get(tuple(expo), Fraction(0))
@@ -118,49 +97,6 @@ class HomogeneousPoly:
     def __repr__(self) -> str:
         terms = " + ".join(f"{c}*x^{e}" for e, c in sorted(self.coeffs.items()))
         return f"HomogeneousPoly({terms or '0'})"
-
-    def _check_compatible(self, other: "HomogeneousPoly"):
-        if self.nvars != other.nvars or self.degree != other.degree:
-            raise ValueError("mixed polynomial spaces")
-
-    def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        self._check_compatible(other)
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            coeffs[e] = coeffs.get(e, Fraction(0)) + c
-        return HomogeneousPoly(self.nvars, self.degree, coeffs)
-
-    def scale(self, c) -> "HomogeneousPoly":
-        c = rational(c)
-        return HomogeneousPoly(
-            self.nvars, self.degree, {e: c * v for e, v in self.coeffs.items()}
-        )
-
-    def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("mixed polynomial spaces")
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                coeffs[e] = coeffs.get(e, Fraction(0)) + c1 * c2
-        return HomogeneousPoly(self.nvars, self.degree + other.degree, coeffs)
-
-    def power(self, k: int) -> "HomogeneousPoly":
-        result = HomogeneousPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        values = [rational(x) for x in point]
-        total = Fraction(0)
-        for expo, c in self.coeffs.items():
-            term = c
-            for v, e in zip(values, expo):
-                term *= v**e
-            total += term
-        return total
 
 
 def poly_space_dim(nvars: int, degree: int) -> int:

@@ -79,6 +79,17 @@ def arrangement_through_points(rng, r, n, points):
     return PlaneArrangement(r, n, planes)
 
 
+def evaluate(poly, point) -> Fraction:
+    """The value of a ``HomogeneousPoly`` at a point, term by term in ``Fraction``."""
+    total = Fraction(0)
+    for expo, c in poly.coeffs.items():
+        term = c
+        for v, e in zip(point, expo):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
 def dense_kernel(basis, ncols: int) -> list[tuple[Fraction, ...]]:
     """``certified_kernel`` vectors ``(den, vec)`` as dense ``Fraction`` tuples
     of width ``ncols``, the form ``Matrix.kernel_basis`` returns."""

@@ -6,10 +6,11 @@ compared against.
 ``rref`` (Fraction Gauss-Jordan), ``rank`` (Bareiss on integer rows),
 ``kernel_basis`` (read off that ``rref``) and ``det`` (Fraction Gaussian
 elimination) are the reference for ``Matrix.rref``, ``rank``,
-``kernel_basis`` and ``det``, and through them for ``inverse``,
-``solve`` and ``is_invertible``; the library reads all of these off
+``kernel_basis`` and ``det``, and through them for ``inverse`` and
+``is_invertible``; the library reads all of these off
 ``exactalg.certified_kernel`` (elimination modulo primes, lifted and
 checked) and ``det`` off the Laplace sweep ``exactalg._minors``.
+``solve``, also read off that ``rref``, serves the former recovery below.
 The others are the former ``check_pg`` (wedge products of the
 generator normals), ``wedge_rows`` (one determinant per minor),
 ``substitute`` (``Fraction`` polynomial products), ``_verify_relation``
@@ -161,6 +162,18 @@ def kernel_basis(self) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def solve(self, rhs: Sequence) -> tuple[Fraction, ...] | None:
+    """The solution of ``self @ x = rhs`` that is zero at the free columns,
+    read off the :func:`rref` of [A | b]; None if the system is inconsistent."""
+    reduced, pivots = rref(Matrix([list(row) + [b] for row, b in zip(self.entries, rhs)]))
+    if self.cols in pivots:
+        return None
+    x = [Fraction(0)] * self.cols
+    for i, p in enumerate(pivots):
+        x[p] = reduced[i, self.cols]
+    return tuple(x)
+
+
 def det(self) -> Fraction:
     if self.rows != self.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -229,6 +242,24 @@ def from_vector(nvars: int, degree: int, vector: Sequence) -> HomogeneousPoly:
     return HomogeneousPoly(nvars, degree, dict(zip(basis, vector)))
 
 
+def _product(p: dict, q: dict) -> dict:
+    """Product of two ``Fraction`` polynomials keyed by exponent tuples."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return out
+
+
+def _power(p: dict, k: int, nvars: int) -> dict:
+    """p**k by repeated :func:`_product`, from the constant 1."""
+    result = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        result = _product(result, p)
+    return result
+
+
 def substitute(poly: HomogeneousPoly, forms: Sequence[Sequence]) -> HomogeneousPoly:
     """Pull a polynomial back along linear forms.
 
@@ -238,22 +269,26 @@ def substitute(poly: HomogeneousPoly, forms: Sequence[Sequence]) -> HomogeneousP
     """
     if len(forms) != poly.nvars:
         raise ValueError("one linear form per variable is required")
-    linear = [HomogeneousPoly.linear_form(f) for f in forms]
-    nvars = linear[0].nvars if linear else 0
-    if any(f.nvars != nvars for f in linear):
+    nvars = len(forms[0]) if forms else 0
+    if any(len(f) != nvars for f in forms):
         raise ValueError("forms live on different spaces")
-    result = HomogeneousPoly.zero(nvars, poly.degree)
-    power_cache: dict[tuple[int, int], HomogeneousPoly] = {}
+    linear = [
+        {tuple(int(v == i) for v in range(nvars)): Fraction(c) for i, c in enumerate(f)}
+        for f in forms
+    ]
+    result: dict[tuple[int, ...], Fraction] = {}
+    power_cache: dict[tuple[int, int], dict] = {}
     for expo, c in poly.coeffs.items():
-        term = HomogeneousPoly.constant(nvars, c)
+        term = {(0,) * nvars: c}
         for i, e in enumerate(expo):
             if e:
                 key = (i, e)
                 if key not in power_cache:
-                    power_cache[key] = linear[i].power(e)
-                term = term * power_cache[key]
-        result = result + term
-    return result
+                    power_cache[key] = _power(linear[i], e, nvars)
+                term = _product(term, power_cache[key])
+        for mono, v in term.items():
+            result[mono] = result.get(mono, Fraction(0)) + v
+    return HomogeneousPoly(nvars, poly.degree, result)
 
 
 def _pullback(foliation: ConstantFoliation, c: HomogeneousPoly) -> dict[tuple, Fraction]:
@@ -431,7 +466,7 @@ def recover_base_case(web: ConstantWeb) -> AdaptedStructure:
     xi = []
     for alpha in range(n):
         omega = generator_normal(web.foliations[alpha]).vector()
-        solution = system.solve(omega)
+        solution = solve(system, omega)
         if solution is None:
             raise DegenerateWebError(
                 "web is not semi-extremal / degenerate: basis normal "
@@ -439,7 +474,7 @@ def recover_base_case(web: ConstantWeb) -> AdaptedStructure:
             )
         xi.append(solution)
 
-    points = [ProjectivePoint.unit(n, j) for j in range(n)]
+    points = [ProjectivePoint([int(i == j) for i in range(n)]) for j in range(n)]
     for idx in range(d - n):
         coords = [xi[alpha][idx] for alpha in range(n)]
         if all(c == 0 for c in coords):

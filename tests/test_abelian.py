@@ -13,7 +13,6 @@ from abelweb import (
     RelationBasisElement,
     degree_bound,
     h_cutoff,
-    is_semi_extremal,
     moment_web,
     relation_matrix,
     relation_space,
@@ -74,7 +73,10 @@ def test_relation_elements_are_verified():
     for h in (1, 2):
         relation = relation_space(web, h)[0].components
         RelationBasisElement(web, h, relation)
-        rescaled = [c.scale(lcm) for c, lcm in zip(relation, (2, 3, 1, 2, 3))]
+        rescaled = [
+            HomogeneousPoly(1, h, {e: lcm * x for e, x in c.coeffs.items()})
+            for c, lcm in zip(relation, (2, 3, 1, 2, 3))
+        ]
         with pytest.raises(InternalContradictionError):
             RelationBasisElement(web, h, rescaled)
 
@@ -117,13 +119,13 @@ def test_random_webs_respect_bounds():
 def test_semi_extremal_gate():
     # too few foliations: q < n-1
     spec = MomentWebSpec(2, 2, [0, 1, 2, 3])
-    assert not is_semi_extremal(moment_web(spec))
+    assert not total_rank(moment_web(spec)).semi_extremal
     spec = MomentWebSpec(2, 2, [0, 1, 2, 3, 4])
-    assert is_semi_extremal(moment_web(spec))
+    assert total_rank(moment_web(spec)).semi_extremal
     rng = make_rng(9)
     web = random_pg_web(rng, 2, 3, 8)
     # a generic web of this order is not semi-extremal
-    assert not is_semi_extremal(web)
+    assert not total_rank(web).semi_extremal
 
 
 def test_subweb_indexing():
@@ -202,9 +204,9 @@ def test_dims_invariant_under_symmetry():
 
 def test_subweb_of_moment_web_stays_semi_extremal():
     web = moment_web(MomentWebSpec(2, 2, list(range(8))))
-    assert is_semi_extremal(web)
+    assert total_rank(web).semi_extremal
     smaller = subweb(web, [1, 2, 3, 4, 6, 7, 8])
-    assert is_semi_extremal(smaller)
+    assert total_rank(smaller).semi_extremal
 
 
 

@@ -24,7 +24,7 @@ def brute_force_weights(taus):
     d = len(taus)
     system = Matrix([[Fraction(t) ** rho for t in taus] for rho in range(d)])
     rhs = [0] * (d - 1) + [1]
-    return system.solve(rhs)
+    return system.inverse().apply(rhs)
 
 
 def test_weights_small_cases():
@@ -131,7 +131,7 @@ def test_canonical_data_moment_web():
     # interpolation plus a fresh point off the configuration
     for tau, point in zip(spec.taus, data.points):
         assert data.point_at(tau) == point
-    fresh = data.point_at(data.fresh_parameter())
+    fresh = data.point_at(max(spec.taus) + 1)
     assert fresh not in data.points
 
 

@@ -174,6 +174,12 @@ def test_fit_rnc_success_and_failure(tmp_path, capsys):
     assert code == 2
     assert "not on a common RNC" in err
 
+    # points n+2 and n+3 coincide; the error carries one "degenerate:" prefix
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps([[1, 0], [0, 1], [1, 1], [1, 2], [1, 2], [1, 3]]))
+    code, out, err = run(capsys, "fit-rnc", "--points", str(repeated))
+    assert (code, out, err) == (2, "", "degenerate: coincident points on the candidate curve\n")
+
 
 def test_json_booleans_are_not_rationals(tmp_path, capsys):
     web = {"r": 1, "n": 2, "foliations": [[[True, False]], [[False, True]], [[True, True]]]}
@@ -318,8 +324,11 @@ _PLANE = [["1", "0", "0", "1"], ["0", "1", "0", "1"]]
      1, "ragged rows in base_change: row 2 has 1 entries, row 1 has 2"),
     (["moment", "-r", "1", "-n", "2", "--taus", "0,1,2"], "--base", [["1", "0"], ["1"]],
      1, "ragged rows in base change: row 2 has 1 entries, row 1 has 2"),
+    (["fit-rnc"], "--points", [["1", "0"], ["0", "0"], ["1", "1"], ["1", "2"], ["1", "3"]],
+     1, "point 2: projective point needs a nonzero coordinate"),
 ], ids=["foliation-shape", "foliation-ragged", "foliation-rank", "plane-ragged",
-        "plane-shape", "plane-rank", "canonical-base_change-ragged", "moment-base-ragged"])
+        "plane-shape", "plane-rank", "canonical-base_change-ragged", "moment-base-ragged",
+        "point-zero"])
 def test_shape_errors_name_their_field(tmp_path, capsys, argv, option, data, code, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(data))

@@ -37,7 +37,6 @@ def test_matrix_immutable_and_shape():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
     assert m[1, 0] == 3
-    assert m.column(1) == (Fraction(2), Fraction(4))
 
 
 def test_rref_and_rank_agree():
@@ -76,17 +75,13 @@ def test_det_inverse_solve():
         assert m.det() != 0
         assert m * m.inverse() == Matrix.identity(m.rows)
         rhs = [rng.randint(-5, 5) for _ in range(m.rows)]
-        x = m.solve(rhs)
+        x = m.inverse().apply(rhs)
         assert m.apply(x) == tuple(Fraction(v) for v in rhs)
     singular = Matrix([[1, 2], [2, 4]])
     assert singular.det() == 0
     assert not singular.is_invertible()
-    assert singular.solve([1, 0]) is None
-
-
-def test_solve_underdetermined_canonical():
-    m = Matrix([[1, 1, 1]])
-    assert m.solve([3]) == (Fraction(3), Fraction(0), Fraction(0))
+    with pytest.raises(ValueError, match="singular"):
+        singular.inverse()
 
 
 def test_row_space_rref_identifies_span():

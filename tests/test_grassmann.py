@@ -17,7 +17,6 @@ from abelweb import (
     generator_normal,
     moment_point,
     moment_web,
-    normals_span_rank,
     omega_expansion,
     recover_normal_form,
     structures_equivalent,
@@ -37,7 +36,7 @@ def test_projective_point_canonical():
 
 def test_foliation_from_point_basics():
     basis = Matrix.identity(4)
-    f = foliation_from_point(basis, ProjectivePoint.unit(2, 0))
+    f = foliation_from_point(basis, ProjectivePoint([1, 0]))
     # rows are the coordinate covectors for (a, 1)
     assert f.matrix == Matrix([[1, 0, 0, 0], [0, 0, 1, 0]])
     g = foliation_from_point(basis, ProjectivePoint([1, 1]))
@@ -99,11 +98,15 @@ def test_veronese():
 
 
 def test_normals_span_rank_moment():
+    """The d generator normals of a moment web span r(n-1)+1 dimensions of Lambda^r V*."""
+    def span_rank(foliations):
+        return Matrix([generator_normal(f).vector() for f in foliations]).rank()
+
     for (r, n, d) in [(1, 2, 4), (2, 2, 6), (2, 3, 8)]:
         web = moment_web(MomentWebSpec(r, n, list(range(d))))
-        assert normals_span_rank(web) == r * (n - 1) + 1
+        assert span_rank(web.foliations) == r * (n - 1) + 1
     one = moment_web(MomentWebSpec(2, 2, [0, 1]))
-    assert normals_span_rank(ConstantWeb(2, 2, one.foliations[:1])) == 1
+    assert span_rank(one.foliations[:1]) == 1
 
 
 def test_castelnuovo():
@@ -236,7 +239,7 @@ def test_akivis_simple_pencils():
 
 def test_akivis_normal_form_is_fixed_point():
     basis = Matrix.identity(6)
-    points = [ProjectivePoint.unit(3, i) for i in range(3)] + [ProjectivePoint([1, 1, 1])]
+    points = [ProjectivePoint(p) for p in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]
     foliations = [foliation_from_point(basis, p) for p in points]
     assert akivis_structure(foliations) == basis
 

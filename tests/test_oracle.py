@@ -17,7 +17,7 @@ different denominators), high-n moment webs,
 webs whose first failure needs three foliations, relation matrices of
 webs with rational entries, and moment webs under random gauges.  The
 certified kernel is also driven past an unlucky prime and into a second
-prime, and ``Matrix`` (rank, RREF, kernel, det, inverse, solve and
+prime, and ``Matrix`` (rank, RREF, kernel, det, inverse and
 invertibility) into several primes by entries of about 80 bits.
 Verification runs on moment webs under rational gauges, whose
 foliations have different denominators, and on perturbed relations that
@@ -81,11 +81,9 @@ def _random_rational_matrix(rng, size=8, entry=_small_rational) -> Matrix:
     return Matrix(data) if rows else Matrix([])
 
 
-def _check_eliminations(m: Matrix, rhs) -> None:
-    """Every elimination ``Matrix`` offers, on ``m`` and ``m x = rhs``,
-    against the oracle.  The inverse and the canonical particular
-    solution are checked by what defines them: m m^-1 = 1, and m x = rhs
-    with x zero at the free columns of the oracle RREF."""
+def _check_eliminations(m: Matrix) -> None:
+    """Every elimination ``Matrix`` offers, on ``m``, against the oracle.
+    The inverse is checked by what defines it: m m^-1 = 1."""
     reduced, pivots = oracle.rref(m)
     assert m.rank() == oracle.rank(m) == len(pivots), m
     assert m.rref() == (reduced, pivots), m
@@ -97,33 +95,17 @@ def _check_eliminations(m: Matrix, rhs) -> None:
         assert m.det() == oracle.det(m), m
     if invertible:
         assert m * m.inverse() == Matrix.identity(m.rows), m
-    x = m.solve(rhs)
-    augmented = Matrix([list(row) + [b] for row, b in zip(m.entries, rhs)])
-    if oracle.rank(augmented) > len(pivots):
-        assert x is None, (m, rhs)
-    else:
-        assert m.apply(x) == tuple(rhs), (m, rhs)
-        assert all(x[j] == 0 for j in range(m.cols) if j not in pivots), (m, rhs)
-
-
-def _right_hand_side(rng, m: Matrix, entry) -> list:
-    """m times a random vector (consistent) or, half the time, a random vector."""
-    if rng.randrange(2):
-        return list(m.apply([entry(rng) for _ in range(m.cols)]))
-    return [entry(rng) for _ in range(m.rows)]
 
 
 def test_kernel_matches_oracle():
     rng = make_rng(40)
-    squares = invertible = inconsistent = 0
+    squares = invertible = 0
     for _ in range(4000):
         m = _random_rational_matrix(rng)
-        rhs = _right_hand_side(rng, m, _small_rational)
-        _check_eliminations(m, rhs)
+        _check_eliminations(m)
         squares += m.rows == m.cols
         invertible += m.rows == m.cols > 0 and oracle.det(m) != 0
-        inconsistent += m.solve(rhs) is None
-    assert squares > 300 and invertible > 100 and inconsistent > 300
+    assert squares > 300 and invertible > 100
 
 
 def test_kernel_matches_oracle_with_80_bit_entries(monkeypatch):
@@ -145,7 +127,7 @@ def test_kernel_matches_oracle_with_80_bit_entries(monkeypatch):
     rng = make_rng(48)
     for _ in range(60):
         m = _random_rational_matrix(rng, size=5, entry=entry)
-        _check_eliminations(m, _right_hand_side(rng, m, entry))
+        _check_eliminations(m)
     assert sum(modulus > 2**122 for modulus in moduli) > 30  # three primes or more
 
 
@@ -423,11 +405,13 @@ def test_verify_relation_matches_oracle():
                 live = [j for j, c in enumerate(good) if not c.is_zero]
                 j = rng.choice(live)
                 expo = rng.choice(monomial_exponents(r, h))
-                bumped = good[:j] + [good[j] + HomogeneousPoly(r, h, {expo: 1})] + good[j + 1 :]
+                bumped_j = HomogeneousPoly(r, h, {**good[j].coeffs, expo: good[j].coefficient(expo) + 1})
+                bumped = good[:j] + [bumped_j] + good[j + 1 :]
                 j = rng.choice([j for j in live if lcms[j] > 1])
-                rescaled = good[:j] + [good[j].scale(lcms[j])] + good[j + 1 :]
+                rescaled_j = HomogeneousPoly(r, h, {e: lcms[j] * c for e, c in good[j].coeffs.items()})
+                rescaled = good[:j] + [rescaled_j] + good[j + 1 :]
                 j = rng.choice(live)
-                dropped = good[:j] + [HomogeneousPoly.zero(r, h)] + good[j + 1 :]
+                dropped = good[:j] + [HomogeneousPoly(r, h)] + good[j + 1 :]
                 for bad in (bumped, rescaled, dropped):
                     for verify in verifiers:
                         with pytest.raises(InternalContradictionError):

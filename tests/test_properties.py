@@ -18,10 +18,15 @@ repeated rows, empty columns and entries too large for one prime, the
 certified kernel is the RREF kernel basis whatever the row order, and
 each vector comes as ``(den, vec)``: keys ascending, ``den`` > 0 the
 least common denominator, held at the last key, the free column.
+Every JSON document the CLI reads (a web, a moment-web spec with a base
+change, a plane arrangement, an adapted structure recovered from a
+gauged moment web, with and without a permutation) survives a round
+trip through ``json.dumps`` and ``from_json`` unchanged.
 The examples are drawn from ``DEFAULT_SEED`` (``ABELWEB_SEED``), so a
 run is reproducible, and no example database is written.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -30,12 +35,17 @@ from hypothesis import strategies as st
 
 import oracle
 from abelweb import (
+    AdaptedStructure,
     ConstantFoliation,
     ConstantWeb,
     Matrix,
+    MomentWebSpec,
+    PlaneArrangement,
     check_pg,
     generator_normal,
     h_cutoff,
+    moment_web,
+    recover_normal_form,
     relation_space,
     relation_space_dim,
     total_rank,
@@ -210,3 +220,40 @@ def test_rank_invariant_under_row_mixing(data):
         mixed.append(ConstantFoliation(web.r, web.n, a * f.matrix))
     mixed = ConstantWeb(web.r, web.n, mixed)
     assert total_rank(mixed).to_json() == total_rank(web).to_json()
+
+
+def _round_trip(obj, cls) -> None:
+    data = obj.to_json()
+    assert cls.from_json(json.loads(json.dumps(data))).to_json() == data
+
+
+@seed(DEFAULT_SEED)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_json_round_trips(data):
+    _round_trip(data.draw(rational_pg_webs()), ConstantWeb)
+
+    r, n = data.draw(st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+    d = (r + 1) * (n - 1) + 2 + data.draw(st.integers(0, 1))
+    taus = data.draw(st.lists(st.sampled_from(sorted(set(ROW_SCALES) | {Fraction(0)})),
+                              min_size=d, max_size=d, unique=True))
+    base = data.draw(invertible(r * n))
+    scales = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=r * n, max_size=r * n))
+    base = Matrix([[x * s for x in row] for row, s in zip(base.entries, scales)])
+    spec = MomentWebSpec(r, n, taus, base)
+    _round_trip(spec, MomentWebSpec)
+
+    # the default critical subweb, or a drawn one: foliations 1..n+1 and
+    # enough others, in a drawn order, which the structure records
+    rest = data.draw(st.permutations(range(n + 2, d + 1)))[: (r + 1) * (n - 1) + 1 - n]
+    indices = data.draw(st.none() | st.permutations(list(range(1, n + 2)) + rest))
+    _round_trip(recover_normal_form(moment_web(spec), indices), AdaptedStructure)
+
+    entry = st.sampled_from(ROW_SCALES + [Fraction(0)])
+    planes = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        plane = Matrix(data.draw(st.lists(st.lists(entry, min_size=r + n, max_size=r + n),
+                                          min_size=n - 1, max_size=n - 1)))
+        assume(plane.rank() == n - 1)
+        planes.append(plane)
+    _round_trip(PlaneArrangement(r, n, planes), PlaneArrangement)
