@@ -10,7 +10,6 @@ from .multilinear import (
     poly_space_dim,
     substitute,
     wedge,
-    wedge_rows,
 )
 from .webcore import (
     ConstantFoliation,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegenerateWebError, InternalContradictionError
+from .errors import InternalContradictionError
 from .exactalg import Matrix, binomial, rational
 from .multilinear import HomogeneousPoly
 from .webcore import h_cutoff, q_of

@@ -21,14 +21,16 @@ common rational normal curve.
 
 from __future__ import annotations
 
+import itertools
+import json
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
 from .exactalg import (
-    Matrix, _clear_denominators, json_array, json_object, json_rational, rational,
+    Matrix, _clear_denominators, _minors, json_array, json_object, json_rational, rational,
 )
-from .multilinear import monomial_exponents, wedge, ExteriorForm
+from .multilinear import ExteriorForm, monomial_exponents
 from .webcore import (
     ConstantFoliation,
     ConstantWeb,
@@ -175,24 +177,22 @@ def omega_expansion(basis: Matrix, r: int, n: int) -> list[ExteriorForm]:
     """Coefficient forms K_0..K_{r(n-1)} of Omega(t) = wedge_a sum_alpha t^(alpha-1) m_{a,alpha}.
 
     The generator normal of the moment foliation at tau is then exactly
-    sum_rho tau^rho K_rho.
+    sum_rho tau^rho K_rho.  K_rho sums the maximal minors (``_minors``) of
+    the cleared rows m_{a,alpha_a} over the choices with sum_a (alpha_a - 1) = rho.
     """
     rn = r * n
     if basis.rows != rn or basis.cols != rn:
         raise ValueError(f"basis must be {rn}x{rn}")
-    # polynomial in t with exterior-form coefficients, degree-indexed dict
-    poly: dict[int, ExteriorForm] = {0: ExteriorForm(rn, 0, {(): 1})}
-    for a in range(r):
-        next_poly: dict[int, ExteriorForm] = {}
-        for alpha in range(n):
-            row_form = ExteriorForm.covector(basis.row(a * n + alpha))
-            for deg, form in poly.items():
-                term = wedge(form, row_form)
-                key = deg + alpha
-                next_poly[key] = next_poly.get(key, term.scale(0)) + term
-        poly = next_poly
+    ints, den = _clear_denominators(basis.entries)
+    sums: list[dict[tuple[int, ...], int]] = [{} for _ in range(r * (n - 1) + 1)]
+    for alphas in itertools.product(range(n), repeat=r):
+        total = sums[sum(alphas)]
+        rows = [ints[a * n + alpha] for a, alpha in enumerate(alphas)]
+        for subset, v in _minors(rows, rn).items():
+            total[subset] = total.get(subset, 0) + v
     return [
-        poly.get(rho, ExteriorForm.zero(rn, r)) for rho in range(r * (n - 1) + 1)
+        ExteriorForm(rn, r, {s: Fraction(v, den**r) for s, v in total.items() if v})
+        for total in sums
     ]
 
 
@@ -272,12 +272,33 @@ class AdaptedStructure:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdaptedStructure":
+        """Bad input names its field: the basis must be square, the points
+        share one length n >= 2 dividing its size, and a permutation is
+        an array of distinct foliation numbers 1..d."""
         json_object(data, "adapted structure", ("basis", "points"))
-        return cls(
-            Matrix.from_json(data["basis"], "basis"),
-            points_from_json(data["points"]),
-            data.get("permutation"),
-        )
+        basis = Matrix.from_json(data["basis"], "basis")
+        points = points_from_json(data["points"])
+        if basis.rows != basis.cols:
+            raise ValueError(f"basis must be square, got {basis.rows}x{basis.cols}")
+        if not points:
+            raise ValueError("points must hold at least one point")
+        n = len(points[0].coords)
+        for i, p in enumerate(points, start=1):
+            if len(p.coords) != n:
+                raise ValueError(f"point {i} has {len(p.coords)} coordinates, point 1 has {n}")
+        if n < 2 or not basis.rows or basis.rows % n:
+            raise ValueError(f"points have {n} coordinates, which must be at least 2 "
+                             f"and divide the basis size {basis.rows} > 0")
+        permutation = None
+        if "permutation" in data:
+            permutation = json_array(data["permutation"], "permutation")
+            for k, i in enumerate(permutation, start=1):
+                if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= len(points):
+                    raise ValueError(f"permutation entry {k} must be an integer in "
+                                     f"1..{len(points)}, got {json.dumps(i)}")
+            if len(set(permutation)) != len(permutation):
+                raise ValueError("permutation entries must be distinct")
+        return cls(basis, points, permutation)
 
 
 def _recover_basis(web: ConstantWeb) -> Matrix:

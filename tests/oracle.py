@@ -12,7 +12,10 @@ elimination) are the reference for ``Matrix.rref``, ``rank``,
 checked) and ``det`` off the Laplace sweep ``exactalg._minors``.
 ``solve``, also read off that ``rref``, serves the former recovery below.
 The others are the former ``check_pg`` (wedge products of the
-generator normals), ``wedge_rows`` (one determinant per minor),
+generator normals), ``wedge_rows`` (one determinant per minor, the
+reference for ``exactalg._minors`` and ``generator_normal``),
+``omega_expansion`` (Omega(t) multiplied out row by row as a polynomial
+in t with ``ExteriorForm`` coefficients, through ``wedge``),
 ``substitute`` (``Fraction`` polynomial products), ``_verify_relation``
 with ``_pullback`` (each component pulled back through that
 ``substitute`` and multiplied by its normal in ``Fraction``),
@@ -25,7 +28,7 @@ kept verbatim as module-level functions of a ``Matrix`` or
 ``ConstantWeb`` passed as ``self`` / ``web``.  They are slower and share
 no elimination code with ``abelweb.exactalg``, no modular arithmetic
 with ``abelweb.webcore.check_pg``, no Laplace sweep with
-``abelweb.multilinear.wedge_rows`` and no integer expansion with
+``abelweb.exactalg._minors`` and no integer expansion with
 ``abelweb.multilinear.substitute`` or ``abelweb.abelian._verify_relation``.
 
 ``RelationBasisElement`` and ``relation_space`` wrap the library's
@@ -232,6 +235,33 @@ def wedge_rows(rows: Sequence[Sequence]) -> ExteriorForm:
         minor = Matrix([[matrix[i, j] for j in subset] for i in range(k)])
         coeffs[subset] = minor.det()
     return ExteriorForm(n, k, coeffs)
+
+
+def omega_expansion(basis: Matrix, r: int, n: int) -> list[ExteriorForm]:
+    """Coefficient forms K_0..K_{r(n-1)} of Omega(t) = wedge_a sum_alpha t^(alpha-1) m_{a,alpha}.
+
+    The generator normal of the moment foliation at tau is then exactly
+    sum_rho tau^rho K_rho.
+    """
+    rn = r * n
+    if basis.rows != rn or basis.cols != rn:
+        raise ValueError(f"basis must be {rn}x{rn}")
+    # polynomial in t with exterior-form coefficients, degree-indexed dict
+    poly: dict[int, ExteriorForm] = {0: ExteriorForm(rn, 0, {(): 1})}
+    for a in range(r):
+        next_poly: dict[int, ExteriorForm] = {}
+        for alpha in range(n):
+            row = basis.row(a * n + alpha)
+            row_form = ExteriorForm(rn, 1, {(i,): c for i, c in enumerate(row)})
+            for deg, form in poly.items():
+                term = wedge(form, row_form)
+                key = deg + alpha
+                coeffs = dict(next_poly[key].coeffs) if key in next_poly else {}
+                for s, c in term.coeffs.items():
+                    coeffs[s] = coeffs.get(s, Fraction(0)) + c
+                next_poly[key] = ExteriorForm(rn, term.grade, coeffs)
+        poly = next_poly
+    return [poly.get(rho, ExteriorForm(rn, r)) for rho in range(r * (n - 1) + 1)]
 
 
 def from_vector(nvars: int, degree: int, vector: Sequence) -> HomogeneousPoly:

@@ -6,7 +6,9 @@ reader, normal-form recovery and canonical data against the oracle.
 ``oracle`` holds the earlier Fraction Gauss-Jordan ``rref`` with the
 ``kernel_basis`` read off it, Fraction Gaussian ``det``, Bareiss
 ``rank``, wedge-product ``check_pg``,
-determinant-per-minor ``wedge_rows``, per-monomial ``relation_matrix``,
+determinant-per-minor ``wedge_rows`` (against ``_minors`` and
+``generator_normal``), polynomial-wedge ``omega_expansion`` (on
+rational, integer and singular bases), per-monomial ``relation_matrix``,
 Fraction ``substitute``, ``_verify_relation`` and
 ``_point_from_block_matrix``, normals-based recovery and
 greedy-completion ``canonical_data``.  Inputs
@@ -39,6 +41,7 @@ from abelweb import (
     MomentWebSpec,
     canonical_data,
     check_pg,
+    generator_normal,
     h_cutoff,
     moment_web,
     recover_normal_form,
@@ -50,9 +53,11 @@ from abelweb import (
 from abelweb.abelian import _verify_relation
 from abelweb.errors import InternalContradictionError
 from abelweb import exactalg
-from abelweb.exactalg import _clear_denominators, _primes, certified_kernel
-from abelweb.grassmann import ProjectivePoint, _point_from_block_matrix, foliation_from_point
-from abelweb.multilinear import monomial_exponents, poly_space_dim, wedge_rows
+from abelweb.exactalg import _clear_denominators, _minors, _primes, certified_kernel
+from abelweb.grassmann import (
+    ProjectivePoint, _point_from_block_matrix, foliation_from_point, omega_expansion,
+)
+from abelweb.multilinear import index_subsets, monomial_exponents, poly_space_dim
 from helpers import dense_kernel, make_rng, random_invertible, random_pg_web
 
 
@@ -131,22 +136,62 @@ def test_kernel_matches_oracle_with_80_bit_entries(monkeypatch):
     assert sum(modulus > 2**122 for modulus in moduli) > 30  # three primes or more
 
 
-def test_wedge_rows_matches_oracle():
+def test_minors_match_oracle():
+    """``_minors`` of the rows cleared by one lcm, divided by den^k, are the
+    oracle's one-determinant-per-minor wedge, every subset listed in colex
+    order; ``generator_normal`` is the same table whenever the rows are a
+    foliation."""
     rng = make_rng(47)
-    deficient = zero_columns = 0
+    deficient = zero_columns = normals = 0
     for _ in range(600):
         k = rng.randint(0, 4)
         rows = [list(row) for row in _random_rational_matrix(rng).entries][:k]
         ncols = len(rows[0]) if rows else 0
         if len(rows) < k or ncols < k:
             continue
-        form = wedge_rows(rows)
-        expected = oracle.wedge_rows(rows)
+        ints, den = _clear_denominators(rows)
+        minors = _minors(ints, ncols)
+        assert list(minors) == list(index_subsets(ncols, k)), rows
+        form = {s: Fraction(v, den**k) for s, v in minors.items() if v}
+        expected = oracle.wedge_rows(rows).coeffs
         assert form == expected, rows
-        assert list(form.coeffs) == list(expected.coeffs), rows  # colex order
-        deficient += form.is_zero
+        assert list(form) == list(expected), rows  # colex order
+        if k and form and ncols % k == 0:
+            normal = generator_normal(ConstantFoliation(k, ncols // k, Matrix(rows)))
+            assert normal.coeffs == expected and list(normal.coeffs) == list(expected), rows
+            normals += 1
+        deficient += not form
         zero_columns += any(not any(col) for col in zip(*rows))
-    assert deficient > 30 and zero_columns > 30
+    assert deficient > 30 and zero_columns > 30 and normals > 30
+
+
+@pytest.mark.parametrize("r, n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_omega_expansion_matches_oracle(r, n):
+    """The minor sweep per choice of alpha's against the polynomial wedge,
+    on rational, integer and singular bases (a dependent row, a zero row)."""
+    rng = make_rng(50 + 10 * r + n)
+    rn = r * n
+    for kind in ("rational", "integer", "dependent", "zero row"):
+        for _ in range(4):
+            if kind == "integer":
+                rows = [[rng.randint(-5, 5) for _ in range(rn)] for _ in range(rn)]
+            else:
+                rows = [[_small_rational(rng) for _ in range(rn)] for _ in range(rn)]
+            if kind == "dependent":
+                i = rng.randrange(rn)
+                weights = [_small_rational(rng) for _ in range(rn)]
+                rows[i] = [
+                    sum(w * row[c] for l, (w, row) in enumerate(zip(weights, rows)) if l != i)
+                    for c in range(rn)
+                ]
+            elif kind == "zero row":
+                rows[rng.randrange(rn)] = [0] * rn
+            basis = Matrix(rows)
+            if kind in ("dependent", "zero row"):
+                assert basis.rank() < rn
+            ks = omega_expansion(basis, r, n)
+            assert ks == oracle.omega_expansion(basis, r, n), rows
+            assert [k.grade for k in ks] == [r] * (r * (n - 1) + 1)
 
 
 def _random_web(rng, r, n, d, entry) -> ConstantWeb:

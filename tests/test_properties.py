@@ -21,13 +21,20 @@ least common denominator, held at the last key, the free column.
 Every JSON document the CLI reads (a web, a moment-web spec with a base
 change, a plane arrangement, an adapted structure recovered from a
 gauged moment web, with and without a permutation) survives a round
-trip through ``json.dumps`` and ``from_json`` unchanged.
+trip through ``json.dumps`` and ``from_json`` unchanged.  On drawn web,
+moment-spec, points and arrangement documents, most well formed and the
+rest with a part replaced, deleted or repeated, the CLI exits 0, 1 or 2
+and raises nothing.
 The examples are drawn from ``DEFAULT_SEED`` (``ABELWEB_SEED``), so a
 run is reproducible, and no example database is written.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 from hypothesis import assume, given, seed, settings
@@ -50,6 +57,7 @@ from abelweb import (
     relation_space_dim,
     total_rank,
 )
+from abelweb.cli import main
 from abelweb.exactalg import certified_kernel
 from helpers import DEFAULT_SEED, dense_kernel
 
@@ -142,7 +150,9 @@ def test_generator_normal_scales_by_det(data):
     foliation = web.foliations[0]
     g = data.draw(invertible(web.r))
     moved = ConstantFoliation(web.r, web.n, g * foliation.matrix)
-    assert generator_normal(moved) == generator_normal(foliation).scale(g.det())
+    det = g.det()
+    scaled = {s: det * c for s, c in generator_normal(foliation).coeffs.items()}
+    assert generator_normal(moved).coeffs == scaled
 
 
 ROW_SCALES = [Fraction(s * a, b) for s in (1, -1) for a, b in ((1, 3), (1, 2), (2, 1), (3, 1))]
@@ -257,3 +267,106 @@ def test_json_round_trips(data):
         assume(plane.rank() == n - 1)
         planes.append(plane)
     _round_trip(PlaneArrangement(r, n, planes), PlaneArrangement)
+
+
+# values a corrupted document may hold in place of any of its parts
+JUNK = st.sampled_from([None, True, 1.5, -1, 0, 7, "x", "1/0", "2/3", [], {}, [[]], ["1"]])
+SMALL = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", 1, 0, 3])
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def corrupted(draw, document):
+    """``document`` with up to two parts replaced by junk, deleted or
+    repeated; most draws leave it well formed."""
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        document = json.loads(json.dumps(document))
+        path = draw(st.sampled_from(list(_paths(document))))
+        junk = draw(JUNK)
+        if not path:
+            return junk
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        operation = draw(st.sampled_from(["replace", "delete", "repeat"]))
+        if operation == "delete":
+            del parent[path[-1]]
+        elif operation == "repeat" and isinstance(parent, list):
+            parent.insert(path[-1], parent[path[-1]])
+        else:
+            parent[path[-1]] = junk
+    return document
+
+
+@st.composite
+def cli_inputs(draw) -> tuple[list[str], object]:
+    """A command, its options and the document it reads: a moment web or a
+    random web, a moment-web spec, points or a plane arrangement."""
+    r, n = draw(st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]))
+    kind = draw(st.sampled_from(["moment web", "web", "spec", "points", "arrangement"]))
+    # about the critical order (r+1)(n-1)+2 that recover and canonical need
+    critical = (r + 1) * (n - 1) + 2
+    taus = draw(st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2", "3", "-3/2", "5", "-2",
+                                          "1/3", "4", "7/2"]),
+                         min_size=critical - 1, max_size=critical + 2, unique=True))
+    web_command = draw(st.sampled_from([["rank"], ["rank", "--allow-degenerate", "--paranoid"],
+                                        ["pg"], ["recover"] if r > 1 else ["rank"], ["akivis"]]))
+    if kind == "moment web":
+        command = web_command + ["--web"]
+        document = moment_web(MomentWebSpec(r, n, taus)).to_json()
+    elif kind == "web":
+        rows = st.lists(st.lists(SMALL, min_size=r * n, max_size=r * n), min_size=r, max_size=r)
+        command = web_command + ["--web"]
+        document = {"r": r, "n": n, "foliations": draw(st.lists(rows, min_size=1, max_size=6))}
+    elif kind == "spec":
+        command, document = ["canonical", "--moment"], {"r": r, "n": n, "taus": taus}
+        if draw(st.booleans()):
+            document["base_change"] = draw(invertible(r * n)).to_json()
+    elif kind == "points":
+        point = st.lists(SMALL, min_size=n, max_size=n)
+        command = ["fit-rnc", "--points"]
+        document = draw(st.one_of(
+            st.lists(point, min_size=n + 2, max_size=2 * n + 4),
+            st.just([[str(t**k) for k in range(n)] for t in map(Fraction, taus)])))
+    else:
+        plane = st.lists(st.lists(SMALL, min_size=r + n, max_size=r + n),
+                         min_size=n - 1, max_size=n - 1)
+        command = ["incidence", "--arrangement"]
+        document = {"r": r, "n": n, "planes": draw(st.lists(plane, min_size=1, max_size=6))}
+    return command, draw(corrupted(document))
+
+
+def test_cli_exits_0_1_or_2_on_fuzzed_documents():
+    """Nothing raises out of ``cli.main``: on every drawn document it exits
+    0, or 1 or 2 with an empty stdout and a message.  Exits 0 and 1 each
+    take more than a quarter of the draws, and exit 2 is reached too."""
+    codes = []
+
+    @seed(DEFAULT_SEED)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(cli_inputs())
+    def check(command_and_document):
+        command, document = command_and_document
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "in.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(command + [path])
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith(("error: ", "degenerate: "))
+        codes.append(code)
+
+    check()
+    assert codes.count(0) > len(codes) // 4 and codes.count(1) > len(codes) // 4
+    assert codes.count(2) > len(codes) // 30

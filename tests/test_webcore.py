@@ -8,6 +8,7 @@ from abelweb import (
     ConstantFoliation,
     ConstantWeb,
     DegenerateWebError,
+    ExteriorForm,
     Matrix,
     check_pg,
     degree_bound,
@@ -15,6 +16,7 @@ from abelweb import (
     h_cutoff,
     q_of,
     rho_bound,
+    wedge,
 )
 from abelweb.exactalg import _prime_below
 from helpers import make_rng, random_invertible, random_pg_web, small_entry_web
@@ -196,8 +198,9 @@ def test_pg_holds_for_seeded_webs():
 def test_generator_normal_matches_wedge():
     f = ConstantFoliation(2, 2, Matrix([[1, 0, 2, 0], [0, 1, 0, 3]]))
     normal = generator_normal(f)
-    assert not normal.is_zero
-    assert normal.grade == 2
+    rows = [ExteriorForm(4, 1, {(i,): c for i, c in enumerate(row)}) for row in f.matrix.entries]
+    assert normal == wedge(*rows)
+    assert normal.coeffs == {(0, 1): 1, (1, 2): -2, (0, 3): 3, (2, 3): 6}
 
 
 def test_closed_forms():
