@@ -26,7 +26,7 @@ from typing import Sequence
 from .errors import InternalContradictionError
 from .exactalg import Matrix, binomial, rational
 from .multilinear import HomogeneousPoly
-from .webcore import h_cutoff, q_of
+from .webcore import h_cutoff, q_of, require_web_type
 from .abelian import RankReport, RelationBasisElement, relation_space
 from .grassmann import MomentWebSpec, ProjectivePoint, moment_web
 
@@ -168,8 +168,7 @@ def dimension_formula(r: int, n: int, q: int) -> int:
     value is (n-1) C(r+rho, r+1) + m C(r+rho, r); it agrees with the sum
     of per-degree bounds at d = q + r(n-1) + 2.
     """
-    if r < 1 or n < 2:
-        raise ValueError("formula requires r >= 1, n >= 2")
+    require_web_type(r, n, q + r * (n - 1) + 2)
     if q < n - 1:
         raise ValueError("formula requires q >= n-1")
     rho, rem = divmod(q, n - 1)

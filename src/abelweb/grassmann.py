@@ -22,7 +22,6 @@ common rational normal curve.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,6 +34,7 @@ from .webcore import (
     ConstantFoliation,
     ConstantWeb,
     q_of,
+    require_web_type,
     web_type_from_json,
 )
 from .abelian import (
@@ -93,9 +93,8 @@ class MomentWebSpec:
     __slots__ = ("r", "n", "taus", "base_change")
 
     def __init__(self, r: int, n: int, taus: Sequence, base_change: Matrix | None = None):
-        if r < 1 or n < 2:
-            raise ValueError("web type requires r >= 1, n >= 2")
         taus = tuple(rational(t) for t in taus)
+        require_web_type(r, n, len(taus))
         if len(set(taus)) != len(taus):
             raise ValueError("parameters must be distinct")
         if base_change is None:
@@ -145,6 +144,17 @@ def points_from_json(data) -> list[ProjectivePoint]:
         except ValueError as exc:
             raise ValueError(f"point {i}: {exc}") from None
     return points
+
+
+def point_dimension(points: Sequence[ProjectivePoint]) -> int:
+    """The coordinate count n shared by a non-empty point list."""
+    if not points:
+        raise ValueError("empty point list")
+    n = len(points[0].coords)
+    for i, p in enumerate(points, start=1):
+        if len(p.coords) != n:
+            raise ValueError(f"point {i} has {len(p.coords)} coordinates, point 1 has {n}")
+    return n
 
 
 def foliation_from_point(basis: Matrix, p: ProjectivePoint) -> ConstantFoliation:
@@ -221,9 +231,7 @@ def castelnuovo_rnc_test(points: Sequence[ProjectivePoint], r: int) -> bool:
     of degree n-1.  Requires d >= r(n-1)+1, strengthened to d >= 2n+1
     when r = 2.
     """
-    if not points:
-        raise ValueError("empty point list")
-    n = len(points[0].coords)
+    n = point_dimension(points)
     d = len(points)
     if d < _castelnuovo_threshold(r, n):
         raise ValueError("below Castelnuovo threshold")
@@ -234,71 +242,46 @@ def castelnuovo_rnc_test(points: Sequence[ProjectivePoint], r: int) -> bool:
 class AdaptedStructure:
     """A covector basis and points exhibiting a web as F(p_1), ..., F(p_d)."""
 
-    __slots__ = ("basis", "points", "permutation")
+    __slots__ = ("basis", "points")
 
-    def __init__(
-        self,
-        basis: Matrix,
-        points: Sequence[ProjectivePoint],
-        permutation: Sequence[int] | None = None,
-    ):
+    def __init__(self, basis: Matrix, points: Sequence[ProjectivePoint]):
         if not basis.is_invertible():
             raise DegenerateWebError("adapted basis must be invertible")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(
-            self, "permutation", tuple(permutation) if permutation is not None else None
-        )
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("AdaptedStructure is immutable")
 
     def rebuild(self) -> ConstantWeb:
         """The web F(p_j) cut by this structure, in point order."""
-        n = len(self.points[0].coords)
+        n = point_dimension(self.points)
         r = self.basis.rows // n
         return ConstantWeb(
             r, n, [foliation_from_point(self.basis, p) for p in self.points]
         )
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "basis": self.basis.to_json(),
             "points": [p.to_json() for p in self.points],
         }
-        if self.permutation is not None:
-            data["permutation"] = list(self.permutation)
-        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "AdaptedStructure":
-        """Bad input names its field: the basis must be square, the points
-        share one length n >= 2 dividing its size, and a permutation is
-        an array of distinct foliation numbers 1..d."""
+        """Bad input names its field: the basis must be square, and the
+        points share one length n >= 2 dividing its size.  Other keys are
+        ignored."""
         json_object(data, "adapted structure", ("basis", "points"))
         basis = Matrix.from_json(data["basis"], "basis")
         points = points_from_json(data["points"])
         if basis.rows != basis.cols:
             raise ValueError(f"basis must be square, got {basis.rows}x{basis.cols}")
-        if not points:
-            raise ValueError("points must hold at least one point")
-        n = len(points[0].coords)
-        for i, p in enumerate(points, start=1):
-            if len(p.coords) != n:
-                raise ValueError(f"point {i} has {len(p.coords)} coordinates, point 1 has {n}")
+        n = point_dimension(points)
         if n < 2 or not basis.rows or basis.rows % n:
             raise ValueError(f"points have {n} coordinates, which must be at least 2 "
                              f"and divide the basis size {basis.rows} > 0")
-        permutation = None
-        if "permutation" in data:
-            permutation = json_array(data["permutation"], "permutation")
-            for k, i in enumerate(permutation, start=1):
-                if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= len(points):
-                    raise ValueError(f"permutation entry {k} must be an integer in "
-                                     f"1..{len(points)}, got {json.dumps(i)}")
-            if len(set(permutation)) != len(permutation):
-                raise ValueError("permutation entries must be distinct")
-        return cls(basis, points, permutation)
+        return cls(basis, points)
 
 
 def _recover_basis(web: ConstantWeb) -> Matrix:
@@ -376,20 +359,18 @@ def _point_from_block_matrix(
     return ProjectivePoint(xi)
 
 
-def recover_normal_form(
-    web: ConstantWeb, subweb_indices: Sequence[int] | None = None
-) -> AdaptedStructure:
+def recover_normal_form(web: ConstantWeb) -> AdaptedStructure:
     """Rebuild an adapted structure (basis, points) from a semi-extremal web.
 
-    The basis comes from a subweb of the critical order
-    d0 = (r+1)(n-1)+2 — by default foliations 1..d0.  Every point is then
-    read off its foliation's covectors expressed in the recovered
-    coordinates.  The reader accepts foliation k only if it is F(p_k) in
-    that basis (see :func:`_point_from_block_matrix`), so no rebuild of
-    F(p_k) is needed to certify the structure.
-    ``subweb_indices`` overrides the choice of subweb (1-based, must
-    contain 1..n+1 and have length d0); structures from different
-    admissible choices agree up to the basis group C (x) A.
+    The basis comes from foliations 1..d0 of the web, the subweb of the
+    critical order d0 = (r+1)(n-1)+2.  Every point is then read off its
+    foliation's covectors expressed in the recovered coordinates.  The
+    reader accepts foliation k only if it is F(p_k) in that basis (see
+    :func:`_point_from_block_matrix`), so no rebuild of F(p_k) is needed
+    to certify the structure.  Another admissible critical subweb is
+    reached by reordering the web (``abelian.subweb``) so that its
+    foliations come first; the bases then agree up to the structure
+    group C (x) A.
     """
     r, n, d = web.r, web.n, web.d
     if r < 2:
@@ -401,17 +382,7 @@ def recover_normal_form(
         )
     web.require_pg()
     d0 = (r + 1) * (n - 1) + 2
-
-    if subweb_indices is None:
-        subweb_indices = list(range(1, d0 + 1))
-    else:
-        subweb_indices = list(subweb_indices)
-        if len(subweb_indices) != d0:
-            raise ValueError(f"recovery subweb must have exactly {d0} foliations")
-        if any(i not in subweb_indices for i in range(1, n + 2)):
-            raise ValueError("recovery subweb must contain foliations 1..n+1")
-
-    basis = _recover_basis(take_subweb(web, subweb_indices))
+    basis = _recover_basis(take_subweb(web, range(1, d0 + 1)))
     columns, _ = _clear_denominators(zip(*basis.inverse().entries))
     points = [
         _point_from_block_matrix(columns, kappa, r, n, k)
@@ -423,8 +394,7 @@ def recover_normal_form(
         raise InternalContradictionError(
             "recovered points of a semi-extremal web fail the rational-normal-curve test"
         )
-    permutation = None if subweb_indices == list(range(1, d0 + 1)) else subweb_indices
-    return AdaptedStructure(basis, points, permutation)
+    return AdaptedStructure(basis, points)
 
 
 class RncFit:
@@ -479,14 +449,7 @@ def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
     parameters (mu / c) / (lam + mu / c); points n+2, n+3 keep 0 and 1.
     """
     points = list(points)
-    if not points:
-        raise ValueError("empty point list")
-    n = len(points[0].coords)
-    for i, p in enumerate(points, start=1):
-        if len(p.coords) != n:
-            raise ValueError(
-                f"point {i} has {len(p.coords)} coordinates; point 1 has {n}"
-            )
+    n = point_dimension(points)
     d = len(points)
     if d < n + 3:
         raise ValueError(f"fitting needs at least n+3 = {n + 3} points")

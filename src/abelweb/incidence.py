@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import Matrix, json_array
-from .webcore import ConstantWeb, web_type_from_json
+from .webcore import ConstantWeb, require_web_type, web_type_from_json
 from .grassmann import ProjectivePoint, foliation_from_point
 
 
@@ -25,11 +25,8 @@ class PlaneArrangement:
     __slots__ = ("r", "n", "planes")
 
     def __init__(self, r: int, n: int, planes: Sequence[Matrix]):
-        if r < 1 or n < 2:
-            raise ValueError("arrangement type requires r >= 1, n >= 2")
         planes = tuple(planes)
-        if not planes:
-            raise ValueError("an arrangement needs at least one plane")
+        require_web_type(r, n, len(planes))
         for i, plane in enumerate(planes, start=1):
             if plane.rows != n - 1 or plane.cols != r + n:
                 raise ValueError(f"plane {i} needs a {n - 1}x{r + n} form matrix")

@@ -95,10 +95,7 @@ class ConstantWeb:
 
     def __init__(self, r: int, n: int, foliations: Sequence[ConstantFoliation]):
         foliations = tuple(foliations)
-        if not foliations:
-            raise ValueError("a web needs at least one foliation")
-        if r < 1 or n < 2:
-            raise ValueError("web type requires r >= 1, n >= 2")
+        require_web_type(r, n, len(foliations))
         for f in foliations:
             if (f.r, f.n) != (r, n):
                 raise ValueError("foliation type mismatch")
@@ -274,28 +271,28 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     return False, tuple(j + 1 for j in failing)
 
 
-def q_of(r: int, n: int, d: int) -> int:
+def require_web_type(r: int, n: int, d: int) -> None:
+    """The type rule of every web, arrangement and bound: r >= 1, n >= 2, d >= 1."""
     if r < 1 or n < 2 or d < 1:
-        raise ValueError("q_of requires r >= 1, n >= 2, d >= 1")
+        raise ValueError(
+            f"web type requires r >= 1, n >= 2, d >= 1, got r = {r}, n = {n}, d = {d}"
+        )
+
+
+def q_of(r: int, n: int, d: int) -> int:
+    require_web_type(r, n, d)
     return d - r * (n - 1) - 2
-
-
-def _require_bound_type(r: int, n: int, d: int) -> None:
-    if r < 1 or n < 2:
-        raise ValueError("bounds require r >= 1, n >= 2")
-    if d < 1:
-        raise ValueError(f"bounds require d >= 1, got d = {d}")
 
 
 def degree_bound(r: int, n: int, d: int, h: int) -> int:
     """Upper bound for the dimension of the degree-h relation space."""
-    _require_bound_type(r, n, d)
+    require_web_type(r, n, d)
     return binomial(r - 1 + h, r - 1) * max(d - (r + h) * (n - 1) - 1, 0)
 
 
 def h_cutoff(r: int, n: int, d: int) -> int:
     """Smallest h with d <= (r+h)(n-1)+1; all higher relation spaces vanish."""
-    _require_bound_type(r, n, d)
+    require_web_type(r, n, d)
     h = 0
     while d > (r + h) * (n - 1) + 1:
         h += 1

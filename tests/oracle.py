@@ -37,7 +37,9 @@ verify each relation with the ``Fraction`` ``_verify_relation`` here.
 ``recover_base_case`` / ``recover_normal_form`` are the former recovery:
 it pulls the degree-1 relations back through ``substitute`` and solves
 for the points of the critical subweb from the generator normals, where
-the library reads every point off the recovered coordinates.  ``canonical_data`` is the
+the library reads every point off the recovered coordinates.  Each
+takes the critical subweb to be foliations 1..d0; a test reaches another
+one by reordering the web (``abelweb.subweb``).  ``canonical_data`` is the
 former canonical data: it eliminates every degree twice (``total_rank``,
 then ``relation_space`` until a space is empty) and completes the
 degree-1 block greedily, one rank per candidate, where the library reads
@@ -516,17 +518,13 @@ def recover_base_case(web: ConstantWeb) -> AdaptedStructure:
     return AdaptedStructure(basis, points)
 
 
-def recover_normal_form(
-    web: ConstantWeb, subweb_indices: Sequence[int] | None = None
-) -> AdaptedStructure:
+def recover_normal_form(web: ConstantWeb) -> AdaptedStructure:
     """Rebuild an adapted structure (basis, points) from a semi-extremal web.
 
-    The construction runs on a subweb of the critical order
-    d0 = (r+1)(n-1)+2 — by default foliations 1..d0 — and extends to the
-    remaining foliations by expressing their covectors in the recovered
-    coordinates.  ``subweb_indices`` overrides the choice (1-based, must
-    contain 1..n+1 and have length d0); structures from different
-    admissible choices agree up to the basis group C (x) A.
+    The construction runs on foliations 1..d0 of the web, the subweb of
+    the critical order d0 = (r+1)(n-1)+2, and extends to the remaining
+    foliations by expressing their covectors in the recovered
+    coordinates.
     """
     r, n, d = web.r, web.n, web.d
     if r < 2:
@@ -539,27 +537,14 @@ def recover_normal_form(
     web.require_pg()
     d0 = (r + 1) * (n - 1) + 2
 
-    if subweb_indices is None:
-        subweb_indices = list(range(1, d0 + 1))
-    else:
-        subweb_indices = list(subweb_indices)
-        if len(subweb_indices) != d0:
-            raise ValueError(f"recovery subweb must have exactly {d0} foliations")
-        if any(i not in subweb_indices for i in range(1, n + 2)):
-            raise ValueError("recovery subweb must contain foliations 1..n+1")
-
-    base = recover_base_case(take_subweb(web, subweb_indices))
+    base = recover_base_case(take_subweb(web, range(1, d0 + 1)))
     basis = base.basis
     basis_inv = basis.inverse()
 
-    points: list[ProjectivePoint | None] = [None] * d
-    for pos, j in enumerate(subweb_indices):
-        points[j - 1] = base.points[pos]
-    for k in range(d):
-        if points[k] is None:
-            points[k] = _point_from_block_matrix(
-                basis_inv, web.foliations[k], r, n, k + 1
-            )
+    points = list(base.points) + [
+        _point_from_block_matrix(basis_inv, web.foliations[k], r, n, k + 1)
+        for k in range(d0, d)
+    ]
 
     for k in range(d):
         rebuilt = foliation_from_point(basis, points[k])
@@ -575,8 +560,7 @@ def recover_normal_form(
         raise InternalContradictionError(
             "recovered points of a semi-extremal web fail the rational-normal-curve test"
         )
-    permutation = None if subweb_indices == list(range(1, d0 + 1)) else subweb_indices
-    return AdaptedStructure(basis, points, permutation)
+    return AdaptedStructure(basis, points)
 
 
 def canonical_data(spec: MomentWebSpec) -> CanonicalData:

@@ -26,6 +26,7 @@ from abelweb import (
     relation_space_dim,
     rho_bound,
     structures_equivalent,
+    subweb,
     tangent_incidence_web,
     total_rank,
     vandermonde_weights,
@@ -133,8 +134,10 @@ def test_criterion_6_recovery_round_trip():
                 if d >= n + 3:
                     fit_rnc(structure.points)
                 if d > d0 and seed % 5 == 0:
-                    alt = list(range(1, n + 2)) + list(range(d - (d0 - n - 1) + 1, d + 1))
-                    other = recover_normal_form(web, alt)
+                    # the critical subweb of 1..n+1 and the last foliations
+                    tail = d - (d0 - n - 1)
+                    alt = [*range(1, n + 2), *range(tail + 1, d + 1), *range(n + 2, tail + 1)]
+                    other = recover_normal_form(subweb(web, alt))
                     assert structures_equivalent(structure.basis, other.basis, r, n)
 
     _verdict(6, "gauge-conjugated moment webs recover exactly (80 seeds)", body)

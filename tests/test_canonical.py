@@ -3,10 +3,8 @@ from fractions import Fraction
 import pytest
 
 from abelweb import (
-    CanonicalData,
     Matrix,
     MomentWebSpec,
-    ProjectivePoint,
     canonical_data,
     check_general_solution,
     dimension_formula,

@@ -20,6 +20,7 @@ from abelweb import (
     omega_expansion,
     recover_normal_form,
     structures_equivalent,
+    subweb,
     total_rank,
     veronese,
 )
@@ -143,8 +144,8 @@ def test_recover_alternative_subwebs_equivalent():
     g = random_invertible(rng, 4)
     web = moment_web(MomentWebSpec(r, n, list(range(d)), g))
     first = recover_normal_form(web)
-    second = recover_normal_form(web, [1, 2, 3, 7, 8])
-    assert second.permutation == (1, 2, 3, 7, 8)
+    # the critical subweb 1, 2, 3, 7, 8 moved to the front
+    second = recover_normal_form(subweb(web, [1, 2, 3, 7, 8, 4, 5, 6]))
     assert structures_equivalent(first.basis, second.basis, r, n)
     assert second.rebuild().foliation_set() == web.foliation_set()
 
@@ -153,28 +154,30 @@ _STRUCTURE = {"basis": [["1", "0"], ["0", "1"]], "points": [["1", "0"], ["0", "1
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("permutation", "xy", "permutation must be a JSON array, got \"xy\""),
-    ("permutation", 5, "permutation must be a JSON array, got 5"),
-    ("permutation", [True, 1], "permutation entry 1 must be an integer in 1..3, got true"),
-    ("permutation", [1, 1.5], "permutation entry 2 must be an integer in 1..3, got 1.5"),
-    ("permutation", [0, 1], "permutation entry 1 must be an integer in 1..3, got 0"),
-    ("permutation", [1, 4], "permutation entry 2 must be an integer in 1..3, got 4"),
-    ("permutation", [2, 2], "permutation entries must be distinct"),
-    ("points", [], "points must hold at least one point"),
+    ("points", [], "empty point list"),
     ("points", [["1", "0"], ["1", "0", "1"]], "point 2 has 3 coordinates, point 1 has 2"),
     ("points", [["1", "0", "0"]], "points have 3 coordinates, which must be at least 2 and"),
     ("points", [["1"]], "points have 1 coordinates, which must be at least 2"),
     ("basis", [["1", "0"]], "basis must be square, got 1x2"),
     ("basis", [], "divide the basis size 0 > 0"),
-], ids=["permutation-string", "permutation-number", "permutation-bool", "permutation-float",
-        "permutation-zero", "permutation-above-d", "permutation-repeated", "points-empty",
-        "points-mixed-lengths", "points-length-not-dividing", "points-length-1",
-        "basis-not-square", "basis-empty"])
+], ids=["points-empty", "points-mixed-lengths", "points-length-not-dividing",
+        "points-length-1", "basis-not-square", "basis-empty"])
 def test_adapted_structure_from_json_names_bad_fields(field, value, message):
-    AdaptedStructure.from_json({**_STRUCTURE, "permutation": [3, 1]})  # valid as it stands
+    AdaptedStructure.from_json(_STRUCTURE)  # valid as it stands
     with pytest.raises(ValueError) as info:
         AdaptedStructure.from_json({**_STRUCTURE, field: value})
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("value", [
+    [3, 1], "xy", 5, [True, 1], [1, 1.5], [0, 1], [1, 4], [2, 2],
+], ids=["permutation-array", "permutation-string", "permutation-number", "permutation-bool",
+        "permutation-float", "permutation-zero", "permutation-above-d", "permutation-repeated"])
+def test_adapted_structure_from_json_ignores_permutation(value):
+    # older documents carried the recovery subweb as "permutation"; like
+    # every unknown key it is ignored, whatever it holds
+    structure = AdaptedStructure.from_json({**_STRUCTURE, "permutation": value})
+    assert structure.to_json() == _STRUCTURE
 
 
 def test_recover_rejects_non_semi_extremal():

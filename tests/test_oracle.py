@@ -49,6 +49,7 @@ from abelweb import (
     relation_space,
     relation_space_dim,
     substitute,
+    subweb,
 )
 from abelweb.abelian import _verify_relation
 from abelweb.errors import InternalContradictionError
@@ -369,13 +370,16 @@ def test_recovery_and_canonical_data_match_oracle():
         gauge = random_invertible(rng, r * n)
         web = moment_web(MomentWebSpec(r, n, taus, gauge))
         d0 = (r + 1) * (n - 1) + 2
-        # an admissible subweb other than the default 1..d0
+        # the web as given, and reordered so that an admissible critical
+        # subweb other than foliations 1..d0 comes first
         rest = sorted(rng.sample(range(n + 2, d + 1), d0 - n - 1))
         if rest == list(range(n + 2, d0 + 1)):
             rest[-1] = d
-        for indices in (None, list(range(1, n + 2)) + rest):
-            expected = oracle.recover_normal_form(web, indices).to_json()
-            assert recover_normal_form(web, indices).to_json() == expected, (taus, indices)
+        front = list(range(1, n + 2)) + rest
+        order = front + [j for j in range(1, d + 1) if j not in front]
+        for ordered in (web, subweb(web, order)):
+            expected = oracle.recover_normal_form(ordered).to_json()
+            assert recover_normal_form(ordered).to_json() == expected, (taus, order)
         spec = MomentWebSpec(r, n, taus[:d_can], gauge)
         assert canonical_data(spec).to_json() == oracle.canonical_data(spec).to_json(), taus
 
