@@ -117,7 +117,7 @@ def _verify_relation(web: ConstantWeb, components: Sequence[HomogeneousPoly]) ->
     if not live:
         return
     rn, h = web.r * web.n, components[live[0]].degree
-    kappas, normals = web.cleared_kappas(), web.cleared_normals()
+    (kappas, _), normals = web.cleared_kappas(), web.cleared_normals()
     coeffs, _ = _clear_denominators(components[j].coeffs.values() for j in live)
     positions = subset_position(rn, web.r)
     width = len(positions)
@@ -182,7 +182,7 @@ def _prolonged_rows(
     # coordinate t = (j, m) of D_a c, as (column, integer) pairs; x^m in
     # dc_j/dx_i has (m_i + 1) times the coefficient of x^(m + e_i) in c_j
     derivative = []
-    for j, kappa in enumerate(web.cleared_kappas()):
+    for j, kappa in enumerate(web.cleared_kappas()[0]):
         for m in monomial_exponents(r, h - 1):
             raised = [
                 (kappa[i], j * dim_e + pos[m[:i] + (m[i] + 1,) + m[i + 1 :]], m[i] + 1)

@@ -195,13 +195,13 @@ class CanonicalData:
         self.curve_coeffs = tuple(tuple(v) for v in curve_coeffs)
 
     def point_at(self, t) -> ProjectivePoint:
-        """The curve evaluated at parameter t."""
+        """The curve evaluated at parameter t, coordinate by coordinate
+        (Horner); a coordinate with no non-zero coefficient is 0."""
         t = rational(t)
-        coords = [Fraction(0)] * (self.N + 1)
-        for rho, vec in enumerate(self.curve_coeffs):
-            for i, c in enumerate(vec):
-                coords[i] += t**rho * c
-        return ProjectivePoint(coords)
+        return ProjectivePoint([
+            _poly_eval(coeffs, t) if any(coeffs) else Fraction(0)
+            for coeffs in zip(*self.curve_coeffs)
+        ])
 
     def to_json(self) -> dict:
         return {
@@ -283,21 +283,17 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
         )
     N = report.total_rank - 1
 
-    # evaluation at the origin: constants survive, positive degrees vanish
-    columns = []
-    for j in range(d):
-        column = [
-            el.components[j].coefficient((0,) * r) if el.degree == 0 else Fraction(0)
-            for el in basis
-        ]
-        columns.append(column)
+    # evaluation at the origin: constants survive, positive degrees
+    # vanish, so only the q+1 relations of degree 0, which come first,
+    # give non-zero entries; the N-q after them are zeros
+    zeros = [Fraction(0)] * (N - q)
+    columns = [[el.components[j].coefficient((0,) * r) for el in basis[: q + 1]]
+               for j in range(d)]
 
     points = []
     for j, column in enumerate(columns):
-        point = ProjectivePoint(column)
-        expected = tuple(spec.taus[j] ** rho for rho in range(q + 1)) + (
-            Fraction(0),
-        ) * (N - q)
+        point = ProjectivePoint(column + zeros)
+        expected = tuple(spec.taus[j] ** rho for rho in range(q + 1)) + tuple(zeros)
         if point.coords != expected:
             raise InternalContradictionError(
                 f"point {j + 1} differs from its displayed coordinate form"
@@ -307,7 +303,7 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
         raise InternalContradictionError("canonical points are not pairwise distinct")
 
     # curve z(t) = sum_j P(t)/(t - tau_j) z_j; must close at degree q
-    curve = [[Fraction(0)] * (N + 1) for _ in range(d)]
+    curve = [[Fraction(0)] * (q + 1) for _ in range(d)]
     for j, column in enumerate(columns):
         for e, c in enumerate(_cofactor(spec.taus, j)):
             if c != 0:
@@ -318,7 +314,7 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
             raise InternalContradictionError(
                 f"canonical curve has a nonzero coefficient in degree {e} > q = {q}"
             )
-    curve_coeffs = curve[: q + 1]
+    curve_coeffs = [vec + zeros for vec in curve[: q + 1]]
 
     data = CanonicalData(N, q, spec.taus, weights, points, curve_coeffs)
     for tau, point in zip(spec.taus, points):

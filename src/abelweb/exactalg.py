@@ -19,7 +19,8 @@ integers over its support and one positive denominator.
 Relation spaces call it on their rows.  :class:`Matrix` reads its rank,
 RREF, kernel basis and inverse off it, on its rows times one lcm of
 their denominators (row scaling changes neither kernel nor row space),
-the inverse off the kernel of [A | I]; only ``rank`` may return first,
+the inverse off the kernel of [A | I].  Only the rank (:func:`_rank`,
+which recovery calls on its own integer rows too) may return first,
 when the rank modulo p is full, which proves it over Q.  ``det`` reads
 the one maximal minor off the Laplace sweep :func:`_minors`.
 """
@@ -396,6 +397,15 @@ def certified_kernel(
             return basis
 
 
+def _rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """Exact rank of sparse integer rows: full rank modulo p proves it,
+    else ``ncols`` minus the size of the certified kernel gives it."""
+    full = min(len(rows), ncols)
+    if len(_extend_mod({}, rows, _prime_below(2**61))) == full:
+        return full
+    return ncols - len(certified_kernel(rows, ncols))
+
+
 class Matrix:
     """Immutable dense matrix over Q."""
 
@@ -489,12 +499,8 @@ class Matrix:
         return Matrix(m), tuple(pivots)
 
     def rank(self) -> int:
-        """Exact rank: full rank modulo p proves it, else the kernel size gives it."""
-        full = min(self.rows, self.cols)
-        rows = self._sparse_rows()
-        if len(_extend_mod({}, rows, _prime_below(2**61))) == full:
-            return full
-        return self.cols - len(certified_kernel(rows, self.cols))
+        """Exact rank, by :func:`_rank` of the cleared rows."""
+        return _rank(self._sparse_rows(), self.cols)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Canonical basis of the right null space.

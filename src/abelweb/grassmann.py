@@ -16,20 +16,25 @@ read every point p_j off foliation j written in that basis (F(p) has
 rows e_a (x) p there).  The reader accepts foliation j only if it is
 F(p_j), which certifies that the web is F(p_1), ..., F(p_d); the
 Castelnuovo minimal-span criterion certifies that the points lie on a
-common rational normal curve.
+common rational normal curve.  Recovery runs in integers: the basis
+comes off the certified kernel of R(1) and the cleared kappas, its
+inverse off one certified kernel, the points and the Castelnuovo rank
+off integer rows; only the returned basis and points are ``Fraction``s.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
 from .exactalg import (
-    Matrix, _clear_denominators, _minors, json_array, json_object, json_rational, rational,
+    Matrix, _clear_denominators, _minors, _rank, certified_kernel, json_array, json_object,
+    json_rational, rational,
 )
-from .multilinear import ExteriorForm, monomial_exponents
+from .multilinear import ExteriorForm, monomial_exponents, poly_space_dim
 from .webcore import (
     ConstantFoliation,
     ConstantWeb,
@@ -38,6 +43,7 @@ from .webcore import (
     web_type_from_json,
 )
 from .abelian import (
+    _relation_kernel,
     _semi_extremal,
     relation_space,
     relation_space_dim,
@@ -206,15 +212,17 @@ def omega_expansion(basis: Matrix, r: int, n: int) -> list[ExteriorForm]:
     ]
 
 
+def _monomials(coords: Sequence, r: int) -> list:
+    """All degree-r monomials of ``coords`` (integers or rationals), graded-lex order."""
+    return [
+        math.prod(c**e for c, e in zip(coords, expo) if e)
+        for expo in monomial_exponents(len(coords), r)
+    ]
+
+
 def veronese(p: ProjectivePoint, r: int) -> ProjectivePoint:
     """All degree-r monomials of the coordinates, graded-lex order."""
-    coords = []
-    for expo in monomial_exponents(len(p.coords), r):
-        value = Fraction(1)
-        for c, e in zip(p.coords, expo):
-            value *= c**e
-        coords.append(value)
-    return ProjectivePoint(coords)
+    return ProjectivePoint(_monomials(p.coords, r))
 
 
 def _castelnuovo_threshold(r: int, n: int) -> int:
@@ -229,14 +237,19 @@ def castelnuovo_rnc_test(points: Sequence[ProjectivePoint], r: int) -> bool:
     dimension exactly r(n-1)+1, the minimum for points in general
     position; this holds iff they lie on a common rational normal curve
     of degree n-1.  Requires d >= r(n-1)+1, strengthened to d >= 2n+1
-    when r = 2.
+    when r = 2.  The images are ranked in integers, each point cleared
+    by its own lcm first; that scales its image, which leaves the rank
+    alone.
     """
     n = point_dimension(points)
     d = len(points)
     if d < _castelnuovo_threshold(r, n):
         raise ValueError("below Castelnuovo threshold")
-    images = Matrix([veronese(p, r).coords for p in points])
-    return images.rank() == r * (n - 1) + 1
+    images = []
+    for p in points:
+        (coords,), _ = _clear_denominators([p.coords])
+        images.append({c: x for c, x in enumerate(_monomials(coords, r)) if x})
+    return _rank(images, poly_space_dim(n, r)) == r * (n - 1) + 1
 
 
 class AdaptedStructure:
@@ -284,8 +297,10 @@ class AdaptedStructure:
         return cls(basis, points)
 
 
-def _recover_basis(web: ConstantWeb) -> Matrix:
-    """The covector basis of a web of the critical order d = (r+1)(n-1)+2.
+def _recover_basis(web: ConstantWeb) -> tuple[Matrix, list[list[int]]]:
+    """The covector basis B of a web of the critical order d = (r+1)(n-1)+2,
+    and the columns of B^-1 in integers, as :func:`_point_from_block_matrix`
+    reads them.
 
     Row a*n + alpha is the linear component of the a-th canonical
     degree-1 relation along foliation alpha, pulled back to the ambient
@@ -293,32 +308,55 @@ def _recover_basis(web: ConstantWeb) -> Matrix:
     of C_j kappa_j, C_j the r x r matrix of their components there; since
     kappa_j has rank r, they cut out foliation j exactly when C_j has
     rank r.
+
+    Once ``relation_space`` has verified the relations, all of it is read
+    in integers off the certified kernel of R(1), vector a = vec_a / den_a,
+    and the kappas cleared by L: C_j times den_a is the block
+    vec_a[j*r + b], and row (a, alpha) times s_a = den_a * L is
+    sum_b vec_a[alpha*r + b] * (L kappa_alpha)[b].  The kernel of
+    [S B | I], S = diag(s_a) (x) I, holds (-(S B)^-1 e_k, e_k) at free
+    column rn + k, and B is singular exactly when the free columns are
+    not rn .. 2rn - 1.  The columns returned are those of
+    (S B)^-1 = B^-1 S^-1 times -lcm(den_k); the point reader ignores S^-1.
     """
     r, n, d = web.r, web.n, web.d
+    rn = r * n
     dim0 = relation_space_dim(web, 0)
-    relations = relation_space(web, 1)
-    if not _semi_extremal(r, n, d, dim0, len(relations)):
+    dim1 = len(relation_space(web, 1))
+    if not _semi_extremal(r, n, d, dim0, dim1):
         raise DegenerateWebError(
             "web is not semi-extremal / degenerate: relation spaces of degree "
-            f"0 and 1 have dimensions {dim0} and {len(relations)}"
+            f"0 and 1 have dimensions {dim0} and {dim1}"
         )
+    relations = _relation_kernel(web, 1, False)
     for j in range(d):
-        if Matrix([rel.components[j].vector() for rel in relations]).rank() != r:
+        block = [{b: vec[j * r + b] for b in range(r) if j * r + b in vec} for _, vec in relations]
+        if _rank(block, r) != r:
             raise DegenerateWebError(
                 "web is not semi-extremal / degenerate: recovered covectors "
                 f"do not cut out foliation {j + 1}"
             )
 
-    basis = Matrix([
-        web.foliations[alpha].matrix.apply_row(rel.components[alpha].vector())
-        for rel in relations
-        for alpha in range(n)
-    ])
-    if not basis.is_invertible():
+    kappas, lcm = web.cleared_kappas()
+    rows, scales = [], []
+    for den, vec in relations:
+        for alpha in range(n):
+            terms = [(vec[alpha * r + b], kappas[alpha][b])
+                     for b in range(r) if alpha * r + b in vec]
+            rows.append([sum(x * row[c] for x, row in terms) for c in range(rn)])
+            scales.append(den * lcm)
+    kernel = certified_kernel(
+        [{c: x for c, x in enumerate(row) if x} | {rn + k: 1} for k, row in enumerate(rows)],
+        2 * rn,
+    )
+    if [next(reversed(vec)) for _, vec in kernel] != list(range(rn, 2 * rn)):
         raise DegenerateWebError(
             "web is not semi-extremal / degenerate: recovered covector basis is singular"
         )
-    return basis
+    m = math.lcm(*(den for den, _ in kernel))
+    columns = [[(m // den) * vec.get(i, 0) for i in range(rn)] for den, vec in kernel]
+    basis = Matrix([[Fraction(x, s) for x in row] for row, s in zip(rows, scales)])
+    return basis, columns
 
 
 def _point_from_block_matrix(
@@ -327,11 +365,13 @@ def _point_from_block_matrix(
     """Read p_k off foliation k expressed in the recovered coordinates.
 
     ``columns`` are the columns of the inverse of the recovered basis,
-    all times one integer, and ``kappa`` the foliation's defining rows,
-    all times another (``ConstantWeb.cleared_kappas``).  Each covector
-    then has integer m-basis coefficients, which are its rational ones
-    times one non-zero scale.  Reshaped r x n, they must be rank 1 with
-    one common right factor xi, the point: every block row x passes
+    columns a*n .. a*n + n - 1 all times one non-zero integer t_a, and
+    ``kappa`` the foliation's defining rows, all times another
+    (``ConstantWeb.cleared_kappas``).  Each covector then has integer
+    m-basis coefficients, which are its rational ones times one non-zero
+    scale, and block a times t_a.  Reshaped r x n, they must be rank 1
+    with one common right factor xi, the point (scaling row a of the
+    reshape by t_a changes neither): every block row x passes
     x[i] * xi[lead] == x[lead] * xi[i], lead the first non-zero position
     of xi.
 
@@ -382,11 +422,10 @@ def recover_normal_form(web: ConstantWeb) -> AdaptedStructure:
         )
     web.require_pg()
     d0 = (r + 1) * (n - 1) + 2
-    basis = _recover_basis(take_subweb(web, range(1, d0 + 1)))
-    columns, _ = _clear_denominators(zip(*basis.inverse().entries))
+    basis, columns = _recover_basis(take_subweb(web, range(1, d0 + 1)))
     points = [
         _point_from_block_matrix(columns, kappa, r, n, k)
-        for k, kappa in enumerate(web.cleared_kappas(), start=1)
+        for k, kappa in enumerate(web.cleared_kappas()[0], start=1)
     ]
     if d >= _castelnuovo_threshold(r, n) and not castelnuovo_rnc_test(points, r):
         # semi-extremality was verified above, which provably places the

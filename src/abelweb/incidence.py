@@ -52,13 +52,12 @@ class PlaneArrangement:
 
     @classmethod
     def from_json(cls, data: dict) -> "PlaneArrangement":
-        return cls(
-            *web_type_from_json(data, "arrangement", ("planes",)),
-            [
-                Matrix.from_json(rows, f"plane {i}")
-                for i, rows in enumerate(json_array(data["planes"], "planes"), start=1)
-            ],
-        )
+        r, n = web_type_from_json(data, "arrangement", ("planes",))
+        if not json_array(data["planes"], "planes"):
+            raise ValueError("planes must hold at least one plane, got []")
+        return cls(r, n, [
+            Matrix.from_json(rows, f"plane {i}") for i, rows in enumerate(data["planes"], start=1)
+        ])
 
 
 def intersect_with_base_plane(arr: PlaneArrangement) -> list[ProjectivePoint]:

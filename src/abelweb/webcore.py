@@ -117,15 +117,16 @@ class ConstantWeb:
     def foliation_set(self) -> frozenset:
         return frozenset(self.foliations)
 
-    def cleared_kappas(self) -> list[list[list[int]]]:
-        """kappa_1, ..., kappa_d as integer rows, all times the lcm L of every
-        denominator in the web: one scale, so relations stay relations."""
+    def cleared_kappas(self) -> tuple[list[list[list[int]]], int]:
+        """``(kappas, L)``: kappa_1, ..., kappa_d as integer rows, all times
+        the lcm L of every denominator in the web: one scale, so relations
+        stay relations."""
         if self._kappas is None:
-            rows, _ = _clear_denominators(
+            rows, lcm = _clear_denominators(
                 row for foliation in self.foliations for row in foliation.matrix.entries
             )
             kappas = [rows[j * self.r : (j + 1) * self.r] for j in range(self.d)]
-            object.__setattr__(self, "_kappas", kappas)
+            object.__setattr__(self, "_kappas", (kappas, lcm))
         return self._kappas
 
     def cleared_normals(self) -> list[dict[tuple[int, ...], int]]:
@@ -134,7 +135,7 @@ class ConstantWeb:
         if self._normals is None:
             normals = [
                 {s: v for s, v in _minors(kappa, self.r * self.n).items() if v}
-                for kappa in self.cleared_kappas()
+                for kappa in self.cleared_kappas()[0]
             ]
             object.__setattr__(self, "_normals", normals)
         return self._normals
@@ -174,8 +175,10 @@ class ConstantWeb:
     @classmethod
     def from_json(cls, data: dict) -> "ConstantWeb":
         r, n = web_type_from_json(data, "web", ("foliations",))
+        if not json_array(data["foliations"], "foliations"):
+            raise ValueError("foliations must hold at least one foliation, got []")
         foliations = []
-        for j, rows in enumerate(json_array(data["foliations"], "foliations"), start=1):
+        for j, rows in enumerate(data["foliations"], start=1):
             matrix = Matrix.from_json(rows, f"foliation {j}")
             try:
                 foliations.append(ConstantFoliation(r, n, matrix))
@@ -242,7 +245,7 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     drops, are not all normalized for nothing.
     """
     p = _prime_below(2**61)
-    kappas = web.cleared_kappas()
+    kappas, _ = web.cleared_kappas()
     rows = [[{c: a for c, a in enumerate(row) if a} for row in kappa] for kappa in kappas]
 
     def first_failure(delta: int) -> tuple[int, ...] | None:

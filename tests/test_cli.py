@@ -326,9 +326,19 @@ _PLANE = [["1", "0", "0", "1"], ["0", "1", "0", "1"]]
      1, "ragged rows in base change: row 2 has 1 entries, row 1 has 2"),
     (["fit-rnc"], "--points", [["1", "0"], ["0", "0"], ["1", "1"], ["1", "2"], ["1", "3"]],
      1, "point 2: projective point needs a nonzero coordinate"),
+    # an empty array is named, not reported as d = 0
+    (["rank"], "--web", {"r": 2, "n": 2, "foliations": []},
+     1, "error: foliations must hold at least one foliation, got []"),
+    (["pg"], "--web", {"r": 2, "n": 2, "foliations": []},
+     1, "error: foliations must hold at least one foliation, got []"),
+    (["recover"], "--web", {"r": 2, "n": 2, "foliations": []},
+     1, "error: foliations must hold at least one foliation, got []"),
+    (["incidence"], "--arrangement", {"r": 2, "n": 2, "planes": []},
+     1, "error: planes must hold at least one plane, got []"),
 ], ids=["foliation-shape", "foliation-ragged", "foliation-rank", "plane-ragged",
         "plane-shape", "plane-rank", "canonical-base_change-ragged", "moment-base-ragged",
-        "point-zero"])
+        "point-zero", "foliations-empty-rank", "foliations-empty-pg",
+        "foliations-empty-recover", "planes-empty"])
 def test_shape_errors_name_their_field(tmp_path, capsys, argv, option, data, code, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(data))

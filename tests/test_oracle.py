@@ -471,16 +471,17 @@ def test_verify_relation_matches_oracle():
 
 def test_point_reader_matches_oracle():
     """The integer point reader against the Fraction one: the same point
-    on F(p) and on F(p) with its rows mixed, for any common scale of the
-    inverse's columns, and the same error on foliations not of that form."""
+    on F(p) and on F(p) with its rows mixed, for any scale of each block
+    of n columns of the inverse, and the same error on foliations not of
+    that form."""
     rng = make_rng(50)
     not_fp = 0
     for r, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         basis = _rational_invertible(rng, r * n)
         inverse = basis.inverse()
-        scale = rng.choice((1, -2, 3))
-        columns = [[scale * x for x in col]
-                   for col in _clear_denominators(zip(*inverse.entries))[0]]
+        scales = [rng.choice((1, -2, 3)) for _ in range(r)]
+        columns = [[scales[c // n] * x for x in col]
+                   for c, col in enumerate(_clear_denominators(zip(*inverse.entries))[0])]
         for k in range(1, 9):
             coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
             if not any(coords):
@@ -511,7 +512,8 @@ def test_point_reader_matches_oracle():
 
 def _kappa(foliation):
     """The foliation's rows as the point reader gets them: cleared to integers."""
-    return ConstantWeb(foliation.r, foliation.n, [foliation]).cleared_kappas()[0]
+    (kappa,), _ = ConstantWeb(foliation.r, foliation.n, [foliation]).cleared_kappas()
+    return kappa
 
 
 def _outcome(read):

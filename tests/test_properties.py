@@ -13,6 +13,12 @@ and the rank report do not change at all (the normal of kappa_j g is
 the pullback of Omega_j by g, so each relation pulls back to zero),
 nor under kappa_j -> A_j kappa_j with a rational A_j in GL(r) per
 foliation (Omega_j scales by det A_j and c_j is composed with A_j).
+On moment webs with rational taus, a rational base change and each
+foliation's rows mixed by a rational A_j, so that the kappas' lcm L and
+the denominators of R(1) are not 1, the integer recovery returns the
+Fraction oracle's structure; and on rational points on a rational
+normal curve, and with one point moved, the Castelnuovo test agrees
+with the rank of their Fraction Veronese images.
 On sparse integer matrices, tall and wide, rank-deficient, with
 repeated rows, empty columns and entries too large for one prime, the
 certified kernel is the RREF kernel basis whatever the row order, and
@@ -32,6 +38,7 @@ run is reproducible, and no example database is written.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -49,9 +56,12 @@ from abelweb import (
     Matrix,
     MomentWebSpec,
     PlaneArrangement,
+    ProjectivePoint,
+    castelnuovo_rnc_test,
     check_pg,
     generator_normal,
     h_cutoff,
+    moment_point,
     moment_web,
     recover_normal_form,
     relation_space,
@@ -59,6 +69,7 @@ from abelweb import (
     subweb,
     total_rank,
 )
+from abelweb.abelian import _relation_kernel
 from abelweb.cli import main
 from abelweb.exactalg import certified_kernel
 from helpers import DEFAULT_SEED, dense_kernel
@@ -232,6 +243,64 @@ def test_rank_invariant_under_row_mixing(data):
         mixed.append(ConstantFoliation(web.r, web.n, a * f.matrix))
     mixed = ConstantWeb(web.r, web.n, mixed)
     assert total_rank(mixed).to_json() == total_rank(web).to_json()
+
+
+TAUS = sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3)})
+
+
+@seed(DEFAULT_SEED)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_recovery_matches_oracle_on_mixed_rational_moment_webs(data):
+    r, n = data.draw(st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+    d = (r + 1) * (n - 1) + 2 + data.draw(st.integers(0, 1))
+    taus = data.draw(st.lists(st.sampled_from(TAUS), min_size=d, max_size=d, unique=True))
+    base = data.draw(invertible(r * n))
+    scales = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=r * n, max_size=r * n))
+    base = Matrix([[x * s for x, s in zip(row, scales)] for row in base.entries])
+    web = moment_web(MomentWebSpec(r, n, taus, base))
+    mixed = []
+    for f in web.foliations:
+        a = data.draw(invertible(r))
+        scales = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=r, max_size=r))
+        a = Matrix([[x * s for x in row] for row, s in zip(a.entries, scales)])
+        mixed.append(ConstantFoliation(r, n, a * f.matrix))
+    mixed = ConstantWeb(r, n, mixed)
+    # recovery scales its integer rows by L and by each R(1) denominator
+    critical = subweb(mixed, range(1, (r + 1) * (n - 1) + 3))
+    assume(critical.cleared_kappas()[1] != 1)
+    assume(all(den != 1 for den, _ in _relation_kernel(critical, 1, False)))
+    assert recover_normal_form(mixed).to_json() == oracle.recover_normal_form(mixed).to_json()
+
+
+def _veronese_rank(points, r: int) -> int:
+    """Rank of the degree-r monomials of the points, in Fractions, by the oracle."""
+    return oracle.rank(Matrix([
+        [math.prod(monomial, start=Fraction(1))
+         for monomial in itertools.combinations_with_replacement(p.coords, r)]
+        for p in points
+    ]))
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(st.data())
+def test_castelnuovo_matches_fraction_veronese_rank(data):
+    # rational points on a rational normal curve, then one of them moved
+    r, n = data.draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]))
+    d = (2 * n + 1 if r == 2 else r * (n - 1) + 1) + data.draw(st.integers(0, 2))
+    taus = data.draw(st.lists(st.sampled_from(TAUS), min_size=d, max_size=d, unique=True))
+    g = data.draw(invertible(n))
+    scales = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=n, max_size=n))
+    g = Matrix([[x * s for x, s in zip(row, scales)] for row in g.entries])
+    on = [ProjectivePoint(g.apply(moment_point(n, tau).coords)) for tau in taus]
+    assert castelnuovo_rnc_test(on, r)
+    assert _veronese_rank(on, r) == r * (n - 1) + 1
+    k = data.draw(st.integers(0, d - 1))
+    moved = [c + data.draw(st.sampled_from(ROW_SCALES)) for c in on[k].coords]
+    assume(any(moved))
+    off = on[:k] + [ProjectivePoint(moved)] + on[k + 1 :]
+    assert castelnuovo_rnc_test(off, r) == (_veronese_rank(off, r) == r * (n - 1) + 1)
 
 
 def _round_trip(obj, cls) -> None:

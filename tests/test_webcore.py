@@ -71,7 +71,7 @@ def _record_subsets(monkeypatch, web) -> list[tuple[int, ...]]:
     name the foliation they belong to.
     """
     rows = [[{c: a for c, a in enumerate(row) if a} for row in kappa]
-            for kappa in web.cleared_kappas()]
+            for kappa in web.cleared_kappas()[0]]
     real, paths, kept, tested = webcore._extend_mod, {}, [], []
 
     def extend(echelon, new_rows, p):
