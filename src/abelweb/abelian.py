@@ -147,11 +147,13 @@ def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
     entries = [[0] * (web.d * len(basis)) for _ in range(len(mono_pos) * len(sub_pos))]
     for j, foliation in enumerate(web.foliations):
         normal = generator_normal(foliation).coeffs
+        # pulled back along the integer rows, den times kappa_j
+        scale = foliation.matrix.den**h
         for col, expo in enumerate(basis, j * len(basis)):
-            pulled = substitute(HomogeneousPoly(web.r, h, {expo: 1}), foliation.matrix.entries)
+            pulled = substitute(HomogeneousPoly(web.r, h, {expo: 1}), foliation.matrix.ints)
             for mono, pc in pulled.coeffs.items():
                 for subset, nc in normal.items():
-                    entries[mono_pos[mono] * len(sub_pos) + sub_pos[subset]][col] = pc * nc
+                    entries[mono_pos[mono] * len(sub_pos) + sub_pos[subset]][col] = pc * nc / scale
     return Matrix(entries)
 
 

@@ -38,16 +38,6 @@ def _strip(coeffs: Sequence) -> list[Fraction]:
     return coeffs
 
 
-def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     total = Fraction(0)
     for c in reversed(list(p)):
@@ -75,13 +65,20 @@ def vandermonde_weights(taus: Sequence) -> tuple[Fraction, ...]:
     return tuple(weights)
 
 
-def _cofactor(taus: Sequence[Fraction], j: int) -> list[Fraction]:
-    """prod_{k != j} (t - tau_k), i.e. P(t)/(t - tau_j)."""
+def _cofactors(taus: Sequence[Fraction]) -> list[list[Fraction]]:
+    """P(t)/(t - tau_j) for every j, P(t) = prod_k (t - tau_k): P is formed
+    once and divided by each t - tau_j synthetically, O(d^2) in all."""
     poly = [Fraction(1)]
-    for k, tk in enumerate(taus):
-        if k != j:
-            poly = _poly_mul(poly, [-tk, Fraction(1)])
-    return poly
+    for tk in taus:
+        poly = [a - tk * b for a, b in zip([0] + poly, poly + [0])]
+    quotients = []
+    for tj in taus:
+        # P = (t - tj) Q: Q's top coefficient is P's, then q_(k-1) = p_k + tj q_k
+        q = [poly[-1]]
+        for c in reversed(poly[1:-1]):
+            q.append(c + tj * q[-1])
+        quotients.append(q[::-1])
+    return quotients
 
 
 def check_general_solution(
@@ -131,9 +128,9 @@ def solution_polynomial(
     # Lagrange basis through (tau_j, z_j / c_j) collapses to
     # f = sum_j z_j * P(t)/(t - tau_j)
     f = [Fraction(0)] * d
-    for j, zj in enumerate(z):
+    for zj, cofactor in zip(z, _cofactors(taus)):
         if zj != 0:
-            for e, c in enumerate(_cofactor(taus, j)):
+            for e, c in enumerate(cofactor):
                 f[e] += zj * c
     f = _strip(f)
     if len(f) - 1 > q:
@@ -153,10 +150,10 @@ def lagrange_identity(taus: Sequence, f_coeffs: Sequence) -> bool:
     f = _strip(f_coeffs)
     weights = vandermonde_weights(taus)
     total = [Fraction(0)] * len(taus)
-    for j, (cj, tj) in enumerate(zip(weights, taus)):
+    for cj, tj, cofactor in zip(weights, taus, _cofactors(taus)):
         value = cj * _poly_eval(f, tj)
         if value != 0:
-            for e, c in enumerate(_cofactor(taus, j)):
+            for e, c in enumerate(cofactor):
                 total[e] += value * c
     return _strip(total) == f
 
@@ -304,8 +301,8 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
 
     # curve z(t) = sum_j P(t)/(t - tau_j) z_j; must close at degree q
     curve = [[Fraction(0)] * (q + 1) for _ in range(d)]
-    for j, column in enumerate(columns):
-        for e, c in enumerate(_cofactor(spec.taus, j)):
+    for column, cofactor in zip(columns, _cofactors(spec.taus)):
+        for e, c in enumerate(cofactor):
             if c != 0:
                 for i, zc in enumerate(column):
                     curve[e][i] += c * zc

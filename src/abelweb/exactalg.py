@@ -1,9 +1,13 @@
 """Exact rational scalars and dense matrices.
 
-Every computation in this package runs over Q, represented by
-``fractions.Fraction`` (always in lowest terms, positive denominator).
-There is no floating point anywhere: the statements we verify are
-equalities of dimensions, so tolerances would make them meaningless.
+Every computation in this package runs over Q, in integers wherever it
+can: a :class:`Matrix` holds integer rows over one positive denominator,
+and ``fractions.Fraction`` (always in lowest terms, positive
+denominator) is the form of a single rational at the boundary: parsed
+input, returned entries and vectors.  One parser (:func:`_ratio`) reads
+every int, ``Fraction`` or "p/q" string.  There is no floating point
+anywhere: the statements we verify are equalities of dimensions, so
+tolerances would make them meaningless.
 
 Rationals serialize as strings ``"p/q"`` or ``"p"`` in all JSON formats.
 
@@ -17,12 +21,13 @@ elimination into an error, not a hang.  Each basis vector is a dict of
 integers over its support and one positive denominator.
 
 Relation spaces call it on their rows.  :class:`Matrix` reads its rank,
-RREF, kernel basis and inverse off it, on its rows times one lcm of
-their denominators (row scaling changes neither kernel nor row space),
-the inverse off the kernel of [A | I].  Only the rank (:func:`_rank`,
-which recovery calls on its own integer rows too) may return first,
-when the rank modulo p is full, which proves it over Q.  ``det`` reads
-the one maximal minor off the Laplace sweep :func:`_minors`.
+RREF, kernel basis and inverse off it, on its integer rows (row scaling
+changes neither kernel nor row space), the inverse off the kernel of
+[A | I], and builds its RREF and inverse straight from the integer
+kernel vectors.  Only the rank (:func:`_rank`, which recovery calls on
+its own integer rows too) may return first, when the rank modulo the
+prime below 2**30 is full, which proves it over Q.  ``det`` reads the
+one maximal minor off the Laplace sweep :func:`_minors`.
 """
 
 from __future__ import annotations
@@ -39,17 +44,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalContradictionError
 
-Scalar = Fraction
-
-
-def rational(value) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact rational."""
+def _ratio(value) -> tuple[int, int]:
+    """An int, Fraction or "p/q" string as integers (p, q), q > 0, not
+    necessarily in lowest terms: the one parser of rational input."""
+    if type(value) is int:
+        return value, 1
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError(f"cannot interpret {value!r} as a rational")
-    if isinstance(value, int):
-        return Fraction(value)
+        return value.numerator, value.denominator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value), 1
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:
@@ -57,9 +60,17 @@ def rational(value) -> Fraction:
             denominator = int(den)
             if denominator == 0:
                 raise ValueError(f"zero denominator in rational {value!r}")
-            return Fraction(int(num), denominator)
-        return Fraction(int(text))
+            numerator = int(num)
+            return (numerator, denominator) if denominator > 0 else (-numerator, -denominator)
+        return int(text), 1
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def rational(value) -> Fraction:
+    """Coerce an int, Fraction or "p/q" string to an exact rational."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*_ratio(value))
 
 
 def json_array(value, field: str) -> list:
@@ -105,11 +116,12 @@ def binomial(k: int, l: int) -> int:
     return math.comb(k, l)
 
 
-def _clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Rational rows times one lcm ``den`` of all their denominators: ``(ints, den)``."""
-    rows = [list(row) for row in rows]
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+def _clear_denominators(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """Rational rows (anything :func:`rational` reads) times one lcm ``den``
+    of all their denominators: ``(ints, den)``."""
+    rows = [[_ratio(x) for x in row] for row in rows]
+    den = math.lcm(*(q for row in rows for _, q in row))
+    return [[p * (den // q) for p, q in row] for row in rows], den
 
 
 @functools.cache
@@ -398,108 +410,139 @@ def certified_kernel(
 
 
 def _rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Exact rank of sparse integer rows: full rank modulo p proves it,
-    else ``ncols`` minus the size of the certified kernel gives it."""
+    """Exact rank of sparse integer rows: full rank modulo the prime below
+    2**30 proves it (any prime would), else ``ncols`` minus the size of
+    the certified kernel gives it."""
     full = min(len(rows), ncols)
-    if len(_extend_mod({}, rows, _prime_below(2**61))) == full:
+    if len(_extend_mod({}, rows, _prime_below(2**30))) == full:
         return full
     return ncols - len(certified_kernel(rows, ncols))
 
 
-class Matrix:
-    """Immutable dense matrix over Q."""
+def _format(a: int, den: int) -> str:
+    """a / den in lowest terms, as ``str(Fraction(a, den))`` prints it."""
+    g = math.gcd(a, den)
+    return str(a // g) if g == den else f"{a // g}/{den // g}"
 
-    __slots__ = ("rows", "cols", "entries")
+
+class Matrix:
+    """Immutable dense matrix over Q.
+
+    Held as integer rows ``ints`` over one positive denominator ``den``,
+    the least one: the entry (i, j) is ints[i][j] / den, and the gcd of den
+    and every entry is 1.  So equal matrices have equal ``(den, ints)``.
+    Every operation reads and builds these integers; ``Fraction``s are
+    made only by ``entries``, ``row``, ``[i, j]`` and the scalar and
+    vector results (``det``, ``apply``, ``apply_row``, ``kernel_basis``).
+    """
+
+    __slots__ = ("rows", "cols", "den", "ints")
 
     def __init__(self, entries: Iterable[Iterable]) -> None:
-        data = tuple(tuple(rational(x) for x in row) for row in entries)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        object.__setattr__(self, "entries", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
+        ints, den = _clear_denominators(entries)
+        if any(len(row) != len(ints[0]) for row in ints):
+            raise ValueError("ragged rows")
+        self._store(ints, den)
+
+    @classmethod
+    def _from_ints(cls, ints: Iterable[Sequence[int]], den: int) -> "Matrix":
+        """The matrix ``ints / den``, ``den`` > 0, with no parse."""
+        m = object.__new__(cls)
+        m._store(list(ints), den)
+        return m
+
+    def _store(self, ints: list[Sequence[int]], den: int) -> None:
+        """Hold ``ints / den`` divided through by the gcd of den and every entry."""
+        g = math.gcd(den, *itertools.chain.from_iterable(ints))
+        ints = tuple(tuple(row) if g == 1 else tuple(a // g for a in row) for row in ints)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "rows", len(ints))
+        object.__setattr__(self, "cols", len(ints[0]) if ints else 0)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_ints([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        return Fraction(self.ints[i][j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
+        return tuple(Fraction(a, self.den) for a in self.ints[i])
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Every row as ``Fraction``s, built on each call."""
+        return tuple(self.row(i) for i in range(self.rows))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.entries == other.entries
+        return isinstance(other, Matrix) and (self.den, self.ints) == (other.den, other.ints)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.den, self.ints))
 
     def __repr__(self) -> str:
-        return f"Matrix({[list(map(str, row)) for row in self.entries]})"
+        return f"Matrix({self.to_json()})"
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.entries)) if self.rows else Matrix([])
+        return Matrix._from_ints(zip(*self.ints), self.den)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols = other.transpose().entries
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
+        cols = list(zip(*other.ints))
+        return Matrix._from_ints(
+            [[sum(map(operator.mul, row, col)) for col in cols] for row in self.ints],
+            self.den * other.den,
         )
 
     def apply_row(self, vector: Sequence) -> tuple[Fraction, ...]:
         """Row vector times matrix."""
-        vec = [rational(x) for x in vector]
+        (vec,), scale = _clear_denominators([vector])
         if len(vec) != self.rows:
             raise ValueError("shape mismatch")
-        return tuple(
-            sum(vec[i] * self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        )
+        den = self.den * scale
+        return tuple(Fraction(sum(map(operator.mul, vec, col)), den) for col in zip(*self.ints))
 
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
-        vec = [rational(x) for x in vector]
+        (vec,), scale = _clear_denominators([vector])
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        den = self.den * scale
+        return tuple(Fraction(sum(map(operator.mul, row, vec)), den) for row in self.ints)
 
     def _sparse_rows(self) -> list[dict[int, int]]:
-        """The rows times one lcm of their denominators, as sparse integer dicts."""
-        ints, _ = _clear_denominators(self.entries)
-        return [{c: a for c, a in enumerate(row) if a} for row in ints]
+        """The integer rows as sparse dicts: den times the rows."""
+        return [{c: a for c, a in enumerate(row) if a} for row in self.ints]
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns, read off the kernel.
 
         The pivots are the columns that are not free (a kernel vector's
-        last key); row i is 1 at pivot q_i and -K_f[q_i] at each free f.
+        last key); row i is 1 at pivot q_i and -K_f[q_i] at each free f,
+        all over the lcm of the kernel vectors' denominators.
         """
         kernel = certified_kernel(self._sparse_rows(), self.cols)
         free = {next(reversed(vec)): (den, vec) for den, vec in kernel}
         pivots = [q for q in range(self.cols) if q not in free]
         row_of = {q: i for i, q in enumerate(pivots)}
-        m = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        lcm = math.lcm(*(den for den, _ in kernel))
+        m = [[0] * self.cols for _ in range(self.rows)]
         for q, i in row_of.items():
-            m[i][q] = Fraction(1)
+            m[i][q] = lcm
         for f, (den, vec) in free.items():
             for q, a in vec.items():
                 if q != f:
-                    m[row_of[q]][f] = Fraction(-a, den)
-        return Matrix(m), tuple(pivots)
+                    m[row_of[q]][f] = -a * (lcm // den)
+        return Matrix._from_ints(m, lcm), tuple(pivots)
 
     def rank(self) -> int:
-        """Exact rank, by :func:`_rank` of the cleared rows."""
+        """Exact rank, by :func:`_rank` of the integer rows."""
         return _rank(self._sparse_rows(), self.cols)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
@@ -519,50 +562,52 @@ class Matrix:
         0.09 s at 14 x 14 (CPython 3.11, one core of a 2-vCPU Xeon VM)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        ints, den = _clear_denominators(self.entries)
-        return Fraction(_minors(ints, self.cols)[tuple(range(self.cols))], den**self.rows)
+        minor = _minors(self.ints, self.cols)[tuple(range(self.cols))]
+        return Fraction(minor, self.den**self.rows)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "Matrix":
-        """A^-1 read off the kernel of [A | I]: the vector of free column
-        n + k is (-A^-1 e_k, e_k), and A is singular exactly when the free
-        columns are not n .. 2n - 1."""
+        """A^-1 read off the kernel of [den A | den I]: the vector of free
+        column n + k is (-A^-1 e_k, e_k), and A is singular exactly when the
+        free columns are not n .. 2n - 1."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        ints, scale = _clear_denominators(self.entries)
-        rows = [
-            {c: a for c, a in enumerate(row) if a} | {n + i: scale}
-            for i, row in enumerate(ints)
-        ]
+        rows = [row | {n + i: self.den} for i, row in enumerate(self._sparse_rows())]
         kernel = certified_kernel(rows, 2 * n)
         if [next(reversed(vec)) for _, vec in kernel] != list(range(n, 2 * n)):
             raise ValueError("matrix is singular")
-        columns = [[Fraction(-vec.get(i, 0), den) for i in range(n)] for den, vec in kernel]
-        return Matrix(zip(*columns))
+        lcm = math.lcm(*(den for den, _ in kernel))
+        return Matrix._from_ints(
+            [[-vec.get(i, 0) * (lcm // den) for den, vec in kernel] for i in range(n)], lcm
+        )
 
     def row_space_rref(self) -> "Matrix":
         """Canonical form of the row span (RREF with zero rows dropped)."""
         reduced, pivots = self.rref()
-        return Matrix([reduced.row(i) for i in range(len(pivots))])
+        return Matrix._from_ints(reduced.ints[: len(pivots)], reduced.den)
 
     def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.entries]
+        return [[_format(a, self.den) for a in row] for row in self.ints]
 
     @classmethod
     def from_json(cls, data, field: str = "matrix") -> "Matrix":
-        """A matrix from a JSON array of row arrays; ``field`` names it in errors."""
-        rows = [
-            [
-                json_rational(x, f"{field} row {i} entry {k}")
-                for k, x in enumerate(json_array(row, f"{field} row {i}"), start=1)
-            ]
-            for i, row in enumerate(json_array(data, field), start=1)
-        ]
+        """A matrix from a JSON array of row arrays; ``field`` names it in errors.
+
+        The rows are parsed once, by the constructor; only a document it
+        refuses is read again, in order, to name its first bad field.
+        """
+        rows = json_array(data, field)
+        if all(isinstance(row, list) for row in rows):
+            try:
+                return cls(rows)
+            except (TypeError, ValueError):
+                pass
         for i, row in enumerate(rows, start=1):
-            if len(row) != len(rows[0]):
-                raise ValueError(f"ragged rows in {field}: row {i} has {len(row)} entries, "
-                                 f"row 1 has {len(rows[0])}")
-        return cls(rows)
+            for k, x in enumerate(json_array(row, f"{field} row {i}"), start=1):
+                json_rational(x, f"{field} row {i} entry {k}")
+        i, row = next((i, row) for i, row in enumerate(rows, start=1) if len(row) != len(rows[0]))
+        raise ValueError(f"ragged rows in {field}: row {i} has {len(row)} entries, "
+                         f"row 1 has {len(rows[0])}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -164,21 +165,23 @@ def point_dimension(points: Sequence[ProjectivePoint]) -> int:
 
 
 def foliation_from_point(basis: Matrix, p: ProjectivePoint) -> ConstantFoliation:
-    """The foliation F(p): rows sum_alpha xi_alpha m_{a,alpha}, a = 1..r."""
+    """The foliation F(p): rows sum_alpha xi_alpha m_{a,alpha}, a = 1..r,
+    summed in integers: the basis's integer rows times p cleared by its lcm."""
     n = len(p.coords)
     if basis.rows != basis.cols or basis.rows % n != 0:
         raise ValueError("basis shape incompatible with the point's space")
     r = basis.rows // n
-    terms = [(alpha, xi) for alpha, xi in enumerate(p.coords) if xi]
+    (coords,), scale = _clear_denominators([p.coords])
+    terms = [(alpha, xi) for alpha, xi in enumerate(coords) if xi]
     rows = []
     for a in range(r):
         row = [0] * basis.cols
         for alpha, xi in terms:
-            for c, y in enumerate(basis.row(a * n + alpha)):
+            for c, y in enumerate(basis.ints[a * n + alpha]):
                 if y:
                     row[c] += xi * y
         rows.append(row)
-    return ConstantFoliation(r, n, Matrix(rows))
+    return ConstantFoliation(r, n, Matrix._from_ints(rows, basis.den * scale))
 
 
 def moment_web(spec: MomentWebSpec) -> ConstantWeb:
@@ -194,12 +197,12 @@ def omega_expansion(basis: Matrix, r: int, n: int) -> list[ExteriorForm]:
 
     The generator normal of the moment foliation at tau is then exactly
     sum_rho tau^rho K_rho.  K_rho sums the maximal minors (``_minors``) of
-    the cleared rows m_{a,alpha_a} over the choices with sum_a (alpha_a - 1) = rho.
+    the integer rows m_{a,alpha_a} over the choices with sum_a (alpha_a - 1) = rho.
     """
     rn = r * n
     if basis.rows != rn or basis.cols != rn:
         raise ValueError(f"basis must be {rn}x{rn}")
-    ints, den = _clear_denominators(basis.entries)
+    ints, den = basis.ints, basis.den
     sums: list[dict[tuple[int, ...], int]] = [{} for _ in range(r * (n - 1) + 1)]
     for alphas in itertools.product(range(n), repeat=r):
         total = sums[sum(alphas)]
@@ -355,7 +358,8 @@ def _recover_basis(web: ConstantWeb) -> tuple[Matrix, list[list[int]]]:
         )
     m = math.lcm(*(den for den, _ in kernel))
     columns = [[(m // den) * vec.get(i, 0) for i in range(rn)] for den, vec in kernel]
-    basis = Matrix([[Fraction(x, s) for x in row] for row, s in zip(rows, scales)])
+    lcm = math.lcm(*scales)
+    basis = Matrix._from_ints([[x * (lcm // s) for x in row] for row, s in zip(rows, scales)], lcm)
     return basis, columns
 
 
@@ -493,16 +497,15 @@ def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
     if d < n + 3:
         raise ValueError(f"fitting needs at least n+3 = {n + 3} points")
 
-    frame = Matrix(list(zip(*(p.coords for p in points[:n]))))
-    if not frame.is_invertible():
-        raise DegenerateWebError("first n points are not in general position")
-    frame_inv = frame.inverse()
+    try:
+        frame_inv = Matrix(list(zip(*(p.coords for p in points[:n])))).inverse()
+    except ValueError:  # singular
+        raise DegenerateWebError("first n points are not in general position") from None
     v = frame_inv.apply(points[n].coords)
     if any(c == 0 for c in v):
         raise DegenerateWebError("first n+1 points are not in general position")
-    transform = Matrix(
-        [[entry / v[i] for entry in frame_inv.row(i)] for i in range(n)]
-    )
+    scale = Matrix([[1 / v[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    transform = scale * frame_inv
 
     # Cremona images of the non-frame points; on a curve through the
     # frame these are collinear
@@ -542,16 +545,18 @@ def akivis_structure(foliations: Sequence[ConstantFoliation]) -> Matrix:
     r, n = foliations[0].r, foliations[0].n
     if len(foliations) != n + 1:
         raise ValueError(f"exactly n+1 = {n + 1} foliations are required")
-    ConstantWeb(r, n, foliations).require_pg()
+    web = ConstantWeb(r, n, foliations)
+    web.require_pg()
 
-    joint = Matrix([row for f in foliations[:n] for row in f.matrix.entries])
+    kappas, lcm = web.cleared_kappas()
+    joint = Matrix._from_ints([row for kappa in kappas[:n] for row in kappa], lcm)
     coeffs = foliations[n].matrix * joint.inverse()
-    blocks = [
-        Matrix([row[alpha * r : (alpha + 1) * r] for row in coeffs.entries])
-        * foliations[alpha].matrix
-        for alpha in range(n)
-    ]
-    basis = Matrix([blocks[alpha].row(a) for a in range(r) for alpha in range(n)])
+    # row a of C_alpha kappa_alpha, all over den(C) * L
+    basis = Matrix._from_ints([
+        [sum(map(operator.mul, row[alpha * r : (alpha + 1) * r], column))
+         for column in zip(*kappas[alpha])]
+        for row in coeffs.ints for alpha in range(n)
+    ], coeffs.den * lcm)
     if not basis.is_invertible():
         raise DegenerateWebError(
             "foliations admit no adapted basis: block decomposition is singular"
@@ -573,11 +578,12 @@ def structures_equivalent(basis1: Matrix, basis2: Matrix, r: int, n: int) -> boo
         if not basis.is_invertible():
             raise ValueError("bases must be invertible")
     g = basis2 * basis1.inverse()
-    rearranged = Matrix(
+    rearranged = Matrix._from_ints(
         [
-            [g[a * n + alpha, b * n + beta] for alpha in range(n) for beta in range(n)]
+            [g.ints[a * n + alpha][b * n + beta] for alpha in range(n) for beta in range(n)]
             for a in range(r)
             for b in range(r)
-        ]
+        ],
+        g.den,
     )
     return rearranged.rank() == 1

@@ -71,7 +71,7 @@ def intersect_with_base_plane(arr: PlaneArrangement) -> list[ProjectivePoint]:
     for idx, plane in enumerate(arr.planes):
         # a point with eta = 0 lies on the plane exactly when its xi
         # coordinates are in the kernel of the plane's xi-block
-        kernel = Matrix([row[arr.r :] for row in plane.entries]).kernel_basis()
+        kernel = Matrix._from_ints([row[arr.r :] for row in plane.ints], plane.den).kernel_basis()
         if len(kernel) != 1:
             raise DegenerateWebError(
                 "arrangement not in general position w.r.t. base plane: "

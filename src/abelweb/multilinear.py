@@ -156,11 +156,10 @@ def substitute(poly: HomogeneousPoly, forms: Sequence[Sequence]) -> HomogeneousP
     """
     if len(forms) != poly.nvars:
         raise ValueError("one linear form per variable is required")
-    forms = [[rational(x) for x in f] for f in forms]
-    nvars = len(forms[0]) if forms else 0
-    if any(len(f) != nvars for f in forms):
-        raise ValueError("forms live on different spaces")
     ints, den = _clear_denominators(forms)
+    nvars = len(ints[0]) if ints else 0
+    if any(len(f) != nvars for f in ints):
+        raise ValueError("forms live on different spaces")
     (values,), scale = _clear_denominators([poly.coeffs.values()])
     scale *= den**poly.degree
     step = poly.degree + 1

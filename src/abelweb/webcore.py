@@ -14,7 +14,7 @@ stacked rows, with no exterior algebra.  Independent rows stay
 independent in every subset, so the subsets of the top size min(d, n)
 decide PG; smaller ones are searched only to report the first failure.
 
-``check_pg`` takes those ranks modulo the prime p below 2**61 first, on
+``check_pg`` takes those ranks modulo the prime p below 2**30 first, on
 the web's rows cleared by one lcm (``ConstantWeb.cleared_kappas``),
 extending one sparse echelon (``exactalg._extend_mod``) per prefix of
 the current subset.  Rank modulo p never exceeds rank over Q, so full
@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import (
-    Matrix, _clear_denominators, _extend_mod, _minors, _prime_below, binomial,
+    Matrix, _extend_mod, _minors, _prime_below, binomial,
     certified_kernel, json_array, json_object,
 )
 from .multilinear import ExteriorForm
@@ -119,13 +120,14 @@ class ConstantWeb:
 
     def cleared_kappas(self) -> tuple[list[list[list[int]]], int]:
         """``(kappas, L)``: kappa_1, ..., kappa_d as integer rows, all times
-        the lcm L of every denominator in the web: one scale, so relations
+        the lcm L of the matrices' denominators: one scale, so relations
         stay relations."""
         if self._kappas is None:
-            rows, lcm = _clear_denominators(
-                row for foliation in self.foliations for row in foliation.matrix.entries
-            )
-            kappas = [rows[j * self.r : (j + 1) * self.r] for j in range(self.d)]
+            lcm = math.lcm(*(f.matrix.den for f in self.foliations))
+            kappas = [
+                [[a * (lcm // f.matrix.den) for a in row] for row in f.matrix.ints]
+                for f in self.foliations
+            ]
             object.__setattr__(self, "_kappas", (kappas, lcm))
         return self._kappas
 
@@ -207,9 +209,9 @@ def web_type_from_json(data, field: str, keys: Sequence[str]) -> tuple[int, int]
 
 def generator_normal(foliation: ConstantFoliation) -> ExteriorForm:
     """The r-form obtained by wedging the defining rows, read off ``_minors``
-    of the rows cleared by one lcm ``den`` and divided by den^r; never zero."""
+    of the matrix's integer rows and divided by den^r; never zero."""
     r, cols = foliation.r, foliation.matrix.cols
-    ints, den = _clear_denominators(foliation.matrix.entries)
+    ints, den = foliation.matrix.ints, foliation.matrix.den
     normal = ExteriorForm(
         cols, r, {s: Fraction(v, den**r) for s, v in _minors(ints, cols).items() if v}
     )
@@ -230,11 +232,16 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     smaller subset lies in one of the top size, so if all of those pass
     the web is PG.  Otherwise let T be the first failing one; sizes
     2 .. top - 1 are searched in order and their first failure, if any,
-    is reported, else T.  Size 1 never fails (a foliation has rank r),
-    and no top-size subset is tested twice.
+    is reported, else T.  A smaller subset whose lex-first top-size
+    completion (itself and the least indices not in it) precedes T lies
+    in a top-size subset that passed, so it is skipped.  Size 1 never
+    fails (a foliation has rank r), and no top-size subset is tested
+    twice.
 
     The rows are ``web.cleared_kappas()``, turned into sparse dicts once:
-    scaling by L != 0 changes no rank, and every failure is confirmed by
+    scaling by L != 0 changes no rank.  Ranks are taken modulo the prime
+    p below 2**30 (one CPython digit); any prime is sound, since full rank
+    modulo p proves independence, and every failure is confirmed by
     ``certified_kernel`` on the same rows: the delta * r rows are
     dependent when its kernel has more than r * (n - delta) vectors.
     ``stack[k]`` is the echelon modulo p of the first k foliations of the
@@ -244,14 +251,19 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     another row, so the rows of a leaf echelon, which the next subset
     drops, are not all normalized for nothing.
     """
-    p = _prime_below(2**61)
+    p = _prime_below(2**30)
     kappas, _ = web.cleared_kappas()
     rows = [[{c: a for c, a in enumerate(row) if a} for row in kappa] for kappa in kappas]
+    top = min(web.d, web.n)
 
-    def first_failure(delta: int) -> tuple[int, ...] | None:
+    def first_failure(delta: int, failing: tuple[int, ...] = ()) -> tuple[int, ...] | None:
         stack: list[dict] = [{}]
         previous: tuple[int, ...] = ()
         for subset in itertools.combinations(range(web.d), delta):
+            if failing:
+                rest = [j for j in range(web.d) if j not in subset][: top - delta]
+                if tuple(sorted(subset + tuple(rest))) < failing:
+                    continue  # its lex-first top-size completion passed
             shared = next(
                 (k for k, (a, b) in enumerate(zip(previous, subset)) if a != b), 0
             )
@@ -265,11 +277,10 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
                     return subset
         return None
 
-    top = min(web.d, web.n)
     failing = first_failure(top)
     if failing is None:
         return True, None
-    smaller = (first_failure(delta) for delta in range(2, top))
+    smaller = (first_failure(delta, failing) for delta in range(2, top))
     failing = next((subset for subset in smaller if subset), failing)
     return False, tuple(j + 1 for j in failing)
 

@@ -11,6 +11,9 @@ elimination) are the reference for ``Matrix.rref``, ``rank``,
 ``exactalg.certified_kernel`` (elimination modulo primes, lifted and
 checked) and ``det`` off the Laplace sweep ``exactalg._minors``.
 ``solve``, also read off that ``rref``, serves the former recovery below.
+``transpose``, ``mul``, ``apply`` and ``inverse`` (the last read off
+that ``rref`` of [A | I]) are the ``Fraction`` reference for the
+integer ``Matrix`` operations of the same names.
 The others are the former ``check_pg`` (wedge products of the
 generator normals), ``wedge_rows`` (one determinant per minor, the
 reference for ``exactalg._minors`` and ``generator_normal``),
@@ -43,7 +46,9 @@ one by reordering the web (``abelweb.subweb``).  ``canonical_data`` is the
 former canonical data: it eliminates every degree twice (``total_rank``,
 then ``relation_space`` until a space is empty) and completes the
 degree-1 block greedily, one rank per candidate, where the library reads
-pivot columns once.  Both use only the ``Fraction`` copies above.
+pivot columns once, and forms each P(t)/(t - tau_j) as a product of
+d - 1 linear factors, where the library divides P(t) synthetically.
+Both use only the ``Fraction`` copies above.
 ``from_vector``, a polynomial from its graded-lex coefficients, is a test
 helper that the library does not need.
 """
@@ -62,7 +67,7 @@ from abelweb.abelian import (
     subweb as take_subweb,
     total_rank,
 )
-from abelweb.canonical import CanonicalData, _cofactor, vandermonde_weights
+from abelweb.canonical import CanonicalData, vandermonde_weights
 from abelweb.errors import DegenerateWebError, InternalContradictionError
 from abelweb.grassmann import (
     AdaptedStructure,
@@ -202,6 +207,36 @@ def det(self) -> Fraction:
     for i in range(n):
         result *= m[i][i]
     return result
+
+
+def transpose(self) -> list[list[Fraction]]:
+    """The transpose as ``Fraction`` rows, entry by entry."""
+    return [[self[i, j] for i in range(self.rows)] for j in range(self.cols)]
+
+
+def mul(self, other) -> list[list[Fraction]]:
+    """The product as ``Fraction`` rows, one ``Fraction`` dot product per entry."""
+    return [
+        [sum((self[i, k] * other[k, j] for k in range(self.cols)), Fraction(0))
+         for j in range(other.cols)]
+        for i in range(self.rows)
+    ]
+
+
+def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
+    """Matrix times column vector, in ``Fraction``s."""
+    vec = [Fraction(x) for x in vector]
+    return tuple(sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self.entries)
+
+
+def inverse(self) -> list[list[Fraction]]:
+    """A^-1 as ``Fraction`` rows, read off the :func:`rref` of [A | I]."""
+    n = self.rows
+    reduced, pivots = rref(Matrix([list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(self.entries)]))
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return [[reduced[i, n + j] for j in range(n)] for i in range(n)]
 
 
 def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
@@ -662,10 +697,15 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     if len(set(points)) != d:
         raise InternalContradictionError("canonical points are not pairwise distinct")
 
-    # curve z(t) = sum_j P(t)/(t - tau_j) z_j; must close at degree q
+    # curve z(t) = sum_j P(t)/(t - tau_j) z_j, each quotient a product of
+    # d - 1 linear factors; must close at degree q
     curve = [[Fraction(0)] * (N + 1) for _ in range(d)]
     for j, column in enumerate(columns):
-        for e, c in enumerate(_cofactor(spec.taus, j)):
+        cofactor = [Fraction(1)]
+        for k, tk in enumerate(spec.taus):
+            if k != j:
+                cofactor = [a - tk * b for a, b in zip([0] + cofactor, cofactor + [0])]
+        for e, c in enumerate(cofactor):
             if c != 0:
                 for i, zc in enumerate(column):
                     curve[e][i] += c * zc

@@ -24,6 +24,12 @@ repeated rows, empty columns and entries too large for one prime, the
 certified kernel is the RREF kernel basis whatever the row order, and
 each vector comes as ``(den, vec)``: keys ascending, ``den`` > 0 the
 least common denominator, held at the last key, the free column.
+A ``Matrix`` built from ints, ``Fraction``s or "p/q" strings (negative
+and non-reduced denominators, zero rows, the 0 x 0 matrix) is one
+matrix: equal, hashed alike, printed as ``str(Fraction)`` and parsed
+back; its product, transpose, action, inverse and RREF match the
+``Fraction`` oracle, and ``from_json`` names a bad entry or a ragged
+row as before.
 Every JSON document the CLI reads (a web, a moment-web spec with a base
 change, a plane arrangement, an adapted structure recovered from a
 gauged moment web as given or reordered so that a drawn critical subweb
@@ -45,6 +51,7 @@ import os
 import tempfile
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
@@ -301,6 +308,75 @@ def test_castelnuovo_matches_fraction_veronese_rank(data):
     assume(any(moved))
     off = on[:k] + [ProjectivePoint(moved)] + on[k + 1 :]
     assert castelnuovo_rnc_test(off, r) == (_veronese_rank(off, r) == r * (n - 1) + 1)
+
+
+@st.composite
+def entry_pairs(draw, rows: int, cols: int) -> list[list[tuple[int, int]]]:
+    """Rows of (p, q), the entry p / q: q may be negative and p / q not in
+    lowest terms; some rows are zero, and all entries are integers in about
+    half the examples."""
+    integral = draw(st.booleans())
+    pairs = []
+    for _ in range(rows):
+        zero = draw(st.integers(0, 3)) == 0
+        row = []
+        for _ in range(cols):
+            q = draw(st.sampled_from([1, -1, 2, -3, 4, 6]))
+            p = 0 if zero else draw(st.integers(-6, 6)) * (q if integral else 1)
+            k = draw(st.integers(1, 3))
+            row.append((p * k, q * k))
+        pairs.append(row)
+    return pairs
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(st.data())
+def test_matrix_from_ints_fractions_and_strings_matches_fraction_arithmetic(data):
+    rows = data.draw(st.integers(0, 4))
+    cols = data.draw(st.integers(0, 4)) if rows else 0
+    pairs = data.draw(entry_pairs(rows, cols))
+    strings = [[f"{p}/{q}" for p, q in row] for row in pairs]
+    fractions = [[Fraction(p, q) for p, q in row] for row in pairs]
+    m = Matrix(fractions)
+    # integral entries as ints, the others as "p/q" strings
+    for other in (Matrix(strings), Matrix([[p // q if p % q == 0 else f"{p}/{q}"
+                                             for p, q in row] for row in pairs])):
+        assert other == m and hash(other) == hash(m)
+    assert m.to_json() == [[str(x) for x in row] for row in fractions]
+    assert Matrix.from_json(m.to_json()) == m
+    assert Matrix.from_json(json.loads(json.dumps(strings))) == m
+    assert (m.rows, m.cols) == (rows, cols)
+
+    assert [list(row) for row in m.transpose().entries] == oracle.transpose(m)
+    right = Matrix([[Fraction(p, q) for p, q in row]
+                    for row in data.draw(entry_pairs(cols, data.draw(st.integers(0, 3))))])
+    assert [list(row) for row in (m * right).entries] == oracle.mul(m, right)
+    vector = [Fraction(p, q) for p, q in data.draw(entry_pairs(1, cols))[0]] if rows else []
+    assert m.apply(vector) == oracle.apply(m, vector)
+    assert m.rref() == oracle.rref(m)
+    if rows == cols and oracle.rank(m) == rows:
+        assert [list(row) for row in m.inverse().entries] == oracle.inverse(m)
+
+    # bad input is named as before: the first bad entry, then ragged rows
+    if rows and cols:
+        i, k = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+        bad, text = data.draw(st.sampled_from([(True, "true"), (1.5, "1.5"),
+                                               ("1/0", '"1/0"')]))
+        document = [list(row) for row in strings]
+        document[i][k] = bad
+        with pytest.raises(ValueError) as error:
+            Matrix.from_json(document, "plane 2")
+        assert str(error.value) == (f"plane 2 row {i + 1} entry {k + 1} must be an integer "
+                                    f'or a "p/q" string with q != 0, got {text}')
+    if rows > 1 and cols:
+        i = data.draw(st.integers(1, rows - 1))
+        document = [list(row) for row in strings]
+        del document[i][-1]
+        with pytest.raises(ValueError) as error:
+            Matrix.from_json(document, "plane 2")
+        assert str(error.value) == (f"ragged rows in plane 2: row {i + 1} has {cols - 1} "
+                                    f"entries, row 1 has {cols}")
 
 
 def _round_trip(obj, cls) -> None:

@@ -52,8 +52,8 @@ def test_check_pg_reports_first_failure():
 
 
 def test_check_pg_survives_an_unlucky_prime():
-    p0 = 2**61 - 1
-    assert _prime_below(2**61) == p0  # the prime check_pg works modulo
+    p0 = 1073741789
+    assert _prime_below(2**30) == p0  # the prime check_pg and Matrix.rank work modulo
 
     def web(*rows):
         return ConstantWeb(1, 2, [ConstantFoliation(1, 2, Matrix([row])) for row in rows])
@@ -61,6 +61,7 @@ def test_check_pg_survives_an_unlucky_prime():
     # foliations 1 and 2 are parallel modulo p0 only: the exact rank decides
     assert check_pg(web([1, 0], [1, p0], [0, 1])) == (True, None)
     assert check_pg(web([1, 0], [2, 0])) == (False, (1, 2))
+    assert Matrix([[1, 0], [1, p0]]).rank() == 2
 
 
 def _record_subsets(monkeypatch, web) -> list[tuple[int, ...]]:
@@ -185,6 +186,26 @@ def test_check_pg_on_a_failing_web_tests_no_top_size_subset_twice(monkeypatch):
         sizes[len(verdict[1]) < top] += 1
         monkeypatch.undo()
     assert min(sizes) >= 8
+
+
+def test_check_pg_skips_smaller_subsets_inside_a_passed_top_size_subset(monkeypatch):
+    # (1,3,7): foliations 6 and 7 are parallel, so the first failing
+    # triple T is (1,6,7), and the pair (6,7) is reported; a pair whose
+    # lex-first completion to a triple precedes T lies in a triple that
+    # passed, and is not tested again
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3], [1, 3, 9], [2, 6, 18]]
+    web = ConstantWeb(1, 3, [ConstantFoliation(1, 3, Matrix([row])) for row in rows])
+    first = _first_dependent(web, 3)
+    assert first == (0, 5, 6)
+    tested = _record_subsets(monkeypatch, web)
+    assert check_pg(web) == oracle.check_pg(web) == (False, (6, 7))
+    # the pair search runs after the triple walk, which ends at T
+    walk = tested.index(first) + 1
+    assert all(len(s) < 3 for s in tested[walk:])
+    for pair in (s for s in tested[walk:] if len(s) == 2):
+        rest = [j for j in range(7) if j not in pair][:1]
+        assert tuple(sorted(pair + tuple(rest))) >= first, pair
+    assert len(tested) < 48  # a walk of every pair makes 48 _extend_mod calls
 
 
 def test_pg_holds_for_seeded_webs():
