@@ -14,7 +14,10 @@ Rationals serialize as strings ``"p/q"`` or ``"p"`` in all JSON formats.
 There is one exact elimination, :func:`certified_kernel`: the canonical
 kernel basis of sparse integer rows, from elimination modulo a 61-bit
 prime (:func:`_extend_mod`, the sparse echelon that the general-position
-check shares), lifted to Q and checked exactly.  Arithmetic modulo p
+check shares), back-substituted in place on that echelon
+(:func:`_back_substitute`), lifted to Q over one running denominator per
+vector (:func:`_lift`, which needs a rational reconstruction only where
+that denominator grows) and checked exactly.  Arithmetic modulo p
 only proposes the basis; the check and the certificate in its docstring
 make it a result, and a proven bound on the primes tried turns a faulty
 elimination into an error, not a hang.  Each basis vector is a dict of
@@ -260,6 +263,31 @@ def _reconstruct(u: int, modulus: int) -> tuple[int, int] | None:
     return r1 // g, s1 // g
 
 
+def _back_substitute(echelon: dict[int, dict[int, int]], p: int) -> None:
+    """Turn an echelon of :func:`_extend_mod` into the RREF modulo ``p``, in place.
+
+    From the last pivot up, each row is scaled to 1 at its pivot and
+    reduced at the later pivots in its support.  Their rows are reduced
+    already, 0 at every pivot but their own, so a reduction fills in only
+    free columns and each later pivot is cleared once.
+    """
+    for q in sorted(echelon, reverse=True):
+        row = echelon[q]
+        if row[q] != 1:
+            inv = pow(row[q], -1, p)
+            for c, b in row.items():
+                row[c] = b * inv % p
+        for col in [c for c in row if c != q and c in echelon]:
+            f = row.pop(col)
+            for c, b in echelon[col].items():
+                if c != col:
+                    v = (row.get(c, 0) - f * b) % p
+                    if v:
+                        row[c] = v
+                    else:  # f * b is not 0 modulo p, so row[c] was not
+                        del row[c]
+
+
 def _lift(
     rows: list[dict[int, int]], ncols: int, pivots: list[int], free: list[int],
     residues: list[list[int]], modulus: int,
@@ -273,6 +301,19 @@ def _lift(
     non-zero entries, keys ascending, so its last key is the free column
     f and ``vec[f] == den``.
 
+    Each entry u is lifted to the fraction a/b = u modulo ``modulus``
+    with |a|, b <= N = isqrt(modulus // 2) that :func:`_reconstruct`
+    returns, over one running denominator D per vector, the lcm of the b
+    found so far.  If some x = u * D modulo ``modulus`` has |x| <= N, and
+    D <= N, the entry is x/D with no half-gcd: as N (N + 1) <= 2 N**2 <
+    modulus (the modulus is odd), (x, D) is an integer multiple of the
+    pair at the first remainder <= N of the Euclidean sequence of
+    (modulus, u), where :func:`_reconstruct` stops (the lemma behind
+    Wang's method), so it would return x/D in lowest terms, and D stays
+    the lcm.  Otherwise :func:`_reconstruct` lifts u and D becomes the
+    lcm of D and b.  So the vectors are those of one :func:`_reconstruct`
+    per entry.
+
     The check runs once over the rows for all vectors together, on those
     integer vectors w_k.  Column j carries the packed integer P_j =
     sum_k w_k[j] * 2**(k*bits).  A row a then has a . P = sum_k (a . w_k)
@@ -280,17 +321,28 @@ def _lift(
     a . P = 0 exactly when a . w_k = 0 for every k (the lowest non-zero
     term could not be cancelled).
     """
+    bound = math.isqrt(modulus // 2)
     basis = []
     for f, column in zip(free, residues):
-        entries = {}
+        den, vec = 1, {}
         for q, u in zip(pivots, column):
-            if u:
-                x = _reconstruct(u, modulus)
-                if x is None:
-                    return None
-                entries[q] = x
-        den = math.lcm(*(b for _, b in entries.values()))
-        vec = {q: a * (den // b) for q, (a, b) in entries.items()}
+            if not u:
+                continue
+            # x = u * den modulo the modulus, in -bound .. bound if it fits
+            x = (u * den + bound) % modulus - bound
+            if x <= bound and den <= bound:
+                vec[q] = x
+                continue
+            fraction = _reconstruct(u, modulus)
+            if fraction is None:
+                return None
+            a, b = fraction
+            lcm = math.lcm(den, b)
+            if lcm != den:
+                scale, den = lcm // den, lcm
+                for c in vec:
+                    vec[c] *= scale
+            vec[q] = a * (den // b)
         vec[f] = den
         basis.append((den, vec))
     top = max((sum(map(abs, row.values())) for row in rows), default=0)
@@ -320,14 +372,17 @@ def certified_kernel(
 
     Method (Dixon's p-adic idea in its simplest, one-shot form).  For p
     in a fixed descending sequence of primes below 2**61, the rows A,
-    sparsest first, are eliminated modulo p by :func:`_extend_mod`.  Fed
-    to it once more from the last pivot up, each echelon row is reduced
-    at the later pivots in its support, whose rows are reduced already,
-    which leaves the RREF modulo p.  Whatever the order of the row
-    operations, the rank rank_p found modulo p is at most rank_Q, the
-    rank of A over Q.  Full column rank modulo p therefore means an empty
-    kernel.  Otherwise each kernel vector modulo p is lifted to Q by
-    rational reconstruction and A v = 0 is checked exactly in integers.
+    sparsest first, are eliminated modulo p by :func:`_extend_mod`.
+    :func:`_back_substitute` then reduces that echelon in place, from the
+    last pivot up, each row only at the later pivots in its support,
+    whose rows are reduced already, which leaves the RREF modulo p (it is
+    unique, so no second elimination is needed).  Whatever the order of
+    the row operations, the rank rank_p found modulo p is at most rank_Q,
+    the rank of A over Q.  Full column rank modulo p therefore means an
+    empty kernel.  Otherwise each kernel vector modulo p is lifted to Q
+    by rational reconstruction, entry by entry over one running
+    denominator (:func:`_lift`; the fractions are those of one
+    reconstruction per entry), and A v = 0 is checked exactly in integers.
 
     Why a result that passes the check is exact.  The checked vectors are
     independent (each is 1 at its own free column, 0 at the others), so
@@ -379,18 +434,16 @@ def certified_kernel(
         echelon = _extend_mod({}, rows, p)
         if len(echelon) == ncols:
             return []
-        reduced = _extend_mod({}, (echelon[q] for q in sorted(echelon, reverse=True)), p)
-        pivots = sorted(reduced)
+        _back_substitute(echelon, p)
+        pivots = sorted(echelon)
         # kernel vector f is -(RREF column f) at the pivots before f; an
         # entry at another pivot means a faulty elimination, and is left
         # for the check to fail on and the cap to catch
-        residues = {f: [0] * bisect.bisect(pivots, f) for f in range(ncols) if f not in reduced}
+        residues = {f: [0] * bisect.bisect(pivots, f) for f in range(ncols) if f not in echelon}
         for k, q in enumerate(pivots):
-            row = reduced[q]
-            scale = -pow(row.pop(q), -1, p)
-            for f, b in row.items():
+            for f, b in echelon[q].items():
                 if f in residues:
-                    residues[f][k] = b * scale % p
+                    residues[f][k] = p - b
         free, residues = list(residues), list(residues.values())
         key = (-len(pivots), pivots)
         if best is None or key < best:

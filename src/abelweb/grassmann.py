@@ -32,8 +32,8 @@ from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
 from .exactalg import (
-    Matrix, _clear_denominators, _minors, _rank, certified_kernel, json_array, json_object,
-    json_rational, rational,
+    Matrix, _clear_denominators, _minors, _rank, _ratio, certified_kernel, json_array,
+    json_object, json_rational, rational,
 )
 from .multilinear import ExteriorForm, monomial_exponents, poly_space_dim
 from .webcore import (
@@ -56,17 +56,20 @@ class ProjectivePoint:
     """A point of projective space, canonicalized on construction.
 
     The stored coordinates are scaled so the first nonzero one equals 1,
-    making equality and hashing well defined.
+    making equality and hashing well defined.  Each coordinate p/q is
+    parsed once and divided by the leading one p0/q0 as one ``Fraction``
+    (p q0) / (q p0).
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence):
-        coords = tuple(rational(c) for c in coords)
-        lead = next((c for c in coords if c != 0), None)
+        pairs = [_ratio(c) for c in coords]
+        lead = next(((p, q) for p, q in pairs if p), None)
         if lead is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        object.__setattr__(self, "coords", tuple(c / lead for c in coords))
+        p0, q0 = lead
+        object.__setattr__(self, "coords", tuple(Fraction(p * q0, q * p0) for p, q in pairs))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ProjectivePoint is immutable")
@@ -266,6 +269,14 @@ class AdaptedStructure:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "points", tuple(points))
 
+    @classmethod
+    def _of_invertible(cls, basis: Matrix, points: Sequence[ProjectivePoint]):
+        """The structure of a basis already proven invertible, with no rank test."""
+        structure = object.__new__(cls)
+        object.__setattr__(structure, "basis", basis)
+        object.__setattr__(structure, "points", tuple(points))
+        return structure
+
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("AdaptedStructure is immutable")
 
@@ -437,7 +448,8 @@ def recover_normal_form(web: ConstantWeb) -> AdaptedStructure:
         raise InternalContradictionError(
             "recovered points of a semi-extremal web fail the rational-normal-curve test"
         )
-    return AdaptedStructure(basis, points)
+    # the free columns rn .. 2rn - 1 of the kernel of [S B | I] proved B invertible
+    return AdaptedStructure._of_invertible(basis, points)
 
 
 class RncFit:

@@ -144,19 +144,21 @@ def test_broken_elimination_raises_instead_of_hanging(monkeypatch, fault):
     # a correct elimination certifies before the product of the primes it
     # tries reaches 2**62 B**3; a faulty one must hit that cap and raise,
     # not try primes forever
-    real = exactalg._extend_mod
     calls = []
 
-    def broken(echelon, rows, p):
+    def count(p):
         calls.append(p)
         assert len(calls) < 1000, "certified_kernel kept trying primes"
-        rows = list(rows)
-        if fault == "drop a row":
-            return real(echelon, rows[:-1], p)
-        # calls alternate: elimination, then back-substitution of its echelon
-        if len(calls) % 2:
-            return real(echelon, rows, p)
-        return {min(row): dict(row) for row in rows}
+
+    real = exactalg._extend_mod
+
+    def drop_a_row(echelon, rows, p):
+        count(p)
+        return real(echelon, list(rows)[:-1], p)
+
+    def leave_unreduced(echelon, p):
+        # the echelon keeps its entries at later pivots, and its pivots unscaled
+        count(p)
 
     rng = make_rng(41)
     cases = [([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 2, 3: 1}], 4)]
@@ -169,7 +171,10 @@ def test_broken_elimination_raises_instead_of_hanging(monkeypatch, fault):
             if Matrix(rows).rank() == k:
                 break
         cases.append(([dict(enumerate(row)) for row in rows], k + 3))
-    monkeypatch.setattr(exactalg, "_extend_mod", broken)
+    if fault == "drop a row":
+        monkeypatch.setattr(exactalg, "_extend_mod", drop_a_row)
+    else:
+        monkeypatch.setattr(exactalg, "_back_substitute", leave_unreduced)
     for rows, ncols in cases:
         calls.clear()
         with pytest.raises(InternalContradictionError):

@@ -138,6 +138,24 @@ def test_recover_under_gauge_seeds():
             assert structure.rebuild().foliation_set() == web.foliation_set()
 
 
+def test_recovery_runs_no_rank_test_on_the_recovered_basis(monkeypatch):
+    # the kernel of [S B | I] proves the basis invertible; the public
+    # constructor still tests it
+    rng = make_rng(65)
+    web = moment_web(MomentWebSpec(2, 2, list(range(8)), random_invertible(rng, 4)))
+    ranked, real = [], Matrix.rank
+
+    def rank(self):
+        ranked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "rank", rank)
+    structure = recover_normal_form(web)
+    assert structure.basis not in ranked
+    AdaptedStructure(structure.basis, structure.points)
+    assert ranked == [structure.basis]
+
+
 def test_recover_alternative_subwebs_equivalent():
     rng = make_rng(13)
     r, n, d = 2, 2, 8

@@ -23,7 +23,14 @@ On sparse integer matrices, tall and wide, rank-deficient, with
 repeated rows, empty columns and entries too large for one prime, the
 certified kernel is the RREF kernel basis whatever the row order, and
 each vector comes as ``(den, vec)``: keys ascending, ``den`` > 0 the
-least common denominator, held at the last key, the free column.
+least common denominator, held at the last key, the free column.  On
+those matrices, on vectors whose entries' denominators have an lcm past
+isqrt(p // 2) and on matrices with an unlucky first prime, the certified
+kernel is the former two-pass, per-entry kernel of the oracle, key order
+included, after as many primes.
+A ``ProjectivePoint`` of ints, ``Fraction``s and "p/q" strings (negative
+and non-reduced denominators, leading zeros) has the coordinates, JSON,
+equality, hash and error messages of the former two-step normalization.
 A ``Matrix`` built from ints, ``Fraction``s or "p/q" strings (negative
 and non-reduced denominators, zero rows, the 0 x 0 matrix) is one
 matrix: equal, hashed alike, printed as ``str(Fraction)`` and parsed
@@ -50,6 +57,7 @@ import math
 import os
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -78,6 +86,7 @@ from abelweb import (
 )
 from abelweb.abelian import _relation_kernel
 from abelweb.cli import main
+from abelweb import exactalg
 from abelweb.exactalg import certified_kernel
 from helpers import DEFAULT_SEED, dense_kernel
 
@@ -237,6 +246,83 @@ def test_certified_kernel_matches_rref_kernel_in_any_row_order(data):
     assert certified_kernel(data.draw(st.permutations(sparse)), ncols) == basis
 
 
+# primes between 2**16 and 2**20: two distinct ones multiply to more than
+# isqrt(p // 2) < 2**31 for every 61-bit prime p
+_DENOMINATORS = [q for q in range(2**16 + 1, 2**16 + 2000, 2) if exactalg._is_prime(q)]
+
+
+@st.composite
+def kernel_inputs(draw) -> tuple[str, list[dict[int, int]], int]:
+    """A kind and sparse integer rows with their number of columns.
+
+    "sparse": the matrices above, entries up to 2**70 among them, so
+    that primes are combined.  "denominators": rows a_j e_j + (small
+    entries at the free columns) with distinct primes a_j near 2**16, so
+    that a kernel vector's entries have different reduced denominators
+    whose lcm exceeds N = isqrt(p // 2); maybe a row a_0 a_1 e_k, whose
+    entries have a reduced denominator above N, and maybe a first row
+    e_0 + c e_free with N < |c| <= 2**31, an integer entry above N.  Neither
+    lifts from one prime, however the denominator is carried.
+    "unlucky": matrices singular modulo the first prime p0 only, or with
+    kernel vectors off by +-p0 there.
+    """
+    kind = draw(st.sampled_from(["sparse", "denominators", "unlucky"]))
+    if kind == "sparse":
+        rows = draw(sparse_int_matrices())
+        return kind, [{j: a for j, a in enumerate(row) if a} for row in rows], len(rows[0])
+    if kind == "unlucky":
+        p0 = next(exactalg._primes())
+        return kind, *draw(st.sampled_from([
+            ([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}], 2),
+            ([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}, {0: 2, 1: 2}], 2),
+            ([{0: 1, 1: 1 + p0, 2: 1 - p0}], 3),
+        ]))
+    free = draw(st.integers(1, 3))
+    dens = draw(st.lists(st.sampled_from(_DENOMINATORS), min_size=2, max_size=5, unique=True))
+    if draw(st.booleans()):
+        dens.append(dens[0] * dens[1])
+    large = draw(st.booleans())
+    if large:
+        dens.insert(0, 1)
+    k, small = len(dens), st.integers(-9, 9).filter(bool)
+    rows = [{j: a} | {k + i: draw(small) for i in range(free)} for j, a in enumerate(dens)]
+    if large:
+        rows[0][k] = draw(st.integers(2**30, 2**31)) * draw(st.sampled_from([1, -1]))
+    return kind, draw(st.permutations(rows)), k + free
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(kernel_inputs())
+def test_certified_kernel_matches_the_two_pass_per_entry_oracle(drawn):
+    # the in-place back phase and one reconstruction per vector return
+    # the former kernel, key order included, after as many primes
+    kind, rows, ncols = drawn
+    primes, reconstructed = [], []
+
+    def counted_primes():
+        for p in real_primes():
+            primes.append(p)
+            yield p
+
+    def counted_reconstruct(u, modulus):
+        reconstructed.append(modulus)
+        return real_reconstruct(u, modulus)
+
+    real_primes, real_reconstruct = exactalg._primes, exactalg._reconstruct
+    expected, count = oracle.certified_kernel([dict(row) for row in rows], ncols)
+    with mock.patch.object(exactalg, "_primes", counted_primes), \
+            mock.patch.object(exactalg, "_reconstruct", counted_reconstruct):
+        basis = certified_kernel([dict(row) for row in rows], ncols)
+    assert basis == expected and len(primes) == count
+    assert [list(vec) for _, vec in basis] == [list(vec) for _, vec in expected]
+    if kind == "denominators":
+        # one vector needs the lcm of two reduced denominators past
+        # isqrt(p // 2), so the per-vector acceptance falls back
+        bound = math.isqrt(primes[-1] // 2)
+        assert max(den for den, _ in basis) > bound and len(reconstructed) >= 2
+
+
 @seed(DEFAULT_SEED)
 @SETTINGS
 @given(st.data())
@@ -377,6 +463,43 @@ def test_matrix_from_ints_fractions_and_strings_matches_fraction_arithmetic(data
             Matrix.from_json(document, "plane 2")
         assert str(error.value) == (f"ragged rows in plane 2: row {i + 1} has {cols - 1} "
                                     f"entries, row 1 has {cols}")
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(st.data())
+def test_projective_point_matches_two_step_normalization(data):
+    n = data.draw(st.integers(1, 5))
+    pairs = data.draw(entry_pairs(1, n))[0]
+    zeros = data.draw(st.integers(0, n))
+    pairs = [(0, q) for _, q in pairs[:zeros]] + pairs[zeros:]
+    coords = []
+    for p, q in pairs:
+        forms = [Fraction(p, q), f"{p}/{q}"] + ([p // q] if p % q == 0 else [])
+        coords.append(data.draw(st.sampled_from(forms)))
+    try:
+        expected = oracle.projective_coords(coords)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            ProjectivePoint(coords)
+        assert str(raised.value) == str(error)
+        return
+    point = ProjectivePoint(coords)
+    assert point.coords == expected and all(type(c) is Fraction for c in point.coords)
+    assert point.to_json() == [str(c) for c in expected] and repr(point) == (
+        "[" + " : ".join(map(str, expected)) + "]")
+    scale = Fraction(data.draw(st.integers(1, 9)), data.draw(st.sampled_from([-5, -1, 2, 7])))
+    scaled = ProjectivePoint([scale * c for c in expected])
+    assert scaled == point and hash(scaled) == hash(point)
+    # a bad coordinate raises what the former normalization raised
+    k = data.draw(st.integers(0, n - 1))
+    bad = list(coords)
+    bad[k] = data.draw(st.sampled_from([True, 1.5, "1/0", "x", None]))
+    with pytest.raises((TypeError, ValueError)) as error:
+        oracle.projective_coords(bad)
+    with pytest.raises(error.type) as raised:
+        ProjectivePoint(bad)
+    assert str(raised.value) == str(error.value)
 
 
 def _round_trip(obj, cls) -> None:
