@@ -246,8 +246,8 @@ def test_certified_kernel_matches_rref_kernel_in_any_row_order(data):
     assert certified_kernel(data.draw(st.permutations(sparse)), ncols) == basis
 
 
-# primes between 2**16 and 2**20: two distinct ones multiply to more than
-# isqrt(p // 2) < 2**31 for every 61-bit prime p
+# primes just above 2**16: two distinct ones multiply to more than 2**32,
+# past isqrt(p // 2) < 2**30 for every prime p below 2**61
 _DENOMINATORS = [q for q in range(2**16 + 1, 2**16 + 2000, 2) if exactalg._is_prime(q)]
 
 
