@@ -486,7 +486,7 @@ class Matrix:
     and every entry is 1.  So equal matrices have equal ``(den, ints)``.
     Every operation reads and builds these integers; ``Fraction``s are
     made only by ``entries``, ``row``, ``[i, j]`` and the scalar and
-    vector results (``det``, ``apply``, ``apply_row``, ``kernel_basis``).
+    vector results (``det``, ``apply``, ``kernel_basis``).
     """
 
     __slots__ = ("rows", "cols", "den", "ints")
@@ -552,14 +552,6 @@ class Matrix:
             [[sum(map(operator.mul, row, col)) for col in cols] for row in self.ints],
             self.den * other.den,
         )
-
-    def apply_row(self, vector: Sequence) -> tuple[Fraction, ...]:
-        """Row vector times matrix."""
-        (vec,), scale = _clear_denominators([vector])
-        if len(vec) != self.rows:
-            raise ValueError("shape mismatch")
-        den = self.den * scale
-        return tuple(Fraction(sum(map(operator.mul, vec, col)), den) for col in zip(*self.ints))
 
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector."""

@@ -13,7 +13,12 @@ Moment webs take the points on the rational normal curve
 Recovery goes the other way: from a semi-extremal web alone, rebuild a
 basis from the degree-1 relations of a subweb of the critical order and
 read every point p_j off foliation j written in that basis (F(p) has
-rows e_a (x) p there).  The reader accepts foliation j only if it is
+rows e_a (x) p there).  The r vectors e_a (x) p have disjoint supports
+and p != 0, so they are independent; on an invertible basis, then, F(p)
+has rank r with no test.  Moment webs, incidence webs and rebuilt
+structures build F(p) on such a basis (the identity, or one proven
+invertible), and only the public :func:`foliation_from_point`, which
+takes any basis, ranks it.  The reader accepts foliation j only if it is
 F(p_j), which certifies that the web is F(p_1), ..., F(p_d); the
 Castelnuovo minimal-span criterion certifies that the points lie on a
 common rational normal curve.  Recovery runs in integers: the basis
@@ -98,7 +103,11 @@ def moment_point(n: int, tau) -> ProjectivePoint:
 
 
 class MomentWebSpec:
-    """Type, parameters, and covector basis of a moment web."""
+    """Type, parameters, and covector basis of a moment web.
+
+    A given base change must be an invertible rn x rn matrix; the
+    default identity is not tested.
+    """
 
     __slots__ = ("r", "n", "taus", "base_change")
 
@@ -109,9 +118,9 @@ class MomentWebSpec:
             raise ValueError("parameters must be distinct")
         if base_change is None:
             base_change = Matrix.identity(r * n)
-        if base_change.rows != r * n or base_change.cols != r * n:
+        elif base_change.rows != r * n or base_change.cols != r * n:
             raise ValueError(f"base change must be {r * n}x{r * n}")
-        if not base_change.is_invertible():
+        elif not base_change.is_invertible():
             raise ValueError("base change must be invertible")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
@@ -168,7 +177,20 @@ def point_dimension(points: Sequence[ProjectivePoint]) -> int:
 
 
 def foliation_from_point(basis: Matrix, p: ProjectivePoint) -> ConstantFoliation:
-    """The foliation F(p): rows sum_alpha xi_alpha m_{a,alpha}, a = 1..r,
+    """The foliation F(p) on any basis; rank deficient rows raise
+    ``DegenerateWebError``."""
+    return ConstantFoliation(*_point_rows(basis, p))
+
+
+def _foliation_on_invertible(basis: Matrix, p: ProjectivePoint) -> ConstantFoliation:
+    """F(p) on a basis already proven invertible, with no rank test: its
+    rows are (e_a (x) p) times the basis, r independent vectors times an
+    invertible matrix."""
+    return ConstantFoliation._of_rank_r(*_point_rows(basis, p))
+
+
+def _point_rows(basis: Matrix, p: ProjectivePoint) -> tuple[int, int, Matrix]:
+    """``(r, n, rows)`` of F(p): rows sum_alpha xi_alpha m_{a,alpha}, a = 1..r,
     summed in integers: the basis's integer rows times p cleared by its lcm."""
     n = len(p.coords)
     if basis.rows != basis.cols or basis.rows % n != 0:
@@ -184,12 +206,12 @@ def foliation_from_point(basis: Matrix, p: ProjectivePoint) -> ConstantFoliation
                 if y:
                     row[c] += xi * y
         rows.append(row)
-    return ConstantFoliation(r, n, Matrix._from_ints(rows, basis.den * scale))
+    return r, n, Matrix._from_ints(rows, basis.den * scale)
 
 
 def moment_web(spec: MomentWebSpec) -> ConstantWeb:
     foliations = [
-        foliation_from_point(spec.base_change, moment_point(spec.n, tau))
+        _foliation_on_invertible(spec.base_change, moment_point(spec.n, tau))
         for tau in spec.taus
     ]
     return ConstantWeb(spec.r, spec.n, foliations)
@@ -281,11 +303,12 @@ class AdaptedStructure:
         raise AttributeError("AdaptedStructure is immutable")
 
     def rebuild(self) -> ConstantWeb:
-        """The web F(p_j) cut by this structure, in point order."""
+        """The web F(p_j) cut by this structure, in point order, with no rank
+        test: the basis was proven invertible when the structure was made."""
         n = point_dimension(self.points)
         r = self.basis.rows // n
         return ConstantWeb(
-            r, n, [foliation_from_point(self.basis, p) for p in self.points]
+            r, n, [_foliation_on_invertible(self.basis, p) for p in self.points]
         )
 
     def to_json(self) -> dict:

@@ -7,6 +7,17 @@ meets the base plane in d points (when transverse); the web of all
 (n-1)-planes through the arrangement is, to first order at the base
 plane, the constant web F(p_1), ..., F(p_d) in the chart coordinates
 x_{a,alpha} with the identity covector basis.
+
+Each p_j is the kernel of the (n-1) x n xi-block B of plane j's forms,
+read off one sweep of B's maximal minors (``exactalg._minors``) by
+Cramer's rule: x_k = (-1)^k det(B without column k).  For a row b of B,
+sum_k b_k x_k expands the determinant of [b; B] along its first row, and
+that matrix repeats a row, so B x = 0.  B has rank n-1 exactly when some
+maximal minor is non-zero, and then x != 0 spans its one-dimensional
+kernel.  Only when every minor vanishes is the rank of B computed, to
+name the dimension of the intersection.  No kernel is eliminated, and
+the identity basis needs no rank test for F(p_j)
+(``grassmann._foliation_on_invertible``).
 """
 
 from __future__ import annotations
@@ -14,9 +25,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DegenerateWebError
-from .exactalg import Matrix, json_array
+from .exactalg import Matrix, _minors, json_array
 from .webcore import ConstantWeb, require_web_type, web_type_from_json
-from .grassmann import ProjectivePoint, foliation_from_point
+from .grassmann import ProjectivePoint, _foliation_on_invertible
 
 
 class PlaneArrangement:
@@ -63,21 +74,29 @@ class PlaneArrangement:
 def intersect_with_base_plane(arr: PlaneArrangement) -> list[ProjectivePoint]:
     """The d intersection points with {eta = 0}, as points of P^(n-1).
 
-    Each plane must meet the base plane transversally in a single point;
-    anything else (empty, positive-dimensional, or a plane containing
-    the base plane) is rejected.
+    Each plane must meet the base plane transversally in a single point.
+    A plane whose xi-block has rank below n-1 meets it in a projective
+    set of dimension at least 1 and is rejected, a plane containing the
+    base plane included.  The message names the dimension of the kernel
+    of the xi-block.  Each point is the vector of signed maximal minors
+    of the block (see the module docstring).
     """
+    n = arr.n
     points = []
     for idx, plane in enumerate(arr.planes):
         # a point with eta = 0 lies on the plane exactly when its xi
         # coordinates are in the kernel of the plane's xi-block
-        kernel = Matrix._from_ints([row[arr.r :] for row in plane.ints], plane.den).kernel_basis()
-        if len(kernel) != 1:
+        block = [row[arr.r :] for row in plane.ints]
+        # in colex order the subset without column k is at n - 1 - k
+        minors = _minors(block, n)
+        coords = [(-1) ** k * minors[subset] for k, subset in enumerate(reversed(minors))]
+        if not any(coords):
+            rank = Matrix._from_ints(block, plane.den).rank()
             raise DegenerateWebError(
                 "arrangement not in general position w.r.t. base plane: "
-                f"plane {idx + 1} meets it in a {len(kernel)}-dimensional set"
+                f"plane {idx + 1} meets it in a {n - rank}-dimensional set"
             )
-        points.append(ProjectivePoint(kernel[0]))
+        points.append(ProjectivePoint(coords))
     return points
 
 
@@ -90,5 +109,5 @@ def tangent_incidence_web(arr: PlaneArrangement) -> ConstantWeb:
         )
     basis = Matrix.identity(arr.r * arr.n)
     return ConstantWeb(
-        arr.r, arr.n, [foliation_from_point(basis, p) for p in points]
+        arr.r, arr.n, [_foliation_on_invertible(basis, p) for p in points]
     )

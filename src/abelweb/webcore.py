@@ -56,6 +56,16 @@ class ConstantFoliation:
             raise ValueError(f"expected a {r}x{r * n} coefficient matrix")
         if matrix.rank() != r:
             raise DegenerateWebError("not a foliation: coefficient matrix is rank deficient")
+        self._store(r, n, matrix)
+
+    @classmethod
+    def _of_rank_r(cls, r: int, n: int, matrix: Matrix) -> "ConstantFoliation":
+        """The foliation of an r x rn matrix already proven of rank r, with no test."""
+        foliation = object.__new__(cls)
+        foliation._store(r, n, matrix)
+        return foliation
+
+    def _store(self, r: int, n: int, matrix: Matrix) -> None:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", matrix)

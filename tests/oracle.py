@@ -13,7 +13,15 @@ checked) and ``det`` off the Laplace sweep ``exactalg._minors``.
 ``solve``, also read off that ``rref``, serves the former recovery below.
 ``transpose``, ``mul``, ``apply`` and ``inverse`` (the last read off
 that ``rref`` of [A | I]) are the ``Fraction`` reference for the
-integer ``Matrix`` operations of the same names.
+integer ``Matrix`` operations of the same names; ``apply_row`` (row
+vector times matrix) serves the former point reader below.
+``intersect_with_base_plane`` is the former intersection: each point
+the one vector of the ``kernel_basis`` of its plane's xi-block, where
+the library reads it off the block's signed maximal minors.
+``moment_relation_basis`` builds the relations of a moment web from
+their closed form, c_j = w_j tau_j^rho y^m, with no elimination modulo
+p, no prolongation and no relation matrix, and puts them in the form of
+the library's kernel vectors with that ``rref``.
 ``certified_kernel`` is the former kernel: a second ``_extend_mod`` of
 the echelon from its last pivot up for the RREF modulo p, and one
 ``_reconstruct`` per non-zero entry, checked vector by vector.  It
@@ -87,6 +95,7 @@ from abelweb.grassmann import (
     castelnuovo_rnc_test,
     moment_web,
 )
+from abelweb.incidence import PlaneArrangement
 from abelweb.multilinear import (
     ExteriorForm,
     HomogeneousPoly,
@@ -237,6 +246,15 @@ def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
     """Matrix times column vector, in ``Fraction``s."""
     vec = [Fraction(x) for x in vector]
     return tuple(sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self.entries)
+
+
+def apply_row(self, vector: Sequence) -> tuple[Fraction, ...]:
+    """Row vector times matrix, in ``Fraction``s."""
+    vec = [Fraction(x) for x in vector]
+    if len(vec) != self.rows:
+        raise ValueError("shape mismatch")
+    return tuple(sum((a * b for a, b in zip(vec, col)), Fraction(0))
+                 for col in zip(*self.entries))
 
 
 def inverse(self) -> list[list[Fraction]]:
@@ -519,7 +537,7 @@ def _point_from_block_matrix(basis_inv: Matrix, foliation: ConstantFoliation, r:
     must be rank 1 with one common right factor; that factor is the point.
     """
     xi: tuple[Fraction, ...] | None = None
-    rows_m = [basis_inv.apply_row(row) for row in foliation.matrix.entries]
+    rows_m = [apply_row(basis_inv, row) for row in foliation.matrix.entries]
     blocks = [
         [coeffs[a * n : (a + 1) * n] for a in range(r)] for coeffs in rows_m
     ]
@@ -571,6 +589,48 @@ def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
                 for subset, nc in normal.coeffs.items():
                     entries[base + sub_pos[subset]][col] += pc * nc
     return Matrix(entries)
+
+
+def intersect_with_base_plane(arr: PlaneArrangement) -> list[ProjectivePoint]:
+    """The d intersection points with {eta = 0}: each plane's point is the
+    one vector of the :func:`kernel_basis` of its xi-block."""
+    points = []
+    for idx, plane in enumerate(arr.planes):
+        kernel = kernel_basis(Matrix([row[arr.r :] for row in plane.entries]))
+        if len(kernel) != 1:
+            raise DegenerateWebError(
+                "arrangement not in general position w.r.t. base plane: "
+                f"plane {idx + 1} meets it in a {len(kernel)}-dimensional set"
+            )
+        points.append(ProjectivePoint(kernel[0]))
+    return points
+
+
+def moment_relation_basis(spec: MomentWebSpec, h: int) -> list[tuple[Fraction, ...]]:
+    """The canonical basis of R(h) of a moment web, from the closed form.
+
+    With w_j = 1 / prod_{k != j} (tau_j - tau_k), the tuples
+    c_j = w_j tau_j^rho y^m, |m| = h, 0 <= rho <= d - (r+h)(n-1) - 2, are
+    relations of the web whatever its base change, as many as the degree
+    bound.  They are brought to the form of the library's kernel vectors
+    (1 at its last non-zero column, 0 at every other vector's, by that
+    column ascending) by the :func:`rref` of the columns reversed.
+    """
+    r, n, taus = spec.r, spec.n, spec.taus
+    weights = [1 / math.prod((tau - other for other in taus if other != tau), start=Fraction(1))
+               for tau in taus]
+    monomials = len(monomial_exponents(r, h))
+    vectors = []
+    for rho in range(len(taus) - (r + h) * (n - 1) - 1):
+        for m in range(monomials):
+            vec = [Fraction(0)] * (len(taus) * monomials)
+            for j, (w, tau) in enumerate(zip(weights, taus)):
+                vec[j * monomials + m] = w * tau**rho
+            vectors.append(vec[::-1])
+    if not vectors:
+        return []
+    reduced, pivots = rref(Matrix(vectors))
+    return [reduced.row(i)[::-1] for i in reversed(range(len(pivots)))]
 
 
 def recover_base_case(web: ConstantWeb) -> AdaptedStructure:

@@ -21,10 +21,11 @@ from abelweb import (
     recover_normal_form,
     structures_equivalent,
     subweb,
+    tangent_incidence_web,
     total_rank,
     veronese,
 )
-from helpers import make_rng, random_invertible, random_pg_web
+from helpers import arrangement_through_points, make_rng, random_invertible, random_pg_web
 
 
 def test_projective_point_canonical():
@@ -42,6 +43,37 @@ def test_foliation_from_point_basics():
     assert f.matrix == Matrix([[1, 0, 0, 0], [0, 0, 1, 0]])
     g = foliation_from_point(basis, ProjectivePoint([1, 1]))
     assert g.matrix == Matrix([[1, 1, 0, 0], [0, 0, 1, 1]])
+
+
+def test_foliation_from_point_ranks_its_rows_on_a_singular_basis():
+    # the blocks of a = 0 and a = 1 are equal, so F(p) repeats its row
+    basis = Matrix([[1, 2, 0, 1], [0, 1, 1, 3], [1, 2, 0, 1], [0, 1, 1, 3]])
+    with pytest.raises(DegenerateWebError, match="^not a foliation: coefficient matrix "
+                                                 "is rank deficient$"):
+        foliation_from_point(basis, ProjectivePoint([2, -1]))
+    with pytest.raises(DegenerateWebError, match="^not a foliation"):
+        foliation_from_point(Matrix([[0] * 4] * 4), ProjectivePoint([1, 0]))
+
+
+def test_webs_on_a_proven_basis_rank_no_foliation(monkeypatch):
+    # the identity, a base change checked by its spec and a proven
+    # structure basis make every F(p) rank r with no test
+    rng = make_rng(66)
+    gauge = random_invertible(rng, 4)
+    spec = MomentWebSpec(2, 2, list(range(8)), gauge)
+    structure = recover_normal_form(moment_web(spec))
+    arr = arrangement_through_points(rng, 2, 2, [[1, t] for t in range(6)])
+    ranked, real = [], Matrix.rank
+
+    def rank(self):
+        ranked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "rank", rank)
+    webs = [moment_web(MomentWebSpec(2, 2, list(range(8)))), moment_web(spec),
+            structure.rebuild(), tangent_incidence_web(arr)]
+    assert ranked == []
+    assert all(f.matrix.rank() == 2 for web in webs for f in web.foliations)
 
 
 def test_moment_web_rows():
@@ -68,6 +100,15 @@ def test_moment_web_gauge_covariance():
 def test_repeated_taus_rejected():
     with pytest.raises(ValueError, match="distinct"):
         MomentWebSpec(1, 2, [0, 1, 1])
+
+
+def test_moment_spec_rejects_a_misshapen_or_singular_base_change():
+    # moment_web builds F(p) with no rank test on this checked base change
+    with pytest.raises(ValueError, match="^base change must be 4x4$"):
+        MomentWebSpec(2, 2, [0, 1, 2], Matrix.identity(3))
+    singular = Matrix([[1, 2, 0, 1], [0, 1, 1, 3], [1, 3, 1, 4], [2, 0, 1, 1]])
+    with pytest.raises(ValueError, match="^base change must be invertible$"):
+        MomentWebSpec(2, 2, [0, 1, 2], singular)
 
 
 def test_omega_expansion_interpolates_normals():

@@ -41,6 +41,7 @@ from abelweb import (
     MomentWebSpec,
     canonical_data,
     check_pg,
+    degree_bound,
     generator_normal,
     h_cutoff,
     moment_web,
@@ -382,6 +383,33 @@ def test_recovery_and_canonical_data_match_oracle():
             assert recover_normal_form(ordered).to_json() == expected, (taus, order)
         spec = MomentWebSpec(r, n, taus[:d_can], gauge)
         assert canonical_data(spec).to_json() == oracle.canonical_data(spec).to_json(), taus
+
+
+@pytest.mark.parametrize("r, n, d, dense", [
+    (2, 2, 8, False), (4, 2, 11, False), (3, 2, 10, True), (2, 3, 12, True), (1, 4, 12, True),
+])
+def test_moment_relation_bases_match_the_closed_form(r, n, d, dense):
+    """Every R(h) below the cutoff, as ``relation_space`` returns it, is the
+    RREF of the closed-form relations w_j tau_j^rho y^m, as many as the
+    degree bound, on rational taus and under a base change with no zero
+    entry."""
+    rng = make_rng(70 + d)
+    taus = []
+    while len(taus) < d:
+        tau = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        if tau not in taus:
+            taus.append(tau)
+    base = None
+    while dense and base is None:
+        candidate = Matrix([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r * n)]
+                            for _ in range(r * n)])
+        base = candidate if candidate.is_invertible() else None
+    spec = MomentWebSpec(r, n, taus, base)
+    web = moment_web(spec)
+    for h in range(h_cutoff(r, n, d)):
+        expected = oracle.moment_relation_basis(spec, h)
+        assert len(expected) == degree_bound(r, n, d, h)
+        assert [e.vector() for e in relation_space(web, h)] == expected, h
 
 
 def _rational_invertible(rng, m: int) -> Matrix:

@@ -68,14 +68,17 @@ from abelweb import (
     AdaptedStructure,
     ConstantFoliation,
     ConstantWeb,
+    DegenerateWebError,
     Matrix,
     MomentWebSpec,
     PlaneArrangement,
     ProjectivePoint,
     castelnuovo_rnc_test,
     check_pg,
+    foliation_from_point,
     generator_normal,
     h_cutoff,
+    intersect_with_base_plane,
     moment_point,
     moment_web,
     recover_normal_form,
@@ -88,6 +91,7 @@ from abelweb.abelian import _relation_kernel
 from abelweb.cli import main
 from abelweb import exactalg
 from abelweb.exactalg import certified_kernel
+from abelweb.grassmann import _foliation_on_invertible
 from helpers import DEFAULT_SEED, dense_kernel
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -500,6 +504,54 @@ def test_projective_point_matches_two_step_normalization(data):
     with pytest.raises(error.type) as raised:
         ProjectivePoint(bad)
     assert str(raised.value) == str(error.value)
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(st.data())
+def test_intersection_matches_the_kernel_of_each_xi_block(data):
+    # each xi-block is an (n-1) x k times a k x n product: mostly k = n - 1,
+    # a transverse plane, else a rank k < n - 1 that the eta-block can
+    # make up to n - 1 (k = 0: the plane contains the base plane)
+    r, n = data.draw(st.sampled_from([(r, n) for r in (1, 2, 3) for n in (2, 3, 4)]))
+    entry = st.sampled_from(TAUS)
+    planes = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        eta = [[data.draw(entry) for _ in range(r)] for _ in range(n - 1)]
+        k = data.draw(st.sampled_from([n - 1, n - 1, *range(max(0, n - 1 - r), n - 1)]))
+        left = [[data.draw(entry) for _ in range(k)] for _ in range(n - 1)]
+        right = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+        xi = [[sum((a * b[c] for a, b in zip(row, right)), Fraction(0)) for c in range(n)]
+              for row in left]
+        plane = Matrix([e + x for e, x in zip(eta, xi)])
+        assume(plane.rank() == n - 1)
+        planes.append(plane)
+    arr = PlaneArrangement(r, n, planes)
+    try:
+        expected = oracle.intersect_with_base_plane(arr)
+    except DegenerateWebError as error:
+        with pytest.raises(DegenerateWebError) as raised:
+            intersect_with_base_plane(arr)
+        assert str(raised.value) == str(error)
+        return
+    assert intersect_with_base_plane(arr) == expected
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(st.data())
+def test_foliation_on_an_invertible_basis_matches_the_ranked_one(data):
+    r, n = data.draw(st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 3), (3, 2), (2, 4)]))
+    basis = data.draw(invertible(r * n))
+    scales = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=r * n, max_size=r * n))
+    basis = Matrix([[x * s for x in row] for row, s in zip(basis.entries, scales)])
+    coords = data.draw(st.lists(st.sampled_from([0, 0, *TAUS]), min_size=n, max_size=n))
+    assume(any(coords))
+    p = ProjectivePoint(coords)
+    proven, ranked = _foliation_on_invertible(basis, p), foliation_from_point(basis, p)
+    assert (proven.r, proven.n) == (ranked.r, ranked.n) == (r, n)
+    assert proven.matrix == ranked.matrix and proven.row_span() == ranked.row_span()
+    assert proven == ranked and hash(proven) == hash(ranked)
 
 
 def _round_trip(obj, cls) -> None:
