@@ -44,7 +44,6 @@ from .grassmann import (
     omega_expansion,
     recover_normal_form,
     structures_equivalent,
-    veronese,
 )
 from .canonical import (
     CanonicalData,

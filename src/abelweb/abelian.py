@@ -267,40 +267,21 @@ def relation_space(
     return elements
 
 
-class DegreeReport:
-    __slots__ = ("h", "dim", "bound", "saturated")
-
-    def __init__(self, h: int, dim: int, bound: int):
-        self.h = h
-        self.dim = dim
-        self.bound = bound
-        self.saturated = dim == bound
-
-    def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "dim": self.dim,
-            "bound": self.bound,
-            "saturated": self.saturated,
-        }
-
-
 class RankReport:
     """Per-degree dimensions, bounds and totals for one web.
 
-    ``dims[h]`` is dim R(h) for h = 0 .. h_cutoff - 1.  The bounds are
-    theorems about PG webs, so a web failing PG (reachable with
-    ``allow_degenerate``) is neither checked against rho nor called
-    semi-extremal or of maximal rank; ``"pg": false`` replaces both flags.
+    ``dims[h]`` is dim R(h) and ``bounds[h]`` its bound, for
+    h = 0 .. h_cutoff - 1.  The bounds are theorems about PG webs, so a
+    web failing PG (reachable with ``allow_degenerate``) is neither
+    checked against rho nor called semi-extremal or of maximal rank;
+    ``"pg": false`` replaces both flags.
     """
 
     def __init__(self, web: ConstantWeb, dims: Sequence[int]):
         self.r, self.n, self.d = web.r, web.n, web.d
-        self.per_degree = tuple(
-            DegreeReport(h, dim, degree_bound(web.r, web.n, web.d, h))
-            for h, dim in enumerate(dims)
-        )
-        self.total_rank = sum(dims)
+        self.dims = tuple(dims)
+        self.bounds = tuple(degree_bound(web.r, web.n, web.d, h) for h in range(len(self.dims)))
+        self.total_rank = sum(self.dims)
         self.rho = rho_bound(web.r, web.n, web.d)
         self.pg = web.is_pg()
         self.maximal_rank = self.semi_extremal = None
@@ -313,10 +294,8 @@ class RankReport:
             )
 
     def dim(self, h: int) -> int:
-        for item in self.per_degree:
-            if item.h == h:
-                return item.dim
-        return 0
+        """dim R(h); 0 outside the degrees below the cutoff."""
+        return self.dims[h] if 0 <= h < len(self.dims) else 0
 
     def to_json(self) -> dict:
         flags = {"pg": False}
@@ -327,7 +306,8 @@ class RankReport:
             "r": self.r,
             "n": self.n,
             "d": self.d,
-            "per_degree": [item.to_json() for item in self.per_degree],
+            "per_degree": [{"h": h, "dim": dim, "bound": bound, "saturated": dim == bound}
+                           for h, (dim, bound) in enumerate(zip(self.dims, self.bounds))],
             "total_rank": self.total_rank,
             "rho": self.rho,
             **flags,
@@ -335,10 +315,8 @@ class RankReport:
 
     def to_tsv(self) -> str:
         lines = ["h\tdim\tbound\tsaturated"]
-        for item in self.per_degree:
-            lines.append(
-                f"{item.h}\t{item.dim}\t{item.bound}\t{str(item.saturated).lower()}"
-            )
+        for h, (dim, bound) in enumerate(zip(self.dims, self.bounds)):
+            lines.append(f"{h}\t{dim}\t{bound}\t{str(dim == bound).lower()}")
         verdict = f"maximal={str(self.maximal_rank).lower()}" if self.pg else "pg=false"
         lines.append(f"total\t{self.total_rank}\trho={self.rho}\t{verdict}")
         return "\n".join(lines) + "\n"

@@ -1,8 +1,9 @@
 """Vandermonde weights, Lagrange interpolation, and canonical web data.
 
-For d pairwise distinct parameters tau_1..tau_d the weights
+For d pairwise distinct parameters tau_1..tau_d, P(t) = prod_k (t - tau_k)
+and its cofactors Q_j = P(t)/(t - tau_j), the weights
 
-    c_j = 1 / prod_{k != j} (tau_j - tau_k)
+    c_j = 1 / Q_j(tau_j) = 1 / prod_{k != j} (tau_j - tau_k)
 
 solve the moment system sum_j tau_j^rho c_j = delta_{rho, d-1}.  They
 drive everything here: the general solution of the truncated moment
@@ -12,7 +13,8 @@ system, the polynomial identity
 
 and the canonical data of a moment web — a relation basis in a fixed
 order, the resulting points [1 : tau_j : ... : tau_j^q : 0 : ... : 0],
-and the degree-q curve through them.
+and the degree-q curve through them.  The solution polynomial, the
+identity and the curve are each one sum sum_j v_j Q_j (``_interpolate``).
 
 Univariate polynomials are plain ascending coefficient lists of exact
 rationals.
@@ -52,19 +54,6 @@ def _check_distinct(taus: Sequence) -> tuple[Fraction, ...]:
     return taus
 
 
-def vandermonde_weights(taus: Sequence) -> tuple[Fraction, ...]:
-    """The unique solution of sum_j tau_j^rho c_j = delta_{rho, d-1}."""
-    taus = _check_distinct(taus)
-    weights = []
-    for j, tj in enumerate(taus):
-        denom = Fraction(1)
-        for k, tk in enumerate(taus):
-            if k != j:
-                denom *= tj - tk
-        weights.append(1 / denom)
-    return tuple(weights)
-
-
 def _cofactors(taus: Sequence[Fraction]) -> list[list[Fraction]]:
     """P(t)/(t - tau_j) for every j, P(t) = prod_k (t - tau_k): P is formed
     once and divided by each t - tau_j synthetically, O(d^2) in all."""
@@ -79,6 +68,23 @@ def _cofactors(taus: Sequence[Fraction]) -> list[list[Fraction]]:
             q.append(c + tj * q[-1])
         quotients.append(q[::-1])
     return quotients
+
+
+def _interpolate(cofactors: Sequence[Sequence[Fraction]], values: Sequence) -> list[Fraction]:
+    """sum_j values[j] * Q_j, Q_j = P(t)/(t - tau_j) from :func:`_cofactors`:
+    the polynomial of degree < d that takes the value values[j] / c_j at tau_j."""
+    total = [Fraction(0)] * len(cofactors)
+    for v, cofactor in zip(values, cofactors):
+        if v:
+            for e, c in enumerate(cofactor):
+                total[e] += v * c
+    return total
+
+
+def vandermonde_weights(taus: Sequence) -> tuple[Fraction, ...]:
+    """The unique solution of sum_j tau_j^rho c_j = delta_{rho, d-1}: c_j = 1 / Q_j(tau_j)."""
+    taus = _check_distinct(taus)
+    return tuple(1 / _poly_eval(q, t) for q, t in zip(_cofactors(taus), taus))
 
 
 def check_general_solution(
@@ -127,12 +133,7 @@ def solution_polynomial(
             raise ValueError("values do not solve the moment system")
     # Lagrange basis through (tau_j, z_j / c_j) collapses to
     # f = sum_j z_j * P(t)/(t - tau_j)
-    f = [Fraction(0)] * d
-    for zj, cofactor in zip(z, _cofactors(taus)):
-        if zj != 0:
-            for e, c in enumerate(cofactor):
-                f[e] += zj * c
-    f = _strip(f)
+    f = _strip(_interpolate(_cofactors(taus), z))
     if len(f) - 1 > q:
         raise InternalContradictionError(
             f"moment-system solution interpolates to degree {len(f) - 1} > q(d) = {q}"
@@ -148,14 +149,8 @@ def lagrange_identity(taus: Sequence, f_coeffs: Sequence) -> bool:
     """
     taus = _check_distinct(taus)
     f = _strip(f_coeffs)
-    weights = vandermonde_weights(taus)
-    total = [Fraction(0)] * len(taus)
-    for cj, tj, cofactor in zip(weights, taus, _cofactors(taus)):
-        value = cj * _poly_eval(f, tj)
-        if value != 0:
-            for e, c in enumerate(cofactor):
-                total[e] += value * c
-    return _strip(total) == f
+    values = [c * _poly_eval(f, t) for c, t in zip(vandermonde_weights(taus), taus)]
+    return _strip(_interpolate(_cofactors(taus), values)) == f
 
 
 def dimension_formula(r: int, n: int, q: int) -> int:
@@ -299,19 +294,15 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     if len(set(points)) != d:
         raise InternalContradictionError("canonical points are not pairwise distinct")
 
-    # curve z(t) = sum_j P(t)/(t - tau_j) z_j; must close at degree q
-    curve = [[Fraction(0)] * (q + 1) for _ in range(d)]
-    for column, cofactor in zip(columns, _cofactors(spec.taus)):
-        for e, c in enumerate(cofactor):
-            if c != 0:
-                for i, zc in enumerate(column):
-                    curve[e][i] += c * zc
+    # curve z(t) = sum_j P(t)/(t - tau_j) z_j by coordinates; must close at degree q
+    cofactors = _cofactors(spec.taus)
+    curve = list(zip(*(_interpolate(cofactors, values) for values in zip(*columns))))
     for e in range(q + 1, d):
         if any(c != 0 for c in curve[e]):
             raise InternalContradictionError(
                 f"canonical curve has a nonzero coefficient in degree {e} > q = {q}"
             )
-    curve_coeffs = [vec + zeros for vec in curve[: q + 1]]
+    curve_coeffs = [list(vec) + zeros for vec in curve[: q + 1]]
 
     data = CanonicalData(N, q, spec.taus, weights, points, curve_coeffs)
     for tau, point in zip(spec.taus, points):

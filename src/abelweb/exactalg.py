@@ -24,13 +24,13 @@ elimination into an error, not a hang.  Each basis vector is a dict of
 integers over its support and one positive denominator.
 
 Relation spaces call it on their rows.  :class:`Matrix` reads its rank,
-RREF, kernel basis and inverse off it, on its integer rows (row scaling
-changes neither kernel nor row space), the inverse off the kernel of
-[A | I], and builds its RREF and inverse straight from the integer
-kernel vectors.  Only the rank (:func:`_rank`, which recovery calls on
-its own integer rows too) may return first, when the rank modulo the
-prime below 2**30 is full, which proves it over Q.  ``det`` reads the
-one maximal minor off the Laplace sweep :func:`_minors`.
+RREF and inverse off it, on its integer rows (row scaling changes
+neither kernel nor row space), the inverse off the kernel of [A | I],
+and builds its RREF and inverse straight from the integer kernel
+vectors.  Only the rank (:func:`_rank`, which recovery calls on its own
+integer rows too) may return first, when the rank modulo the prime
+below 2**30 is full, which proves it over Q.  ``det`` reads the one
+maximal minor off the Laplace sweep :func:`_minors`.
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ def certified_kernel(
     """Canonical kernel basis over Q of an integer matrix, given by sparse rows.
 
     Each row maps column indices to non-zero integers.  The result is
-    the basis :meth:`Matrix.kernel_basis` returns: one vector per free
+    the canonical basis of the right null space: one vector per free
     column f of the RREF, in increasing order, with v[f] = 1, zero at
     every other free column, and support in f and the pivots before f.
     Each vector v comes as ``(den, vec)`` with v = vec / den: ``den`` > 0
@@ -486,7 +486,7 @@ class Matrix:
     and every entry is 1.  So equal matrices have equal ``(den, ints)``.
     Every operation reads and builds these integers; ``Fraction``s are
     made only by ``entries``, ``row``, ``[i, j]`` and the scalar and
-    vector results (``det``, ``apply``, ``kernel_basis``).
+    vector results (``det``, ``apply``).
     """
 
     __slots__ = ("rows", "cols", "den", "ints")
@@ -589,18 +589,6 @@ class Matrix:
     def rank(self) -> int:
         """Exact rank, by :func:`_rank` of the integer rows."""
         return _rank(self._sparse_rows(), self.cols)
-
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """Canonical basis of the right null space.
-
-        One vector per free column of the RREF, free columns taken in
-        increasing order, and each vector normalized so its free
-        coordinate equals 1.
-        """
-        return [
-            tuple(Fraction(vec.get(c, 0), den) for c in range(self.cols))
-            for den, vec in certified_kernel(self._sparse_rows(), self.cols)
-        ]
 
     def det(self) -> Fraction:
         """The one maximal minor of :func:`_minors`: about n * 2**(n-1) products,

@@ -23,7 +23,7 @@ F(p_j), which certifies that the web is F(p_1), ..., F(p_d); the
 Castelnuovo minimal-span criterion certifies that the points lie on a
 common rational normal curve.  Recovery runs in integers: the basis
 comes off the certified kernel of R(1) and the cleared kappas, its
-inverse off one certified kernel, the points and the Castelnuovo rank
+inverse off one ``Matrix.inverse``, the points and the Castelnuovo rank
 off integer rows; only the returned basis and points are ``Fraction``s.
 """
 
@@ -37,8 +37,8 @@ from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
 from .exactalg import (
-    Matrix, _clear_denominators, _minors, _rank, _ratio, certified_kernel, json_array,
-    json_object, json_rational, rational,
+    Matrix, _clear_denominators, _minors, _rank, _ratio, json_array, json_object,
+    json_rational, rational,
 )
 from .multilinear import ExteriorForm, monomial_exponents, poly_space_dim
 from .webcore import (
@@ -248,11 +248,6 @@ def _monomials(coords: Sequence, r: int) -> list:
     ]
 
 
-def veronese(p: ProjectivePoint, r: int) -> ProjectivePoint:
-    """All degree-r monomials of the coordinates, graded-lex order."""
-    return ProjectivePoint(_monomials(p.coords, r))
-
-
 def _castelnuovo_threshold(r: int, n: int) -> int:
     """Fewest points for which :func:`castelnuovo_rnc_test` is decisive."""
     return 2 * n + 1 if r == 2 else r * (n - 1) + 1
@@ -348,13 +343,17 @@ def _recover_basis(web: ConstantWeb) -> tuple[Matrix, list[list[int]]]:
 
     Once ``relation_space`` has verified the relations, all of it is read
     in integers off the certified kernel of R(1), vector a = vec_a / den_a,
-    and the kappas cleared by L: C_j times den_a is the block
+    and the kappas cleared by L: row a of C_j times den_a is the block row
     vec_a[j*r + b], and row (a, alpha) times s_a = den_a * L is
-    sum_b vec_a[alpha*r + b] * (L kappa_alpha)[b].  The kernel of
-    [S B | I], S = diag(s_a) (x) I, holds (-(S B)^-1 e_k, e_k) at free
-    column rn + k, and B is singular exactly when the free columns are
-    not rn .. 2rn - 1.  The columns returned are those of
-    (S B)^-1 = B^-1 S^-1 times -lcm(den_k); the point reader ignores S^-1.
+    sum_b vec_a[alpha*r + b] * (L kappa_alpha)[b].  These rows, S B with
+    S = diag(s_a) (x) I, are inverted by :meth:`Matrix.inverse`; the
+    columns returned are those of (S B)^-1 = B^-1 S^-1 times its
+    denominator, and the point reader ignores S^-1 and that scale.
+
+    S B is never singular, so a singular one is an internal contradiction:
+    up to a row permutation it is diag(C~_alpha) (L J), where the check
+    above gives each block C~_alpha = vec_a[alpha*r + b] rank r, and J,
+    the kappas of foliations 1..n stacked, is invertible by general position.
     """
     r, n, d = web.r, web.n, web.d
     rn = r * n
@@ -382,19 +381,13 @@ def _recover_basis(web: ConstantWeb) -> tuple[Matrix, list[list[int]]]:
                      for b in range(r) if alpha * r + b in vec]
             rows.append([sum(x * row[c] for x, row in terms) for c in range(rn)])
             scales.append(den * lcm)
-    kernel = certified_kernel(
-        [{c: x for c, x in enumerate(row) if x} | {rn + k: 1} for k, row in enumerate(rows)],
-        2 * rn,
-    )
-    if [next(reversed(vec)) for _, vec in kernel] != list(range(rn, 2 * rn)):
-        raise DegenerateWebError(
-            "web is not semi-extremal / degenerate: recovered covector basis is singular"
-        )
-    m = math.lcm(*(den for den, _ in kernel))
-    columns = [[(m // den) * vec.get(i, 0) for i in range(rn)] for den, vec in kernel]
+    try:
+        inverse = Matrix._from_ints(rows, 1).inverse()
+    except ValueError:
+        raise InternalContradictionError("recovered covector basis is singular") from None
     lcm = math.lcm(*scales)
     basis = Matrix._from_ints([[x * (lcm // s) for x in row] for row, s in zip(rows, scales)], lcm)
-    return basis, columns
+    return basis, list(zip(*inverse.ints))
 
 
 def _point_from_block_matrix(
@@ -471,7 +464,7 @@ def recover_normal_form(web: ConstantWeb) -> AdaptedStructure:
         raise InternalContradictionError(
             "recovered points of a semi-extremal web fail the rational-normal-curve test"
         )
-    # the free columns rn .. 2rn - 1 of the kernel of [S B | I] proved B invertible
+    # Matrix.inverse of S B proved B invertible
     return AdaptedStructure._of_invertible(basis, points)
 
 
@@ -573,6 +566,14 @@ def akivis_structure(foliations: Sequence[ConstantFoliation]) -> Matrix:
     the alpha-th block of r columns of C, row a of C_alpha kappa_alpha is
     m_{a,alpha}.  The first n foliations are then cut by the blocks and
     the last by the row sums.
+
+    The basis is never singular, so a singular one is an internal
+    contradiction: up to a row permutation it is diag(C_alpha) J, J the
+    first n kappas stacked, invertible by general position, and
+    u C_alpha = 0 with u != 0 would make u kappa_{n+1} =
+    sum_{beta != alpha} (u C_beta) kappa_beta a non-trivial dependency
+    (u kappa_{n+1} != 0) among the rows of the n foliations other than
+    alpha, which general position excludes.
     """
     foliations = list(foliations)
     if not foliations:
@@ -593,7 +594,7 @@ def akivis_structure(foliations: Sequence[ConstantFoliation]) -> Matrix:
         for row in coeffs.ints for alpha in range(n)
     ], coeffs.den * lcm)
     if not basis.is_invertible():
-        raise DegenerateWebError(
+        raise InternalContradictionError(
             "foliations admit no adapted basis: block decomposition is singular"
         )
     return basis

@@ -92,7 +92,7 @@ def evaluate(poly, point) -> Fraction:
 
 def dense_kernel(basis, ncols: int) -> list[tuple[Fraction, ...]]:
     """``certified_kernel`` vectors ``(den, vec)`` as dense ``Fraction`` tuples
-    of width ``ncols``, the form ``Matrix.kernel_basis`` returns."""
+    of width ``ncols``, the form ``oracle.kernel_basis`` returns."""
     dense = []
     for den, vec in basis:
         row = [Fraction(0)] * ncols

@@ -18,6 +18,9 @@ vector times matrix) serves the former point reader below.
 ``intersect_with_base_plane`` is the former intersection: each point
 the one vector of the ``kernel_basis`` of its plane's xi-block, where
 the library reads it off the block's signed maximal minors.
+``vandermonde_weights`` is the product formula
+w_j = 1 / prod_{k != j} (tau_j - tau_k), where the library evaluates
+each cofactor P(t)/(t - tau_j) at tau_j.
 ``moment_relation_basis`` builds the relations of a moment web from
 their closed form, c_j = w_j tau_j^rho y^m, with no elimination modulo
 p, no prolongation and no relation matrix, and puts them in the form of
@@ -62,8 +65,9 @@ one by reordering the web (``abelweb.subweb``).  ``canonical_data`` is the
 former canonical data: it eliminates every degree twice (``total_rank``,
 then ``relation_space`` until a space is empty) and completes the
 degree-1 block greedily, one rank per candidate, where the library reads
-pivot columns once, and forms each P(t)/(t - tau_j) as a product of
-d - 1 linear factors, where the library divides P(t) synthetically.
+pivot columns once, takes its weights from the product formula and
+forms each P(t)/(t - tau_j) as a product of d - 1 linear factors, where
+the library divides P(t) synthetically.
 Both use only the ``Fraction`` copies above.
 ``from_vector``, a polynomial from its graded-lex coefficients, is a test
 helper that the library does not need.
@@ -84,7 +88,7 @@ from abelweb.abelian import (
     subweb as take_subweb,
     total_rank,
 )
-from abelweb.canonical import CanonicalData, vandermonde_weights
+from abelweb.canonical import CanonicalData
 from abelweb.errors import DegenerateWebError, InternalContradictionError
 from abelweb.exactalg import _extend_mod, _primes, _reconstruct
 from abelweb.grassmann import (
@@ -606,6 +610,12 @@ def intersect_with_base_plane(arr: PlaneArrangement) -> list[ProjectivePoint]:
     return points
 
 
+def vandermonde_weights(taus: Sequence[Fraction]) -> list[Fraction]:
+    """w_j = 1 / prod_{k != j} (tau_j - tau_k), by the product formula."""
+    return [1 / math.prod((tau - other for other in taus if other != tau), start=Fraction(1))
+            for tau in taus]
+
+
 def moment_relation_basis(spec: MomentWebSpec, h: int) -> list[tuple[Fraction, ...]]:
     """The canonical basis of R(h) of a moment web, from the closed form.
 
@@ -617,8 +627,7 @@ def moment_relation_basis(spec: MomentWebSpec, h: int) -> list[tuple[Fraction, .
     column ascending) by the :func:`rref` of the columns reversed.
     """
     r, n, taus = spec.r, spec.n, spec.taus
-    weights = [1 / math.prod((tau - other for other in taus if other != tau), start=Fraction(1))
-               for tau in taus]
+    weights = vandermonde_weights(taus)
     monomials = len(monomial_exponents(r, h))
     vectors = []
     for rho in range(len(taus) - (r + h) * (n - 1) - 1):

@@ -282,6 +282,6 @@ def test_relation_chain_stop_matches_oracle_under_paranoid():
     for web in _webs_whose_chain_empties(make_rng(27)):
         expected = _oracle_dims(web)
         report = total_rank(web, allow_degenerate=True, paranoid=True)
-        assert [item.dim for item in report.per_degree] == expected[:-1], web.to_json()
+        assert list(report.dims) == expected[:-1], web.to_json()
         cutoff = len(expected) - 1
         assert relation_space_dim(web, cutoff, allow_degenerate=True) == expected[-1] == 0

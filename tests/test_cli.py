@@ -150,6 +150,28 @@ def test_akivis(tmp_path, capsys):
     assert basis.is_invertible()
 
 
+def test_singular_bases_that_general_position_rules_out_exit_3(tmp_path, capsys, monkeypatch):
+    """Both singular branches are proven unreachable on PG input (see the
+    ``_recover_basis`` and ``akivis_structure`` docstrings), so a faked
+    singular basis reads as an internal contradiction, not as a degenerate web."""
+    path = tmp_path / "w.json"
+    run(capsys, "moment", "-r", "2", "-n", "2", "--taus", "0,1,2,3,4,5", "-o", str(path))
+
+    def singular(self):
+        raise ValueError("matrix is singular")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "inverse", singular)
+        code, _, err = run(capsys, "recover", "--web", str(path))
+    assert code == 3
+    assert "recovered covector basis is singular" in err
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "is_invertible", lambda self: False)
+        code, _, err = run(capsys, "akivis", "--web", str(path))
+    assert code == 3
+    assert "block decomposition is singular" in err
+
+
 def test_canonical(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"r": 2, "n": 2, "taus": ["0", "1", "2", "3", "4"]}))

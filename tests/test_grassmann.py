@@ -23,8 +23,8 @@ from abelweb import (
     subweb,
     tangent_incidence_web,
     total_rank,
-    veronese,
 )
+from abelweb.grassmann import _monomials
 from helpers import arrangement_through_points, make_rng, random_invertible, random_pg_web
 
 
@@ -133,10 +133,13 @@ def test_omega_expansion_identity_basis_independent():
 
 
 def test_veronese():
-    assert veronese(ProjectivePoint([1, 0]), 2).coords == (1, 0, 0)
-    assert veronese(ProjectivePoint([1, 1]), 2).coords == (1, 1, 1)
-    images = Matrix([veronese(moment_point(3, t), 2).coords for t in range(8)])
-    assert images.rank() == 5
+    """The degree-2 monomials in graded-lex order, and the rank 5 = r(n-1)+1
+    of the Veronese images of 8 points on a conic, which is what
+    ``castelnuovo_rnc_test`` asks of them."""
+    assert _monomials((1, 0), 2) == [1, 0, 0]
+    assert _monomials((1, 1), 2) == [1, 1, 1]
+    assert _monomials((2, 3), 2) == [4, 6, 9]
+    assert castelnuovo_rnc_test([moment_point(3, t) for t in range(8)], 2)
 
 
 def test_normals_span_rank_moment():

@@ -4,7 +4,8 @@ prolongation, the integer pullback, relation verification and point
 reader, normal-form recovery and canonical data against the oracle.
 
 ``oracle`` holds the earlier Fraction Gauss-Jordan ``rref`` with the
-``kernel_basis`` read off it, Fraction Gaussian ``det``, Bareiss
+``kernel_basis`` read off it (against ``certified_kernel`` of a
+``Matrix``'s integer rows), Fraction Gaussian ``det``, Bareiss
 ``rank``, wedge-product ``check_pg``,
 determinant-per-minor ``wedge_rows`` (against ``_minors`` and
 ``generator_normal``), polynomial-wedge ``omega_expansion`` (on
@@ -94,7 +95,7 @@ def _check_eliminations(m: Matrix) -> None:
     reduced, pivots = oracle.rref(m)
     assert m.rank() == oracle.rank(m) == len(pivots), m
     assert m.rref() == (reduced, pivots), m
-    assert m.kernel_basis() == oracle.kernel_basis(m), m
+    assert _dense_certified_kernel(m._sparse_rows(), m.cols) == oracle.kernel_basis(m), m
     square = m.rows == m.cols
     invertible = square and oracle.det(m) != 0
     assert m.is_invertible() == invertible, m
@@ -326,7 +327,7 @@ def test_certified_kernel_matches_oracle():
 
 
 def _dense_certified_kernel(rows, ncols):
-    """``certified_kernel`` densified to the tuples ``Matrix.kernel_basis`` gives."""
+    """``certified_kernel`` densified to the tuples ``oracle.kernel_basis`` gives."""
     return dense_kernel(certified_kernel(rows, ncols), ncols)
 
 

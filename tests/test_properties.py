@@ -19,6 +19,13 @@ the denominators of R(1) are not 1, the integer recovery returns the
 Fraction oracle's structure; and on rational points on a rational
 normal curve, and with one point moved, the Castelnuovo test agrees
 with the rank of their Fraction Veronese images.
+On random PG (n+1)-webs with rational entries, r <= 3 and n <= 4,
+``akivis_structure`` returns an invertible basis whose blocks span the
+first n foliations and whose block sums span the last.  On d <= 9
+distinct rational taus, 0 and negatives among them, the Vandermonde
+weights are the oracle's product formula, ``solution_polynomial`` inverts
+``check_general_solution``, and the Lagrange identity holds at degree
+d - 1 and fails at degree d.
 On sparse integer matrices, tall and wide, rank-deficient, with
 repeated rows, empty columns and entries too large for one prime, the
 certified kernel is the RREF kernel basis whatever the row order, and
@@ -73,19 +80,24 @@ from abelweb import (
     MomentWebSpec,
     PlaneArrangement,
     ProjectivePoint,
+    akivis_structure,
     castelnuovo_rnc_test,
+    check_general_solution,
     check_pg,
     foliation_from_point,
     generator_normal,
     h_cutoff,
     intersect_with_base_plane,
+    lagrange_identity,
     moment_point,
     moment_web,
     recover_normal_form,
     relation_space,
     relation_space_dim,
+    solution_polynomial,
     subweb,
     total_rank,
+    vandermonde_weights,
 )
 from abelweb.abelian import _relation_kernel
 from abelweb.cli import main
@@ -368,6 +380,57 @@ def test_recovery_matches_oracle_on_mixed_rational_moment_webs(data):
     assume(critical.cleared_kappas()[1] != 1)
     assume(all(den != 1 for den, _ in _relation_kernel(critical, 1, False)))
     assert recover_normal_form(mixed).to_json() == oracle.recover_normal_form(mixed).to_json()
+
+
+@seed(DEFAULT_SEED)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_akivis_structure_adapts_random_rational_pg_webs(data):
+    # the basis is invertible, its block alpha spans foliation alpha and
+    # its block sums span foliation n+1
+    r, n = data.draw(st.sampled_from([(r, n) for r in (1, 2, 3) for n in (2, 3, 4)]))
+    entry = st.sampled_from(sorted({Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)}))
+    foliations = []
+    for _ in range(n + 1):
+        matrix = Matrix(data.draw(st.lists(st.lists(entry, min_size=r * n, max_size=r * n),
+                                           min_size=r, max_size=r)))
+        assume(matrix.rank() == r)
+        foliations.append(ConstantFoliation(r, n, matrix))
+    assume(ConstantWeb(r, n, foliations).is_pg())
+    basis = akivis_structure(foliations)
+    assert basis.is_invertible()
+    for alpha in range(n):
+        block = Matrix([basis.row(a * n + alpha) for a in range(r)])
+        assert block.row_space_rref() == foliations[alpha].row_span()
+    sums = Matrix([[sum(column) for column in zip(*(basis.row(a * n + alpha)
+                                                    for alpha in range(n)))]
+                   for a in range(r)])
+    assert sums.row_space_rref() == foliations[n].row_span()
+
+
+@seed(DEFAULT_SEED)
+@SETTINGS
+@given(st.data())
+def test_lagrange_kernel_matches_the_product_formula(data):
+    # the weights are the oracle's product formula; the solution polynomial
+    # inverts the general solution; the Lagrange identity is sharp at d - 1
+    d = data.draw(st.integers(3, 9))
+    pool = [t for t in TAUS if t]
+    taus = data.draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d, unique=True))
+    if data.draw(st.booleans()):
+        taus[data.draw(st.integers(0, d - 1))] = Fraction(0)
+    assert vandermonde_weights(taus) == tuple(oracle.vandermonde_weights(taus))
+    r, n = data.draw(st.sampled_from([(r, n) for r in (1, 2, 3) for n in (2, 3, 4)
+                                      if r * (n - 1) + 2 <= d]))
+    coefficient = st.sampled_from(TAUS)
+    f = data.draw(st.lists(coefficient, max_size=d - r * (n - 1) - 1))
+    while f and f[-1] == 0:
+        f.pop()
+    assert solution_polynomial(r, n, taus, check_general_solution(r, n, taus, f)) == tuple(f)
+    top = data.draw(st.sampled_from(pool))
+    below = data.draw(st.lists(coefficient, min_size=d - 1, max_size=d - 1))
+    assert lagrange_identity(taus, below + [top])
+    assert not lagrange_identity(taus, below + [data.draw(coefficient), top])
 
 
 def _veronese_rank(points, r: int) -> int:
