@@ -64,7 +64,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InternalContradictionError
-from .exactalg import Matrix, _clear_denominators, certified_kernel
+from .exactalg import Matrix, _Frozen, _clear_denominators, certified_kernel
 from .multilinear import (
     HomogeneousPoly,
     _expand,
@@ -84,7 +84,7 @@ from .webcore import (
 )
 
 
-class RelationBasisElement:
+class RelationBasisElement(_Frozen):
     """One abelian relation, re-verified exactly on construction."""
 
     __slots__ = ("degree", "components")
@@ -99,9 +99,6 @@ class RelationBasisElement:
         _verify_relation(web, components)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("RelationBasisElement is immutable")
 
     def vector(self) -> tuple[Fraction, ...]:
         """Concatenated component coefficients, foliation-major."""

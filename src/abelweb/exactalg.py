@@ -31,6 +31,10 @@ vectors.  Only the rank (:func:`_rank`, which recovery calls on its own
 integer rows too) may return first, when the rank modulo the prime
 below 2**30 is full, which proves it over Q.  ``det`` reads the one
 maximal minor off the Laplace sweep :func:`_minors`.
+
+Immutability is one policy: :class:`_Frozen` refuses assignment after
+construction (constructors use ``object.__setattr__``), and
+:class:`_Value` compares and hashes by one key per class.
 """
 
 from __future__ import annotations
@@ -478,7 +482,30 @@ def _format(a: int, den: int) -> str:
     return str(a // g) if g == den else f"{a // g}/{den // g}"
 
 
-class Matrix:
+class _Frozen:
+    """An immutable type, compared by identity: assignment raises an
+    ``AttributeError`` that names the class."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Value(_Frozen):
+    """An immutable type compared and hashed by the ``_key()`` each subclass
+    defines; objects of different types are unequal whatever their keys."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Matrix(_Value):
     """Immutable dense matrix over Q.
 
     Held as integer rows ``ints`` over one positive denominator ``den``,
@@ -513,9 +540,6 @@ class Matrix:
         object.__setattr__(self, "rows", len(ints))
         object.__setattr__(self, "cols", len(ints[0]) if ints else 0)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Matrix is immutable")
-
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls._from_ints([[int(i == j) for j in range(n)] for i in range(n)], 1)
@@ -532,11 +556,8 @@ class Matrix:
         """Every row as ``Fraction``s, built on each call."""
         return tuple(self.row(i) for i in range(self.rows))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and (self.den, self.ints) == (other.den, other.ints)
-
-    def __hash__(self) -> int:
-        return hash((self.den, self.ints))
+    def _key(self):
+        return self.den, self.ints
 
     def __repr__(self) -> str:
         return f"Matrix({self.to_json()})"

@@ -37,8 +37,8 @@ from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
 from .exactalg import (
-    Matrix, _clear_denominators, _minors, _rank, _ratio, json_array, json_object,
-    json_rational, rational,
+    Matrix, _Frozen, _Value, _clear_denominators, _minors, _rank, _ratio, json_array,
+    json_object, json_rational, rational,
 )
 from .multilinear import ExteriorForm, monomial_exponents, poly_space_dim
 from .webcore import (
@@ -57,7 +57,7 @@ from .abelian import (
 )
 
 
-class ProjectivePoint:
+class ProjectivePoint(_Value):
     """A point of projective space, canonicalized on construction.
 
     The stored coordinates are scaled so the first nonzero one equals 1,
@@ -76,18 +76,8 @@ class ProjectivePoint:
         p0, q0 = lead
         object.__setattr__(self, "coords", tuple(Fraction(p * q0, q * p0) for p, q in pairs))
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("ProjectivePoint is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjectivePoint) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
+    def _key(self):
+        return self.coords
 
     def __repr__(self) -> str:
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
@@ -102,7 +92,7 @@ def moment_point(n: int, tau) -> ProjectivePoint:
     return ProjectivePoint([tau**k for k in range(n)])
 
 
-class MomentWebSpec:
+class MomentWebSpec(_Frozen):
     """Type, parameters, and covector basis of a moment web.
 
     A given base change must be an invertible rn x rn matrix; the
@@ -126,9 +116,6 @@ class MomentWebSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "base_change", base_change)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("MomentWebSpec is immutable")
 
     def to_json(self) -> dict:
         return {
@@ -275,7 +262,7 @@ def castelnuovo_rnc_test(points: Sequence[ProjectivePoint], r: int) -> bool:
     return _rank(images, poly_space_dim(n, r)) == r * (n - 1) + 1
 
 
-class AdaptedStructure:
+class AdaptedStructure(_Frozen):
     """A covector basis and points exhibiting a web as F(p_1), ..., F(p_d)."""
 
     __slots__ = ("basis", "points")
@@ -293,9 +280,6 @@ class AdaptedStructure:
         object.__setattr__(structure, "basis", basis)
         object.__setattr__(structure, "points", tuple(points))
         return structure
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("AdaptedStructure is immutable")
 
     def rebuild(self) -> ConstantWeb:
         """The web F(p_j) cut by this structure, in point order, with no rank
@@ -410,6 +394,10 @@ def _point_from_block_matrix(
     coefficients c (x) xi, so it is sum_a c_a sum_alpha xi_alpha m_{a,alpha},
     a covector of F(p_k); the foliation and F(p_k) both have r
     independent covectors, so they are equal.
+
+    All-zero blocks are an internal contradiction: each row of ``kappa``
+    (rank r) is non-zero, and ``columns`` are those of an invertible
+    matrix, (S B)^-1 times its denominator, so its coefficients are too.
     """
     blocks = []
     for row in kappa:
@@ -417,9 +405,7 @@ def _point_from_block_matrix(
         blocks.extend(coeffs[a * n : (a + 1) * n] for a in range(r))
     xi = next((row for row in blocks if any(row)), None)
     if xi is None:
-        raise DegenerateWebError(
-            f"web is not semi-extremal / degenerate: foliation {k} vanishes"
-        )
+        raise InternalContradictionError(f"foliation {k} vanishes in the recovered coordinates")
     lead = next(i for i, c in enumerate(xi) if c)
     for row in blocks:
         if any(c * xi[lead] != row[lead] * x for c, x in zip(row, xi)):
@@ -567,13 +553,13 @@ def akivis_structure(foliations: Sequence[ConstantFoliation]) -> Matrix:
     m_{a,alpha}.  The first n foliations are then cut by the blocks and
     the last by the row sums.
 
-    The basis is never singular, so a singular one is an internal
-    contradiction: up to a row permutation it is diag(C_alpha) J, J the
-    first n kappas stacked, invertible by general position, and
-    u C_alpha = 0 with u != 0 would make u kappa_{n+1} =
-    sum_{beta != alpha} (u C_beta) kappa_beta a non-trivial dependency
-    (u kappa_{n+1} != 0) among the rows of the n foliations other than
-    alpha, which general position excludes.
+    Neither J, the first n kappas stacked, nor the result is ever
+    singular, so a singular one is an internal contradiction.  The rn
+    rows of J are independent by ``require_pg`` with d = n + 1.  Up to a
+    row permutation the result is diag(C_alpha) J, and u C_alpha = 0
+    with u != 0 would make u kappa_{n+1} = sum_{beta != alpha} (u C_beta)
+    kappa_beta a non-trivial dependency (u kappa_{n+1} != 0) among the
+    rows of the n foliations other than alpha, which PG excludes.
     """
     foliations = list(foliations)
     if not foliations:
@@ -586,7 +572,11 @@ def akivis_structure(foliations: Sequence[ConstantFoliation]) -> Matrix:
 
     kappas, lcm = web.cleared_kappas()
     joint = Matrix._from_ints([row for kappa in kappas[:n] for row in kappa], lcm)
-    coeffs = foliations[n].matrix * joint.inverse()
+    try:
+        inverse = joint.inverse()
+    except ValueError:
+        raise InternalContradictionError("joint basis of the first n is singular") from None
+    coeffs = foliations[n].matrix * inverse
     # row a of C_alpha kappa_alpha, all over den(C) * L
     basis = Matrix._from_ints([
         [sum(map(operator.mul, row[alpha * r : (alpha + 1) * r], column))

@@ -25,12 +25,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DegenerateWebError
-from .exactalg import Matrix, _minors, json_array
+from .exactalg import Matrix, _Frozen, _minors, json_array
 from .webcore import ConstantWeb, require_web_type, web_type_from_json
 from .grassmann import ProjectivePoint, _foliation_on_invertible
 
 
-class PlaneArrangement:
+class PlaneArrangement(_Frozen):
     """d r-planes in P^(r+n-1), each cut out by n-1 independent forms."""
 
     __slots__ = ("r", "n", "planes")
@@ -46,13 +46,6 @@ class PlaneArrangement:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "planes", planes)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("PlaneArrangement is immutable")
-
-    @property
-    def d(self) -> int:
-        return len(self.planes)
 
     def to_json(self) -> dict:
         return {

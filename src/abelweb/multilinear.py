@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exactalg import _clear_denominators, binomial, index_subsets, rational
+from .exactalg import _Value, _clear_denominators, binomial, index_subsets, rational
 
 
 @lru_cache(maxsize=None)
@@ -49,7 +49,7 @@ def monomial_position(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(monomial_exponents(nvars, degree))}
 
 
-class HomogeneousPoly:
+class HomogeneousPoly(_Value):
     """A homogeneous polynomial with exact rational coefficients."""
 
     __slots__ = ("nvars", "degree", "coeffs")
@@ -66,9 +66,6 @@ class HomogeneousPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("HomogeneousPoly is immutable")
 
     @classmethod
     def constant(cls, nvars: int, value) -> "HomogeneousPoly":
@@ -88,16 +85,8 @@ class HomogeneousPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomogeneousPoly)
-            and self.nvars == other.nvars
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.degree, frozenset(self.coeffs.items())))
+    def _key(self):
+        return self.nvars, self.degree, frozenset(self.coeffs.items())
 
     def __repr__(self) -> str:
         terms = " + ".join(f"{c}*x^{e}" for e, c in sorted(self.coeffs.items()))
@@ -185,7 +174,7 @@ def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-class ExteriorForm:
+class ExteriorForm(_Value):
     """An element of Lambda^k of an N-dimensional dual space."""
 
     __slots__ = ("ambient_dim", "grade", "coeffs")
@@ -207,9 +196,6 @@ class ExteriorForm:
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "coeffs", cleaned)
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("ExteriorForm is immutable")
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -224,16 +210,8 @@ class ExteriorForm:
             for s in index_subsets(self.ambient_dim, self.grade)
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExteriorForm)
-            and self.ambient_dim == other.ambient_dim
-            and self.grade == other.grade
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.grade, frozenset(self.coeffs.items())))
+    def _key(self):
+        return self.ambient_dim, self.grade, frozenset(self.coeffs.items())
 
     def __repr__(self) -> str:
         terms = " + ".join(f"{c}*e{list(s)}" for s, c in sorted(self.coeffs.items()))

@@ -40,13 +40,13 @@ from typing import Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import (
-    Matrix, _extend_mod, _minors, _prime_below, binomial,
+    Matrix, _Value, _extend_mod, _minors, _prime_below, binomial,
     certified_kernel, json_array, json_object,
 )
 from .multilinear import ExteriorForm
 
 
-class ConstantFoliation:
+class ConstantFoliation(_Value):
     """One codimension-r foliation, given by the rows of its defining map."""
 
     __slots__ = ("r", "n", "matrix", "_span")
@@ -71,30 +71,20 @@ class ConstantFoliation:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_span", None)
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("ConstantFoliation is immutable")
-
     def row_span(self) -> Matrix:
         """Canonical (RREF) form of the row span; foliation identity."""
         if self._span is None:
             object.__setattr__(self, "_span", self.matrix.row_space_rref())
         return self._span
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConstantFoliation)
-            and (self.r, self.n) == (other.r, other.n)
-            and self.row_span() == other.row_span()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.n, self.row_span()))
+    def _key(self):
+        return self.r, self.n, self.row_span()
 
     def __repr__(self) -> str:
         return f"ConstantFoliation(r={self.r}, n={self.n}, {self.matrix!r})"
 
 
-class ConstantWeb:
+class ConstantWeb(_Value):
     """A list of d constant foliations sharing one type (r, n).
 
     Construction never refuses a web that fails general position; the
@@ -117,9 +107,6 @@ class ConstantWeb:
         object.__setattr__(self, "_relations", [])
         object.__setattr__(self, "_kappas", None)
         object.__setattr__(self, "_normals", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("ConstantWeb is immutable")
 
     @property
     def d(self) -> int:
@@ -167,15 +154,8 @@ class ConstantWeb:
                 f"web not in general position: normals of foliations {failing} wedge to zero"
             )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConstantWeb)
-            and (self.r, self.n) == (other.r, other.n)
-            and self.foliations == other.foliations
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.n, self.foliations))
+    def _key(self):
+        return self.r, self.n, self.foliations
 
     def to_json(self) -> dict:
         return {

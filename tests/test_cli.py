@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from abelweb import ConstantWeb, Matrix, MomentWebSpec, moment_web
+from abelweb import ConstantWeb, Matrix, MomentWebSpec, grassmann, moment_web
 from abelweb.cli import _build_parser, main
 
 
@@ -151,9 +151,10 @@ def test_akivis(tmp_path, capsys):
 
 
 def test_singular_bases_that_general_position_rules_out_exit_3(tmp_path, capsys, monkeypatch):
-    """Both singular branches are proven unreachable on PG input (see the
-    ``_recover_basis`` and ``akivis_structure`` docstrings), so a faked
-    singular basis reads as an internal contradiction, not as a degenerate web."""
+    """Each faked branch is proven unreachable on PG input (see the
+    ``_recover_basis``, ``_point_from_block_matrix`` and ``akivis_structure``
+    docstrings), so it reads as an internal contradiction, not as bad input
+    or a degenerate web."""
     path = tmp_path / "w.json"
     run(capsys, "moment", "-r", "2", "-n", "2", "--taus", "0,1,2,3,4,5", "-o", str(path))
 
@@ -170,6 +171,20 @@ def test_singular_bases_that_general_position_rules_out_exit_3(tmp_path, capsys,
         code, _, err = run(capsys, "akivis", "--web", str(path))
     assert code == 3
     assert "block decomposition is singular" in err
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "inverse", singular)
+        code, _, err = run(capsys, "akivis", "--web", str(path))
+    assert code == 3
+    assert "joint basis of the first n is singular" in err
+
+    recover_basis = grassmann._recover_basis
+    with monkeypatch.context() as patch:
+        # the recovered basis with the columns of its inverse all zero
+        patch.setattr(grassmann, "_recover_basis",
+                      lambda web: (recover_basis(web)[0], [[0] * 4] * 4))
+        code, _, err = run(capsys, "recover", "--web", str(path))
+    assert code == 3
+    assert "foliation 1 vanishes in the recovered coordinates" in err
 
 
 def test_canonical(tmp_path, capsys):

@@ -8,20 +8,22 @@ its relative imports bind the real modules; nothing in ``sys.modules``
 is replaced, and the mutant's functions call each other.
 
 A check compares the outcome of a library call with the oracle: the
-value it returns, or the error it raises.  A mutant is killed when the
-check fails on it, either by an oracle mismatch (``AssertionError``) or
-by the library's own ``InternalContradictionError``; every check ends
-in bounded time.  Each check also passes on the unmutated library.
+value it returns, or the error it raises, and for a kernel the number of
+primes it draws.  A mutant is killed when the check fails on it,
+either by an oracle mismatch (``AssertionError``) or by the library's
+own ``InternalContradictionError``; every check ends in bounded time.
+Each check also passes on the unmutated library.
 """
 
 import importlib
 import types
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 import oracle
-from abelweb import Matrix, MomentWebSpec, h_cutoff, moment_web
+from abelweb import ConstantFoliation, ConstantWeb, Matrix, MomentWebSpec, h_cutoff, moment_web
 from abelweb.errors import InternalContradictionError
 
 
@@ -64,6 +66,18 @@ def _recovery(grassmann):
     assert _outcome(lambda: grassmann.recover_normal_form(web).to_json()) == ("value", expected)
 
 
+def _rational_recovery(grassmann):
+    # the first foliation's rows mixed: the kappas' lcm L is 18, and the
+    # R(1) denominators den_a are 32 and 64
+    spec = MomentWebSpec(2, 2, [Fraction(t, 2) for t in range(-2, 4)], Matrix(
+        [[1, "1/2", 0, 2], [0, 1, 1, 0], [2, 0, "1/3", 1], [0, 3, 0, 1]]))
+    first, *rest = moment_web(spec).foliations
+    mixed = ConstantFoliation(2, 2, Matrix([[1, "2/3"], [-1, 2]]) * first.matrix)
+    web = ConstantWeb(2, 2, [mixed, *rest])
+    expected = oracle.recover_normal_form(web).to_json()
+    assert _outcome(lambda: grassmann.recover_normal_form(web).to_json()) == ("value", expected)
+
+
 def _akivis(grassmann):
     web = moment_web(MomentWebSpec(2, 2, range(6), Matrix(
         [[1, 1, 0, 2], [0, 1, 1, 0], [2, 0, 1, 1], [0, 3, 0, 1]])))
@@ -96,6 +110,74 @@ def _kernel(exactalg):
     expected = [(1, {c: int(x) for c, x in enumerate(vec) if x})
                 for vec in oracle.kernel_basis(matrix)]
     assert _outcome(lambda: exactalg.certified_kernel(rows, 5)) == ("value", expected)
+
+
+def _inverse(exactalg):
+    # the columns of the inverse, (1/2, 0) and (-1/6, 1/3), have two denominators
+    rows, expected = [[2, 1], [0, 3]], oracle.inverse(Matrix([[2, 1], [0, 3]]))
+    assert [list(row) for row in exactalg.Matrix(rows).inverse().entries] == expected
+
+
+def _value_equality(exactalg):
+    # a value never equals an object of another type, and raises nothing
+    assert _outcome(lambda: exactalg.Matrix([[1]]) == object()) == ("value", False)
+
+
+def _matrix_key(exactalg):
+    # equal matrices hold equal (den, ints): the product 6/2 is stored as 3/1
+    product = exactalg.Matrix([[1, "1/2"]]) * exactalg.Matrix([[2], [2]])
+    assert product == exactalg.Matrix([[3]]) and (product.den, product.ints) == (1, ((3,),))
+
+
+def _matrix_json(exactalg):
+    row = [Fraction(1, 2), Fraction(1, 4), Fraction(1), Fraction(-6, 4)]
+    assert exactalg.Matrix([row]).to_json() == [[str(x) for x in row]]
+
+
+def _lift_rescale(exactalg):
+    # the kernel vector (-1/2, -1/3, 1): its denominator grows from 2 to 6
+    rows, expected = [{0: 2, 2: 1}, {1: 3, 2: 1}], [(6, {0: -3, 1: -2, 2: 6})]
+    vector = (Fraction(-1, 2), Fraction(-1, 3), 1)
+    assert oracle.kernel_basis(Matrix([[2, 0, 1], [0, 3, 1]])) == [vector]
+    assert _outcome(lambda: exactalg.certified_kernel(rows, 3)) == ("value", expected)
+
+
+def _lift_window(exactalg):
+    # each kernel lifts from two primes, as one reconstruction per entry
+    # needs: a denominator 65537 * 65539 past N = isqrt(p // 2), or an
+    # integer entry -+2**30 just past N
+    for rows in ([{0: 65537, 3: 1}, {1: 65539, 3: 1}, {2: 65537 * 65539, 3: 1}],
+                 [{0: 1, 3: 2**30}, {1: 65537, 3: 1}, {2: 65539, 3: 1}],
+                 [{0: 1, 3: -2**30}, {1: 65537, 3: 1}, {2: 65539, 3: 1}]):
+        expected = oracle.certified_kernel([dict(row) for row in rows], 4)
+        real, primes = exactalg._primes, []
+
+        def counted():
+            for p in real():
+                primes.append(p)
+                yield p
+
+        with mock.patch.object(exactalg, "_primes", counted):
+            basis = _outcome(lambda: exactalg.certified_kernel([dict(row) for row in rows], 4))
+        assert (basis, len(primes)) == (("value", expected[0]), expected[1])
+
+
+def _web_type(webcore):
+    error = ("raised", "ValueError: web type requires r >= 1, n >= 2, d >= 1, "
+             "got r = 2, n = 2, d = 0")
+    assert _outcome(lambda: webcore.ConstantWeb(2, 2, [])) == error
+    assert _outcome(lambda: webcore.rho_bound(2, 2, 0)) == error
+
+
+def _foliation_key(webcore):
+    # one foliation: the second matrix is the first with its rows mixed
+    first = webcore.ConstantFoliation(2, 2, Matrix([[1, 0, 2, 0], [0, 1, 0, 3]]))
+    mixed = webcore.ConstantFoliation(2, 2, Matrix([[1, 1, 2, 3], [2, 1, 4, 3]]))
+    assert (first == mixed, hash(first) == hash(mixed)) == (True, True)
+
+
+def _poly_key(multilinear):
+    assert multilinear.HomogeneousPoly(2, 1) != multilinear.HomogeneousPoly(2, 2)
 
 
 MUTANTS = {
@@ -140,6 +222,90 @@ MUTANTS = {
         "for q in sorted(echelon, reverse=True):",
         "for q in sorted(echelon):",
         _kernel,
+    ),
+    "lift-without-the-rescale": (
+        "exactalg",
+        "                for c in vec:\n                    vec[c] *= scale\n",
+        "",
+        _lift_rescale,
+    ),
+    "lift-without-the-den-bound": (
+        "exactalg",
+        "if x <= bound and den <= bound:",
+        "if x <= bound:",
+        _lift_window,
+    ),
+    "lift-window-isqrt-of-the-modulus": (
+        "exactalg",
+        "    bound = math.isqrt(modulus // 2)\n    basis = []",
+        "    bound = math.isqrt(modulus)\n    basis = []",
+        _lift_window,
+    ),
+    "lift-window-2N": (
+        "exactalg",
+        "if x <= bound and den <= bound:",
+        "if x <= 2 * bound and den <= bound:",
+        _lift_window,
+    ),
+    "store-without-the-gcd": (
+        "exactalg",
+        "g = math.gcd(den, *itertools.chain.from_iterable(ints))",
+        "g = 1",
+        _matrix_key,
+    ),
+    "format-not-in-lowest-terms": (
+        "exactalg",
+        "g = math.gcd(a, den)",
+        "g = 1",
+        _matrix_json,
+    ),
+    "inverse-without-the-lcm-factor": (
+        "exactalg",
+        "[[-vec.get(i, 0) * (lcm // den) for den, vec in kernel] for i in range(n)]",
+        "[[-vec.get(i, 0) for den, vec in kernel] for i in range(n)]",
+        _inverse,
+    ),
+    "value-equality-without-the-type-test": (
+        "exactalg",
+        "return isinstance(other, type(self)) and self._key() == other._key()",
+        "return self._key() == other._key()",
+        _value_equality,
+    ),
+    "web-type-accepts-no-foliations": (
+        "webcore",
+        "if r < 1 or n < 2 or d < 1:",
+        "if r < 1 or n < 2 or d < 0:",
+        _web_type,
+    ),
+    "foliation-key-without-the-row-span": (
+        "webcore",
+        "return self.r, self.n, self.row_span()",
+        "return self.r, self.n, self.matrix",
+        _foliation_key,
+    ),
+    "poly-key-without-the-degree": (
+        "multilinear",
+        "return self.nvars, self.degree, frozenset(self.coeffs.items())",
+        "return self.nvars, frozenset(self.coeffs.items())",
+        _poly_key,
+    ),
+    "recovery-rows-without-L": (
+        "grassmann",
+        "scales.append(den * lcm)",
+        "scales.append(den)",
+        _rational_recovery,
+    ),
+    "recovery-rows-without-den_a": (
+        "grassmann",
+        "scales.append(den * lcm)",
+        "scales.append(lcm)",
+        _rational_recovery,
+    ),
+    "recovery-basis-off-the-last-foliations": (
+        "grassmann",
+        "take_subweb(web, range(1, d0 + 1))",
+        "take_subweb(web, range(d - d0 + 1, d + 1))",
+        _recovery,
     ),
 }
 

@@ -12,7 +12,10 @@ under a rational gauge g of V, kappa_j -> kappa_j g, the relation bases
 and the rank report do not change at all (the normal of kappa_j g is
 the pullback of Omega_j by g, so each relation pulls back to zero),
 nor under kappa_j -> A_j kappa_j with a rational A_j in GL(r) per
-foliation (Omega_j scales by det A_j and c_j is composed with A_j).
+foliation (Omega_j scales by det A_j and c_j is composed with A_j);
+each foliation so mixed, and the web of them, equals the original and
+hashes alike, and so does each ``Matrix`` rebuilt from its rows written
+over other denominators.
 On moment webs with rational taus, a rational base change and each
 foliation's rows mixed by a rational A_j, so that the kappas' lcm L and
 the denominators of R(1) are not 1, the integer recovery returns the
@@ -352,6 +355,29 @@ def test_rank_invariant_under_row_mixing(data):
         mixed.append(ConstantFoliation(web.r, web.n, a * f.matrix))
     mixed = ConstantWeb(web.r, web.n, mixed)
     assert total_rank(mixed).to_json() == total_rank(web).to_json()
+
+
+@seed(DEFAULT_SEED)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_values_equal_under_row_mixing_and_other_denominators(data):
+    web = data.draw(webs())
+    mixed = []
+    for f in web.foliations:
+        a = data.draw(invertible(web.r))
+        scales = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=web.r, max_size=web.r))
+        a = Matrix([[x * s for x in row] for row, s in zip(a.entries, scales)])
+        foliation = ConstantFoliation(web.r, web.n, a * f.matrix)
+        assert foliation == f and hash(foliation) == hash(f)
+        mixed.append(foliation)
+    mixed = ConstantWeb(web.r, web.n, mixed)
+    assert mixed == web and hash(mixed) == hash(web)
+    for m in (f.matrix for f in mixed.foliations):
+        # row i written over den * k_i, signs and common factors included
+        ks = data.draw(st.lists(st.sampled_from([1, 2, 3, 6, -1, -4]),
+                                min_size=m.rows, max_size=m.rows))
+        other = Matrix([[f"{a * k}/{m.den * k}" for a in row] for row, k in zip(m.ints, ks)])
+        assert other == m and hash(other) == hash(m)
 
 
 TAUS = sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3)})
