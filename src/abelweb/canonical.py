@@ -285,8 +285,7 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     points = []
     for j, column in enumerate(columns):
         point = ProjectivePoint(column + zeros)
-        expected = tuple(spec.taus[j] ** rho for rho in range(q + 1)) + tuple(zeros)
-        if point.coords != expected:
+        if point != ProjectivePoint([spec.taus[j] ** rho for rho in range(q + 1)] + zeros):
             raise InternalContradictionError(
                 f"point {j + 1} differs from its displayed coordinate form"
             )

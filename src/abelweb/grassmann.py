@@ -21,10 +21,16 @@ invertible), and only the public :func:`foliation_from_point`, which
 takes any basis, ranks it.  The reader accepts foliation j only if it is
 F(p_j), which certifies that the web is F(p_1), ..., F(p_d); the
 Castelnuovo minimal-span criterion certifies that the points lie on a
-common rational normal curve.  Recovery runs in integers: the basis
+common rational normal curve, and :func:`fit_rnc` fits that curve.
+
+A point is held as integers over one denominator (``ProjectivePoint``),
+and F(p), the Castelnuovo images and the fit read those integers; no
+reader clears ``Fraction``s.  Recovery runs in integers: the basis
 comes off the certified kernel of R(1) and the cleared kappas, its
 inverse off one ``Matrix.inverse``, the points and the Castelnuovo rank
-off integer rows; only the returned basis and points are ``Fraction``s.
+off integer rows.  The fit inverts the frame once and then needs only
+2 x 2 minors (Cramer's rule); its line and parameters are the only
+``Fraction``s it builds.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
 from .exactalg import (
-    Matrix, _Frozen, _Value, _clear_denominators, _minors, _rank, _ratio, json_array,
-    json_object, json_rational, rational,
+    Matrix, _Frozen, _Value, _format, _minors, _rank, _ratio, json_array, json_object,
+    json_rational, rational,
 )
 from .multilinear import ExteriorForm, monomial_exponents, poly_space_dim
 from .webcore import (
@@ -60,30 +66,45 @@ from .abelian import (
 class ProjectivePoint(_Value):
     """A point of projective space, canonicalized on construction.
 
-    The stored coordinates are scaled so the first nonzero one equals 1,
-    making equality and hashing well defined.  Each coordinate p/q is
-    parsed once and divided by the leading one p0/q0 as one ``Fraction``
-    (p q0) / (q p0).
+    The point is scaled so its first non-zero coordinate is 1 and held,
+    as a ``Matrix`` row is, as integers ``ints`` over one denominator
+    ``den`` > 0: coordinate k is ints[k] / den, ints[lead] == den and
+    gcd(den, *ints) == 1.  That form is unique, so equality and hashing
+    compare ``(den, ints)``.  It is read off the coordinates cleared to
+    integers X: with g = gcd(X) carrying the sign of the lead X_l,
+    ints = X / g and den = X_l / g.  ``coords`` builds the ``Fraction``s
+    on demand.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, coords: Sequence):
         pairs = [_ratio(c) for c in coords]
-        lead = next(((p, q) for p, q in pairs if p), None)
+        lcm = math.lcm(*(q for _, q in pairs))
+        xs = [p * (lcm // q) for p, q in pairs]
+        lead = next((x for x in xs if x), None)
         if lead is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        p0, q0 = lead
-        object.__setattr__(self, "coords", tuple(Fraction(p * q0, q * p0) for p, q in pairs))
+        g = math.gcd(*xs)
+        if lead < 0:
+            g = -g
+        object.__setattr__(self, "ints", tuple(x // g for x in xs))
+        object.__setattr__(self, "den", lead // g)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as ``Fraction``s, the first non-zero one 1, built
+        on each call."""
+        return tuple(Fraction(a, self.den) for a in self.ints)
 
     def _key(self):
-        return self.coords
+        return self.den, self.ints
 
     def __repr__(self) -> str:
-        return "[" + " : ".join(str(c) for c in self.coords) + "]"
+        return "[" + " : ".join(self.to_json()) + "]"
 
     def to_json(self) -> list[str]:
-        return [str(c) for c in self.coords]
+        return [_format(a, self.den) for a in self.ints]
 
 
 def moment_point(n: int, tau) -> ProjectivePoint:
@@ -138,16 +159,19 @@ class MomentWebSpec(_Frozen):
 
 
 def points_from_json(data) -> list[ProjectivePoint]:
-    """A JSON array of coordinate arrays as points, named point 1, 2, ... in errors."""
+    """A JSON array of coordinate arrays as points, named point 1, 2, ... in errors.
+
+    Each point is parsed once, by the constructor; only a point it
+    refuses is read again, entry by entry, to name its first bad entry.
+    """
     points = []
     for i, coords in enumerate(json_array(data, "points"), start=1):
-        coords = [
-            json_rational(c, f"point {i} entry {k}")
-            for k, c in enumerate(json_array(coords, f"point {i}"), start=1)
-        ]
+        coords = json_array(coords, f"point {i}")
         try:
             points.append(ProjectivePoint(coords))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
+            for k, c in enumerate(coords, start=1):
+                json_rational(c, f"point {i} entry {k}")
             raise ValueError(f"point {i}: {exc}") from None
     return points
 
@@ -156,10 +180,10 @@ def point_dimension(points: Sequence[ProjectivePoint]) -> int:
     """The coordinate count n shared by a non-empty point list."""
     if not points:
         raise ValueError("empty point list")
-    n = len(points[0].coords)
+    n = len(points[0].ints)
     for i, p in enumerate(points, start=1):
-        if len(p.coords) != n:
-            raise ValueError(f"point {i} has {len(p.coords)} coordinates, point 1 has {n}")
+        if len(p.ints) != n:
+            raise ValueError(f"point {i} has {len(p.ints)} coordinates, point 1 has {n}")
     return n
 
 
@@ -178,13 +202,13 @@ def _foliation_on_invertible(basis: Matrix, p: ProjectivePoint) -> ConstantFolia
 
 def _point_rows(basis: Matrix, p: ProjectivePoint) -> tuple[int, int, Matrix]:
     """``(r, n, rows)`` of F(p): rows sum_alpha xi_alpha m_{a,alpha}, a = 1..r,
-    summed in integers: the basis's integer rows times p cleared by its lcm."""
-    n = len(p.coords)
+    summed in integers: the basis's integer rows times the point's, over
+    the product of their denominators."""
+    n = len(p.ints)
     if basis.rows != basis.cols or basis.rows % n != 0:
         raise ValueError("basis shape incompatible with the point's space")
     r = basis.rows // n
-    (coords,), scale = _clear_denominators([p.coords])
-    terms = [(alpha, xi) for alpha, xi in enumerate(coords) if xi]
+    terms = [(alpha, xi) for alpha, xi in enumerate(p.ints) if xi]
     rows = []
     for a in range(r):
         row = [0] * basis.cols
@@ -193,7 +217,7 @@ def _point_rows(basis: Matrix, p: ProjectivePoint) -> tuple[int, int, Matrix]:
                 if y:
                     row[c] += xi * y
         rows.append(row)
-    return r, n, Matrix._from_ints(rows, basis.den * scale)
+    return r, n, Matrix._from_ints(rows, basis.den * p.den)
 
 
 def moment_web(spec: MomentWebSpec) -> ConstantWeb:
@@ -247,18 +271,15 @@ def castelnuovo_rnc_test(points: Sequence[ProjectivePoint], r: int) -> bool:
     dimension exactly r(n-1)+1, the minimum for points in general
     position; this holds iff they lie on a common rational normal curve
     of degree n-1.  Requires d >= r(n-1)+1, strengthened to d >= 2n+1
-    when r = 2.  The images are ranked in integers, each point cleared
-    by its own lcm first; that scales its image, which leaves the rank
-    alone.
+    when r = 2.  The images are ranked in integers, the images of each
+    point's ``ints``: that scales its image by den^r, which leaves the
+    rank alone.
     """
     n = point_dimension(points)
     d = len(points)
     if d < _castelnuovo_threshold(r, n):
         raise ValueError("below Castelnuovo threshold")
-    images = []
-    for p in points:
-        (coords,), _ = _clear_denominators([p.coords])
-        images.append({c: x for c, x in enumerate(_monomials(coords, r)) if x})
+    images = [{c: x for c, x in enumerate(_monomials(p.ints, r)) if x} for p in points]
     return _rank(images, poly_space_dim(n, r)) == r * (n - 1) + 1
 
 
@@ -498,12 +519,41 @@ def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
 
     Raises DegenerateWebError("not on a common RNC") when no such curve
     exists, and a general-position error when the first n+1 points do
-    not form a projective frame.
+    not form a projective frame.  Through n+2 points in general position
+    there passes exactly one such curve (Harris, *Algebraic Geometry*,
+    Thm 1.18), so fitting n+3 or more also tests that they lie on one.
 
-    An image lam * a + mu * b (a, b those of points n+2, n+3) gets the
-    parameter mu / (lam + mu).  If some image has lam + mu = 0, b becomes
-    c * b for the least integer c >= 2 with no lam + mu / c = 0, and the
-    parameters (mu / c) / (lam + mu / c); points n+2, n+3 keep 0 and 1.
+    Everything runs in integers.  Write point k as P_k / L_k (``ints``
+    over ``den``) and the inverse of G = [P_1 .. P_n] as A / delta, one
+    ``Matrix.inverse`` (A is ``adj``).  With U = A P_(n+1) and W_k = A P_k, the
+    transform sending points 1..n onto the coordinate points and point
+    n+1 to [1 : ... : 1] has rows L_(n+1) A_i / U_i (no U_i is 0 on a
+    frame), and point k goes to the Cremona image
+    (U_i L_k / (L_(n+1) W_k,i))_i.  A curve through the coordinate points
+    meets the hyperplane x_i = 0 only in the n-1 of them that lie there,
+    so a zero W_k,i puts point k off every such curve or onto a point of
+    the frame; either is "not on a common RNC".
+
+    On a curve the images are collinear.  Scaled by L_(n+1) prod W_k / L_k
+    they are the integer columns Z_k[i] = U_i prod_(l != i) W_k,l.  With
+    a = point n+2, b = point n+3 and the first pair (i, j) where
+    Delta = det[Z_a, Z_b]_ij != 0 (with none, a and b coincide), Cramer's
+    rule on rows i, j gives the only candidate coefficients of Z_k in
+    the span of Z_a and Z_b: lambda = det[Z_k, Z_b]_ij and
+    mu = det[Z_a, Z_k]_ij over Delta.  In coordinate l,
+    Delta Z_k[l] - lambda Z_a[l] - mu Z_b[l] is the 3 x 3 minor of
+    [Z_a Z_b Z_k] on rows i, j, l, so Delta Z_k = lambda Z_a + mu Z_b in
+    every coordinate says that every minor bordering the non-zero one
+    vanishes: exactly that [Z_a Z_b Z_k] has rank <= 2.  Rows i and j
+    alone always pass.
+
+    An image lam * a + mu * b (a, b the images of points n+2, n+3) gets
+    the parameter mu / (lam + mu).  If some image has lam + mu = 0, b
+    becomes c * b for the least integer c >= 2 with no lam + mu / c = 0,
+    and the parameters (mu / c) / (lam + mu / c); points n+2, n+3 keep 0
+    and 1.  In the integers above that parameter is y / (c x + y), with
+    x = lambda L_b prod W_a and y = mu L_a prod W_b: the factors that
+    turn Z_a, Z_b and Z_k back into images cancel.
     """
     points = list(points)
     n = point_dimension(points)
@@ -512,36 +562,46 @@ def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
         raise ValueError(f"fitting needs at least n+3 = {n + 3} points")
 
     try:
-        frame_inv = Matrix(list(zip(*(p.coords for p in points[:n])))).inverse()
+        frame_inv = Matrix._from_ints(list(zip(*(p.ints for p in points[:n]))), 1).inverse()
     except ValueError:  # singular
         raise DegenerateWebError("first n points are not in general position") from None
-    v = frame_inv.apply(points[n].coords)
-    if any(c == 0 for c in v):
+    adj = frame_inv.ints
+    u = [sum(map(operator.mul, row, points[n].ints)) for row in adj]
+    if not all(u):
         raise DegenerateWebError("first n+1 points are not in general position")
-    scale = Matrix([[1 / v[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    transform = scale * frame_inv
+    den = points[n].den
+    lcm = math.lcm(*u)
+    transform = Matrix._from_ints(
+        [[den * (lcm // u_i) * x for x in row] for row, u_i in zip(adj, u)], lcm
+    )
 
-    # Cremona images of the non-frame points; on a curve through the
-    # frame these are collinear
-    images = []
+    ws = []
     for p in points[n:]:
-        y = transform.apply(p.coords)
-        if any(c == 0 for c in y):
+        w = [sum(map(operator.mul, row, p.ints)) for row in adj]
+        if not all(w):
             raise DegenerateWebError("not on a common RNC")
-        images.append(tuple(1 / c for c in y))
-    line_a, line_b = images[1], images[2]
-    reduced, pivots = Matrix(list(zip(line_a, line_b, *images))).rref()
-    if pivots[:2] != (0, 1):
+        ws.append(w)
+    zs = [[u_i * (math.prod(w) // w_i) for u_i, w_i in zip(u, w)] for w in ws]
+    za, zb = zs[1], zs[2]
+    pair = next(((i, j) for i, j in itertools.combinations(range(n), 2)
+                 if za[i] * zb[j] != za[j] * zb[i]), None)
+    if pair is None:
         raise DegenerateWebError("coincident points on the candidate curve")
-    if len(pivots) > 2:
-        raise DegenerateWebError("not on a common RNC")
-    coordinates = [(reduced[0, k], reduced[1, k]) for k in range(2, reduced.cols)]
+    i, j = pair
+    delta = za[i] * zb[j] - za[j] * zb[i]
+    fa, fb = points[n + 2].den * math.prod(ws[1]), points[n + 1].den * math.prod(ws[2])
+    xy = []
+    for z in zs:
+        lam, mu = z[i] * zb[j] - z[j] * zb[i], za[i] * z[j] - za[j] * z[i]
+        if any(delta * c != lam * a + mu * b for a, b, c in zip(za, zb, z)):
+            raise DegenerateWebError("not on a common RNC")
+        xy.append((lam * fa, mu * fb))
     c = 1
-    while any(lam + mu / c == 0 for lam, mu in coordinates):
+    while any(c * x + y == 0 for x, y in xy):
         c += 1
-    line_b = tuple(c * x for x in line_b)
-    parameters = [(mu / c) / (lam + mu / c) for lam, mu in coordinates]
-    return RncFit(transform, line_a, line_b, parameters)
+    line_a = [Fraction(u_i * points[n + 1].den, den * w_i) for u_i, w_i in zip(u, ws[1])]
+    line_b = [Fraction(c * u_i * points[n + 2].den, den * w_i) for u_i, w_i in zip(u, ws[2])]
+    return RncFit(transform, line_a, line_b, [Fraction(y, c * x + y) for x, y in xy])
 
 
 def akivis_structure(foliations: Sequence[ConstantFoliation]) -> Matrix:

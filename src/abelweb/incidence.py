@@ -15,9 +15,16 @@ sum_k b_k x_k expands the determinant of [b; B] along its first row, and
 that matrix repeats a row, so B x = 0.  B has rank n-1 exactly when some
 maximal minor is non-zero, and then x != 0 spans its one-dimensional
 kernel.  Only when every minor vanishes is the rank of B computed, to
-name the dimension of the intersection.  No kernel is eliminated, and
-the identity basis needs no rank test for F(p_j)
-(``grassmann._foliation_on_invertible``).
+name the dimension of the intersection.  No kernel is eliminated, the
+minors become the point's integers as they are, and the identity basis
+needs no rank test for F(p_j) (``grassmann._foliation_on_invertible``).
+
+The same minors check the input: a non-zero one makes the n-1 rows of B
+independent, so the n-1 forms are too, and :class:`PlaneArrangement`
+ranks a plane's forms only when every minor of its xi-block vanishes.
+A plane whose xi-block is deficient but whose forms are independent is
+an arrangement; it fails only later, as a plane meeting the base plane
+in more than a point.
 """
 
 from __future__ import annotations
@@ -31,21 +38,33 @@ from .grassmann import ProjectivePoint, _foliation_on_invertible
 
 
 class PlaneArrangement(_Frozen):
-    """d r-planes in P^(r+n-1), each cut out by n-1 independent forms."""
+    """d r-planes in P^(r+n-1), each cut out by n-1 independent forms.
 
-    __slots__ = ("r", "n", "planes")
+    ``_kernels`` holds each plane's signed maximal minors
+    x_k = (-1)^k det(B without column k) of its xi-block B (see the
+    module docstring).  Non-zero, they are the plane's intersection point
+    and prove its forms independent, so a plane is ranked only when they
+    all vanish.
+    """
+
+    __slots__ = ("r", "n", "planes", "_kernels")
 
     def __init__(self, r: int, n: int, planes: Sequence[Matrix]):
         planes = tuple(planes)
         require_web_type(r, n, len(planes))
+        kernels = []
         for i, plane in enumerate(planes, start=1):
             if plane.rows != n - 1 or plane.cols != r + n:
                 raise ValueError(f"plane {i} needs a {n - 1}x{r + n} form matrix")
-            if plane.rank() != n - 1:
+            # in colex order the subset without column k is at n - 1 - k
+            minors = _minors([row[r:] for row in plane.ints], n)
+            kernels.append([(-1) ** k * minors[s] for k, s in enumerate(reversed(minors))])
+            if not any(kernels[-1]) and plane.rank() != n - 1:
                 raise ValueError(f"plane {i} forms are not independent")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "_kernels", tuple(kernels))
 
     def to_json(self) -> dict:
         return {
@@ -74,17 +93,13 @@ def intersect_with_base_plane(arr: PlaneArrangement) -> list[ProjectivePoint]:
     of the xi-block.  Each point is the vector of signed maximal minors
     of the block (see the module docstring).
     """
-    n = arr.n
+    r, n = arr.r, arr.n
     points = []
-    for idx, plane in enumerate(arr.planes):
+    for idx, (plane, coords) in enumerate(zip(arr.planes, arr._kernels)):
         # a point with eta = 0 lies on the plane exactly when its xi
         # coordinates are in the kernel of the plane's xi-block
-        block = [row[arr.r :] for row in plane.ints]
-        # in colex order the subset without column k is at n - 1 - k
-        minors = _minors(block, n)
-        coords = [(-1) ** k * minors[subset] for k, subset in enumerate(reversed(minors))]
         if not any(coords):
-            rank = Matrix._from_ints(block, plane.den).rank()
+            rank = Matrix._from_ints([row[r:] for row in plane.ints], plane.den).rank()
             raise DegenerateWebError(
                 "arrangement not in general position w.r.t. base plane: "
                 f"plane {idx + 1} meets it in a {n - rank}-dimensional set"

@@ -18,6 +18,11 @@ vector times matrix) serves the former point reader below.
 ``intersect_with_base_plane`` is the former intersection: each point
 the one vector of the ``kernel_basis`` of its plane's xi-block, where
 the library reads it off the block's signed maximal minors.
+``fit_rnc`` is the former curve fit: the frame inverted, the transform
+and the Cremona images formed in ``Fraction``s with ``inverse``,
+``mul`` and ``apply`` above, and the images' coordinates on the line
+read off their ``rref``, whose rank above 2 means no curve; the
+library fits in integers, with one inverse and Cramer's rule.
 ``vandermonde_weights`` is the product formula
 w_j = 1 / prod_{k != j} (tau_j - tau_k), where the library evaluates
 each cofactor P(t)/(t - tau_j) at tau_j.
@@ -95,9 +100,11 @@ from abelweb.grassmann import (
     AdaptedStructure,
     MomentWebSpec,
     ProjectivePoint,
+    RncFit,
     _castelnuovo_threshold,
     castelnuovo_rnc_test,
     moment_web,
+    point_dimension,
 )
 from abelweb.incidence import PlaneArrangement
 from abelweb.multilinear import (
@@ -608,6 +615,50 @@ def intersect_with_base_plane(arr: PlaneArrangement) -> list[ProjectivePoint]:
             )
         points.append(ProjectivePoint(kernel[0]))
     return points
+
+
+def fit_rnc(points: Sequence[ProjectivePoint]) -> RncFit:
+    """The former ``fit_rnc``: the frame inverted and the Cremona images
+    formed in ``Fraction``s, the images' coefficients on the line through
+    points n+2 and n+3 read off the :func:`rref` of all images, whose
+    rank above 2 means no curve.  Same checks, order and messages."""
+    points = list(points)
+    n = point_dimension(points)
+    d = len(points)
+    if d < n + 3:
+        raise ValueError(f"fitting needs at least n+3 = {n + 3} points")
+
+    try:
+        frame_inv = Matrix(inverse(Matrix(list(zip(*(p.coords for p in points[:n]))))))
+    except ValueError:  # singular
+        raise DegenerateWebError("first n points are not in general position") from None
+    v = apply(frame_inv, points[n].coords)
+    if any(c == 0 for c in v):
+        raise DegenerateWebError("first n+1 points are not in general position")
+    scale = Matrix([[1 / v[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    transform = Matrix(mul(scale, frame_inv))
+
+    # Cremona images of the non-frame points; on a curve through the
+    # frame these are collinear
+    images = []
+    for p in points[n:]:
+        y = apply(transform, p.coords)
+        if any(c == 0 for c in y):
+            raise DegenerateWebError("not on a common RNC")
+        images.append(tuple(1 / c for c in y))
+    line_a, line_b = images[1], images[2]
+    reduced, pivots = rref(Matrix(list(zip(line_a, line_b, *images))))
+    if pivots[:2] != (0, 1):
+        raise DegenerateWebError("coincident points on the candidate curve")
+    if len(pivots) > 2:
+        raise DegenerateWebError("not on a common RNC")
+    coordinates = [(reduced[0, k], reduced[1, k]) for k in range(2, reduced.cols)]
+    c = 1
+    while any(lam + mu / c == 0 for lam, mu in coordinates):
+        c += 1
+    line_b = tuple(c * x for x in line_b)
+    parameters = [(mu / c) / (lam + mu / c) for lam, mu in coordinates]
+    return RncFit(transform, line_a, line_b, parameters)
 
 
 def vandermonde_weights(taus: Sequence[Fraction]) -> list[Fraction]:

@@ -76,3 +76,24 @@ def test_arrangement_json_round_trip():
     again = PlaneArrangement.from_json(arr.to_json())
     assert again.planes == arr.planes
     assert (again.r, again.n) == (2, 2)
+
+
+def test_planes_are_ranked_only_when_every_xi_minor_vanishes(monkeypatch):
+    # plane 1's xi-block [[1, 2, 3], [2, 4, 6]] has rank 1, but its eta
+    # column makes the two forms independent: it is an arrangement, whose
+    # plane 1 meets the base plane in a line
+    low = Matrix([[1, 1, 2, 3], [0, 2, 4, 6]])
+    transverse = Matrix([[0, 1, 0, -1], [1, 0, 1, 0]])
+    arr = PlaneArrangement(1, 3, [low, transverse])
+    with pytest.raises(DegenerateWebError, match="plane 1 meets it in a 2-dimensional set"):
+        intersect_with_base_plane(arr)
+    with pytest.raises(ValueError, match="^plane 2 forms are not independent$"):
+        PlaneArrangement(1, 3, [transverse, Matrix([[1, 1, 2, 3], [2, 2, 4, 6]])])
+    # a non-zero minor proves the forms independent, with no rank
+    ranked = []
+    real = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranked.append(self) or real(self))
+    PlaneArrangement(1, 3, [transverse, transverse])
+    assert ranked == []
+    PlaneArrangement(1, 3, [low, transverse])
+    assert ranked == [low]

@@ -180,6 +180,43 @@ def _poly_key(multilinear):
     assert multilinear.HomogeneousPoly(2, 1) != multilinear.HomogeneousPoly(2, 2)
 
 
+def _fit(grassmann):
+    # conics of P^2: point 4 is [1 : 1/2 : 1/4], so L_(n+1) = 4, and the
+    # fit needs no rescaling (c = 1); the last point moved off the curve;
+    # t = 0..4 on P^1 puts point 3 at parameter infinity, so c = 2
+    conic = [grassmann.moment_point(3, t) for t in (0, 1, 2, Fraction(1, 2), 3, -1)]
+    moved = conic[:5] + [grassmann.ProjectivePoint([1, 1, 7])]
+    line = [grassmann.ProjectivePoint([1, t]) for t in range(5)]
+    for points in (conic, moved, line):
+        expected = _outcome(lambda: oracle.fit_rnc(points).to_json())
+        assert _outcome(lambda: grassmann.fit_rnc(points).to_json()) == expected
+
+
+def _point_sign(grassmann):
+    # the lead -2 is negative; the canonical form has den = 1 > 0
+    expected = [str(c) for c in oracle.projective_coords([-2, 4])]
+    point = grassmann.ProjectivePoint([-2, 4])
+    assert (point.to_json(), point.den) == (expected, 1)
+    assert point == grassmann.ProjectivePoint([1, -2])
+
+
+def _plane_rank(incidence):
+    # plane 1's xi-block has rank 1 but its forms are independent; plane 2
+    # of the second arrangement has dependent forms
+    low = Matrix([[1, 1, 2, 3], [0, 2, 4, 6]])
+    transverse = Matrix([[0, 1, 0, -1], [1, 0, 1, 0]])
+    dependent = Matrix([[1, 1, 2, 3], [2, 2, 4, 6]])
+    outcomes = [
+        _outcome(lambda: incidence.tangent_incidence_web(incidence.PlaneArrangement(1, 3, planes)))
+        for planes in ([low, transverse], [transverse, dependent])
+    ]
+    assert outcomes == [
+        ("raised", "DegenerateWebError: arrangement not in general position w.r.t. base "
+                   "plane: plane 1 meets it in a 2-dimensional set"),
+        ("raised", "ValueError: plane 2 forms are not independent"),
+    ]
+
+
 MUTANTS = {
     "weights-pair-the-next-tau": (
         "canonical",
@@ -306,6 +343,42 @@ MUTANTS = {
         "take_subweb(web, range(1, d0 + 1))",
         "take_subweb(web, range(d - d0 + 1, d + 1))",
         _recovery,
+    ),
+    "fit-cramer-check-on-rows-i-and-j-only": (
+        "grassmann",
+        "for a, b, c in zip(za, zb, z)",
+        "for a, b, c in ((za[i], zb[i], z[i]), (za[j], zb[j], z[j]))",
+        _fit,
+    ),
+    "fit-transform-without-L": (
+        "grassmann",
+        "[[den * (lcm // u_i) * x for x in row]",
+        "[[(lcm // u_i) * x for x in row]",
+        _fit,
+    ),
+    "fit-c-search-from-2": (
+        "grassmann",
+        "c = 1\n    while any(c * x + y == 0",
+        "c = 2\n    while any(c * x + y == 0",
+        _fit,
+    ),
+    "point-without-the-lead-sign-fix": (
+        "grassmann",
+        "        if lead < 0:\n            g = -g\n",
+        "",
+        _point_sign,
+    ),
+    "arrangement-rejects-without-the-rank-fallback": (
+        "incidence",
+        "if not any(kernels[-1]) and plane.rank() != n - 1:",
+        "if not any(kernels[-1]):",
+        _plane_rank,
+    ),
+    "arrangement-accepts-without-the-rank-fallback": (
+        "incidence",
+        "if not any(kernels[-1]) and plane.rank() != n - 1:",
+        "if False:",
+        _plane_rank,
     ),
 }
 

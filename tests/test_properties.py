@@ -40,7 +40,15 @@ kernel is the former two-pass, per-entry kernel of the oracle, key order
 included, after as many primes.
 A ``ProjectivePoint`` of ints, ``Fraction``s and "p/q" strings (negative
 and non-reduced denominators, leading zeros) has the coordinates, JSON,
-equality, hash and error messages of the former two-step normalization.
+equality, hash and error messages of the former two-step normalization,
+and is held in its canonical form: integers over the least positive
+denominator, the lead equal to it, keyed by ``(den, ints)``.
+On points of a rational normal curve of P^1, P^2 or P^3 under a rational
+projective map, each rescaled by a signed rational, and on such sets
+with points added at parameter infinity (so that the fit needs c >= 2),
+with a point after the frame moved or repeated, or with a frame point
+in the span of fewer than n others, ``fit_rnc`` returns the JSON, or
+raises the error type and message, of the ``Fraction`` oracle.
 A ``Matrix`` built from ints, ``Fraction``s or "p/q" strings (negative
 and non-reduced denominators, zero rows, the 0 x 0 matrix) is one
 matrix: equal, hashed alike, printed as ``str(Fraction)`` and parsed
@@ -87,6 +95,7 @@ from abelweb import (
     castelnuovo_rnc_test,
     check_general_solution,
     check_pg,
+    fit_rnc,
     foliation_from_point,
     generator_normal,
     h_cutoff,
@@ -94,6 +103,7 @@ from abelweb import (
     lagrange_identity,
     moment_point,
     moment_web,
+    rational,
     recover_normal_form,
     relation_space,
     relation_space_dim,
@@ -489,6 +499,68 @@ def test_castelnuovo_matches_fraction_veronese_rank(data):
     assert castelnuovo_rnc_test(off, r) == (_veronese_rank(off, r) == r * (n - 1) + 1)
 
 
+def _fit_outcome(fit, points):
+    """``to_json()`` of the fit, or the type and message of its error."""
+    try:
+        return fit(points).to_json()
+    except (ValueError, DegenerateWebError) as error:
+        return type(error).__name__, str(error)
+
+
+def _at_infinity(fit: dict) -> list[Fraction]:
+    """The point whose Cremona image under ``fit`` is line_b - line_a: its
+    parameter there is infinity, so a refit needs a larger c."""
+    z = [rational(b) - rational(a) for a, b in zip(fit["line_a"], fit["line_b"])]
+    assume(all(z))
+    return list(Matrix.from_json(fit["transform"]).inverse().apply([1 / c for c in z]))
+
+
+@seed(DEFAULT_SEED)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_fit_rnc_matches_the_fraction_oracle(data):
+    # points of a rational normal curve under a rational projective map,
+    # each rescaled; then a fit that needs c >= 2, a point moved or
+    # repeated, or a degenerate frame
+    kind = data.draw(st.sampled_from(["on", "c >= 2", "off", "frame"]))
+    # every set of distinct points of P^1 lies on the line, the curve of n = 2
+    n = data.draw(st.integers(3 if kind == "off" else 2, 4))
+    d = n + 3 + data.draw(st.integers(0, 2))
+    taus = data.draw(st.lists(st.sampled_from(TAUS), min_size=d, max_size=d, unique=True))
+    g = data.draw(invertible(n))
+    scales = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=n, max_size=n))
+    g = Matrix([[x * s for x, s in zip(row, scales)] for row in g.entries])
+    coords = [list(g.apply(moment_point(n, tau).coords)) for tau in taus]
+    if kind == "c >= 2":
+        for _ in range(data.draw(st.integers(1, 2))):
+            before = oracle.fit_rnc([ProjectivePoint(p) for p in coords]).to_json()
+            at = data.draw(st.integers(n + 3, len(coords)))
+            coords.insert(at, _at_infinity(before))
+            after = oracle.fit_rnc([ProjectivePoint(p) for p in coords]).to_json()
+            assert after["line_b"] != before["line_b"]
+    elif kind == "off":
+        # a point after the frame moved, or made a copy of another point
+        k = data.draw(st.integers(n + 1, d - 1))
+        if data.draw(st.booleans()):
+            coords[k] = [c + data.draw(st.sampled_from(ROW_SCALES)) for c in coords[k]]
+            assume(any(coords[k]))
+        else:
+            coords[k] = list(coords[data.draw(st.integers(n + 1, d - 1))])
+    elif kind == "frame":
+        # point i of the frame in the span of fewer than n of the others
+        i = data.draw(st.integers(0, n))
+        span = data.draw(st.lists(st.integers(0, n - 1).filter(lambda j: j != i),
+                                  min_size=1, max_size=n - 1, unique=True))
+        weights = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=len(span),
+                                     max_size=len(span)))
+        coords[i] = [sum(w * coords[j][c] for w, j in zip(weights, span)) for c in range(n)]
+        assume(any(coords[i]))
+    rescale = data.draw(st.lists(st.sampled_from(ROW_SCALES), min_size=len(coords),
+                                 max_size=len(coords)))
+    points = [ProjectivePoint([s * c for c in p]) for p, s in zip(coords, rescale)]
+    assert _fit_outcome(fit_rnc, points) == _fit_outcome(oracle.fit_rnc, points)
+
+
 @st.composite
 def entry_pairs(draw, rows: int, cols: int) -> list[list[tuple[int, int]]]:
     """Rows of (p, q), the entry p / q: q may be negative and p / q not in
@@ -579,6 +651,14 @@ def test_projective_point_matches_two_step_normalization(data):
         return
     point = ProjectivePoint(coords)
     assert point.coords == expected and all(type(c) is Fraction for c in point.coords)
+    # the canonical form: integers over the least positive denominator,
+    # the lead equal to it, and the key (den, ints)
+    lead = next(k for k, c in enumerate(expected) if c)
+    assert type(point.den) is int and all(type(a) is int for a in point.ints)
+    assert point.den > 0 and point.ints[lead] == point.den
+    assert math.gcd(point.den, *point.ints) == 1
+    assert point.den == math.lcm(*(c.denominator for c in expected))
+    assert point._key() == (point.den, point.ints)
     assert point.to_json() == [str(c) for c in expected] and repr(point) == (
         "[" + " : ".join(map(str, expected)) + "]")
     scale = Fraction(data.draw(st.integers(1, 9)), data.draw(st.sampled_from([-5, -1, 2, 7])))
