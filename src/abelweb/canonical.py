@@ -235,43 +235,38 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     weights = vandermonde_weights(spec.taus)
 
     # designated degree-0 block: z_j = c_j tau_j^rho, rho = 0..q
-    basis: list[RelationBasisElement] = []
-    for rho in range(q + 1):
-        components = [
-            HomogeneousPoly.constant(r, c * t**rho)
-            for c, t in zip(weights, spec.taus)
-        ]
-        basis.append(RelationBasisElement(web, 0, components))
+    degree0 = [
+        RelationBasisElement(web, 0, [
+            HomogeneousPoly.constant(r, c * t**rho) for c, t in zip(weights, spec.taus)
+        ])
+        for rho in range(q + 1)
+    ]
     if report.dim(0) != q + 1:
         raise InternalContradictionError(
             f"degree-0 relation space has dimension {report.dim(0)}, expected {q + 1}"
         )
 
     # designated degree-1 block: z_j = c_j y_a, a = 1..r
-    for a in range(r):
-        components = [
+    linear = [
+        RelationBasisElement(web, 1, [
             HomogeneousPoly(r, 1, {tuple(1 if i == a else 0 for i in range(r)): c})
             for c in weights
-        ]
-        basis.append(RelationBasisElement(web, 1, components))
+        ])
+        for a in range(r)
+    ]
 
     # completion of the degree-1 block from the canonical kernel basis: a
     # vector is a pivot column exactly when it is independent of all
-    # vectors before it
+    # vectors before it.  The basis goes on with the kernel vectors at
+    # pivots[r:], then R(h) for h >= 2; no output reads them, so they are
+    # not assembled.  With dim R(0) = q + 1 and len(pivots) = dim R(1) it
+    # holds exactly total_rank = sum_h dim R(h) relations.
     kernel1 = spaces[1]
-    columns = Matrix([el.vector() for el in basis[q + 1 :] + kernel1]).transpose()
+    columns = Matrix([el.vector() for el in linear + kernel1]).transpose()
     _, pivots = columns.rref()
     if pivots[:r] != tuple(range(r)) or len(pivots) != len(kernel1):
         raise InternalContradictionError(
             "degree-1 kernel basis fails to complete the designated relations"
-        )
-    basis.extend(kernel1[p - r] for p in pivots[r:])
-    for space in spaces[2:]:
-        basis.extend(space)
-
-    if len(basis) != report.total_rank:
-        raise InternalContradictionError(
-            f"assembled {len(basis)} relations, expected rank {report.total_rank}"
         )
     N = report.total_rank - 1
 
@@ -279,8 +274,7 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     # vanish, so only the q+1 relations of degree 0, which come first,
     # give non-zero entries; the N-q after them are zeros
     zeros = [Fraction(0)] * (N - q)
-    columns = [[el.components[j].coefficient((0,) * r) for el in basis[: q + 1]]
-               for j in range(d)]
+    columns = [[el.components[j].coefficient((0,) * r) for el in degree0] for j in range(d)]
 
     points = []
     for j, column in enumerate(columns):

@@ -1,5 +1,13 @@
 """Command-line front end.
 
+Every subcommand is one row of ``COMMANDS``: its help text, its options,
+and one function of the parsed options that returns the command's
+output, a JSON value or finished text (``bound`` and ``rank --tsv``).
+``main`` parses, runs that function, and writes its result in one place,
+``_emit``: to ``-o/--output`` where the command has one, else to
+standard output.  So no command writes anything before its whole result
+exists, and a failing command writes nothing but its error.
+
 Exit codes: 0 success, 1 bad input or arguments, 2 mathematical
 degeneracy (general position fails, a web is not semi-extremal, a
 non-transverse arrangement, points off a common curve), 3 violation of a
@@ -45,8 +53,9 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _emit(data, path: str | None) -> None:
-    text = json.dumps(data, indent=2) + "\n"
+def _emit(result, path: str | None) -> None:
+    """Write finished text as it is, and a JSON value indented by 2."""
+    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -62,133 +71,91 @@ def _parse_taus(text: str) -> list:
     ]
 
 
-def _cmd_bound(args) -> int:
+def _web(args) -> ConstantWeb:
+    return ConstantWeb.from_json(_load_json(args.web))
+
+
+def _bound(args) -> str:
     total = rho_bound(args.r, args.n, args.d)
-    if args.per_degree:
-        sys.stdout.write("h\tbound\n")
-        for h in range(h_cutoff(args.r, args.n, args.d)):
-            sys.stdout.write(f"{h}\t{degree_bound(args.r, args.n, args.d, h)}\n")
-        sys.stdout.write(f"total\t{total}\n")
-    else:
-        sys.stdout.write(f"{total}\n")
-    return 0
+    if not args.per_degree:
+        return f"{total}\n"
+    rows = "".join(f"{h}\t{degree_bound(args.r, args.n, args.d, h)}\n"
+                   for h in range(h_cutoff(args.r, args.n, args.d)))
+    return f"h\tbound\n{rows}total\t{total}\n"
 
 
-def _cmd_pg(args) -> int:
-    web = ConstantWeb.from_json(_load_json(args.web))
-    ok, failing = web.pg()
-    _emit({"pg": ok, "failing": list(failing) if failing else None}, None)
-    return 0
+def _pg(args) -> dict:
+    ok, failing = _web(args).pg()
+    return {"pg": ok, "failing": list(failing) if failing else None}
 
 
-def _cmd_rank(args) -> int:
-    web = ConstantWeb.from_json(_load_json(args.web))
+def _rank(args):
     report = total_rank(
-        web, allow_degenerate=args.allow_degenerate, paranoid=args.paranoid
+        _web(args), allow_degenerate=args.allow_degenerate, paranoid=args.paranoid
     )
-    if args.tsv:
-        sys.stdout.write(report.to_tsv())
-    else:
-        _emit(report.to_json(), None)
-    return 0
+    return report.to_tsv() if args.tsv else report.to_json()
 
 
-def _cmd_moment(args) -> int:
+def _moment(args) -> dict:
     base = Matrix.from_json(_load_json(args.base), "base change") if args.base else None
-    spec = MomentWebSpec(args.r, args.n, _parse_taus(args.taus), base)
-    _emit(moment_web(spec).to_json(), args.output)
-    return 0
+    return moment_web(MomentWebSpec(args.r, args.n, _parse_taus(args.taus), base)).to_json()
 
 
-def _cmd_recover(args) -> int:
-    web = ConstantWeb.from_json(_load_json(args.web))
-    _emit(recover_normal_form(web).to_json(), args.output)
-    return 0
-
-
-def _cmd_akivis(args) -> int:
-    web = ConstantWeb.from_json(_load_json(args.web))
+def _akivis(args) -> dict:
+    web = _web(args)
     if web.d < web.n + 1:
         raise ValueError(f"need at least n+1 = {web.n + 1} foliations")
-    basis = akivis_structure(web.foliations[: web.n + 1])
-    _emit({"basis": basis.to_json()}, args.output)
-    return 0
+    return {"basis": akivis_structure(web.foliations[: web.n + 1]).to_json()}
 
 
-def _cmd_canonical(args) -> int:
-    spec = MomentWebSpec.from_json(_load_json(args.moment))
-    _emit(canonical_data(spec).to_json(), args.output)
-    return 0
+def _opt(*flags, **kwargs) -> tuple:
+    return flags, kwargs
 
 
-def _cmd_incidence(args) -> int:
-    arr = PlaneArrangement.from_json(_load_json(args.arrangement))
-    _emit(tangent_incidence_web(arr).to_json(), args.output)
-    return 0
+_R, _N, _D = (_opt(flag, type=int, required=True) for flag in ("-r", "-n", "-d"))
+_WEB = _opt("--web", required=True)
+_OUTPUT = _opt("-o", "--output")
 
-
-def _cmd_fit_rnc(args) -> int:
-    _emit(fit_rnc(points_from_json(_load_json(args.points))).to_json(), args.output)
-    return 0
+# name: (help, options, function of the parsed options returning the output)
+COMMANDS = {
+    "bound": ("rank bounds from the closed formulas",
+              [_R, _N, _D, _opt("--per-degree", action="store_true")], _bound),
+    "pg": ("check the general-position condition", [_WEB], _pg),
+    "rank": ("per-degree relation-space dimensions",
+             [_WEB, _opt("--paranoid", action="store_true"),
+              _opt("--allow-degenerate", action="store_true"),
+              _opt("--tsv", action="store_true")], _rank),
+    "moment": ("build a moment web",
+               [_R, _N, _opt("--taus", required=True, help="comma-separated rationals"),
+                _opt("--base", help="JSON file with an rn x rn base change"), _OUTPUT],
+               _moment),
+    "recover": ("recover basis and points from a web", [_WEB, _OUTPUT],
+                lambda args: recover_normal_form(_web(args)).to_json()),
+    "akivis": ("adapted basis of the first n+1 foliations", [_WEB, _OUTPUT], _akivis),
+    "canonical": ("points and curve of a moment web",
+                  [_opt("--moment", required=True, help="JSON moment-web spec"), _OUTPUT],
+                  lambda args: canonical_data(
+                      MomentWebSpec.from_json(_load_json(args.moment))).to_json()),
+    "incidence": ("tangent web of a plane arrangement",
+                  [_opt("--arrangement", required=True), _OUTPUT],
+                  lambda args: tangent_incidence_web(
+                      PlaneArrangement.from_json(_load_json(args.arrangement))).to_json()),
+    "fit-rnc": ("fit a rational normal curve to points",
+                [_opt("--points", required=True, help="JSON list of coordinate lists"),
+                 _OUTPUT],
+                lambda args: fit_rnc(points_from_json(_load_json(args.points))).to_json()),
+}
 
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The parser of every subcommand, built once per process."""
+    """The parser of every subcommand in ``COMMANDS``, built once per process."""
     parser = _Parser(prog="abelweb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", help="rank bounds from the closed formulas")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--per-degree", action="store_true")
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("pg", help="check the general-position condition")
-    p.add_argument("--web", required=True)
-    p.set_defaults(func=_cmd_pg)
-
-    p = sub.add_parser("rank", help="per-degree relation-space dimensions")
-    p.add_argument("--web", required=True)
-    p.add_argument("--paranoid", action="store_true")
-    p.add_argument("--allow-degenerate", action="store_true")
-    p.add_argument("--tsv", action="store_true")
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("moment", help="build a moment web")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--taus", required=True, help="comma-separated rationals")
-    p.add_argument("--base", help="JSON file with an rn x rn base change")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_moment)
-
-    p = sub.add_parser("recover", help="recover basis and points from a web")
-    p.add_argument("--web", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_recover)
-
-    p = sub.add_parser("akivis", help="adapted basis of the first n+1 foliations")
-    p.add_argument("--web", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_akivis)
-
-    p = sub.add_parser("canonical", help="points and curve of a moment web")
-    p.add_argument("--moment", required=True, help="JSON moment-web spec")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_canonical)
-
-    p = sub.add_parser("incidence", help="tangent web of a plane arrangement")
-    p.add_argument("--arrangement", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_incidence)
-
-    p = sub.add_parser("fit-rnc", help="fit a rational normal curve to points")
-    p.add_argument("--points", required=True, help="JSON list of coordinate lists")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_fit_rnc)
-
+    for name, (help_text, options, _) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            command.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -196,7 +163,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _emit(COMMANDS[args.command][2](args), getattr(args, "output", None))
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -475,7 +475,7 @@ def recover_normal_form(web: ConstantWeb) -> AdaptedStructure:
     return AdaptedStructure._of_invertible(basis, points)
 
 
-class RncFit:
+class RncFit(_Frozen):
     """A rational normal curve through given points, in fitted coordinates.
 
     ``transform`` maps the ambient space so the first n+1 points become
@@ -486,15 +486,18 @@ class RncFit:
     gets 1; any other choice differs by a Moebius reparametrization.
     ``line_a`` is point n+2 and ``line_b`` point n+3, scaled as
     :func:`fit_rnc` says so that no point sits at parameter infinity.
+    The inverse of ``transform`` is computed on the first
+    :meth:`point_at` and kept; a fit is immutable, so it stays right.
     """
 
-    __slots__ = ("transform", "line_a", "line_b", "parameters")
+    __slots__ = ("transform", "line_a", "line_b", "parameters", "_inverse")
 
     def __init__(self, transform: Matrix, line_a, line_b, parameters):
-        self.transform = transform
-        self.line_a = tuple(line_a)
-        self.line_b = tuple(line_b)
-        self.parameters = tuple(parameters)
+        object.__setattr__(self, "transform", transform)
+        object.__setattr__(self, "line_a", tuple(line_a))
+        object.__setattr__(self, "line_b", tuple(line_b))
+        object.__setattr__(self, "parameters", tuple(parameters))
+        object.__setattr__(self, "_inverse", None)
 
     def point_at(self, s) -> ProjectivePoint:
         """The curve point with affine parameter s."""
@@ -502,8 +505,9 @@ class RncFit:
         z = [(1 - s) * a + s * b for a, b in zip(self.line_a, self.line_b)]
         if any(c == 0 for c in z):
             raise DegenerateWebError(f"parameter {s} hits a frame point")
-        y = [1 / c for c in z]
-        return ProjectivePoint(self.transform.inverse().apply(y))
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", self.transform.inverse())
+        return ProjectivePoint(self._inverse.apply([1 / c for c in z]))
 
     def to_json(self) -> dict:
         return {
@@ -619,7 +623,10 @@ def akivis_structure(foliations: Sequence[ConstantFoliation]) -> Matrix:
     row permutation the result is diag(C_alpha) J, and u C_alpha = 0
     with u != 0 would make u kappa_{n+1} = sum_{beta != alpha} (u C_beta)
     kappa_beta a non-trivial dependency (u kappa_{n+1} != 0) among the
-    rows of the n foliations other than alpha, which PG excludes.
+    rows of the n foliations other than alpha, which PG excludes.  So
+    det(result) = +-det J prod_alpha det C_alpha, and with J proven
+    invertible by its inverse, the n r x r determinants det C_alpha
+    (one ``_minors`` sweep each) certify the result with no rank test.
     """
     foliations = list(foliations)
     if not foliations:
@@ -637,17 +644,19 @@ def akivis_structure(foliations: Sequence[ConstantFoliation]) -> Matrix:
     except ValueError:
         raise InternalContradictionError("joint basis of the first n is singular") from None
     coeffs = foliations[n].matrix * inverse
+    # det C_alpha over the r columns of block alpha (det of the transpose)
+    columns = list(zip(*coeffs.ints))
+    if not all(_minors(columns[alpha * r : (alpha + 1) * r], r)[tuple(range(r))]
+               for alpha in range(n)):
+        raise InternalContradictionError(
+            "foliations admit no adapted basis: block decomposition is singular"
+        )
     # row a of C_alpha kappa_alpha, all over den(C) * L
-    basis = Matrix._from_ints([
+    return Matrix._from_ints([
         [sum(map(operator.mul, row[alpha * r : (alpha + 1) * r], column))
          for column in zip(*kappas[alpha])]
         for row in coeffs.ints for alpha in range(n)
     ], coeffs.den * lcm)
-    if not basis.is_invertible():
-        raise InternalContradictionError(
-            "foliations admit no adapted basis: block decomposition is singular"
-        )
-    return basis
 
 
 def structures_equivalent(basis1: Matrix, basis2: Matrix, r: int, n: int) -> bool:

@@ -81,6 +81,12 @@ def test_relation_elements_are_verified():
             RelationBasisElement(web, h, rescaled)
 
 
+def test_relation_elements_need_one_component_per_foliation():
+    web = three_pencils()
+    with pytest.raises(ValueError, match="^one polynomial component per foliation is required$"):
+        RelationBasisElement(web, 0, [HomogeneousPoly.constant(1, 1)] * (web.d - 1))
+
+
 def test_rank_requires_pg():
     f = ConstantFoliation(1, 2, Matrix([[1, 0]]))
     web = ConstantWeb(1, 2, [f, f])

@@ -80,6 +80,11 @@ def test_solution_polynomial_round_trip():
         solution_polynomial(r, n, taus, [1] + [0] * (d - 1))
 
 
+def test_solution_polynomial_needs_one_value_per_parameter():
+    with pytest.raises(ValueError, match="^one value per parameter is required$"):
+        solution_polynomial(1, 2, [0, 1, 2, 3], [1, 2, 3])
+
+
 def test_lagrange_identity_constant():
     assert lagrange_identity([0, 1, 2], [1])
 

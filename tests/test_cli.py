@@ -4,7 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from abelweb import ConstantWeb, Matrix, MomentWebSpec, grassmann, moment_web
+import oracle
+from abelweb import (
+    ConstantWeb, DegenerateWebError, Matrix, MomentWebSpec, ProjectivePoint, grassmann,
+    moment_web,
+)
 from abelweb.cli import _build_parser, main
 
 
@@ -166,8 +170,15 @@ def test_singular_bases_that_general_position_rules_out_exit_3(tmp_path, capsys,
         code, _, err = run(capsys, "recover", "--web", str(path))
     assert code == 3
     assert "recovered covector basis is singular" in err
+    product = Matrix.__mul__
+
+    def first_column_zero(self, other):
+        # C = kappa_3 J^-1 with column 1 zeroed: the block C_1 is singular
+        c = product(self, other)
+        return Matrix._from_ints([[0, *row[1:]] for row in c.ints], c.den)
+
     with monkeypatch.context() as patch:
-        patch.setattr(Matrix, "is_invertible", lambda self: False)
+        patch.setattr(Matrix, "__mul__", first_column_zero)
         code, _, err = run(capsys, "akivis", "--web", str(path))
     assert code == 3
     assert "block decomposition is singular" in err
@@ -185,6 +196,13 @@ def test_singular_bases_that_general_position_rules_out_exit_3(tmp_path, capsys,
         code, _, err = run(capsys, "recover", "--web", str(path))
     assert code == 3
     assert "foliation 1 vanishes in the recovered coordinates" in err
+
+
+def test_akivis_needs_n_plus_1_foliations(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    run(capsys, "moment", "-r", "2", "-n", "2", "--taus", "0,1", "-o", str(path))
+    code, out, err = run(capsys, "akivis", "--web", str(path))
+    assert (code, out, err) == (1, "", "error: need at least n+1 = 3 foliations\n")
 
 
 def test_canonical(tmp_path, capsys):
@@ -216,6 +234,17 @@ def test_fit_rnc_success_and_failure(tmp_path, capsys):
     repeated.write_text(json.dumps([[1, 0], [0, 1], [1, 1], [1, 2], [1, 2], [1, 3]]))
     code, out, err = run(capsys, "fit-rnc", "--points", str(repeated))
     assert (code, out, err) == (2, "", "degenerate: coincident points on the candidate curve\n")
+
+
+def test_fit_rnc_on_a_frame_point_exits_2(tmp_path, capsys):
+    # the last point is the frame point [0 : 1], so one entry of its W is 0
+    points = [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3], [0, 1]]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    code, out, err = run(capsys, "fit-rnc", "--points", str(path))
+    assert (code, out, err) == (2, "", "degenerate: not on a common RNC\n")
+    with pytest.raises(DegenerateWebError, match="^not on a common RNC$"):
+        oracle.fit_rnc([ProjectivePoint(p) for p in points])
 
 
 def test_json_booleans_are_not_rationals(tmp_path, capsys):

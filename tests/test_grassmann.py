@@ -300,6 +300,22 @@ def test_fit_rnc_point_at_parameter_infinity():
         assert fit.point_at(s) == point
 
 
+def test_fit_rnc_point_at_inverts_the_transform_once(monkeypatch):
+    points = [moment_point(3, t) for t in range(7)]
+    fit = fit_rnc(points)
+    inverse, inverted = Matrix.inverse, []
+    monkeypatch.setattr(Matrix, "inverse", lambda self: inverted.append(self) or inverse(self))
+    for s, point in zip(fit.parameters, points[3:]):
+        assert fit.point_at(s) == point
+    assert inverted == [fit.transform]
+
+
+def test_fit_rnc_point_at_a_frame_point_is_degenerate():
+    fit = fit_rnc([ProjectivePoint(p) for p in [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3]]])
+    with pytest.raises(DegenerateWebError, match="^parameter 3 hits a frame point$"):
+        fit.point_at(3)
+
+
 def test_fit_rnc_rejects_generic_points():
     rng = make_rng(15)
     while True:

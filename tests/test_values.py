@@ -27,6 +27,7 @@ from abelweb import (
     PlaneArrangement,
     ProjectivePoint,
     RelationBasisElement,
+    RncFit,
     moment_web,
     relation_space,
 )
@@ -44,6 +45,7 @@ SAMPLES = {
     MomentWebSpec: lambda: MomentWebSpec(1, 2, range(4)),
     AdaptedStructure: lambda: AdaptedStructure(Matrix.identity(2), [ProjectivePoint([1, 0])]),
     PlaneArrangement: lambda: PlaneArrangement(1, 2, [Matrix([[1, 0, -1]])]),
+    RncFit: lambda: RncFit(Matrix.identity(2), [1, 1], [1, 2], [0, 1]),
 }
 
 
