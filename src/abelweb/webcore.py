@@ -9,12 +9,18 @@ any delta <= min(d, n) of the generator normals is nonzero.
 Each generator normal Omega_j is decomposable: it is the wedge of the r
 rows of kappa_j.  A wedge of delta such normals is therefore the wedge
 of the delta*r stacked rows, and a wedge of covectors is nonzero exactly
-when they are linearly independent.  So PG is a rank condition on
-stacked rows, with no exterior algebra.  Independent rows stay
-independent in every subset, so the subsets of the top size min(d, n)
-decide PG; smaller ones are searched only to report the first failure.
+when they are linearly independent.  Independent rows stay independent
+in every subset, so the subsets of the top size min(d, n) decide PG;
+smaller ones are searched only to report the first failure.
 
-``check_pg`` takes those ranks modulo the prime p below 2**30 first, on
+For n = 2 every subset PG tests is a pair, and its 2r stacked rows are
+square: the wedge of the two normals is one determinant.  ``check_pg``
+reads it off the integer normals that ``ConstantWeb.cleared_normals``
+keeps for R(0), by the generalized Laplace expansion (``_pairings``),
+exactly and with no elimination.
+
+For n >= 3 the stacked rows of a subset are not square, so ``check_pg``
+keeps ranks.  It takes them modulo the prime p below 2**30 first, on
 the web's rows cleared by one lcm (``ConstantWeb.cleared_kappas``),
 extending one sparse echelon (``exactalg._extend_mod``) per prefix of
 the current subset.  Rank modulo p never exceeds rank over Q, so full
@@ -32,16 +38,18 @@ The closed-form quantities:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import (
     Matrix, _Value, _extend_mod, _minors, _prime_below, binomial,
-    certified_kernel, json_array, json_object,
+    certified_kernel, index_subsets, json_array, json_object,
 )
 from .multilinear import ExteriorForm
 
@@ -217,12 +225,18 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     the first failing index set (1-based), by size and then
     lexicographically.
 
-    Only the subsets of the top size min(d, n) are tested first: rows
-    that are independent stay independent in every subset, and every
-    smaller subset lies in one of the top size, so if all of those pass
-    the web is PG.  Otherwise let T be the first failing one; sizes
-    2 .. top - 1 are searched in order and their first failure, if any,
-    is reported, else T.  A smaller subset whose lex-first top-size
+    For n = 2 (so any d) the only subsets tested are the pairs, and the
+    first pair in lexicographic order whose pairing (``_pairings``) is 0
+    is reported: no prime, no echelon and no kernel.  The test is on n,
+    not on the top size, since a web with n >= 3 and d = 2 stacks 2r
+    rows of length rn, which are not square.
+
+    For n >= 3, only the subsets of the top size min(d, n) are tested
+    first: rows that are independent stay independent in every subset,
+    and every smaller subset lies in one of the top size, so if all of
+    those pass the web is PG.  Otherwise let T be the first failing one;
+    sizes 2 .. top - 1 are searched in order and their first failure, if
+    any, is reported, else T.  A smaller subset whose lex-first top-size
     completion (itself and the least indices not in it) precedes T lies
     in a top-size subset that passed, so it is skipped.  Size 1 never
     fails (a foliation has rank r), and no top-size subset is tested
@@ -241,6 +255,9 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     another row, so the rows of a leaf echelon, which the next subset
     drops, are not all normalized for nothing.
     """
+    if web.n == 2:
+        failing = next((pair for pair, value in _pairings(web) if not value), None)
+        return (True, None) if failing is None else (False, (failing[0] + 1, failing[1] + 1))
     p = _prime_below(2**30)
     kappas, _ = web.cleared_kappas()
     rows = [[{c: a for c, a in enumerate(row) if a} for row in kappa] for kappa in kappas]
@@ -273,6 +290,36 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     smaller = (first_failure(delta, failing) for delta in range(2, top))
     failing = next((subset for subset in smaller if subset), failing)
     return False, tuple(j + 1 for j in failing)
+
+
+@functools.cache
+def _pairing_terms(r: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """``(eps, T, T^c)`` for each r-subset T of range(2r) (colex), where
+    eps = (-1)^(sum(T) + r(r+1)/2) is the sign of the shuffle (T^c, T)."""
+    return tuple(
+        ((-1) ** (sum(t) + r * (r + 1) // 2), t, tuple(c for c in range(2 * r) if c not in t))
+        for t in index_subsets(2 * r, r)
+    )
+
+
+def _pairings(web: ConstantWeb) -> Iterator[tuple[tuple[int, int], int]]:
+    """For a web of type (r, 2), each pair i < j (0-based, lexicographic)
+    with sum_T eps(T) N_i(T^c) N_j(T) over the normals N of
+    ``cleared_normals`` (a missing subset reads 0): by the generalized
+    Laplace expansion along the first r rows, the determinant of the 2r
+    stacked cleared rows of kappa_i and kappa_j, L^(2r) times that of
+    the rows themselves.
+
+    Each normal is laid out once as two lists in the order of the terms,
+    N(T) and eps(T) N(T^c), so a pair is one sum of products.
+    """
+    terms = _pairing_terms(web.r)
+    plain, dual = [], []
+    for normal in web.cleared_normals():
+        plain.append([normal.get(t, 0) for _, t, _ in terms])
+        dual.append([eps * normal.get(tc, 0) for eps, t, tc in terms])
+    for i, j in itertools.combinations(range(web.d), 2):
+        yield (i, j), sum(map(operator.mul, dual[i], plain[j]))
 
 
 def require_web_type(r: int, n: int, d: int) -> None:

@@ -6,8 +6,8 @@ import pytest
 
 import oracle
 from abelweb import (
-    ConstantWeb, DegenerateWebError, Matrix, MomentWebSpec, ProjectivePoint, grassmann,
-    moment_web,
+    ConstantWeb, DegenerateWebError, Matrix, MomentWebSpec, ProjectivePoint, abelian,
+    grassmann, moment_web,
 )
 from abelweb.cli import _build_parser, main
 
@@ -435,6 +435,20 @@ def test_bad_values_name_their_field(tmp_path, capsys, argv, option, data, messa
     code, out, err = run(capsys, *argv, option, str(path))
     assert (code, out) == (1, "")
     assert message in err
+
+
+def test_a_relation_space_above_its_bound_exits_3(tmp_path, capsys, monkeypatch):
+    """A kernel with one vector too many on a PG web contradicts the proven
+    per-degree bound, so ``rank`` refuses it as a bug: exit 3."""
+    path = tmp_path / "w.json"
+    run(capsys, "moment", "-r", "2", "-n", "2", "--taus", "0,1,2,3,4,5", "-o", str(path))
+    real = abelian.certified_kernel
+    monkeypatch.setattr(abelian, "certified_kernel",
+                        lambda rows, ncols: real(rows, ncols) + [(1, {0: 1})])
+    code, out, err = run(capsys, "rank", "--web", str(path))
+    assert (code, out) == (3, "")
+    assert ("dim R(0) = 4 exceeds the proven bound 3 for a general-position web "
+            "of type (2,2), d=6") in err
 
 
 def test_bad_taus_option_names_its_entry(capsys):

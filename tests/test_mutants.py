@@ -217,6 +217,49 @@ def _plane_rank(incidence):
     ]
 
 
+def _pairing(webcore):
+    # (1,2,4): foliations 2 and 4 are parallel, so pair (2,4) fails after
+    # (1,2), (1,3), (1,4), (2,3) pass; (2,2,3) and (3,2,3) are PG
+    webs = [
+        ConstantWeb(1, 2, [ConstantFoliation(1, 2, Matrix([row]))
+                           for row in ([1, 2], [3, -1], [0, 1], [6, -2])]),
+        ConstantWeb(2, 2, [ConstantFoliation(2, 2, Matrix(rows)) for rows in (
+            [[1, 0, 2, -1], [0, "1/2", 1, 3]], [[2, 1, 0, 1], [1, 1, 1, 0]],
+            [[0, 3, 1, 1], [1, 0, -1, 2]])]),
+        moment_web(MomentWebSpec(3, 2, range(3))),
+    ]
+    for web in webs:
+        r, lcm = web.r, web.cleared_kappas()[1]
+        expected = [lcm ** (2 * r) * oracle.det(Matrix([*web.foliations[i].matrix.entries,
+                                                         *web.foliations[j].matrix.entries]))
+                    for i in range(web.d) for j in range(i + 1, web.d)]
+        assert _outcome(lambda: [value for _, value in webcore._pairings(web)]) == (
+            "value", expected)
+        assert _outcome(lambda: webcore.check_pg(web)) == ("value", oracle.check_pg(web))
+
+
+def _minors_sweep(exactalg):
+    for rows, n in (([[1, 0, 2], [0, 1, 3]], 3), ([[2, -1, 0, 3], [1, 1, 4, 0], [0, 5, 1, 1]], 4)):
+        expected = oracle.wedge_rows(rows).coeffs
+        assert _outcome(lambda: {s: v for s, v in exactalg._minors(rows, n).items() if v}) == (
+            "value", expected)
+
+
+def _bound_guard(abelian):
+    # a kernel with one vector too many on the saturated (1,2,5) moment
+    # web: dim R(0) = 4 > 3 must be refused as a contradiction
+    web = moment_web(MomentWebSpec(1, 2, range(5)))
+    real = abelian.certified_kernel
+    with mock.patch.object(abelian, "certified_kernel",
+                           lambda rows, ncols: real(rows, ncols) + [(1, {0: 1})]):
+        try:
+            outcome = _outcome(lambda: abelian.total_rank(web).to_json())
+        except InternalContradictionError as exc:
+            outcome = ("contradiction", str(exc))
+    assert outcome == ("contradiction", "dim R(0) = 4 exceeds the proven bound 3 for a "
+                                        "general-position web of type (1,2), d=5")
+
+
 MUTANTS = {
     "weights-pair-the-next-tau": (
         "canonical",
@@ -379,6 +422,30 @@ MUTANTS = {
         "if not any(kernels[-1]) and plane.rank() != n - 1:",
         "if False:",
         _plane_rank,
+    ),
+    "pairing-sign-flipped-once": (
+        "webcore",
+        "(-1) ** (sum(t) + r * (r + 1) // 2)",
+        "(-1) ** (sum(t) + r * (r + 1) // 2 + (t == tuple(range(r))))",
+        _pairing,
+    ),
+    "pairing-reads-N_i-at-T": (
+        "webcore",
+        "eps * normal.get(tc, 0)",
+        "eps * normal.get(t, 0)",
+        _pairing,
+    ),
+    "minors-table-without-its-sign": (
+        "exactalg",
+        "((-1) ** (k - 1 + t), c, position[s[:t] + s[t + 1 :]])",
+        "(1, c, position[s[:t] + s[t + 1 :]])",
+        _minors_sweep,
+    ),
+    "relation-kernel-without-the-bound-guard": (
+        "abelian",
+        "if web.is_pg() and len(chain[h]) > bound:",
+        "if False:",
+        _bound_guard,
     ),
 }
 

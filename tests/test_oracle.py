@@ -168,6 +168,23 @@ def test_minors_match_oracle():
     assert deficient > 30 and zero_columns > 30 and normals > 30
 
 
+def test_minors_of_integer_rows_up_to_5_by_10_match_oracle():
+    """The cached-table sweep of ``_minors`` against one determinant per
+    minor, on every shape k x ncols with k <= 5 and k <= ncols <= 10, dense
+    rows and rows with zeros, and a row that repeats another."""
+    rng = make_rng(49)
+    for k in range(1, 6):
+        for ncols in range(k, 11):
+            for lo, hi in ((-9, 9), (-1, 1)):
+                rows = [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(k)]
+                repeated = k > 1 and ncols == 10 and lo == -1
+                if repeated:
+                    rows[-1] = rows[0]
+                expected = oracle.wedge_rows(rows).coeffs
+                assert {s: v for s, v in _minors(rows, ncols).items() if v} == expected, rows
+                assert not (repeated and expected), rows  # every minor vanishes
+
+
 @pytest.mark.parametrize("r, n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_omega_expansion_matches_oracle(r, n):
     """The minor sweep per choice of alpha's against the polynomial wedge,

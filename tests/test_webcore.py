@@ -55,13 +55,48 @@ def test_check_pg_survives_an_unlucky_prime():
     p0 = 1073741789
     assert _prime_below(2**30) == p0  # the prime check_pg and Matrix.rank work modulo
 
-    def web(*rows):
-        return ConstantWeb(1, 2, [ConstantFoliation(1, 2, Matrix([row])) for row in rows])
+    def web(n, *rows):
+        return ConstantWeb(1, n, [ConstantFoliation(1, n, Matrix([row])) for row in rows])
 
-    # foliations 1 and 2 are parallel modulo p0 only: the exact rank decides
-    assert check_pg(web([1, 0], [1, p0], [0, 1])) == (True, None)
-    assert check_pg(web([1, 0], [2, 0])) == (False, (1, 2))
+    # type (1,2) is decided by the pairing, in integers: foliations 1 and
+    # 2 are parallel modulo p0 only, and their pairing is p0
+    assert check_pg(web(2, [1, 0], [1, p0], [0, 1])) == (True, None)
+    assert check_pg(web(2, [1, 0], [2, 0])) == (False, (1, 2))
     assert Matrix([[1, 0], [1, p0]]).rank() == 2
+    # n = 3 keeps the echelons modulo p0: the three rows are dependent
+    # modulo p0 only, and the exact confirmation decides
+    assert check_pg(web(3, [1, 0, 0], [0, 1, 0], [0, 0, p0])) == (True, None)
+    assert check_pg(web(3, [1, 0, 0], [0, 1, 0], [1, 1, 0])) == (False, (1, 2, 3))
+
+
+def test_check_pg_of_type_r_2_is_the_pairing_of_each_pair(monkeypatch):
+    # for n = 2 every pair is one 2r x 2r determinant read off the cached
+    # normals, so no echelon and no kernel is built
+    def unused(*args):
+        raise AssertionError("a type-(r,2) web needs no echelon and no kernel")
+
+    monkeypatch.setattr(webcore, "_extend_mod", unused)
+    monkeypatch.setattr(webcore, "certified_kernel", unused)
+    rng = make_rng(65)
+    verdicts = set()
+    for k in range(36):
+        r, d = (1, 2, 3)[k % 3], rng.randint(2, 6)
+        foliations = list(small_entry_web(rng, r, 2, d).foliations)
+        if k % 2:  # a planted dependent pair, not always the first
+            i, j = sorted(rng.sample(range(d), 2))
+            foliations[j] = _combined(rng, [foliations[i]])
+        web = ConstantWeb(r, 2, foliations)
+        lcm = web.cleared_kappas()[1]
+        pairs = list(webcore._pairings(web))
+        assert [pair for pair, _ in pairs] == list(itertools.combinations(range(d), 2))
+        for (i, j), value in pairs:
+            stacked = Matrix([*foliations[i].matrix.entries, *foliations[j].matrix.entries])
+            assert value == lcm ** (2 * r) * oracle.det(stacked), web.to_json()
+        verdict = check_pg(web)
+        assert verdict == oracle.check_pg(web), web.to_json()
+        verdicts.add((r, verdict[1] if verdict[1] in (None, (1, 2)) else "later"))
+    # every r has a PG web, a failing first pair and a later failing pair
+    assert verdicts == {(r, v) for r in (1, 2, 3) for v in (None, (1, 2), "later")}
 
 
 def _record_subsets(monkeypatch, web) -> list[tuple[int, ...]]:
