@@ -11,10 +11,10 @@ tolerances would make them meaningless.
 
 Rationals serialize as strings ``"p/q"`` or ``"p"`` in all JSON formats.
 
-There is one exact elimination, :func:`certified_kernel`: the canonical
-kernel basis of sparse integer rows, from elimination modulo a 61-bit
-prime (:func:`_extend_mod`, the sparse echelon that the general-position
-check shares), back-substituted in place on that echelon
+There is one exact elimination of sparse rows, :func:`certified_kernel`:
+the canonical kernel basis of sparse integer rows, from elimination
+modulo a 61-bit prime (:func:`_extend_mod`, the sparse echelon that
+:func:`_rank` shares), back-substituted in place on that echelon
 (:func:`_back_substitute`), lifted to Q over one running denominator per
 vector (:func:`_lift`, which needs a rational reconstruction only where
 that denominator grows) and checked exactly.  Arithmetic modulo p
@@ -30,7 +30,9 @@ and builds its RREF and inverse straight from the integer kernel
 vectors.  Only the rank (:func:`_rank`, which recovery calls on its own
 integer rows too) may return first, when the rank modulo the prime
 below 2**30 is full, which proves it over Q.  ``det`` reads the one
-maximal minor off the Laplace sweep :func:`_minors`.
+maximal minor off the Laplace sweep :func:`_minors`.  The general-position
+check (``webcore.check_pg``) needs neither: it eliminates its dense
+r x m blocks fraction-free, in integers.
 
 Immutability is one policy: :class:`_Frozen` refuses assignment after
 construction (constructors use ``object.__setattr__``), and
@@ -216,12 +218,10 @@ def _primes() -> Iterator[int]:
         yield p
 
 
-def _extend_mod(
-    echelon: dict[int, dict[int, int]], rows: Iterable[dict[int, int]], p: int
-) -> dict[int, dict[int, int]]:
-    """An echelon basis modulo ``p`` of the span of ``echelon`` and ``rows``.
+def _extend_mod(rows: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """An echelon basis modulo ``p`` of the span of ``rows``, extended row by row.
 
-    ``echelon`` maps each pivot column to its basis row, a sparse dict of
+    The echelon maps each pivot column to its basis row, a sparse dict of
     residues whose least column is the pivot; no row has a column left
     of its pivot, so reducing a row by another never fills in left of
     that pivot.  A new row (column -> integer) is reduced at the pivots
@@ -229,10 +229,9 @@ def _extend_mod(
     more; what is left, if anything, is stored under its least column.
     A basis row is scaled to 1 at its pivot only when it first reduces a
     row, in place, which changes neither pivot nor span.  So the length
-    of the result is the rank modulo ``p``; the outer dict is copied, so
-    ``echelon`` keeps its pivots and span and can be extended again.
+    of the result is the rank modulo ``p``.
     """
-    echelon = dict(echelon)
+    echelon: dict[int, dict[int, int]] = {}
     for row in rows:
         row = {c: a % p for c, a in row.items() if a % p}
         heap = [c for c in row if c in echelon]
@@ -447,7 +446,7 @@ def certified_kernel(
                     "certified_kernel: no certified kernel within the proven number of primes"
                 )
         tried *= p
-        echelon = _extend_mod({}, rows, p)
+        echelon = _extend_mod(rows, p)
         if len(echelon) == ncols:
             return []
         _back_substitute(echelon, p)
@@ -483,7 +482,7 @@ def _rank(rows: list[dict[int, int]], ncols: int) -> int:
     2**30 proves it (any prime would), else ``ncols`` minus the size of
     the certified kernel gives it."""
     full = min(len(rows), ncols)
-    if len(_extend_mod({}, rows, _prime_below(2**30))) == full:
+    if len(_extend_mod(rows, _prime_below(2**30))) == full:
         return full
     return ncols - len(certified_kernel(rows, ncols))
 

@@ -13,20 +13,20 @@ when they are linearly independent.  Independent rows stay independent
 in every subset, so the subsets of the top size min(d, n) decide PG;
 smaller ones are searched only to report the first failure.
 
-For n = 2 every subset PG tests is a pair, and its 2r stacked rows are
-square: the wedge of the two normals is one determinant.  ``check_pg``
-reads it off the integer normals that ``ConstantWeb.cleared_normals``
-keeps for R(0), by the generalized Laplace expansion (``_pairings``),
-exactly and with no elimination.
-
-For n >= 3 the stacked rows of a subset are not square, so ``check_pg``
-keeps ranks.  It takes them modulo the prime p below 2**30 first, on
-the web's rows cleared by one lcm (``ConstantWeb.cleared_kappas``),
-extending one sparse echelon (``exactalg._extend_mod``) per prefix of
-the current subset.  Rank modulo p never exceeds rank over Q, so full
-rank modulo p proves independence; only a subset that looks deficient
-gets an exact rank, rn minus the size of its ``exactalg.certified_kernel``,
-so the first failing subset is the one exact ranks alone report.
+One exact method decides every subset, in integers, on the web's rows
+cleared by one lcm (``ConstantWeb.cleared_kappas``).  If the columns of
+K span the kernel of the stacked rows of a prefix P of a subset, then P
+plus one more foliation j has independent rows exactly when kappa_j K
+has rank r.  So each prefix eliminates its own projected r x m rows
+fraction-free (Bareiss), fails if their rank is below r, and otherwise
+projects the rows of every later foliation onto their kernel
+(``_project``), where m drops by r.  After n - 2 foliations m = 2r, and
+the 2r stacked projected rows of the last two are square: their
+determinant is the pairing of their maximal minors (``_pairings``, the
+generalized Laplace expansion).  For n = 2 nothing is projected, and
+the pairings read the integer normals that
+``ConstantWeb.cleared_normals`` keeps for R(0).  No prime, no echelon
+modulo p and no ``exactalg.certified_kernel`` is needed.
 
 The closed-form quantities:
 
@@ -44,12 +44,11 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import (
-    Matrix, _Value, _extend_mod, _minors, _prime_below, binomial,
-    certified_kernel, index_subsets, json_array, json_object,
+    Matrix, _Value, _minors, binomial, index_subsets, json_array, json_object,
 )
 from .multilinear import ExteriorForm
 
@@ -225,63 +224,67 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     the first failing index set (1-based), by size and then
     lexicographically.
 
-    For n = 2 (so any d) the only subsets tested are the pairs, and the
-    first pair in lexicographic order whose pairing (``_pairings``) is 0
-    is reported: no prime, no echelon and no kernel.  The test is on n,
-    not on the top size, since a web with n >= 3 and d = 2 stacks 2r
-    rows of length rn, which are not square.
+    For n = 2 every subset tested is a pair, and the first pair in
+    lexicographic order whose pairing (``_pairings``) of the cached
+    ``cleared_normals`` is 0 is reported.
 
-    For n >= 3, only the subsets of the top size min(d, n) are tested
-    first: rows that are independent stay independent in every subset,
-    and every smaller subset lies in one of the top size, so if all of
-    those pass the web is PG.  Otherwise let T be the first failing one;
-    sizes 2 .. top - 1 are searched in order and their first failure, if
-    any, is reported, else T.  A smaller subset whose lex-first top-size
+    For n >= 3 the subsets of the top size min(d, n) are tested first:
+    rows that are independent stay independent in every subset, and
+    every smaller subset lies in one of the top size, so if all of those
+    pass the web is PG.  Otherwise let T be the first failing one; sizes
+    2 .. top - 1 are searched in order and their first failure, if any,
+    is reported, else T.  A smaller subset whose lex-first top-size
     completion (itself and the least indices not in it) precedes T lies
-    in a top-size subset that passed, so it is skipped.  Size 1 never
-    fails (a foliation has rank r), and no top-size subset is tested
-    twice.
+    in a top-size subset that passed, so it is skipped.  No top-size
+    subset is tested twice.
 
-    The rows are ``web.cleared_kappas()``, turned into sparse dicts once:
-    scaling by L != 0 changes no rank.  Ranks are taken modulo the prime
-    p below 2**30 (one CPython digit); any prime is sound, since full rank
-    modulo p proves independence, and every failure is confirmed by
-    ``certified_kernel`` on the same rows: the delta * r rows are
-    dependent when its kernel has more than r * (n - delta) vectors.
-    ``stack[k]`` is the echelon modulo p of the first k foliations of the
-    current subset; the next subset in order keeps the echelons of the
-    prefix it shares and extends them (see the module docstring).  An
-    echelon row is scaled to 1 at its pivot only when it first reduces
-    another row, so the rows of a leaf echelon, which the next subset
-    drops, are not all normalized for nothing.
+    Each size is one lexicographic walk over the web's integer rows
+    (``web.cleared_kappas()``; scaling by L != 0 changes no rank).
+    ``stack[k]`` holds, for the first k foliations of the current
+    subset, the rows of every later foliation projected onto the kernel
+    of their stacked rows (``_project``); the next subset keeps the
+    projections of the prefix it shares.  A prefix whose last
+    foliation's projected rows have rank < r fails, and so does every
+    subset that extends it: the first one not skipped is reported.  A
+    subset of n foliations is projected along its first n - 2 only,
+    which leaves 2r columns, and its last two are decided by the pairing
+    of their projected normals, computed once per prefix.  Every step is
+    exact, in integers: no prime, no echelon modulo p and no
+    ``exactalg.certified_kernel``.
     """
     if web.n == 2:
-        failing = next((pair for pair, value in _pairings(web) if not value), None)
+        pairs = _pairings(web.r, web.cleared_normals())
+        failing = next((pair for pair, value in pairs if not value), None)
         return (True, None) if failing is None else (False, (failing[0] + 1, failing[1] + 1))
-    p = _prime_below(2**30)
-    kappas, _ = web.cleared_kappas()
-    rows = [[{c: a for c, a in enumerate(row) if a} for row in kappa] for kappa in kappas]
+    root = dict(enumerate(web.cleared_kappas()[0]))
     top = min(web.d, web.n)
 
     def first_failure(delta: int, failing: tuple[int, ...] = ()) -> tuple[int, ...] | None:
-        stack: list[dict] = [{}]
+        paired = 2 if delta == web.n else 0  # the last two foliations, by the pairing
+        stack: list[dict] = [root]
         previous: tuple[int, ...] = ()
-        for subset in itertools.combinations(range(web.d), delta):
+        for prefix in itertools.combinations(range(web.d - paired), delta - paired):
             if failing:
-                rest = [j for j in range(web.d) if j not in subset][: top - delta]
-                if tuple(sorted(subset + tuple(rest))) < failing:
+                rest = [j for j in range(web.d) if j not in prefix][: top - delta]
+                if tuple(sorted(prefix + tuple(rest))) < failing:
                     continue  # its lex-first top-size completion passed
             shared = next(
-                (k for k, (a, b) in enumerate(zip(previous, subset)) if a != b), 0
+                (k for k, (a, b) in enumerate(zip(previous, prefix)) if a != b), 0
             )
             del stack[shared + 1 :]
-            for j in subset[shared:]:
-                stack.append(_extend_mod(stack[-1], rows[j], p))
-            previous = subset
-            if len(stack[-1]) < delta * web.r:
-                stacked = [row for j in subset for row in rows[j]]
-                if len(certified_kernel(stacked, web.r * web.n)) > web.r * (web.n - delta):
-                    return subset
+            for k in range(shared, len(prefix)):
+                j = prefix[k]
+                later = range(j + 1, web.d) if paired or k + 1 < len(prefix) else ()
+                node = _project(stack[-1], j, later)
+                if node is None:  # the first subset extending prefix[: k + 1] fails
+                    return prefix + tuple(range(prefix[-1] + 1, prefix[-1] + 1 + paired))
+                stack.append(node)
+            previous = prefix
+            if paired:
+                normals = [_minors(rows, 2 * web.r) for rows in stack[-1].values()]
+                pair = next((pair for pair, value in _pairings(web.r, normals) if not value), None)
+                if pair is not None:
+                    return prefix + (prefix[-1] + 1 + pair[0], prefix[-1] + 1 + pair[1])
         return None
 
     failing = first_failure(top)
@@ -290,6 +293,71 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     smaller = (first_failure(delta, failing) for delta in range(2, top))
     failing = next((subset for subset in smaller if subset), failing)
     return False, tuple(j + 1 for j in failing)
+
+
+def _project(
+    rows: dict[int, list[list[int]]], j: int, later: Iterable[int]
+) -> dict[int, list[list[int]]] | None:
+    """The rows of each foliation in ``later`` times a kernel basis of
+    ``rows[j]``, or None if ``rows[j]`` has rank below its number of rows.
+
+    Let K span the kernel of the stacked rows of a prefix P, and
+    ``rows[i]`` = kappa_i K.  Then P + (j,) has independent rows exactly
+    when kappa_j K has full rank, and then K B spans the kernel of P +
+    (j,), where B is a kernel basis of kappa_j K: the rows returned are
+    kappa_i K B.  Each vector of B is non-zero at its free column and at
+    the pivots only (``_kernel``), so a projected entry is r + 1 products.
+    """
+    kernel = _kernel(rows[j])
+    if kernel is None:
+        return None
+    return {
+        i: [[sum(map(operator.mul, pick(row), vector)) for pick, vector in kernel]
+            for row in rows[i]]
+        for i in later
+    }
+
+
+def _kernel(rows: list[list[int]]) -> list[tuple[operator.itemgetter, list[int]]] | None:
+    """A kernel basis of integer rows, or None if they are dependent.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): at step k the
+    pivot a is the first non-zero entry, column by column, of the rows
+    not used yet, and every other row becomes (a * row - row[c] * pivot
+    row) / a', with a' the previous pivot.  The division is exact, since
+    every entry stays a minor of the rows (Sylvester's identity).  At the
+    end each row i is D, the last pivot, at its pivot column p_i and 0 at
+    the others, so the kernel vector of a free column f is D at f and
+    -row_i[f] at p_i.  Each is divided by its content and returned as an
+    itemgetter of its columns (the pivots, then f) and its entries.
+    """
+    rows = [list(row) for row in rows]
+    pivots, previous, start = [], 1, 0
+    for k in range(len(rows)):
+        found = next(
+            ((c, i) for c in range(start, len(rows[0]))
+             for i in range(k, len(rows)) if rows[i][c]),
+            None,
+        )
+        if found is None:
+            return None
+        c, i = found
+        rows[k], rows[i] = rows[i], rows[k]
+        pivot = rows[k]
+        a = pivot[c]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[c]
+                rows[i] = [(a * x - f * y) // previous for x, y in zip(row, pivot)]
+        pivots.append(c)
+        previous, start = a, c + 1
+    kernel = []
+    for f in range(len(rows[0])):
+        if f not in pivots:
+            vector = [-row[f] for row in rows] + [previous]
+            g = math.gcd(*vector)
+            kernel.append((operator.itemgetter(*pivots, f), [x // g for x in vector]))
+    return kernel
 
 
 @functools.cache
@@ -302,23 +370,24 @@ def _pairing_terms(r: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]]
     )
 
 
-def _pairings(web: ConstantWeb) -> Iterator[tuple[tuple[int, int], int]]:
-    """For a web of type (r, 2), each pair i < j (0-based, lexicographic)
-    with sum_T eps(T) N_i(T^c) N_j(T) over the normals N of
-    ``cleared_normals`` (a missing subset reads 0): by the generalized
-    Laplace expansion along the first r rows, the determinant of the 2r
-    stacked cleared rows of kappa_i and kappa_j, L^(2r) times that of
-    the rows themselves.
+def _pairings(
+    r: int, normals: Sequence[dict[tuple[int, ...], int]]
+) -> Iterator[tuple[tuple[int, int], int]]:
+    """For the maximal minors N of r x 2r integer blocks, by column subset
+    (a missing subset reads 0), each pair of positions i < j
+    (lexicographic) with sum_T eps(T) N_i(T^c) N_j(T): by the generalized
+    Laplace expansion along the first r rows, the determinant of the two
+    blocks stacked.
 
     Each normal is laid out once as two lists in the order of the terms,
     N(T) and eps(T) N(T^c), so a pair is one sum of products.
     """
-    terms = _pairing_terms(web.r)
+    terms = _pairing_terms(r)
     plain, dual = [], []
-    for normal in web.cleared_normals():
+    for normal in normals:
         plain.append([normal.get(t, 0) for _, t, _ in terms])
         dual.append([eps * normal.get(tc, 0) for eps, t, tc in terms])
-    for i, j in itertools.combinations(range(web.d), 2):
+    for i, j in itertools.combinations(range(len(normals)), 2):
         yield (i, j), sum(map(operator.mul, dual[i], plain[j]))
 
 

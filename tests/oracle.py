@@ -320,10 +320,10 @@ def certified_kernel(rows, ncols) -> tuple[list[tuple[int, dict[int, int]]], int
                 raise InternalContradictionError("oracle certified_kernel: cap reached")
         tried *= p
         count += 1
-        echelon = _extend_mod({}, rows, p)
+        echelon = _extend_mod(rows, p)
         if len(echelon) == ncols:
             return [], count
-        reduced = _extend_mod({}, (echelon[q] for q in sorted(echelon, reverse=True)), p)
+        reduced = _extend_mod((echelon[q] for q in sorted(echelon, reverse=True)), p)
         pivots = sorted(reduced)
         residues = {f: [0] * bisect.bisect(pivots, f) for f in range(ncols) if f not in reduced}
         for k, q in enumerate(pivots):

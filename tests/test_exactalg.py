@@ -116,10 +116,9 @@ def test_prime_sequence():
     assert not any(_is_prime(n) for n in range(primes[1] + 1, primes[0]))
 
 
-def test_extend_mod_rank_and_persistence():
-    # check_pg extends one echelon per prefix of a subset, so an extension
-    # must leave the pivots and span of the echelon it starts from as they
-    # were; a lazy rescale may rewrite a shared row in place, by a unit
+def test_extend_mod_rank_and_span():
+    # the echelon of sparse rows modulo p: its size is the rank, each row
+    # starts at its pivot with residues in 1 .. p - 1, and it spans the rows
     rng = make_rng(40)
     p = _prime_below(2**61)
     for _ in range(60):
@@ -128,20 +127,12 @@ def test_extend_mod_rank_and_persistence():
         if rng.random() < 0.5:
             ints.append([2 * a - b for a, b in zip(ints[0], ints[-1])])
         sparse = [{c: a for c, a in enumerate(row) if a} for row in ints]
-        split = rng.randint(0, len(ints))
-        head = _extend_mod({}, sparse[:split], p)
-        frozen = {q: dict(row) for q, row in head.items()}
-        full = _extend_mod(head, sparse[split:], p)
-        assert head.keys() == frozen.keys()
-        for q, row in head.items():
-            assert full[q] is row and row.keys() == frozen[q].keys()
-            assert all(a * row[q] % p == b * frozen[q][q] % p for a, b in zip(
-                frozen[q].values(), row.values()))
-        assert len(full) == Matrix(ints).rank()
-        for q, row in full.items():
+        echelon = _extend_mod(sparse, p)
+        assert len(echelon) == Matrix(ints).rank()
+        for q, row in echelon.items():
             assert min(row) == q and all(0 < a < p for a in row.values())
-        # every input row reduces to zero: the echelon spans the rows
-        assert _extend_mod(full, sparse, p).keys() == full.keys()
+        # every input row reduces to zero after the echelon's own rows
+        assert _extend_mod([*echelon.values(), *sparse], p).keys() == echelon.keys()
 
 
 @pytest.mark.parametrize("fault", ["drop a row", "skip back-substitution"])
@@ -157,9 +148,9 @@ def test_broken_elimination_raises_instead_of_hanging(monkeypatch, fault):
 
     real = exactalg._extend_mod
 
-    def drop_a_row(echelon, rows, p):
+    def drop_a_row(rows, p):
         count(p)
-        return real(echelon, list(rows)[:-1], p)
+        return real(list(rows)[:-1], p)
 
     def leave_unreduced(echelon, p):
         # the echelon keeps its entries at later pivots, and its pivots unscaled

@@ -233,8 +233,29 @@ def _pairing(webcore):
         expected = [lcm ** (2 * r) * oracle.det(Matrix([*web.foliations[i].matrix.entries,
                                                          *web.foliations[j].matrix.entries]))
                     for i in range(web.d) for j in range(i + 1, web.d)]
-        assert _outcome(lambda: [value for _, value in webcore._pairings(web)]) == (
+        assert _outcome(lambda: [value for _, value in webcore._pairings(
+            r, web.cleared_normals())]) == (
             "value", expected)
+        assert _outcome(lambda: webcore.check_pg(web)) == ("value", oracle.check_pg(web))
+
+
+def _projection(webcore):
+    # (1,3,5): f4 = f2 + 2 f3, so the triple (2,3,4) fails and no triple
+    # with foliation 1 does; (1,4,6): f6 = f2 - f3 + f5, so the quadruple
+    # (2,3,5,6) fails, after its prefix (2,3) was projected along; and a
+    # PG (2,3,4) web
+    webs = [
+        ConstantWeb(1, 3, [ConstantFoliation(1, 3, Matrix([row])) for row in (
+            [1, 2, 3], [2, -1, 1], [1, 1, -2], [4, 1, -3], [1, -3, 2])]),
+        ConstantWeb(1, 4, [ConstantFoliation(1, 4, Matrix([row])) for row in (
+            [1, 2, 3, 1], [2, -1, 1, 3], [1, 1, -2, 2], [3, 1, 4, -1], [1, -3, 2, 2],
+            [2, -5, 5, 3])]),
+        ConstantWeb(2, 3, [ConstantFoliation(2, 3, Matrix(rows)) for rows in (
+            [[1, 2, 0, 1, 3, -1], [0, 1, 1, 2, -1, 1]], [[2, 0, 1, 1, 0, 3], [1, -1, 2, 0, 1, 1]],
+            [[0, 1, 3, -1, 2, 1], [1, 1, 0, 2, 2, 0]],
+            [[3, 1, 1, 0, -2, 1], [2, 2, 1, 1, 0, -1]])]),
+    ]
+    for web in webs:
         assert _outcome(lambda: webcore.check_pg(web)) == ("value", oracle.check_pg(web))
 
 
@@ -434,6 +455,18 @@ MUTANTS = {
         "eps * normal.get(tc, 0)",
         "eps * normal.get(t, 0)",
         _pairing,
+    ),
+    "kernel-vector-with-one-sign-flipped": (
+        "webcore",
+        "vector = [-row[f] for row in rows] + [previous]",
+        "vector = [-row[f] for row in rows] + [-previous]",
+        _projection,
+    ),
+    "projection-along-the-first-later-foliation": (
+        "webcore",
+        "kernel = _kernel(rows[j])",
+        "kernel = _kernel(rows[min(rows)])",
+        _projection,
     ),
     "minors-table-without-its-sign": (
         "exactalg",

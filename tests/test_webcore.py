@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import oracle
-from abelweb import webcore
+from abelweb import exactalg, webcore
 from abelweb import (
     ConstantFoliation,
     ConstantWeb,
@@ -53,7 +53,7 @@ def test_check_pg_reports_first_failure():
 
 def test_check_pg_survives_an_unlucky_prime():
     p0 = 1073741789
-    assert _prime_below(2**30) == p0  # the prime check_pg and Matrix.rank work modulo
+    assert _prime_below(2**30) == p0  # the prime Matrix.rank tries first
 
     def web(n, *rows):
         return ConstantWeb(1, n, [ConstantFoliation(1, n, Matrix([row])) for row in rows])
@@ -63,22 +63,26 @@ def test_check_pg_survives_an_unlucky_prime():
     assert check_pg(web(2, [1, 0], [1, p0], [0, 1])) == (True, None)
     assert check_pg(web(2, [1, 0], [2, 0])) == (False, (1, 2))
     assert Matrix([[1, 0], [1, p0]]).rank() == 2
-    # n = 3 keeps the echelons modulo p0: the three rows are dependent
-    # modulo p0 only, and the exact confirmation decides
+    # n = 3 is decided by projection and the pairing, in integers too: the
+    # three rows are dependent modulo p0 only
     assert check_pg(web(3, [1, 0, 0], [0, 1, 0], [0, 0, p0])) == (True, None)
     assert check_pg(web(3, [1, 0, 0], [0, 1, 0], [1, 1, 0])) == (False, (1, 2, 3))
+
+
+def _without_echelons(monkeypatch):
+    """Make every echelon and kernel of ``exactalg`` raise."""
+    def unused(*args):
+        raise AssertionError("check_pg builds no echelon and no kernel")
+
+    monkeypatch.setattr(exactalg, "_extend_mod", unused)
+    monkeypatch.setattr(exactalg, "certified_kernel", unused)
 
 
 def test_check_pg_of_type_r_2_is_the_pairing_of_each_pair(monkeypatch):
     # for n = 2 every pair is one 2r x 2r determinant read off the cached
     # normals, so no echelon and no kernel is built
-    def unused(*args):
-        raise AssertionError("a type-(r,2) web needs no echelon and no kernel")
-
-    monkeypatch.setattr(webcore, "_extend_mod", unused)
-    monkeypatch.setattr(webcore, "certified_kernel", unused)
     rng = make_rng(65)
-    verdicts = set()
+    cases = []
     for k in range(36):
         r, d = (1, 2, 3)[k % 3], rng.randint(2, 6)
         foliations = list(small_entry_web(rng, r, 2, d).foliations)
@@ -87,38 +91,88 @@ def test_check_pg_of_type_r_2_is_the_pairing_of_each_pair(monkeypatch):
             foliations[j] = _combined(rng, [foliations[i]])
         web = ConstantWeb(r, 2, foliations)
         lcm = web.cleared_kappas()[1]
-        pairs = list(webcore._pairings(web))
-        assert [pair for pair, _ in pairs] == list(itertools.combinations(range(d), 2))
-        for (i, j), value in pairs:
-            stacked = Matrix([*foliations[i].matrix.entries, *foliations[j].matrix.entries])
-            assert value == lcm ** (2 * r) * oracle.det(stacked), web.to_json()
+        dets = [lcm ** (2 * r) * oracle.det(Matrix([*foliations[i].matrix.entries,
+                                                    *foliations[j].matrix.entries]))
+                for i, j in itertools.combinations(range(d), 2)]
+        cases.append((web, dets, oracle.check_pg(web)))
+    _without_echelons(monkeypatch)
+    verdicts = set()
+    for web, dets, expected in cases:
+        pairs = list(webcore._pairings(web.r, web.cleared_normals()))
+        assert [pair for pair, _ in pairs] == list(itertools.combinations(range(web.d), 2))
+        assert [value for _, value in pairs] == dets, web.to_json()
         verdict = check_pg(web)
-        assert verdict == oracle.check_pg(web), web.to_json()
-        verdicts.add((r, verdict[1] if verdict[1] in (None, (1, 2)) else "later"))
+        assert verdict == expected, web.to_json()
+        verdicts.add((web.r, verdict[1] if verdict[1] in (None, (1, 2)) else "later"))
     # every r has a PG web, a failing first pair and a later failing pair
     assert verdicts == {(r, v) for r in (1, 2, 3) for v in (None, (1, 2), "later")}
 
 
-def _record_subsets(monkeypatch, web) -> list[tuple[int, ...]]:
-    """The foliation subset (0-based) of every echelon ``check_pg`` builds,
-    in order, filled in by a wrapper of ``webcore._extend_mod``.
+def test_check_pg_of_every_n_builds_no_echelon_and_no_kernel(monkeypatch):
+    # n = 3, 4, 5 and d < n, with a dependent subset planted at every size
+    # up to the top one: the first at the front half the time, so that the
+    # top-size walk meets it as a prefix of n - 2 foliations or fewer
+    rng = make_rng(66)
+    types = [(1, 3, 5), (2, 3, 6), (1, 4, 6), (2, 4, 5), (1, 5, 7), (1, 5, 6),
+             (1, 4, 3), (2, 4, 3), (1, 5, 4), (2, 5, 3)]
+    cases = []
+    for k in range(100):
+        r, n, d = types[k % len(types)]
+        top = min(d, n)
+        foliations = list(small_entry_web(rng, r, n, d).foliations)
+        size = k // len(types) % top + 1  # 1: nothing planted
+        if size > 1:
+            subset = range(size) if k % 2 else sorted(rng.sample(range(d), size))
+            *rest, last = subset
+            foliations[last] = _combined(rng, [foliations[i] for i in rest])
+        web = ConstantWeb(r, n, foliations)
+        cases.append((web, oracle.check_pg(web)))
+    real, failed_prefixes = webcore._project, []
 
-    The foliations of ``web`` must be distinct, so that the rows passed
-    name the foliation they belong to.
-    """
-    rows = [[{c: a for c, a in enumerate(row) if a} for row in kappa]
-            for kappa in web.cleared_kappas()[0]]
-    real, paths, kept, tested = webcore._extend_mod, {}, [], []
-
-    def extend(echelon, new_rows, p):
-        result = real(echelon, new_rows, p)
-        path = paths.get(id(echelon), ()) + (rows.index(list(new_rows)),)
-        paths[id(result)] = path
-        kept.append(result)  # alive, so no later echelon reuses its id
-        tested.append(path)
+    def project(rows, j, later):
+        result = real(rows, j, later)
+        if result is None and later:  # a prefix with later foliations fails
+            failed_prefixes.append(j)
         return result
 
-    monkeypatch.setattr(webcore, "_extend_mod", extend)
+    _without_echelons(monkeypatch)
+    monkeypatch.setattr(webcore, "_project", project)
+    kinds = set()
+    for web, expected in cases:
+        verdict = check_pg(web)
+        assert verdict == expected, web.to_json()
+        top = min(web.d, web.n)
+        kinds.add(verdict[1] and (len(verdict[1]), len(verdict[1]) == top))
+    assert {kind[0] for kind in kinds if kind} == {2, 3, 4, 5}
+    assert {kind[1] for kind in kinds if kind} == {False, True} and None in kinds
+    assert failed_prefixes
+
+
+def _record_subsets(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
+    """The foliation subsets (0-based) that ``check_pg`` tests, in order,
+    each with whether it passed: every prefix it eliminates (a wrapper
+    of ``webcore._project``), and every subset that a pairing decides (a
+    wrapper of ``webcore._pairings``, after the prefix projected last)."""
+    project, pairings = webcore._project, webcore._pairings
+    paths, kept, tested = {}, [], []
+
+    def recorded_project(rows, j, later):
+        result = project(rows, j, later)
+        path = paths.get(id(rows), ()) + (j,)
+        paths[id(result)] = path
+        kept.append(result)  # alive, so no later projection reuses its id
+        tested.append((path, result is not None))
+        return result
+
+    def recorded_pairings(r, normals):
+        prefix = tested[-1][0] if tested else ()
+        offset = prefix[-1] + 1 if prefix else 0
+        for (i, j), value in pairings(r, normals):
+            tested.append((prefix + (offset + i, offset + j), value != 0))
+            yield (i, j), value
+
+    monkeypatch.setattr(webcore, "_project", recorded_project)
+    monkeypatch.setattr(webcore, "_pairings", recorded_pairings)
     return tested
 
 
@@ -183,17 +237,22 @@ def test_check_pg_with_fewer_foliations_than_n():
 
 
 def test_check_pg_on_a_pg_web_tests_the_top_size_only(monkeypatch):
-    # every echelon built is a prefix of a top-size subset, each one once
+    # every prefix projected is one of a top-size subset, each one once:
+    # with d >= n those of n - 2 foliations or fewer, and a pairing then
+    # decides every top-size subset once; with d < n all of them
     rng = make_rng(63)
     for r, n, d in [(1, 3, 5), (2, 3, 6), (1, 4, 6), (2, 4, 5), (1, 5, 4)]:
         web = random_pg_web(rng, r, n, d)
         top = min(d, n)
-        tested = _record_subsets(monkeypatch, web)
+        tested = _record_subsets(monkeypatch)
         assert check_pg(web) == (True, None)
-        prefixes = {s[:k] for s in itertools.combinations(range(d), top)
-                    for k in range(1, top + 1)}
-        assert len(tested) == len(prefixes), web.to_json()
-        assert set(tested) == prefixes, web.to_json()
+        combos = set(itertools.combinations(range(d), top))
+        projected = top - 2 if top == n else top
+        expected = {s[:k] for s in combos for k in range(1, projected + 1)}
+        if top == n:
+            expected |= combos
+        assert len(tested) == len(expected), web.to_json()
+        assert {s for s, passed in tested if passed} == expected, web.to_json()
         monkeypatch.undo()
 
 
@@ -209,15 +268,23 @@ def test_check_pg_on_a_failing_web_tests_no_top_size_subset_twice(monkeypatch):
             foliations[j] = _combined(rng, rng.sample(foliations[:j], rng.randint(1, 2)))
         web = ConstantWeb(r, n, foliations)
         first = _first_dependent(web, top)
-        if first is None or len({f.matrix for f in foliations}) < d:
-            continue  # PG, or a repeated foliation the recorder cannot name
-        tested = _record_subsets(monkeypatch, web)
+        if first is None:
+            continue
+        tested = _record_subsets(monkeypatch)
         verdict = check_pg(web)
         assert verdict == oracle.check_pg(web), web.to_json()
-        # the top-size walk stops at its first failure and is not repeated
-        walked = [s for s in tested if len(s) == top]
+        # the top-size walk tests the subsets before the first failing one
+        # in order, stops at a failure that decides it (the subset itself,
+        # or a prefix of it) and is not repeated
+        end = next(i for i, (_, passed) in enumerate(tested) if not passed)
+        walk = [s for s, _ in tested[: end + 1]]
         combos = list(itertools.combinations(range(d), top))
-        assert walked == combos[: combos.index(first) + 1], web.to_json()
+        decided = combos[: combos.index(first)]
+        assert walk[-1] == first[: len(walk[-1])], web.to_json()
+        if len(walk[-1]) == top:
+            decided.append(first)
+        assert [s for s in walk if len(s) == top] == decided, web.to_json()
+        assert all(len(s) < top for s, _ in tested[end + 1 :]), web.to_json()
         sizes[len(verdict[1]) < top] += 1
         monkeypatch.undo()
     assert min(sizes) >= 8
@@ -232,15 +299,17 @@ def test_check_pg_skips_smaller_subsets_inside_a_passed_top_size_subset(monkeypa
     web = ConstantWeb(1, 3, [ConstantFoliation(1, 3, Matrix([row])) for row in rows])
     first = _first_dependent(web, 3)
     assert first == (0, 5, 6)
-    tested = _record_subsets(monkeypatch, web)
+    tested = _record_subsets(monkeypatch)
     assert check_pg(web) == oracle.check_pg(web) == (False, (6, 7))
     # the pair search runs after the triple walk, which ends at T
-    walk = tested.index(first) + 1
-    assert all(len(s) < 3 for s in tested[walk:])
-    for pair in (s for s in tested[walk:] if len(s) == 2):
+    walk = next(i for i, (_, passed) in enumerate(tested) if not passed) + 1
+    assert tested[walk - 1][0] == first
+    assert all(len(s) < 3 for s, _ in tested[walk:])
+    for pair in (s for s, _ in tested[walk:] if len(s) == 2):
         rest = [j for j in range(7) if j not in pair][:1]
         assert tuple(sorted(pair + tuple(rest))) >= first, pair
-    assert len(tested) < 48  # a walk of every pair makes 48 _extend_mod calls
+    # the triple walk is 16 tests, and a walk of every pair 27 more
+    assert walk == 16 and len(tested) < 43
 
 
 def test_pg_holds_for_seeded_webs():
