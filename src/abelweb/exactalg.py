@@ -11,28 +11,28 @@ tolerances would make them meaningless.
 
 Rationals serialize as strings ``"p/q"`` or ``"p"`` in all JSON formats.
 
-There is one exact elimination of sparse rows, :func:`certified_kernel`:
-the canonical kernel basis of sparse integer rows, from elimination
-modulo a 61-bit prime (:func:`_extend_mod`, the sparse echelon that
-:func:`_rank` shares), back-substituted in place on that echelon
-(:func:`_back_substitute`), lifted to Q over one running denominator per
-vector (:func:`_lift`, which needs a rational reconstruction only where
-that denominator grows) and checked exactly.  Arithmetic modulo p
-only proposes the basis; the check and the certificate in its docstring
-make it a result, and a proven bound on the primes tried turns a faulty
-elimination into an error, not a hang.  Each basis vector is a dict of
-integers over its support and one positive denominator.
+There are two exact eliminations, one for sparse relation rows and one
+for every dense matrix.
 
-Relation spaces call it on their rows.  :class:`Matrix` reads its rank,
-RREF and inverse off it, on its integer rows (row scaling changes
-neither kernel nor row space), the inverse off the kernel of [A | I],
-and builds its RREF and inverse straight from the integer kernel
-vectors.  Only the rank (:func:`_rank`, which recovery calls on its own
-integer rows too) may return first, when the rank modulo the prime
-below 2**30 is full, which proves it over Q.  ``det`` reads the one
-maximal minor off the Laplace sweep :func:`_minors`.  The general-position
-check (``webcore.check_pg``) needs neither: it eliminates its dense
-r x m blocks fraction-free, in integers.
+Relation spaces call :func:`certified_kernel`: the canonical kernel
+basis of sparse integer rows, from elimination modulo a 61-bit prime
+(:func:`_extend_mod`, a sparse echelon), back-substituted in place on
+that echelon (:func:`_back_substitute`), lifted to Q over one running
+denominator per vector (:func:`_lift`, which needs a rational
+reconstruction only where that denominator grows) and checked exactly.
+Arithmetic modulo p only proposes the basis; the check and the
+certificate in its docstring make it a result, and a proven bound on
+the primes tried turns a faulty elimination into an error, not a hang.
+Each basis vector is a dict of integers over its support and one
+positive denominator.
+
+Every dense matrix goes through :func:`_echelon`, a fraction-free
+Gauss-Jordan elimination (Bareiss) that is exact in integers by itself:
+no prime and no certificate.  :class:`Matrix` reads its rank, RREF,
+inverse and determinant off it, on its integer rows (row scaling changes
+neither rank nor row space); recovery and the Castelnuovo test read
+their ranks off it, and the general-position check
+(``webcore._kernel``) its kernel vectors.
 
 Immutability is one policy: :class:`_Frozen` refuses assignment after
 construction (constructors use ``object.__setattr__``), and
@@ -171,6 +171,47 @@ def _minors(rows: Sequence[Sequence[int]], n: int) -> dict[tuple[int, ...], int]
     return dict(zip(index_subsets(n, len(rows)), minors))
 
 
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows:
+    ``(rows, pivots, D, sign)``.
+
+    At step k the pivot a is the first non-zero entry, column by column
+    after the last pivot, of the rows not used yet.  Its row is swapped
+    to position k, which flips ``sign``, and every other row becomes
+    (a * row - row[c] * pivot row) / a', with a' the previous pivot (1
+    at the start).  The division is exact, since every entry stays a
+    minor of the rows (Sylvester's identity).  The sweep stops at the
+    first step with no pivot, where the rows left are zero.  Then row i
+    < len(pivots) is D, the last pivot, at its pivot column and 0 at the
+    others, so the rows over D are the RREF.  A row's update reads only
+    itself and the pivot row, so the rows not used yet go through forward
+    Bareiss elimination and D is its last pivot: a square matrix with a
+    pivot in every row has determinant ``sign * D``.
+    """
+    rows = [list(row) for row in rows]
+    pivots, previous, sign, start = [], 1, 1, 0
+    for k in range(len(rows)):
+        found = next(
+            ((c, i) for c in range(start, len(rows[0])) for i in range(k, len(rows)) if rows[i][c]),
+            None,
+        )
+        if found is None:
+            break
+        c, i = found
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        pivot = rows[k]
+        a = pivot[c]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[c]
+                rows[i] = [(a * x - f * y) // previous for x, y in zip(row, pivot)]
+        pivots.append(c)
+        previous, start = a, c + 1
+    return rows, pivots, previous, sign
+
+
 # Miller-Rabin with these bases is exact for every n < 3.3 * 10**24
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -229,7 +270,8 @@ def _extend_mod(rows: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, i
     more; what is left, if anything, is stored under its least column.
     A basis row is scaled to 1 at its pivot only when it first reduces a
     row, in place, which changes neither pivot nor span.  So the length
-    of the result is the rank modulo ``p``.
+    of the result is the rank modulo ``p``.  Its one caller is
+    :func:`certified_kernel`; dense rows go through :func:`_echelon`.
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -477,16 +519,6 @@ def certified_kernel(
             return basis
 
 
-def _rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Exact rank of sparse integer rows: full rank modulo the prime below
-    2**30 proves it (any prime would), else ``ncols`` minus the size of
-    the certified kernel gives it."""
-    full = min(len(rows), ncols)
-    if len(_extend_mod(rows, _prime_below(2**30))) == full:
-        return full
-    return ncols - len(certified_kernel(rows, ncols))
-
-
 def _format(a: int, den: int) -> str:
     """a / den in lowest terms, as ``str(Fraction(a, den))`` prints it."""
     g = math.gcd(a, den)
@@ -524,7 +556,9 @@ class Matrix(_Value):
     and every entry is 1.  So equal matrices have equal ``(den, ints)``.
     Every operation reads and builds these integers; ``Fraction``s are
     made only by ``entries``, ``row``, ``[i, j]`` and the scalar and
-    vector results (``det``, ``apply``).
+    vector results (``det``, ``apply``).  Rank, RREF, inverse and
+    determinant are read off one fraction-free elimination of ``ints``
+    (:func:`_echelon`).
     """
 
     __slots__ = ("rows", "cols", "den", "ints")
@@ -537,14 +571,17 @@ class Matrix(_Value):
 
     @classmethod
     def _from_ints(cls, ints: Iterable[Sequence[int]], den: int) -> "Matrix":
-        """The matrix ``ints / den``, ``den`` > 0, with no parse."""
+        """The matrix ``ints / den``, ``den`` != 0, with no parse."""
         m = object.__new__(cls)
         m._store(list(ints), den)
         return m
 
     def _store(self, ints: list[Sequence[int]], den: int) -> None:
-        """Hold ``ints / den`` divided through by the gcd of den and every entry."""
+        """Hold ``ints / den`` divided through by the gcd of den and every
+        entry, signed as den, so that the denominator held is positive."""
         g = math.gcd(den, *itertools.chain.from_iterable(ints))
+        if den < 0:
+            g = -g
         ints = tuple(tuple(row) if g == 1 else tuple(a // g for a in row) for row in ints)
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "den", den // g)
@@ -593,62 +630,40 @@ class Matrix(_Value):
         den = self.den * scale
         return tuple(Fraction(sum(map(operator.mul, row, vec)), den) for row in self.ints)
 
-    def _sparse_rows(self) -> list[dict[int, int]]:
-        """The integer rows as sparse dicts: den times the rows."""
-        return [{c: a for c, a in enumerate(row) if a} for row in self.ints]
-
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns, read off the kernel.
-
-        The pivots are the columns that are not free (a kernel vector's
-        last key); row i is 1 at pivot q_i and -K_f[q_i] at each free f,
-        all over the lcm of the kernel vectors' denominators.
-        """
-        kernel = certified_kernel(self._sparse_rows(), self.cols)
-        free = {next(reversed(vec)): (den, vec) for den, vec in kernel}
-        pivots = [q for q in range(self.cols) if q not in free]
-        row_of = {q: i for i, q in enumerate(pivots)}
-        lcm = math.lcm(*(den for den, _ in kernel))
-        m = [[0] * self.cols for _ in range(self.rows)]
-        for q, i in row_of.items():
-            m[i][q] = lcm
-        for f, (den, vec) in free.items():
-            for q, a in vec.items():
-                if q != f:
-                    m[row_of[q]][f] = -a * (lcm // den)
-        return Matrix._from_ints(m, lcm), tuple(pivots)
+        """Reduced row echelon form and its pivot columns: the rows of
+        :func:`_echelon` over its D."""
+        rows, pivots, D, _ = _echelon(self.ints)
+        return Matrix._from_ints(rows, D), tuple(pivots)
 
     def rank(self) -> int:
-        """Exact rank, by :func:`_rank` of the integer rows."""
-        return _rank(self._sparse_rows(), self.cols)
+        """Exact rank: the number of pivots of :func:`_echelon`."""
+        return len(_echelon(self.ints)[1])
 
     def det(self) -> Fraction:
-        """The one maximal minor of :func:`_minors`: about n * 2**(n-1) products,
-        0.013 s at 14 x 14 (CPython 3.11, one core of a 2-vCPU Xeon VM), once
-        the sweep's tables for 14 columns, 11 MB, are cached."""
+        """``sign * D`` of :func:`_echelon` over den**n, or 0 if some step
+        has no pivot."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        minor = _minors(self.ints, self.cols)[tuple(range(self.cols))]
-        return Fraction(minor, self.den**self.rows)
+        _, pivots, D, sign = _echelon(self.ints)
+        return Fraction(sign * D if len(pivots) == self.rows else 0, self.den**self.rows)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "Matrix":
-        """A^-1 read off the kernel of [den A | den I]: the vector of free
-        column n + k is (-A^-1 e_k, e_k), and A is singular exactly when the
-        free columns are not n .. 2n - 1."""
+        """A^-1 off one :func:`_echelon` of [den A | den I]: its RREF is
+        [I | A^-1] exactly when A is invertible, that is when its pivots are
+        0 .. n - 1."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        rows = [row | {n + i: self.den} for i, row in enumerate(self._sparse_rows())]
-        kernel = certified_kernel(rows, 2 * n)
-        if [next(reversed(vec)) for _, vec in kernel] != list(range(n, 2 * n)):
-            raise ValueError("matrix is singular")
-        lcm = math.lcm(*(den for den, _ in kernel))
-        return Matrix._from_ints(
-            [[-vec.get(i, 0) * (lcm // den) for den, vec in kernel] for i in range(n)], lcm
+        rows, pivots, D, _ = _echelon(
+            [[*row, *(self.den * (i == j) for j in range(n))] for i, row in enumerate(self.ints)]
         )
+        if pivots != list(range(n)):
+            raise ValueError("matrix is singular")
+        return Matrix._from_ints([row[n:] for row in rows], D)
 
     def row_space_rref(self) -> "Matrix":
         """Canonical form of the row span (RREF with zero rows dropped)."""

@@ -27,10 +27,11 @@ A point is held as integers over one denominator (``ProjectivePoint``),
 and F(p), the Castelnuovo images and the fit read those integers; no
 reader clears ``Fraction``s.  Recovery runs in integers: the basis
 comes off the certified kernel of R(1) and the cleared kappas, its
-inverse off one ``Matrix.inverse``, the points and the Castelnuovo rank
-off integer rows.  The fit inverts the frame once and then needs only
-2 x 2 minors (Cramer's rule); its line and parameters are the only
-``Fraction``s it builds.
+inverse off one ``Matrix.inverse``, the points off integer rows, and the
+block ranks and the Castelnuovo rank off one fraction-free elimination
+of dense integer rows (``exactalg._echelon``).  The fit inverts the
+frame once and then needs only 2 x 2 minors (Cramer's rule); its line
+and parameters are the only ``Fraction``s it builds.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from typing import Sequence
 
 from .errors import DegenerateWebError, InternalContradictionError
 from .exactalg import (
-    Matrix, _Frozen, _Value, _format, _minors, _rank, _ratio, json_array, json_object,
+    Matrix, _Frozen, _Value, _echelon, _format, _minors, _ratio, json_array, json_object,
     json_rational, rational,
 )
-from .multilinear import ExteriorForm, monomial_exponents, poly_space_dim
+from .multilinear import ExteriorForm, monomial_exponents
 from .webcore import (
     ConstantFoliation,
     ConstantWeb,
@@ -279,8 +280,8 @@ def castelnuovo_rnc_test(points: Sequence[ProjectivePoint], r: int) -> bool:
     d = len(points)
     if d < _castelnuovo_threshold(r, n):
         raise ValueError("below Castelnuovo threshold")
-    images = [{c: x for c, x in enumerate(_monomials(p.ints, r)) if x} for p in points]
-    return _rank(images, poly_space_dim(n, r)) == r * (n - 1) + 1
+    images = [_monomials(p.ints, r) for p in points]
+    return len(_echelon(images)[1]) == r * (n - 1) + 1
 
 
 class AdaptedStructure(_Frozen):
@@ -371,8 +372,8 @@ def _recover_basis(web: ConstantWeb) -> tuple[Matrix, list[list[int]]]:
         )
     relations = _relation_kernel(web, 1, False)
     for j in range(d):
-        block = [{b: vec[j * r + b] for b in range(r) if j * r + b in vec} for _, vec in relations]
-        if _rank(block, r) != r:
+        block = [[vec.get(j * r + b, 0) for b in range(r)] for _, vec in relations]
+        if len(_echelon(block)[1]) != r:
             raise DegenerateWebError(
                 "web is not semi-extremal / degenerate: recovered covectors "
                 f"do not cut out foliation {j + 1}"

@@ -18,13 +18,13 @@ cleared by one lcm (``ConstantWeb.cleared_kappas``).  If the columns of
 K span the kernel of the stacked rows of a prefix P of a subset, then P
 plus one more foliation j has independent rows exactly when kappa_j K
 has rank r.  So each prefix eliminates its own projected r x m rows
-fraction-free (Bareiss), fails if their rank is below r, and otherwise
-projects the rows of every later foliation onto their kernel
-(``_project``), where m drops by r.  After n - 2 foliations m = 2r, and
-the 2r stacked projected rows of the last two are square: their
-determinant is the pairing of their maximal minors (``_pairings``, the
-generalized Laplace expansion).  For n = 2 nothing is projected, and
-the pairings read the integer normals that
+fraction-free (``exactalg._echelon``, Bareiss), fails if their rank is
+below r, and otherwise projects the rows of every later foliation onto
+their kernel (``_project``), where m drops by r.  After n - 2
+foliations m = 2r, and the 2r stacked projected rows of the last two
+are square: their determinant is the pairing of their maximal minors
+(``_pairings``, the generalized Laplace expansion).  For n = 2 nothing
+is projected, and the pairings read the integer normals that
 ``ConstantWeb.cleared_normals`` keeps for R(0).  No prime, no echelon
 modulo p and no ``exactalg.certified_kernel`` is needed.
 
@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateWebError
 from .exactalg import (
-    Matrix, _Value, _minors, binomial, index_subsets, json_array, json_object,
+    Matrix, _Value, _echelon, _minors, binomial, index_subsets, json_array, json_object,
 )
 from .multilinear import ExteriorForm
 
@@ -321,40 +321,19 @@ def _project(
 def _kernel(rows: list[list[int]]) -> list[tuple[operator.itemgetter, list[int]]] | None:
     """A kernel basis of integer rows, or None if they are dependent.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss): at step k the
-    pivot a is the first non-zero entry, column by column, of the rows
-    not used yet, and every other row becomes (a * row - row[c] * pivot
-    row) / a', with a' the previous pivot.  The division is exact, since
-    every entry stays a minor of the rows (Sylvester's identity).  At the
-    end each row i is D, the last pivot, at its pivot column p_i and 0 at
-    the others, so the kernel vector of a free column f is D at f and
-    -row_i[f] at p_i.  Each is divided by its content and returned as an
-    itemgetter of its columns (the pivots, then f) and its entries.
+    Read off the fraction-free Gauss-Jordan elimination
+    ``exactalg._echelon``: each row i is D at its pivot column p_i and 0
+    at the other pivots, so the kernel vector of a free column f is D at
+    f and -row_i[f] at p_i.  Each is divided by its content and returned
+    as an itemgetter of its columns (the pivots, then f) and its entries.
     """
-    rows = [list(row) for row in rows]
-    pivots, previous, start = [], 1, 0
-    for k in range(len(rows)):
-        found = next(
-            ((c, i) for c in range(start, len(rows[0]))
-             for i in range(k, len(rows)) if rows[i][c]),
-            None,
-        )
-        if found is None:
-            return None
-        c, i = found
-        rows[k], rows[i] = rows[i], rows[k]
-        pivot = rows[k]
-        a = pivot[c]
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[c]
-                rows[i] = [(a * x - f * y) // previous for x, y in zip(row, pivot)]
-        pivots.append(c)
-        previous, start = a, c + 1
+    rows, pivots, D, _ = _echelon(rows)
+    if len(pivots) < len(rows):
+        return None
     kernel = []
     for f in range(len(rows[0])):
         if f not in pivots:
-            vector = [-row[f] for row in rows] + [previous]
+            vector = [-row[f] for row in rows] + [D]
             g = math.gcd(*vector)
             kernel.append((operator.itemgetter(*pivots, f), [x // g for x in vector]))
     return kernel

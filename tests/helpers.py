@@ -90,6 +90,12 @@ def evaluate(poly, point) -> Fraction:
     return total
 
 
+def sparse_rows(m: Matrix) -> list[dict[int, int]]:
+    """The integer rows of ``m`` (den times its rows) as the sparse dicts
+    ``certified_kernel`` reads."""
+    return [{c: a for c, a in enumerate(row) if a} for row in m.ints]
+
+
 def dense_kernel(basis, ncols: int) -> list[tuple[Fraction, ...]]:
     """``certified_kernel`` vectors ``(den, vec)`` as dense ``Fraction`` tuples
     of width ``ncols``, the form ``oracle.kernel_basis`` returns."""

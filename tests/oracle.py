@@ -7,9 +7,9 @@ compared against.
 ``kernel_basis`` (read off that ``rref``) and ``det`` (Fraction Gaussian
 elimination) are the reference for ``Matrix.rref``, ``rank``,
 ``kernel_basis`` and ``det``, and through them for ``inverse`` and
-``is_invertible``; the library reads all of these off
+``is_invertible``; the library reads the kernel basis off
 ``exactalg.certified_kernel`` (elimination modulo primes, lifted and
-checked) and ``det`` off the Laplace sweep ``exactalg._minors``.
+checked) and the others off the fraction-free ``exactalg._echelon``.
 ``solve``, also read off that ``rref``, serves the former recovery below.
 ``transpose``, ``mul``, ``apply`` and ``inverse`` (the last read off
 that ``rref`` of [A | I]) are the ``Fraction`` reference for the

@@ -247,6 +247,17 @@ def test_fit_rnc_on_a_frame_point_exits_2(tmp_path, capsys):
         oracle.fit_rnc([ProjectivePoint(p) for p in points])
 
 
+def test_fit_rnc_on_dependent_frame_points_exits_2(tmp_path, capsys):
+    # the first n = 2 points coincide, so the frame the fit inverts is singular
+    points = [[1, 0], [1, 0], [1, 1], [1, 2], [1, 3]]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    code, out, err = run(capsys, "fit-rnc", "--points", str(path))
+    assert (code, out, err) == (2, "", "degenerate: first n points are not in general position\n")
+    with pytest.raises(DegenerateWebError, match="^first n points are not in general position$"):
+        oracle.fit_rnc([ProjectivePoint(p) for p in points])
+
+
 def test_json_booleans_are_not_rationals(tmp_path, capsys):
     web = {"r": 1, "n": 2, "foliations": [[[True, False]], [[False, True]], [[True, True]]]}
     path = tmp_path / "w.json"

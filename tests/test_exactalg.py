@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from abelweb import InternalContradictionError, Matrix, binomial, rational
 from abelweb import exactalg
 from abelweb.exactalg import _extend_mod, _is_prime, _prime_below, _primes, certified_kernel
-from helpers import dense_kernel, make_rng, random_invertible, random_matrix
+from helpers import dense_kernel, make_rng, random_invertible, random_matrix, sparse_rows
 
 
 def test_rational_parsing():
@@ -50,7 +51,7 @@ def test_rref_and_rank_agree():
 
 def _kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
     """``certified_kernel`` of the integer rows of ``m``, as dense tuples."""
-    return dense_kernel(certified_kernel(m._sparse_rows(), m.cols), m.cols)
+    return dense_kernel(certified_kernel(sparse_rows(m), m.cols), m.cols)
 
 
 def test_kernel_basis_canonical():
@@ -87,6 +88,63 @@ def test_det_inverse_solve():
     assert not singular.is_invertible()
     with pytest.raises(ValueError, match="singular"):
         singular.inverse()
+
+
+def _seeded_matrix(rng, rows, cols, rank, rational) -> Matrix:
+    """A rows x cols matrix of rank at most ``rank``: a product through a
+    middle dimension of ``rank``, with entries in -3..3 over 1, 2 or 3
+    when ``rational``."""
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3) if rational else (1,)))
+
+    a = [[entry() for _ in range(rank)] for _ in range(rows)]
+    b = [[entry() for _ in range(cols)] for _ in range(rank)]
+    return Matrix([[sum(row[t] * b[t][j] for t in range(rank)) for j in range(cols)] for row in a])
+
+
+def test_dense_eliminations_need_no_prime_and_no_minors(monkeypatch):
+    # integer and rational, wide, tall and square, of full rank and rank
+    # deficient, up to 14 x 14: every value is taken from the oracle first,
+    # then every modular elimination and the Laplace sweep are made to raise
+    rng = make_rng(43)
+    cases = []
+    for k in range(84):
+        size = k % 14 + 1
+        rows, cols = [(size, size), (size, size + rng.randint(1, 4)),
+                      (size + rng.randint(1, 4), size)][k % 3]
+        full = min(rows, cols)
+        rank = full if k % 2 else rng.randint(0, full - 1) if full > 1 else 0
+        m = _seeded_matrix(rng, rows, cols, rank, rational=k % 4 >= 2)
+        reduced, pivots = oracle.rref(m)
+        det = oracle.det(m) if rows == cols else None
+        cases.append((m, oracle.rank(m), (reduced, pivots),
+                      Matrix(reduced.entries[: len(pivots)]), det,
+                      oracle.inverse(m) if det else None))
+
+    def unused(*args):
+        raise AssertionError("a dense elimination needs no prime and no minors")
+
+    for name in ("certified_kernel", "_extend_mod", "_minors"):
+        monkeypatch.setattr(exactalg, name, unused)
+    cached = exactalg._laplace_terms.cache_info().currsize
+    kinds = set()
+    for m, rank, rref, row_space, det, inverse in cases:
+        assert (m.rank(), m.rref(), m.row_space_rref()) == (rank, rref, row_space), m
+        assert m.is_invertible() == (inverse is not None), m
+        if det is not None:
+            assert m.det() == det, m
+        if inverse is not None:
+            assert [list(row) for row in m.inverse().entries] == inverse, m
+        elif m.rows == m.cols:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                m.inverse()
+        kinds.add(((m.rows > m.cols) - (m.rows < m.cols), rank == min(m.rows, m.cols),
+                   m.den > 1))
+    assert kinds == {(shape, full, rational) for shape in (-1, 0, 1)
+                     for full in (False, True) for rational in (False, True)}
+    big = next(m for m, _, _, _, det, _ in cases if m.rows == m.cols == 14 and det)
+    assert big.det() != 0
+    assert exactalg._laplace_terms.cache_info().currsize == cached
 
 
 def test_row_space_rref_identifies_span():

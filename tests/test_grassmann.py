@@ -183,8 +183,8 @@ def test_recover_under_gauge_seeds():
 
 
 def test_recovery_runs_no_rank_test_on_the_recovered_basis(monkeypatch):
-    # the kernel of [S B | I] proves the basis invertible; the public
-    # constructor still tests it
+    # inverting S B (one elimination of [S B | I]) proves the basis
+    # invertible; the public constructor still tests it
     rng = make_rng(65)
     web = moment_web(MomentWebSpec(2, 2, list(range(8)), random_invertible(rng, 4)))
     ranked, real = [], Matrix.rank
@@ -210,6 +210,13 @@ def test_recover_alternative_subwebs_equivalent():
     second = recover_normal_form(subweb(web, [1, 2, 3, 7, 8, 4, 5, 6]))
     assert structures_equivalent(first.basis, second.basis, r, n)
     assert second.rebuild().foliation_set() == web.foliation_set()
+
+
+def test_structures_equivalent_refuses_a_singular_basis():
+    singular = Matrix([[1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1], [2, 0, 1, 3]])  # row 3 = 1 + 2
+    for bases in ((singular, Matrix.identity(4)), (Matrix.identity(4), singular)):
+        with pytest.raises(ValueError, match="^bases must be invertible$"):
+            structures_equivalent(*bases, 2, 2)
 
 
 _STRUCTURE = {"basis": [["1", "0"], ["0", "1"]], "points": [["1", "0"], ["0", "1"], ["1", "1"]]}

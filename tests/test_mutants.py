@@ -113,9 +113,27 @@ def _kernel(exactalg):
 
 
 def _inverse(exactalg):
-    # the columns of the inverse, (1/2, 0) and (-1/6, 1/3), have two denominators
-    rows, expected = [[2, 1], [0, 3]], oracle.inverse(Matrix([[2, 1], [0, 3]]))
-    assert [list(row) for row in exactalg.Matrix(rows).inverse().entries] == expected
+    # the columns of the inverse, (1/2, 0) and (-1/6, 1/3), have two
+    # denominators; the second matrix is held as integers over den = 2
+    for rows in ([[2, 1], [0, 3]], [[1, "1/2"], [0, 3]]):
+        expected = oracle.inverse(Matrix(rows))
+        assert [list(row) for row in exactalg.Matrix(rows).inverse().entries] == expected
+
+
+def _det(exactalg):
+    # the first two find their first pivot below the first row: one swap,
+    # so the sign of D flips once; the last is singular
+    for rows in ([[0, 1], [1, 0]], [[0, 2, 1], [1, 1, 0], [3, 0, "1/2"]], [[0, 1], [0, 2]]):
+        expected = oracle.det(Matrix(rows))
+        assert _outcome(lambda: exactalg.Matrix(rows).det()) == ("value", expected)
+
+
+def _rref(exactalg):
+    # the second step of the first matrix divides by the first pivot 2,
+    # and its free column keeps both rows non-zero there
+    for rows in ([[2, 1, 1], [1, 3, 0]], [[3, "1/2", 1, 2], [1, 2, 0, "-1/3"], [4, 1, 1, 1]]):
+        expected = oracle.rref(Matrix(rows))
+        assert _outcome(lambda: exactalg.Matrix(rows).rref()) == ("value", expected)
 
 
 def _value_equality(exactalg):
@@ -362,9 +380,21 @@ MUTANTS = {
     ),
     "inverse-without-the-lcm-factor": (
         "exactalg",
-        "[[-vec.get(i, 0) * (lcm // den) for den, vec in kernel] for i in range(n)]",
-        "[[-vec.get(i, 0) for den, vec in kernel] for i in range(n)]",
+        "*(self.den * (i == j) for j in range(n))",
+        "*(int(i == j) for j in range(n))",
         _inverse,
+    ),
+    "echelon-swap-without-the-sign-flip": (
+        "exactalg",
+        "            sign = -sign\n",
+        "",
+        _det,
+    ),
+    "echelon-divides-by-the-new-pivot": (
+        "exactalg",
+        "// previous for x, y in zip(row, pivot)",
+        "// a for x, y in zip(row, pivot)",
+        _rref,
     ),
     "value-equality-without-the-type-test": (
         "exactalg",
@@ -458,8 +488,8 @@ MUTANTS = {
     ),
     "kernel-vector-with-one-sign-flipped": (
         "webcore",
-        "vector = [-row[f] for row in rows] + [previous]",
-        "vector = [-row[f] for row in rows] + [-previous]",
+        "vector = [-row[f] for row in rows] + [D]",
+        "vector = [-row[f] for row in rows] + [-D]",
         _projection,
     ),
     "projection-along-the-first-later-foliation": (

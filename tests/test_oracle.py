@@ -20,8 +20,8 @@ different denominators), high-n moment webs,
 webs whose first failure needs three foliations, relation matrices of
 webs with rational entries, and moment webs under random gauges.  The
 certified kernel is also driven past an unlucky prime and into a second
-prime, and ``Matrix`` (rank, RREF, kernel, det, inverse and
-invertibility) into several primes by entries of about 80 bits.
+prime, and into several primes by entries of about 80 bits, where
+``Matrix`` (rank, RREF, det, inverse and invertibility) is checked too.
 Verification runs on moment webs under rational gauges, whose
 foliations have different denominators, and on perturbed relations that
 both verifiers must reject.
@@ -61,7 +61,7 @@ from abelweb.grassmann import (
     ProjectivePoint, _point_from_block_matrix, foliation_from_point, omega_expansion,
 )
 from abelweb.multilinear import index_subsets, monomial_exponents, poly_space_dim
-from helpers import dense_kernel, make_rng, random_invertible, random_pg_web
+from helpers import dense_kernel, make_rng, random_invertible, random_pg_web, sparse_rows
 
 
 def _small_rational(rng) -> Fraction:
@@ -95,7 +95,7 @@ def _check_eliminations(m: Matrix) -> None:
     reduced, pivots = oracle.rref(m)
     assert m.rank() == oracle.rank(m) == len(pivots), m
     assert m.rref() == (reduced, pivots), m
-    assert _dense_certified_kernel(m._sparse_rows(), m.cols) == oracle.kernel_basis(m), m
+    assert _dense_certified_kernel(sparse_rows(m), m.cols) == oracle.kernel_basis(m), m
     square = m.rows == m.cols
     invertible = square and oracle.det(m) != 0
     assert m.is_invertible() == invertible, m
@@ -118,8 +118,8 @@ def test_kernel_matches_oracle():
 
 def test_kernel_matches_oracle_with_80_bit_entries(monkeypatch):
     """Entries of about 80 bits make RREF entries that no one 61-bit prime
-    reconstructs, so ``Matrix`` goes through the multi-prime (Chinese
-    remainder) branch of ``certified_kernel``."""
+    reconstructs, so the kernel of each matrix's integer rows goes through
+    the multi-prime (Chinese remainder) branch of ``certified_kernel``."""
     moduli = []
     lift = exactalg._lift
 

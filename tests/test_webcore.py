@@ -53,7 +53,7 @@ def test_check_pg_reports_first_failure():
 
 def test_check_pg_survives_an_unlucky_prime():
     p0 = 1073741789
-    assert _prime_below(2**30) == p0  # the prime Matrix.rank tries first
+    assert _prime_below(2**30) == p0  # the largest prime below 2**30
 
     def web(n, *rows):
         return ConstantWeb(1, n, [ConstantFoliation(1, n, Matrix([row])) for row in rows])
@@ -62,7 +62,7 @@ def test_check_pg_survives_an_unlucky_prime():
     # 2 are parallel modulo p0 only, and their pairing is p0
     assert check_pg(web(2, [1, 0], [1, p0], [0, 1])) == (True, None)
     assert check_pg(web(2, [1, 0], [2, 0])) == (False, (1, 2))
-    assert Matrix([[1, 0], [1, p0]]).rank() == 2
+    assert Matrix([[1, 0], [1, p0]]).rank() == 2  # ranked in integers too
     # n = 3 is decided by projection and the pairing, in integers too: the
     # three rows are dependent modulo p0 only
     assert check_pg(web(3, [1, 0, 0], [0, 1, 0], [0, 0, p0])) == (True, None)
