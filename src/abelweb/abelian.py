@@ -31,10 +31,11 @@ dict of integers over its support and one positive denominator, so the
 next degree's rows are built in integers.  ``relation_space`` alone
 turns them into ``Fraction`` coefficients.
 
-Every kernel comes from :func:`exactalg.certified_kernel`: computed
-modulo a 61-bit prime, lifted to Q and checked against the rows in
-exact integers, which proves it is the canonical (RREF) basis of the
-rows' kernel.  That kernel is R(h), so the certificate carries over.
+Every kernel comes from :func:`exactalg.certified_kernel`: one sparse
+elimination over Z, whose exact row operations keep the rows' span over
+Q, so the basis it reads off is the canonical (RREF) basis of the rows'
+kernel, checked against the rows in exact integers.  That kernel is
+R(h).
 
 Every row is built from ``ConstantWeb.cleared_kappas``, the kappa_j
 times one lcm L of all their denominators; their maximal minors

@@ -11,26 +11,24 @@ tolerances would make them meaningless.
 
 Rationals serialize as strings ``"p/q"`` or ``"p"`` in all JSON formats.
 
-There are two exact eliminations, one for sparse relation rows and one
-for every dense matrix.
+There are two exact eliminations, both in integers and neither using a
+prime: one for sparse relation rows and one for every dense matrix.
 
 Relation spaces call :func:`certified_kernel`: the canonical kernel
-basis of sparse integer rows, from elimination modulo a 61-bit prime
-(:func:`_extend_mod`, a sparse echelon), back-substituted in place on
-that echelon (:func:`_back_substitute`), lifted to Q over one running
-denominator per vector (:func:`_lift`, which needs a rational
-reconstruction only where that denominator grows) and checked exactly.
-Arithmetic modulo p only proposes the basis; the check and the
-certificate in its docstring make it a result, and a proven bound on
-the primes tried turns a faulty elimination into an error, not a hang.
-Each basis vector is a dict of integers over its support and one
-positive denominator.
+basis of sparse integer rows, from one sparse elimination over Z.
+:func:`_extend_mod` builds an echelon row by row and
+:func:`_back_substitute` reduces it in place, both by the one
+fraction-free step of :func:`_eliminate`; the basis is read off the
+reduced rows and checked against all the rows in exact integers, a net
+for the code that raises InternalContradictionError on a failure.  Each
+basis vector is a dict of integers over its support and one positive
+denominator.
 
 Every dense matrix goes through :func:`_echelon`, a fraction-free
-Gauss-Jordan elimination (Bareiss) that is exact in integers by itself:
-no prime and no certificate.  :class:`Matrix` reads its rank, RREF,
-inverse and determinant off it, on its integer rows (row scaling changes
-neither rank nor row space); recovery and the Castelnuovo test read
+Gauss-Jordan elimination (Bareiss) that is exact in integers by itself,
+with no check.  :class:`Matrix` reads its rank, RREF, inverse and
+determinant off it, on its integer rows (row scaling changes neither
+rank nor row space); recovery and the Castelnuovo test read
 their ranks off it, and the general-position check
 (``webcore._kernel``) its kernel vectors.
 
@@ -41,7 +39,6 @@ construction (constructors use ``object.__setattr__``), and
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
 import itertools
@@ -49,7 +46,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalContradictionError
 
@@ -212,205 +209,79 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int],
     return rows, pivots, previous, sign
 
 
-# Miller-Rabin with these bases is exact for every n < 3.3 * 10**24
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < 3.3 * 10**24."""
-    if n < 2:
-        return False
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
+def _eliminate(row: dict[int, int], basis: dict[int, int], col: int) -> list[int]:
+    """row <- (a/g) row - (f/g) basis in place, with a = basis[col], f =
+    row[col] and g = gcd(a, f): exact in integers, 0 at ``col``, and the
+    same span with ``basis`` as before, as a/g != 0.  Returns the columns
+    it fills in."""
+    a, f = basis[col], row[col]
+    g = math.gcd(a, f)
+    a, f = a // g, f // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    filled = []
+    for c, b in basis.items():
+        x = row.get(c, 0)
+        v = x - f * b
+        if v:
+            row[c] = v
+            if not x:
+                filled.append(c)
         else:
-            return False
-    return True
+            del row[c]
+    return filled
 
 
-@functools.cache
-def _prime_below(n: int) -> int:
-    """The largest odd prime below ``n`` > 3.
-
-    Kept: every kernel asks for the same few again.
-    """
-    n -= 1 + n % 2
-    while not _is_prime(n):
-        n -= 2
-    return n
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """A non-zero integer row divided by its content, the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
-def _primes() -> Iterator[int]:
-    """The primes below 2**61 in descending order, 2**61 - 1 first."""
-    p = 2**61
-    while True:
-        p = _prime_below(p)
-        yield p
-
-
-def _extend_mod(rows: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
-    """An echelon basis modulo ``p`` of the span of ``rows``, extended row by row.
+def _extend_mod(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """An echelon basis over Q of the span of integer ``rows``, extended row by row.
 
     The echelon maps each pivot column to its basis row, a sparse dict of
-    residues whose least column is the pivot; no row has a column left
-    of its pivot, so reducing a row by another never fills in left of
-    that pivot.  A new row (column -> integer) is reduced at the pivots
-    in its support in increasing order, kept on a heap as fill adds
-    more; what is left, if anything, is stored under its least column.
-    A basis row is scaled to 1 at its pivot only when it first reduces a
-    row, in place, which changes neither pivot nor span.  So the length
-    of the result is the rank modulo ``p``.  Its one caller is
+    integers with content 1 whose least column is the pivot; no row has a
+    column left of its pivot, so reducing a row by another never fills in
+    left of that pivot.  A new row (column -> integer) is reduced by
+    :func:`_eliminate` at the pivots in its support in increasing order,
+    kept on a heap as fill adds more; what is left, if anything, is
+    divided by its content and stored under its least column.  So the
+    length of the result is the rank over Q.  Its one caller is
     :func:`certified_kernel`; dense rows go through :func:`_echelon`.
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = {c: a % p for c, a in row.items() if a % p}
+        row = {c: a for c, a in row.items() if a}
         heap = [c for c in row if c in echelon]
         heapq.heapify(heap)
         while heap:
             col = heapq.heappop(heap)
-            f = row.get(col)
-            if not f:
-                continue
-            basis = echelon[col]
-            if basis[col] != 1:
-                inv = pow(basis[col], -1, p)
-                for c, b in basis.items():
-                    basis[c] = b * inv % p
-            for c, b in basis.items():
-                a = row.get(c, 0)
-                v = (a - f * b) % p
-                if v:
-                    row[c] = v
-                    if not a and c in echelon:
+            if col in row:
+                for c in _eliminate(row, echelon[col], col):
+                    if c in echelon:
                         heapq.heappush(heap, c)
-                else:  # f * b is not 0 modulo p, so a was not
-                    del row[c]
         if row:
-            echelon[min(row)] = row
+            echelon[min(row)] = _primitive(row)
     return echelon
 
 
-def _reconstruct(u: int, modulus: int) -> tuple[int, int] | None:
-    """The fraction a/b = u modulo ``modulus`` with |a|, |b| <= sqrt(modulus/2).
+def _back_substitute(echelon: dict[int, dict[int, int]]) -> None:
+    """Reduce an echelon of :func:`_extend_mod` in place until each row is
+    non-zero only at its pivot and at free columns.
 
-    There is at most one (Wang's half-extended Euclid); it is returned as
-    the integer pair (a, b) in lowest terms with b > 0, or None if there
-    is none.  A result is only a candidate: the caller checks it exactly.
-    """
-    bound = math.isqrt(modulus // 2)
-    r0, r1, s0, s1 = modulus, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if abs(s1) > bound:
-        return None
-    g = math.gcd(r1, s1) if s1 > 0 else -math.gcd(r1, s1)
-    return r1 // g, s1 // g
-
-
-def _back_substitute(echelon: dict[int, dict[int, int]], p: int) -> None:
-    """Turn an echelon of :func:`_extend_mod` into the RREF modulo ``p``, in place.
-
-    From the last pivot up, each row is scaled to 1 at its pivot and
-    reduced at the later pivots in its support.  Their rows are reduced
-    already, 0 at every pivot but their own, so a reduction fills in only
-    free columns and each later pivot is cleared once.
+    From the last pivot up, each row is reduced by :func:`_eliminate` at
+    the later pivots in its support, then divided by its content.  Their
+    rows are reduced already, so a reduction fills in only free columns
+    and each later pivot is cleared once.
     """
     for q in sorted(echelon, reverse=True):
         row = echelon[q]
-        if row[q] != 1:
-            inv = pow(row[q], -1, p)
-            for c, b in row.items():
-                row[c] = b * inv % p
         for col in [c for c in row if c != q and c in echelon]:
-            f = row.pop(col)
-            for c, b in echelon[col].items():
-                if c != col:
-                    v = (row.get(c, 0) - f * b) % p
-                    if v:
-                        row[c] = v
-                    else:  # f * b is not 0 modulo p, so row[c] was not
-                        del row[c]
-
-
-def _lift(
-    rows: list[dict[int, int]], ncols: int, pivots: list[int], free: list[int],
-    residues: list[list[int]], modulus: int,
-) -> list[tuple[int, dict[int, int]]] | None:
-    """The kernel vectors with these residues, if each lifts and ``rows . v = 0``.
-
-    ``residues[k]`` holds the entries of the vector of free column
-    ``free[k]`` at the pivots before it, modulo ``modulus``.  Each vector
-    v is returned as ``(den, vec)``: ``den`` > 0 is the least common
-    denominator of v, and ``vec`` = den * v holds the integers at the
-    non-zero entries, keys ascending, so its last key is the free column
-    f and ``vec[f] == den``.
-
-    Each entry u is lifted to the fraction a/b = u modulo ``modulus``
-    with |a|, b <= N = isqrt(modulus // 2) that :func:`_reconstruct`
-    returns, over one running denominator D per vector, the lcm of the b
-    found so far.  If some x = u * D modulo ``modulus`` has |x| <= N, and
-    D <= N, the entry is x/D with no half-gcd: as N (N + 1) <= 2 N**2 <
-    modulus (the modulus is odd), (x, D) is an integer multiple of the
-    pair at the first remainder <= N of the Euclidean sequence of
-    (modulus, u), where :func:`_reconstruct` stops (the lemma behind
-    Wang's method), so it would return x/D in lowest terms, and D stays
-    the lcm.  Otherwise :func:`_reconstruct` lifts u and D becomes the
-    lcm of D and b.  So the vectors are those of one :func:`_reconstruct`
-    per entry.
-
-    The check runs once over the rows for all vectors together, on those
-    integer vectors w_k.  Column j carries the packed integer P_j =
-    sum_k w_k[j] * 2**(k*bits).  A row a then has a . P = sum_k (a . w_k)
-    * 2**(k*bits), and every |a . w_k| <= |a|_1 * max|w_k| < 2**bits, so
-    a . P = 0 exactly when a . w_k = 0 for every k (the lowest non-zero
-    term could not be cancelled).
-    """
-    bound = math.isqrt(modulus // 2)
-    basis = []
-    for f, column in zip(free, residues):
-        den, vec = 1, {}
-        for q, u in zip(pivots, column):
-            if not u:
-                continue
-            # x = u * den modulo the modulus, in -bound .. bound if it fits
-            x = (u * den + bound) % modulus - bound
-            if x <= bound and den <= bound:
-                vec[q] = x
-                continue
-            fraction = _reconstruct(u, modulus)
-            if fraction is None:
-                return None
-            a, b = fraction
-            lcm = math.lcm(den, b)
-            if lcm != den:
-                scale, den = lcm // den, lcm
-                for c in vec:
-                    vec[c] *= scale
-            vec[q] = a * (den // b)
-        vec[f] = den
-        basis.append((den, vec))
-    top = max((sum(map(abs, row.values())) for row in rows), default=0)
-    bits = (top * max(abs(w) for _, vec in basis for w in vec.values())).bit_length()
-    packed = [0] * ncols
-    for k, (_, vec) in enumerate(basis):
-        for j, w in vec.items():
-            packed[j] += w << (k * bits)
-    if any(sum(a * packed[j] for j, a in row.items()) for row in rows):
-        return None
-    return basis
+            _eliminate(row, echelon[col], col)
+        echelon[q] = _primitive(row)
 
 
 def certified_kernel(
@@ -425,98 +296,58 @@ def certified_kernel(
     Each vector v comes as ``(den, vec)`` with v = vec / den: ``den`` > 0
     is its least common denominator and ``vec`` maps the columns of its
     non-zero entries, in increasing order, to integers, so the last key
-    is f and ``vec[f] == den`` (see :func:`_lift`).
+    is f and ``vec[f] == den``.
 
-    Method (Dixon's p-adic idea in its simplest, one-shot form).  For p
-    in a fixed descending sequence of primes below 2**61, the rows A,
-    sparsest first, are eliminated modulo p by :func:`_extend_mod`.
-    :func:`_back_substitute` then reduces that echelon in place, from the
-    last pivot up, each row only at the later pivots in its support,
-    whose rows are reduced already, which leaves the RREF modulo p (it is
-    unique, so no second elimination is needed).  Whatever the order of
-    the row operations, the rank rank_p found modulo p is at most rank_Q,
-    the rank of A over Q.  Full column rank modulo p therefore means an
-    empty kernel.  Otherwise each kernel vector modulo p is lifted to Q
-    by rational reconstruction, entry by entry over one running
-    denominator (:func:`_lift`; the fractions are those of one
-    reconstruction per entry), and A v = 0 is checked exactly in integers.
+    Method: one sparse elimination over Z, no prime.  The rows, sparsest
+    first, go through :func:`_extend_mod` and then :func:`_back_substitute`.
+    Every step is an exact row operation over Z with a non-zero factor
+    on the row it changes, so the span over Q is kept; the echelon rows
+    have distinct least columns, so they are a basis of that span, and
+    those columns are the pivots of the RREF over Q.  After the back pass
+    row q is non-zero only at q and at free columns, so row_q / row_q[q]
+    is the RREF row of pivot q, and the canonical vector of free column f
+    is -row_q[f] / row_q[q] at each pivot q < f, over the least common
+    denominator of those entries.
 
-    Why a result that passes the check is exact.  The checked vectors are
-    independent (each is 1 at its own free column, 0 at the others), so
-    dim_Q ker A >= their number = ncols - rank_p >= ncols - rank_Q =
-    dim_Q ker A: they are a basis.  The set of last non-zero positions of
-    the non-zero vectors of a subspace depends only on the subspace and
-    has its dimension as size; the checked vectors have distinct last
-    positions (their free columns), so the free columns are those of the
-    RREF over Q.  The canonical basis vector of a free column f is the
-    only kernel vector with v[f] = 1 and zero at the other free columns,
-    and the checked vector for f is such a vector.
-
-    A check can fail when p divides a minor (an unlucky prime) or when
-    the entries need more than one prime.  Then the residues of the next
-    prime are combined with the earlier ones by the Chinese remainder
-    theorem.  Only primes with the largest rank and, among those, the
-    least pivot tuple are combined.  The bound rank_p <= rank_Q holds for
-    every leading block of columns too, so the pivots over Q are least
-    in the componentwise (Gale) order, hence lexicographically.  A prime
-    with the rank and pivots over Q has the RREF over Q, reduced modulo
-    p, as its RREF, and all other primes divide one fixed non-zero minor
-    D (rank_Q independent rows at the pivots over Q).  Once the product
-    of the combined primes exceeds 2 H**2, H the largest numerator or
-    denominator in the RREF, reconstruction returns the RREF entries and
-    the check passes.
-
-    Why the loop ends.  Let B be the product of the min(rows, ncols)
-    largest row norms, rounded up.  Every RREF entry is a ratio of two
-    minors of A (Cramer's rule), so Hadamard's bound gives H <= B, and
-    |D| <= B.  The primes other than those combined divide D, so their
-    product is at most B; the combined ones before the last multiply to
-    at most 2 H**2, and every prime is below 2**61.  So a correct
-    elimination returns before the product of all primes tried, skipped
-    and reset ones included, reaches 2**62 B**3; past that point the
-    elimination is at fault, and InternalContradictionError is raised.
+    The vectors are then checked against all rows at once, in integers:
+    column j carries the packed integer P_j = sum_k w_k[j] * 2**(k*bits)
+    of the integer vectors w_k.  A row a has a . P = sum_k (a . w_k) *
+    2**(k*bits), and every |a . w_k| <= |a|_1 * max|w_k| < 2**bits, so
+    a . P = 0 exactly when a . w_k = 0 for every k (the lowest non-zero
+    term could not be cancelled).  The check proves nothing the argument
+    above does not; it guards the code, and a failure raises
+    InternalContradictionError.
     """
     rows = sorted((row for row in rows if row), key=len)
-    tried, cap, best = 1, None, None
-    for p in _primes():
-        if tried > 1:
-            if cap is None:  # needed only once a prime has failed
-                squares = sorted(sum(map(operator.mul, r.values(), r.values())) for r in rows)
-                cap = 2**62 * (math.isqrt(math.prod(squares[-ncols:])) + 1) ** 3
-            if tried >= cap:
-                raise InternalContradictionError(
-                    "certified_kernel: no certified kernel within the proven number of primes"
-                )
-        tried *= p
-        echelon = _extend_mod(rows, p)
-        if len(echelon) == ncols:
-            return []
-        _back_substitute(echelon, p)
-        pivots = sorted(echelon)
-        # kernel vector f is -(RREF column f) at the pivots before f; an
-        # entry at another pivot means a faulty elimination, and is left
-        # for the check to fail on and the cap to catch
-        residues = {f: [0] * bisect.bisect(pivots, f) for f in range(ncols) if f not in echelon}
-        for k, q in enumerate(pivots):
-            for f, b in echelon[q].items():
-                if f in residues:
-                    residues[f][k] = p - b
-        free, residues = list(residues), list(residues.values())
-        key = (-len(pivots), pivots)
-        if best is None or key < best:
-            best, modulus, combined = key, p, residues
-        elif key == best:
-            inv = pow(modulus, -1, p)
-            combined = [
-                [x + modulus * ((y - x) * inv % p) for x, y in zip(xs, ys)]
-                for xs, ys in zip(combined, residues)
-            ]
-            modulus *= p
-        else:
-            continue
-        basis = _lift(rows, ncols, pivots, free, combined, modulus)
-        if basis is not None:
-            return basis
+    echelon = _extend_mod(rows)
+    if len(echelon) == ncols:
+        return []
+    _back_substitute(echelon)
+    # an entry at another pivot means a faulty elimination; the read-out
+    # skips it, and the check fails on it
+    terms: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(ncols) if f not in echelon
+    }
+    for q in sorted(echelon):
+        row = echelon[q]
+        for f, b in row.items():
+            if f in terms:
+                terms[f].append((q, -b, row[q]))
+    basis = []
+    for f, column in terms.items():
+        den = math.lcm(*(abs(a) // math.gcd(b, a) for _, b, a in column))
+        vec = {q: b * den // a for q, b, a in column}
+        vec[f] = den
+        basis.append((den, vec))
+    top = max((sum(map(abs, row.values())) for row in rows), default=0)
+    bits = (top * max(abs(w) for _, vec in basis for w in vec.values())).bit_length()
+    packed = [0] * ncols
+    for k, (_, vec) in enumerate(basis):
+        for j, w in vec.items():
+            packed[j] += w << (k * bits)
+    if any(sum(a * packed[j] for j, a in row.items()) for row in rows):
+        raise InternalContradictionError("certified_kernel: a kernel vector fails A v = 0")
+    return basis
 
 
 def _format(a: int, den: int) -> str:

@@ -25,8 +25,8 @@ foliations m = 2r, and the 2r stacked projected rows of the last two
 are square: their determinant is the pairing of their maximal minors
 (``_pairings``, the generalized Laplace expansion).  For n = 2 nothing
 is projected, and the pairings read the integer normals that
-``ConstantWeb.cleared_normals`` keeps for R(0).  No prime, no echelon
-modulo p and no ``exactalg.certified_kernel`` is needed.
+``ConstantWeb.cleared_normals`` keeps for R(0).  No sparse echelon and
+no ``exactalg.certified_kernel`` is needed.
 
 The closed-form quantities:
 
@@ -249,7 +249,7 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     subset of n foliations is projected along its first n - 2 only,
     which leaves 2r columns, and its last two are decided by the pairing
     of their projected normals, computed once per prefix.  Every step is
-    exact, in integers: no prime, no echelon modulo p and no
+    exact, in integers: no sparse echelon and no
     ``exactalg.certified_kernel``.
     """
     if web.n == 2:

@@ -8,8 +8,8 @@ compared against.
 elimination) are the reference for ``Matrix.rref``, ``rank``,
 ``kernel_basis`` and ``det``, and through them for ``inverse`` and
 ``is_invertible``; the library reads the kernel basis off
-``exactalg.certified_kernel`` (elimination modulo primes, lifted and
-checked) and the others off the fraction-free ``exactalg._echelon``.
+``exactalg.certified_kernel`` (a sparse elimination over Z, checked)
+and the others off the fraction-free ``exactalg._echelon``.
 ``solve``, also read off that ``rref``, serves the former recovery below.
 ``transpose``, ``mul``, ``apply`` and ``inverse`` (the last read off
 that ``rref`` of [A | I]) are the ``Fraction`` reference for the
@@ -27,15 +27,10 @@ library fits in integers, with one inverse and Cramer's rule.
 w_j = 1 / prod_{k != j} (tau_j - tau_k), where the library evaluates
 each cofactor P(t)/(t - tau_j) at tau_j.
 ``moment_relation_basis`` builds the relations of a moment web from
-their closed form, c_j = w_j tau_j^rho y^m, with no elimination modulo
-p, no prolongation and no relation matrix, and puts them in the form of
+their closed form, c_j = w_j tau_j^rho y^m, with no sparse elimination,
+no prolongation and no relation matrix, and puts them in the form of
 the library's kernel vectors with that ``rref``.
-``certified_kernel`` is the former kernel: a second ``_extend_mod`` of
-the echelon from its last pivot up for the RREF modulo p, and one
-``_reconstruct`` per non-zero entry, checked vector by vector.  It
-shares ``_extend_mod``, ``_reconstruct`` and the primes with the
-library and is the reference for its in-place back phase and its lift
-over one running denominator per vector.  ``projective_coords`` is the
+``projective_coords`` is the
 former ``ProjectivePoint`` normalization (a ``Fraction`` per coordinate,
 then divided by the leading one).
 The others are the former ``check_pg`` (wedge products of the
@@ -80,7 +75,6 @@ helper that the library does not need.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -95,7 +89,6 @@ from abelweb.abelian import (
 )
 from abelweb.canonical import CanonicalData
 from abelweb.errors import DegenerateWebError, InternalContradictionError
-from abelweb.exactalg import _extend_mod, _primes, _reconstruct
 from abelweb.grassmann import (
     AdaptedStructure,
     MomentWebSpec,
@@ -276,78 +269,6 @@ def inverse(self) -> list[list[Fraction]]:
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return [[reduced[i, n + j] for j in range(n)] for i in range(n)]
-
-
-def _lift(rows, ncols, pivots, free, residues, modulus):
-    """The kernel vectors with these residues, one ``_reconstruct`` per
-    non-zero entry, if each lifts and ``rows . v = 0`` (vector by vector)."""
-    basis = []
-    for f, column in zip(free, residues):
-        entries = {}
-        for q, u in zip(pivots, column):
-            if u:
-                x = _reconstruct(u, modulus)
-                if x is None:
-                    return None
-                entries[q] = x
-        den = math.lcm(*(b for _, b in entries.values()))
-        vec = {q: a * (den // b) for q, (a, b) in entries.items()}
-        vec[f] = den
-        basis.append((den, vec))
-    for _, vec in basis:
-        if any(sum(a * vec.get(j, 0) for j, a in row.items()) for row in rows):
-            return None
-    return basis
-
-
-def certified_kernel(rows, ncols) -> tuple[list[tuple[int, dict[int, int]]], int]:
-    """The former ``certified_kernel`` and the number of primes it tried.
-
-    For each prime the echelon of the forward ``_extend_mod`` is fed to a
-    second ``_extend_mod`` from its last pivot up, which leaves the RREF
-    modulo p, and every non-zero entry of a kernel vector is lifted on
-    its own by ``_reconstruct``.  Primes are chosen, combined and capped
-    as in the library.
-    """
-    rows = sorted((row for row in rows if row), key=len)
-    tried, count, cap, best = 1, 0, None, None
-    for p in _primes():
-        if tried > 1:
-            if cap is None:
-                squares = sorted(sum(a * a for a in r.values()) for r in rows)
-                cap = 2**62 * (math.isqrt(math.prod(squares[-ncols:])) + 1) ** 3
-            if tried >= cap:
-                raise InternalContradictionError("oracle certified_kernel: cap reached")
-        tried *= p
-        count += 1
-        echelon = _extend_mod(rows, p)
-        if len(echelon) == ncols:
-            return [], count
-        reduced = _extend_mod((echelon[q] for q in sorted(echelon, reverse=True)), p)
-        pivots = sorted(reduced)
-        residues = {f: [0] * bisect.bisect(pivots, f) for f in range(ncols) if f not in reduced}
-        for k, q in enumerate(pivots):
-            row = reduced[q]
-            scale = -pow(row.pop(q), -1, p)
-            for f, b in row.items():
-                if f in residues:
-                    residues[f][k] = b * scale % p
-        free, residues = list(residues), list(residues.values())
-        key = (-len(pivots), pivots)
-        if best is None or key < best:
-            best, modulus, combined = key, p, residues
-        elif key == best:
-            inv = pow(modulus, -1, p)
-            combined = [
-                [x + modulus * ((y - x) * inv % p) for x, y in zip(xs, ys)]
-                for xs, ys in zip(combined, residues)
-            ]
-            modulus *= p
-        else:
-            continue
-        basis = _lift(rows, ncols, pivots, free, combined, modulus)
-        if basis is not None:
-            return basis, count
 
 
 def projective_coords(coords: Sequence) -> tuple[Fraction, ...]:

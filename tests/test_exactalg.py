@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +6,7 @@ import pytest
 import oracle
 from abelweb import InternalContradictionError, Matrix, binomial, rational
 from abelweb import exactalg
-from abelweb.exactalg import _extend_mod, _is_prime, _prime_below, _primes, certified_kernel
+from abelweb.exactalg import _extend_mod, certified_kernel
 from helpers import dense_kernel, make_rng, random_invertible, random_matrix, sparse_rows
 
 
@@ -105,7 +104,7 @@ def _seeded_matrix(rng, rows, cols, rank, rational) -> Matrix:
 def test_dense_eliminations_need_no_prime_and_no_minors(monkeypatch):
     # integer and rational, wide, tall and square, of full rank and rank
     # deficient, up to 14 x 14: every value is taken from the oracle first,
-    # then every modular elimination and the Laplace sweep are made to raise
+    # then the sparse elimination and the Laplace sweep are made to raise
     rng = make_rng(43)
     cases = []
     for k in range(84):
@@ -122,7 +121,7 @@ def test_dense_eliminations_need_no_prime_and_no_minors(monkeypatch):
                       oracle.inverse(m) if det else None))
 
     def unused(*args):
-        raise AssertionError("a dense elimination needs no prime and no minors")
+        raise AssertionError("a dense elimination needs no sparse elimination and no minors")
 
     for name in ("certified_kernel", "_extend_mod", "_minors"):
         monkeypatch.setattr(exactalg, name, unused)
@@ -159,60 +158,39 @@ def test_json_round_trip():
     assert m.to_json()[0][0] == "1/3"
 
 
-def test_prime_sequence():
-    assert [n for n in range(60) if _is_prime(n)] == [
-        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    for n in range(60, 5000):
-        assert _is_prime(n) == all(n % q for q in range(2, math.isqrt(n) + 1)), n
-    # strong pseudoprimes to several of the bases, and a Carmichael number
-    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-              341550071728321, 3825123056546413051, 561):
-        assert not _is_prime(n)
-    primes = list(itertools.islice(_primes(), 5))
-    assert primes[0] == 2**61 - 1
-    assert primes == sorted(primes, reverse=True) and all(map(_is_prime, primes))
-    assert not any(_is_prime(n) for n in range(primes[1] + 1, primes[0]))
-
-
 def test_extend_mod_rank_and_span():
-    # the echelon of sparse rows modulo p: its size is the rank, each row
-    # starts at its pivot with residues in 1 .. p - 1, and it spans the rows
+    # the echelon of sparse integer rows: its size is the rank, each row
+    # starts at its pivot with non-zero integers of content 1, and it spans
+    # the rows
     rng = make_rng(40)
-    p = _prime_below(2**61)
     for _ in range(60):
         rows = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), -3, 3)
         ints = [[int(x) for x in row] for row in rows.entries]
         if rng.random() < 0.5:
             ints.append([2 * a - b for a, b in zip(ints[0], ints[-1])])
         sparse = [{c: a for c, a in enumerate(row) if a} for row in ints]
-        echelon = _extend_mod(sparse, p)
+        echelon = _extend_mod(sparse)
         assert len(echelon) == Matrix(ints).rank()
         for q, row in echelon.items():
-            assert min(row) == q and all(0 < a < p for a in row.values())
+            assert min(row) == q and 0 not in row.values() and math.gcd(*row.values()) == 1
         # every input row reduces to zero after the echelon's own rows
-        assert _extend_mod([*echelon.values(), *sparse], p).keys() == echelon.keys()
+        assert _extend_mod([*echelon.values(), *sparse]).keys() == echelon.keys()
 
 
 @pytest.mark.parametrize("fault", ["drop a row", "skip back-substitution"])
 def test_broken_elimination_raises_instead_of_hanging(monkeypatch, fault):
-    # a correct elimination certifies before the product of the primes it
-    # tries reaches 2**62 B**3; a faulty one must hit that cap and raise,
-    # not try primes forever
+    # a faulty elimination fails the exact check of its one pass and raises
+    # InternalContradictionError: there is no second elimination to wait for
     calls = []
-
-    def count(p):
-        calls.append(p)
-        assert len(calls) < 1000, "certified_kernel kept trying primes"
-
     real = exactalg._extend_mod
 
-    def drop_a_row(rows, p):
-        count(p)
-        return real(list(rows)[:-1], p)
+    def drop_a_row(rows):
+        calls.append(fault)
+        return real(list(rows)[:-1])
 
-    def leave_unreduced(echelon, p):
-        # the echelon keeps its entries at later pivots, and its pivots unscaled
-        count(p)
+    def leave_unreduced(echelon):
+        # the echelon keeps its entries at later pivots
+        calls.append(fault)
 
     rng = make_rng(41)
     cases = [([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 2, 3: 1}], 4)]
@@ -233,3 +211,4 @@ def test_broken_elimination_raises_instead_of_hanging(monkeypatch, fault):
         calls.clear()
         with pytest.raises(InternalContradictionError):
             exactalg.certified_kernel(rows, ncols)
+        assert calls == [fault]

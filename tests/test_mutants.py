@@ -8,14 +8,20 @@ its relative imports bind the real modules; nothing in ``sys.modules``
 is replaced, and the mutant's functions call each other.
 
 A check compares the outcome of a library call with the oracle: the
-value it returns, or the error it raises, and for a kernel the number of
-primes it draws.  A mutant is killed when the check fails on it,
+value it returns, or the error it raises, or the exit code of a CLI
+command.  A mutant is killed when the check fails on it,
 either by an oracle mismatch (``AssertionError``) or by the library's
 own ``InternalContradictionError``; every check ends in bounded time.
 Each check also passes on the unmutated library.
 """
 
+import contextlib
 import importlib
+import io
+import json
+import math
+import os
+import tempfile
 import types
 from fractions import Fraction
 from unittest import mock
@@ -24,6 +30,7 @@ import pytest
 
 import oracle
 from abelweb import ConstantFoliation, ConstantWeb, Matrix, MomentWebSpec, h_cutoff, moment_web
+from abelweb import abelian, cli
 from abelweb.errors import InternalContradictionError
 
 
@@ -102,14 +109,49 @@ def _rank_report(abelian):
     assert report.semi_extremal is True
 
 
+def _oracle_kernel(rows, ncols):
+    """``oracle.kernel_basis`` of sparse integer rows, as ``(den, vec)`` pairs."""
+    basis = []
+    for vector in oracle.kernel_basis(Matrix([[row.get(c, 0) for c in range(ncols)]
+                                              for row in rows])):
+        den = math.lcm(*(x.denominator for x in vector))
+        basis.append((den, {c: int(x * den) for c, x in enumerate(vector) if x}))
+    return basis
+
+
 def _kernel(exactalg):
     # the pivot-0 row meets pivot 1 only; reducing it there by the
     # pivot-1 row, not yet reduced, fills in at pivot 2
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1, 4: 1}, {0: 2, 3: -1, 4: 5}]
-    matrix = Matrix([[row.get(c, 0) for c in range(5)] for row in rows])
-    expected = [(1, {c: int(x) for c, x in enumerate(vec) if x})
-                for vec in oracle.kernel_basis(matrix)]
-    assert _outcome(lambda: exactalg.certified_kernel(rows, 5)) == ("value", expected)
+    assert _outcome(lambda: exactalg.certified_kernel(rows, 5)) == (
+        "value", _oracle_kernel(rows, 5))
+
+
+def _reduction(exactalg):
+    # the first row's pivot entry is 2, so the second row is scaled by 2
+    # before 3 times the first is taken off; the third row's kernel vector
+    # (-2, 1, 0) has the denominator 2 / gcd(-4, 2) = 1
+    for rows, ncols in (([{0: 2, 1: 1, 2: 1}, {0: 3, 1: 1, 2: 2}], 3),
+                        ([{0: 2, 1: 4, 2: 1}], 3)):
+        assert _outcome(lambda: exactalg.certified_kernel(rows, ncols)) == (
+            "value", _oracle_kernel(rows, ncols))
+
+
+def _faulty_back_pass(exactalg):
+    # with the back pass skipped, the read-out misses the entries at later
+    # pivots: the (2,2,6) moment web would report dim R(1) = 2, not 4, so
+    # only the packed check keeps ``rank`` from exit 0
+    web = moment_web(MomentWebSpec(2, 2, range(6)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "web.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(web.to_json(), handle)
+        with mock.patch.object(exactalg, "_back_substitute", lambda echelon: None), \
+                mock.patch.object(abelian, "certified_kernel", exactalg.certified_kernel), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["rank", "--web", path])
+    assert code == 3
 
 
 def _inverse(exactalg):
@@ -150,34 +192,6 @@ def _matrix_key(exactalg):
 def _matrix_json(exactalg):
     row = [Fraction(1, 2), Fraction(1, 4), Fraction(1), Fraction(-6, 4)]
     assert exactalg.Matrix([row]).to_json() == [[str(x) for x in row]]
-
-
-def _lift_rescale(exactalg):
-    # the kernel vector (-1/2, -1/3, 1): its denominator grows from 2 to 6
-    rows, expected = [{0: 2, 2: 1}, {1: 3, 2: 1}], [(6, {0: -3, 1: -2, 2: 6})]
-    vector = (Fraction(-1, 2), Fraction(-1, 3), 1)
-    assert oracle.kernel_basis(Matrix([[2, 0, 1], [0, 3, 1]])) == [vector]
-    assert _outcome(lambda: exactalg.certified_kernel(rows, 3)) == ("value", expected)
-
-
-def _lift_window(exactalg):
-    # each kernel lifts from two primes, as one reconstruction per entry
-    # needs: a denominator 65537 * 65539 past N = isqrt(p // 2), or an
-    # integer entry -+2**30 just past N
-    for rows in ([{0: 65537, 3: 1}, {1: 65539, 3: 1}, {2: 65537 * 65539, 3: 1}],
-                 [{0: 1, 3: 2**30}, {1: 65537, 3: 1}, {2: 65539, 3: 1}],
-                 [{0: 1, 3: -2**30}, {1: 65537, 3: 1}, {2: 65539, 3: 1}]):
-        expected = oracle.certified_kernel([dict(row) for row in rows], 4)
-        real, primes = exactalg._primes, []
-
-        def counted():
-            for p in real():
-                primes.append(p)
-                yield p
-
-        with mock.patch.object(exactalg, "_primes", counted):
-            basis = _outcome(lambda: exactalg.certified_kernel([dict(row) for row in rows], 4))
-        assert (basis, len(primes)) == (("value", expected[0]), expected[1])
 
 
 def _web_type(webcore):
@@ -342,29 +356,23 @@ MUTANTS = {
         "for q in sorted(echelon):",
         _kernel,
     ),
-    "lift-without-the-rescale": (
+    "reduction-without-the-a/g-scaling": (
         "exactalg",
-        "                for c in vec:\n                    vec[c] *= scale\n",
+        "    if a != 1:\n        for c in row:\n            row[c] *= a\n",
         "",
-        _lift_rescale,
+        _reduction,
     ),
-    "lift-without-the-den-bound": (
+    "read-out-den-without-the-gcd": (
         "exactalg",
-        "if x <= bound and den <= bound:",
-        "if x <= bound:",
-        _lift_window,
+        "abs(a) // math.gcd(b, a)",
+        "abs(a)",
+        _reduction,
     ),
-    "lift-window-isqrt-of-the-modulus": (
+    "packed-check-disabled": (
         "exactalg",
-        "    bound = math.isqrt(modulus // 2)\n    basis = []",
-        "    bound = math.isqrt(modulus)\n    basis = []",
-        _lift_window,
-    ),
-    "lift-window-2N": (
-        "exactalg",
-        "if x <= bound and den <= bound:",
-        "if x <= 2 * bound and den <= bound:",
-        _lift_window,
+        "if any(sum(a * packed[j] for j, a in row.items()) for row in rows):",
+        "if False:",
+        _faulty_back_pass,
     ),
     "store-without-the-gcd": (
         "exactalg",

@@ -1,6 +1,6 @@
 """The elimination kernel, the stacked-rank PG check, the relation matrix,
-the certified (mod-p, lifted, exactly checked) relation spaces built by
-prolongation, the integer pullback, relation verification and point
+the certified (eliminated over Z, exactly checked) relation spaces built
+by prolongation, the integer pullback, relation verification and point
 reader, normal-form recovery and canonical data against the oracle.
 
 ``oracle`` holds the earlier Fraction Gauss-Jordan ``rref`` with the
@@ -19,9 +19,10 @@ that fail general position at every subset size (also with rows over
 different denominators), high-n moment webs,
 webs whose first failure needs three foliations, relation matrices of
 webs with rational entries, and moment webs under random gauges.  The
-certified kernel is also driven past an unlucky prime and into a second
-prime, and into several primes by entries of about 80 bits, where
-``Matrix`` (rank, RREF, det, inverse and invertibility) is checked too.
+certified kernel also meets entries that differ by 2**61 - 1 (singular
+modulo that prime only), kernel entries of about 81 bits, and matrices
+with entries of about 80 bits, where ``Matrix`` (rank, RREF, det,
+inverse and invertibility) is checked too.
 Verification runs on moment webs under rational gauges, whose
 foliations have different denominators, and on perturbed relations that
 both verifiers must reject.
@@ -55,8 +56,7 @@ from abelweb import (
 )
 from abelweb.abelian import _verify_relation
 from abelweb.errors import InternalContradictionError
-from abelweb import exactalg
-from abelweb.exactalg import _clear_denominators, _minors, _primes, certified_kernel
+from abelweb.exactalg import _clear_denominators, _minors, certified_kernel
 from abelweb.grassmann import (
     ProjectivePoint, _point_from_block_matrix, foliation_from_point, omega_expansion,
 )
@@ -116,19 +116,9 @@ def test_kernel_matches_oracle():
     assert squares > 300 and invertible > 100
 
 
-def test_kernel_matches_oracle_with_80_bit_entries(monkeypatch):
-    """Entries of about 80 bits make RREF entries that no one 61-bit prime
-    reconstructs, so the kernel of each matrix's integer rows goes through
-    the multi-prime (Chinese remainder) branch of ``certified_kernel``."""
-    moduli = []
-    lift = exactalg._lift
-
-    def recording(rows, ncols, pivots, free, residues, modulus):
-        moduli.append(modulus)
-        return lift(rows, ncols, pivots, free, residues, modulus)
-
-    monkeypatch.setattr(exactalg, "_lift", recording)
-
+def test_kernel_matches_oracle_with_80_bit_entries():
+    """Entries of about 80 bits make RREF entries of hundreds of bits, in
+    ``certified_kernel`` and in every dense elimination."""
     def entry(rng):
         return Fraction(rng.randint(-2**80, 2**80), rng.choice((1, 1, 3, 2**40 + 1)))
 
@@ -136,7 +126,6 @@ def test_kernel_matches_oracle_with_80_bit_entries(monkeypatch):
     for _ in range(60):
         m = _random_rational_matrix(rng, size=5, entry=entry)
         _check_eliminations(m)
-    assert sum(modulus > 2**122 for modulus in moduli) > 30  # three primes or more
 
 
 def test_minors_match_oracle():
@@ -348,31 +337,31 @@ def _dense_certified_kernel(rows, ncols):
     return dense_kernel(certified_kernel(rows, ncols), ncols)
 
 
+def _oracle_kernel(rows, ncols):
+    """``oracle.kernel_basis`` of sparse integer rows."""
+    return oracle.kernel_basis(Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows]))
+
+
 def test_certified_kernel_moves_past_an_unlucky_prime():
-    p0 = next(_primes())
-    # singular modulo p0 only: the kernel vector (-1, 1) found there fails
-    # the exact check, and the next prime shows rank 2
-    assert _dense_certified_kernel([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}], 2) == []
-    assert _dense_certified_kernel([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}, {0: 2, 1: 2}], 2) == []
-    # both kernel vectors modulo p0 fail, by p0 and -p0: the one check run
-    # for all vectors together must not let the two errors cancel
-    assert _dense_certified_kernel([{0: 1, 1: 1 + p0, 2: 1 - p0}], 3) == [
-        (Fraction(-1 - p0), Fraction(1), Fraction(0)),
-        (Fraction(p0 - 1), Fraction(0), Fraction(1)),
-    ]
+    # rows singular modulo p0 only, of rank 2 over Q; and one row whose
+    # two kernel vectors are off by p0 and -p0 modulo p0
+    p0 = 2**61 - 1
+    for rows, ncols in (([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}], 2),
+                        ([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}, {0: 2, 1: 2}], 2),
+                        ([{0: 1, 1: 1 + p0, 2: 1 - p0}], 3)):
+        assert _dense_certified_kernel(rows, ncols) == _oracle_kernel(rows, ncols)
 
 
 def test_certified_kernel_combines_primes():
+    # kernel vectors -b/a of about 81 bits
     rng = make_rng(45)
     for _ in range(20):
         a, b = rng.randint(2**39, 2**40), rng.randint(-2**40, 2**40)
         while math.gcd(a, b) != 1:
             b += 1
-        # -b/a needs about 81 bits, more than one 61-bit prime reconstructs
-        assert _dense_certified_kernel([{0: a, 1: b}], 2) == [(Fraction(-b, a), Fraction(1))]
+        for rows, ncols in (([{0: a, 1: b}], 2), ([{0: a, 2: b}, {1: 1}], 3)):
+            assert _dense_certified_kernel(rows, ncols) == _oracle_kernel(rows, ncols)
         assert certified_kernel([{0: a, 1: b}], 2) == [(a, {0: -b, 1: a})]
-        assert _dense_certified_kernel([{0: a, 2: b}, {1: 1}], 3) == [
-            (Fraction(-b, a), Fraction(0), Fraction(1))]
 
 
 def test_recovery_and_canonical_data_match_oracle():

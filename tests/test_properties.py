@@ -12,7 +12,8 @@ under a rational gauge g of V, kappa_j -> kappa_j g, the relation bases
 and the rank report do not change at all (the normal of kappa_j g is
 the pullback of Omega_j by g, so each relation pulls back to zero),
 nor under kappa_j -> A_j kappa_j with a rational A_j in GL(r) per
-foliation (Omega_j scales by det A_j and c_j is composed with A_j);
+foliation (Omega_j scales by det A_j and c_j is composed with A_j), which
+holds for moment webs of types (2,2,7) and (3,2,8) too;
 each foliation so mixed, and the web of them, equals the original and
 hashes alike, and so does each ``Matrix`` rebuilt from its rows written
 over other denominators.
@@ -30,14 +31,13 @@ weights are the oracle's product formula, ``solution_polynomial`` inverts
 ``check_general_solution``, and the Lagrange identity holds at degree
 d - 1 and fails at degree d.
 On sparse integer matrices, tall and wide, rank-deficient, with
-repeated rows, empty columns and entries too large for one prime, the
-certified kernel is the RREF kernel basis whatever the row order, and
-each vector comes as ``(den, vec)``: keys ascending, ``den`` > 0 the
-least common denominator, held at the last key, the free column.  On
-those matrices, on vectors whose entries' denominators have an lcm past
-isqrt(p // 2) and on matrices with an unlucky first prime, the certified
-kernel is the former two-pass, per-entry kernel of the oracle, key order
-included, after as many primes.
+repeated rows, empty columns and entries up to 2**70, the certified
+kernel is the RREF kernel basis whatever the row order, and each vector
+comes as ``(den, vec)``: keys ascending, ``den`` > 0 the least common
+denominator, held at the last key, the free column.  The same holds
+for vectors whose entries' reduced denominators, primes near 2**16,
+have an lcm past 2**32, and for matrices singular modulo 2**61 - 1
+only.
 A ``ProjectivePoint`` of ints, ``Fraction``s and "p/q" strings (negative
 and non-reduced denominators, leading zeros) has the coordinates, JSON,
 equality, hash and error messages of the former two-step normalization,
@@ -75,7 +75,6 @@ import math
 import os
 import tempfile
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -114,7 +113,6 @@ from abelweb import (
 )
 from abelweb.abelian import _relation_kernel
 from abelweb.cli import main
-from abelweb import exactalg
 from abelweb.exactalg import certified_kernel
 from abelweb.grassmann import _foliation_on_invertible
 from helpers import DEFAULT_SEED, dense_kernel
@@ -275,24 +273,22 @@ def test_certified_kernel_matches_rref_kernel_in_any_row_order(data):
     assert certified_kernel(data.draw(st.permutations(sparse)), ncols) == basis
 
 
-# primes just above 2**16: two distinct ones multiply to more than 2**32,
-# past isqrt(p // 2) < 2**30 for every prime p below 2**61
-_DENOMINATORS = [q for q in range(2**16 + 1, 2**16 + 2000, 2) if exactalg._is_prime(q)]
+# primes just above 2**16: two distinct ones multiply to more than 2**32
+_DENOMINATORS = [q for q in range(2**16 + 1, 2**16 + 2000, 2)
+                 if all(q % p for p in range(3, math.isqrt(q) + 1, 2))]
 
 
 @st.composite
 def kernel_inputs(draw) -> tuple[str, list[dict[int, int]], int]:
     """A kind and sparse integer rows with their number of columns.
 
-    "sparse": the matrices above, entries up to 2**70 among them, so
-    that primes are combined.  "denominators": rows a_j e_j + (small
-    entries at the free columns) with distinct primes a_j near 2**16, so
-    that a kernel vector's entries have different reduced denominators
-    whose lcm exceeds N = isqrt(p // 2); maybe a row a_0 a_1 e_k, whose
-    entries have a reduced denominator above N, and maybe a first row
-    e_0 + c e_free with N < |c| <= 2**31, an integer entry above N.  Neither
-    lifts from one prime, however the denominator is carried.
-    "unlucky": matrices singular modulo the first prime p0 only, or with
+    "sparse": the matrices above, entries up to 2**70 among them.
+    "denominators": rows a_j e_j + (small entries at the free columns)
+    with distinct primes a_j near 2**16, so that a kernel vector's entries
+    have different reduced denominators whose lcm exceeds 2**32; maybe a
+    row a_0 a_1 e_k, whose entries have a reduced denominator above 2**32,
+    and maybe a first row e_0 + c e_free with 2**30 <= |c| <= 2**31.
+    "unlucky": matrices singular modulo p0 = 2**61 - 1 only, or with
     kernel vectors off by +-p0 there.
     """
     kind = draw(st.sampled_from(["sparse", "denominators", "unlucky"]))
@@ -300,7 +296,7 @@ def kernel_inputs(draw) -> tuple[str, list[dict[int, int]], int]:
         rows = draw(sparse_int_matrices())
         return kind, [{j: a for j, a in enumerate(row) if a} for row in rows], len(rows[0])
     if kind == "unlucky":
-        p0 = next(exactalg._primes())
+        p0 = 2**61 - 1
         return kind, *draw(st.sampled_from([
             ([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}], 2),
             ([{0: 1, 1: 1}, {0: 1, 1: 1 + p0}, {0: 2, 1: 2}], 2),
@@ -324,32 +320,18 @@ def kernel_inputs(draw) -> tuple[str, list[dict[int, int]], int]:
 @SETTINGS
 @given(kernel_inputs())
 def test_certified_kernel_matches_the_two_pass_per_entry_oracle(drawn):
-    # the in-place back phase and one reconstruction per vector return
-    # the former kernel, key order included, after as many primes
+    # the RREF kernel basis, each vector over its least common denominator
+    # with its keys ascending to the free column
     kind, rows, ncols = drawn
-    primes, reconstructed = [], []
-
-    def counted_primes():
-        for p in real_primes():
-            primes.append(p)
-            yield p
-
-    def counted_reconstruct(u, modulus):
-        reconstructed.append(modulus)
-        return real_reconstruct(u, modulus)
-
-    real_primes, real_reconstruct = exactalg._primes, exactalg._reconstruct
-    expected, count = oracle.certified_kernel([dict(row) for row in rows], ncols)
-    with mock.patch.object(exactalg, "_primes", counted_primes), \
-            mock.patch.object(exactalg, "_reconstruct", counted_reconstruct):
-        basis = certified_kernel([dict(row) for row in rows], ncols)
-    assert basis == expected and len(primes) == count
-    assert [list(vec) for _, vec in basis] == [list(vec) for _, vec in expected]
+    basis = certified_kernel([dict(row) for row in rows], ncols)
+    matrix = Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
+    assert dense_kernel(basis, ncols) == oracle.kernel_basis(matrix)
+    for den, vec in basis:
+        keys = list(vec)
+        assert keys == sorted(keys) and den > 0 and vec[keys[-1]] == den
+        assert 0 not in vec.values() and math.gcd(*vec.values()) == 1
     if kind == "denominators":
-        # one vector needs the lcm of two reduced denominators past
-        # isqrt(p // 2), so the per-vector acceptance falls back
-        bound = math.isqrt(primes[-1] // 2)
-        assert max(den for den, _ in basis) > bound and len(reconstructed) >= 2
+        assert max(den for den, _ in basis) > 2**32
 
 
 @seed(DEFAULT_SEED)
@@ -364,6 +346,20 @@ def test_rank_invariant_under_row_mixing(data):
         a = Matrix([[x * s for x in row] for row, s in zip(a.entries, scales)])
         mixed.append(ConstantFoliation(web.r, web.n, a * f.matrix))
     mixed = ConstantWeb(web.r, web.n, mixed)
+    assert total_rank(mixed).to_json() == total_rank(web).to_json()
+
+
+@seed(DEFAULT_SEED)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_rank_of_moment_webs_invariant_under_row_mixing(data):
+    # a moment web has relations in every degree below its cutoff, so
+    # mixed rows fill the kernel's rows in every degree, not only in R(0)
+    r, n, d = data.draw(st.sampled_from([(2, 2, 7), (3, 2, 8)]))
+    taus = data.draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d, unique=True))
+    web = moment_web(MomentWebSpec(r, n, taus))
+    mixed = ConstantWeb(r, n, [ConstantFoliation(r, n, data.draw(invertible(r)) * f.matrix)
+                               for f in web.foliations])
     assert total_rank(mixed).to_json() == total_rank(web).to_json()
 
 
