@@ -41,14 +41,26 @@ Every row is built from ``ConstantWeb.cleared_kappas``, the kappa_j
 times one lcm L of all their denominators; their maximal minors
 (``ConstantWeb.cleared_normals``, one table per web) are L^r * Omega_j,
 the integer normals.
-Verification of a relation (``_verify_relation``) also runs in integers.
-The coefficients of all components are cleared by one lcm D; each
-non-zero component is pulled back along its cleared kappa_j by
-``multilinear._expand`` and the sum of P_j (x) N_j over (monomial in rn
-variables, r-subset) must vanish.  That sum is L^(h+r) * D times the
-rational one because the scale is common to every term; a scale per
-foliation would weight the foliations differently and could accept a
-false relation.  Verification reads neither R(h-1) nor the prolonged
+Verification (``_verify_relation``) also runs in integers, once per
+degree for all the vectors w_k of a basis, in the form
+``certified_kernel`` returns.  They are packed (``exactalg._packed``)
+into one integer per column (foliation j, monomial), vector k at bit
+offset k * bits.  Each foliation's packed component is pulled back along
+its cleared kappa_j by ``multilinear._expand`` and the sum of P_j (x) N_j
+over (monomial in rn variables, r-subset) must vanish.  Both maps are
+linear over Z, so that sum is sum_k S(w_k) * 2**(k*bits), S(w) the same
+sum for w alone.  S(w) is L^(h+r) times the rational sum of the relation
+w, because the scale is common to every term; a scale per foliation
+would weight the foliations differently and could accept a false
+relation.  Each entry of S(w) is bounded: x^m pulls back to a product of
+h rows of the cleared kappa_j, whose l1 norm is at most R_j^h, R_j the
+largest row l1 norm of kappa_j, so no coefficient exceeds R_j^h, and
+|S(w)| <= |w|_1 * max_j R_j^h * max_j |N_j| at every entry.  With bits the
+bit length of that bound over the largest |w_k|_1, every entry of
+S(w_k) is below 2**bits, so the packed sum vanishes exactly when every
+S(w_k) does: the lowest non-zero one cannot be cancelled.  A single
+relation (``RelationBasisElement``) is a batch of one, its components
+cleared by one lcm.  Verification reads neither R(h-1) nor the prolonged
 rows, since a wrong prolongation would pass any check made with its own
 rows, and ``relation_matrix``, the relation map by its definition, pulls
 back through ``multilinear.substitute``, the same expansion.
@@ -65,7 +77,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InternalContradictionError
-from .exactalg import Matrix, _Frozen, _clear_denominators, certified_kernel
+from .exactalg import Matrix, _Frozen, _clear_denominators, _packed, certified_kernel
 from .multilinear import (
     HomogeneousPoly,
     _expand,
@@ -86,7 +98,7 @@ from .webcore import (
 
 
 class RelationBasisElement(_Frozen):
-    """One abelian relation, re-verified exactly on construction."""
+    """One abelian relation, verified exactly on construction."""
 
     __slots__ = ("degree", "components")
 
@@ -97,7 +109,18 @@ class RelationBasisElement(_Frozen):
         for c in components:
             if c.nvars != web.r or c.degree != degree:
                 raise ValueError("component has wrong polynomial space")
-        _verify_relation(web, components)
+        (ints,), den = _clear_denominators([[x for c in components for x in c.vector()]])
+        _verify_relation(web, degree, [(den, dict(enumerate(ints)))])
+        self._store(degree, components)
+
+    @classmethod
+    def _of_verified(cls, degree: int, components: tuple[HomogeneousPoly, ...]):
+        """The relation of components already verified, with no second check."""
+        element = object.__new__(cls)
+        element._store(degree, components)
+        return element
+
+    def _store(self, degree: int, components: tuple[HomogeneousPoly, ...]) -> None:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", components)
 
@@ -109,20 +132,26 @@ class RelationBasisElement(_Frozen):
         return tuple(out)
 
 
-def _verify_relation(web: ConstantWeb, components: Sequence[HomogeneousPoly]) -> None:
-    """Raise unless sum_j c_j(kappa_j) * Omega_j = 0; see the module docstring."""
-    live = [j for j, c in enumerate(components) if not c.is_zero]
-    if not live:
-        return
-    rn, h = web.r * web.n, components[live[0]].degree
+def _verify_relation(
+    web: ConstantWeb, h: int, basis: Sequence[tuple[int, dict[int, int]]]
+) -> None:
+    """Raise unless every vec / den of ``basis``, in the form
+    ``certified_kernel`` returns, is a degree-h relation; one packed check
+    for all of them (see the module docstring)."""
     (kappas, _), normals = web.cleared_kappas(), web.cleared_normals()
-    coeffs, _ = _clear_denominators(components[j].coeffs.values() for j in live)
-    positions = subset_position(rn, web.r)
+    monomials = monomial_exponents(web.r, h)
+    row_norm = max(sum(map(abs, row)) for kappa in kappas for row in kappa)
+    top_normal = max(abs(v) for normal in normals for v in normal.values())
+    vectors = [vec for _, vec in basis]
+    widest = max((sum(map(abs, vec.values())) for vec in vectors), default=0)
+    packed = _packed(vectors, web.d * len(monomials), widest * row_norm**h * top_normal)
+    positions = subset_position(web.r * web.n, web.r)
     width = len(positions)
     total: dict[int, int] = {}
-    for j, values in zip(live, coeffs):
+    for j, kappa in enumerate(kappas):
+        column = packed[j * len(monomials) : (j + 1) * len(monomials)]
+        pulled = _expand({m: p for m, p in zip(monomials, column) if p}, kappa, h)
         terms = [(positions[s], v) for s, v in normals[j].items()]
-        pulled = _expand(dict(zip(components[j].coeffs, values)), kappas[j], h)
         for code, p in pulled.items():
             if p:
                 for pos, v in terms:
@@ -247,20 +276,23 @@ def relation_space_dim(web: ConstantWeb, h: int, allow_degenerate: bool = False)
 def relation_space(
     web: ConstantWeb, h: int, allow_degenerate: bool = False
 ) -> list[RelationBasisElement]:
-    """Canonical kernel basis of the degree-h relation space.
+    """Canonical kernel basis of the degree-h relation space, verified by
+    one call of :func:`_verify_relation`.
 
     The only place the kernel vectors become ``Fraction`` coefficients;
     each component's are set in column order, that is graded-lex.
     """
+    basis = _relation_kernel(web, h, allow_degenerate)
+    _verify_relation(web, h, basis)
     monomials = monomial_exponents(web.r, h)
     elements = []
-    for den, vec in _relation_kernel(web, h, allow_degenerate):
+    for den, vec in basis:
         coeffs: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(web.d)]
         for c, x in vec.items():
             j, k = divmod(c, len(monomials))
             coeffs[j][monomials[k]] = Fraction(x, den)
-        elements.append(RelationBasisElement(
-            web, h, [HomogeneousPoly(web.r, h, coeff) for coeff in coeffs]
+        elements.append(RelationBasisElement._of_verified(
+            h, tuple(HomogeneousPoly(web.r, h, coeff) for coeff in coeffs)
         ))
     return elements
 

@@ -241,10 +241,6 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
         ])
         for rho in range(q + 1)
     ]
-    if report.dim(0) != q + 1:
-        raise InternalContradictionError(
-            f"degree-0 relation space has dimension {report.dim(0)}, expected {q + 1}"
-        )
 
     # designated degree-1 block: z_j = c_j y_a, a = 1..r
     linear = [
@@ -259,8 +255,9 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     # vector is a pivot column exactly when it is independent of all
     # vectors before it.  The basis goes on with the kernel vectors at
     # pivots[r:], then R(h) for h >= 2; no output reads them, so they are
-    # not assembled.  With dim R(0) = q + 1 and len(pivots) = dim R(1) it
-    # holds exactly total_rank = sum_h dim R(h) relations.
+    # not assembled.  With dim R(0) = d - r(n-1) - 1 = q + 1 (semi-extremal)
+    # and len(pivots) = dim R(1) it holds exactly total_rank = sum_h dim R(h)
+    # relations.
     kernel1 = spaces[1]
     columns = Matrix([el.vector() for el in linear + kernel1]).transpose()
     _, pivots = columns.rref()
@@ -276,6 +273,8 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     zeros = [Fraction(0)] * (N - q)
     columns = [[el.components[j].coefficient((0,) * r) for el in degree0] for j in range(d)]
 
+    # each point is checked to be [1 : tau_j : ...], and the taus are
+    # distinct with q >= n - 1 >= 1, so the points are pairwise distinct
     points = []
     for j, column in enumerate(columns):
         point = ProjectivePoint(column + zeros)
@@ -284,8 +283,6 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
                 f"point {j + 1} differs from its displayed coordinate form"
             )
         points.append(point)
-    if len(set(points)) != d:
-        raise InternalContradictionError("canonical points are not pairwise distinct")
 
     # curve z(t) = sum_j P(t)/(t - tau_j) z_j by coordinates; must close at degree q
     cofactors = _cofactors(spec.taus)

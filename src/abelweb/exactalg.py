@@ -16,7 +16,7 @@ prime: one for sparse relation rows and one for every dense matrix.
 
 Relation spaces call :func:`certified_kernel`: the canonical kernel
 basis of sparse integer rows, from one sparse elimination over Z.
-:func:`_extend_mod` builds an echelon row by row and
+:func:`_sparse_echelon` builds an echelon row by row and
 :func:`_back_substitute` reduces it in place, both by the one
 fraction-free step of :func:`_eliminate`; the basis is read off the
 reduced rows and checked against all the rows in exact integers, a net
@@ -239,7 +239,7 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
-def _extend_mod(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _sparse_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """An echelon basis over Q of the span of integer ``rows``, extended row by row.
 
     The echelon maps each pivot column to its basis row, a sparse dict of
@@ -269,8 +269,8 @@ def _extend_mod(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
 
 
 def _back_substitute(echelon: dict[int, dict[int, int]]) -> None:
-    """Reduce an echelon of :func:`_extend_mod` in place until each row is
-    non-zero only at its pivot and at free columns.
+    """Reduce an echelon of :func:`_sparse_echelon` in place until each row
+    is non-zero only at its pivot and at free columns.
 
     From the last pivot up, each row is reduced by :func:`_eliminate` at
     the later pivots in its support, then divided by its content.  Their
@@ -282,6 +282,23 @@ def _back_substitute(echelon: dict[int, dict[int, int]]) -> None:
         for col in [c for c in row if c != q and c in echelon]:
             _eliminate(row, echelon[col], col)
         echelon[q] = _primitive(row)
+
+
+def _packed(vectors: Sequence[dict[int, int]], ncols: int, bound: int) -> list[int]:
+    """Integer vectors w_k packed column by column: P_j = sum_k w_k[j] *
+    2**(k*bits), bits = bound.bit_length().
+
+    A map f linear over Z has f(P) = sum_k f(w_k) * 2**(k*bits).  If every
+    |f(w_k)| <= bound < 2**bits, then f(P) = 0 exactly when every f(w_k) =
+    0: with f(w_m) the lowest non-zero term, f(P) = 2**(m*bits) * (f(w_m) +
+    2**bits * M) for an integer M, and 2**bits does not divide f(w_m).
+    """
+    bits = bound.bit_length()
+    packed = [0] * ncols
+    for k, vec in enumerate(vectors):
+        for j, w in vec.items():
+            packed[j] += w << (k * bits)
+    return packed
 
 
 def certified_kernel(
@@ -299,7 +316,7 @@ def certified_kernel(
     is f and ``vec[f] == den``.
 
     Method: one sparse elimination over Z, no prime.  The rows, sparsest
-    first, go through :func:`_extend_mod` and then :func:`_back_substitute`.
+    first, go through :func:`_sparse_echelon` and then :func:`_back_substitute`.
     Every step is an exact row operation over Z with a non-zero factor
     on the row it changes, so the span over Q is kept; the echelon rows
     have distinct least columns, so they are a basis of that span, and
@@ -309,17 +326,14 @@ def certified_kernel(
     is -row_q[f] / row_q[q] at each pivot q < f, over the least common
     denominator of those entries.
 
-    The vectors are then checked against all rows at once, in integers:
-    column j carries the packed integer P_j = sum_k w_k[j] * 2**(k*bits)
-    of the integer vectors w_k.  A row a has a . P = sum_k (a . w_k) *
-    2**(k*bits), and every |a . w_k| <= |a|_1 * max|w_k| < 2**bits, so
-    a . P = 0 exactly when a . w_k = 0 for every k (the lowest non-zero
-    term could not be cancelled).  The check proves nothing the argument
-    above does not; it guards the code, and a failure raises
-    InternalContradictionError.
+    The vectors are then checked against all rows at once, in integers,
+    on their :func:`_packed` columns: every |a . w_k| <= |a|_1 * max|w_k|,
+    so a row a has a . P = 0 exactly when a . w_k = 0 for every k.  The
+    check proves nothing the argument above does not; it guards the code,
+    and a failure raises InternalContradictionError.
     """
     rows = sorted((row for row in rows if row), key=len)
-    echelon = _extend_mod(rows)
+    echelon = _sparse_echelon(rows)
     if len(echelon) == ncols:
         return []
     _back_substitute(echelon)
@@ -340,11 +354,8 @@ def certified_kernel(
         vec[f] = den
         basis.append((den, vec))
     top = max((sum(map(abs, row.values())) for row in rows), default=0)
-    bits = (top * max(abs(w) for _, vec in basis for w in vec.values())).bit_length()
-    packed = [0] * ncols
-    for k, (_, vec) in enumerate(basis):
-        for j, w in vec.items():
-            packed[j] += w << (k * bits)
+    widest = max(abs(w) for _, vec in basis for w in vec.values())
+    packed = _packed([vec for _, vec in basis], ncols, top * widest)
     if any(sum(a * packed[j] for j, a in row.items()) for row in rows):
         raise InternalContradictionError("certified_kernel: a kernel vector fails A v = 0")
     return basis

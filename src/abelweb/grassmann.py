@@ -58,7 +58,7 @@ from .webcore import (
 from .abelian import (
     _relation_kernel,
     _semi_extremal,
-    relation_space,
+    _verify_relation,
     relation_space_dim,
     subweb as take_subweb,
 )
@@ -347,8 +347,8 @@ def _recover_basis(web: ConstantWeb) -> tuple[Matrix, list[list[int]]]:
     kappa_j has rank r, they cut out foliation j exactly when C_j has
     rank r.
 
-    Once ``relation_space`` has verified the relations, all of it is read
-    in integers off the certified kernel of R(1), vector a = vec_a / den_a,
+    R(1) is verified by one call of ``_verify_relation``; then all of it
+    is read in integers off its certified kernel, vector a = vec_a / den_a,
     and the kappas cleared by L: row a of C_j times den_a is the block row
     vec_a[j*r + b], and row (a, alpha) times s_a = den_a * L is
     sum_b vec_a[alpha*r + b] * (L kappa_alpha)[b].  These rows, S B with
@@ -364,13 +364,13 @@ def _recover_basis(web: ConstantWeb) -> tuple[Matrix, list[list[int]]]:
     r, n, d = web.r, web.n, web.d
     rn = r * n
     dim0 = relation_space_dim(web, 0)
-    dim1 = len(relation_space(web, 1))
-    if not _semi_extremal(r, n, d, dim0, dim1):
+    relations = _relation_kernel(web, 1, False)
+    _verify_relation(web, 1, relations)
+    if not _semi_extremal(r, n, d, dim0, len(relations)):
         raise DegenerateWebError(
             "web is not semi-extremal / degenerate: relation spaces of degree "
-            f"0 and 1 have dimensions {dim0} and {dim1}"
+            f"0 and 1 have dimensions {dim0} and {len(relations)}"
         )
-    relations = _relation_kernel(web, 1, False)
     for j in range(d):
         block = [[vec.get(j * r + b, 0) for b in range(r)] for _, vec in relations]
         if len(_echelon(block)[1]) != r:

@@ -206,15 +206,13 @@ def web_type_from_json(data, field: str, keys: Sequence[str]) -> tuple[int, int]
 
 def generator_normal(foliation: ConstantFoliation) -> ExteriorForm:
     """The r-form obtained by wedging the defining rows, read off ``_minors``
-    of the matrix's integer rows and divided by den^r; never zero."""
+    of the matrix's integer rows and divided by den^r; never zero, since
+    every ``ConstantFoliation`` has rank r, so some maximal minor is not."""
     r, cols = foliation.r, foliation.matrix.cols
     ints, den = foliation.matrix.ints, foliation.matrix.den
-    normal = ExteriorForm(
+    return ExteriorForm(
         cols, r, {s: Fraction(v, den**r) for s, v in _minors(ints, cols).items() if v}
     )
-    if normal.is_zero:
-        raise DegenerateWebError("not a foliation: generator normal vanishes")
-    return normal
 
 
 def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:

@@ -6,9 +6,10 @@ reproduced bit-exactly.
 
 import os
 import random
+import sys
 from fractions import Fraction
 
-from abelweb import ConstantFoliation, ConstantWeb, Matrix
+from abelweb import ConstantFoliation, ConstantWeb, Matrix, abelian
 
 DEFAULT_SEED = int(os.environ.get("ABELWEB_SEED", "20260825"))
 
@@ -106,3 +107,18 @@ def dense_kernel(basis, ncols: int) -> list[tuple[Fraction, ...]]:
             row[c] = Fraction(x, den)
         dense.append(tuple(row))
     return dense
+
+
+def count_verifications(monkeypatch) -> list:
+    """Wrap ``abelian._verify_relation`` in every ``abelweb`` module that
+    binds it, calling through; returns the list of the arguments of each call."""
+    real, calls = abelian._verify_relation, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("abelweb") and getattr(module, "_verify_relation", None) is real:
+            monkeypatch.setattr(module, "_verify_relation", counting)
+    return calls

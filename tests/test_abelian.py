@@ -23,7 +23,7 @@ from abelweb import (
 from abelweb import abelian
 from abelweb.webcore import check_pg
 from abelweb.errors import InternalContradictionError
-from helpers import make_rng, random_pg_web, small_entry_web
+from helpers import count_verifications, make_rng, random_pg_web, small_entry_web
 
 
 def three_pencils():
@@ -79,6 +79,18 @@ def test_relation_elements_are_verified():
         ]
         with pytest.raises(InternalContradictionError):
             RelationBasisElement(web, h, rescaled)
+
+
+def test_relation_space_verifies_its_degree_in_one_call(monkeypatch):
+    # the (2,2,6) moment web under a base change: dim R(h) = 3, 4, 3, and
+    # each degree is verified by one packed check, not one per vector
+    web = moment_web(MomentWebSpec(2, 2, range(6), Matrix(
+        [[1, 1, 0, 2], [0, 1, 1, 0], [2, 0, 1, 1], [0, 3, 0, 1]])))
+    calls = count_verifications(monkeypatch)
+    for h, dim in enumerate((3, 4, 3)):
+        calls.clear()
+        assert len(relation_space(web, h)) == dim
+        assert len(calls) == 1, (h, len(calls))
 
 
 def test_relation_elements_need_one_component_per_foliation():

@@ -6,7 +6,7 @@ import pytest
 import oracle
 from abelweb import InternalContradictionError, Matrix, binomial, rational
 from abelweb import exactalg
-from abelweb.exactalg import _extend_mod, certified_kernel
+from abelweb.exactalg import _sparse_echelon, certified_kernel
 from helpers import dense_kernel, make_rng, random_invertible, random_matrix, sparse_rows
 
 
@@ -123,7 +123,7 @@ def test_dense_eliminations_need_no_prime_and_no_minors(monkeypatch):
     def unused(*args):
         raise AssertionError("a dense elimination needs no sparse elimination and no minors")
 
-    for name in ("certified_kernel", "_extend_mod", "_minors"):
+    for name in ("certified_kernel", "_sparse_echelon", "_minors"):
         monkeypatch.setattr(exactalg, name, unused)
     cached = exactalg._laplace_terms.cache_info().currsize
     kinds = set()
@@ -158,7 +158,7 @@ def test_json_round_trip():
     assert m.to_json()[0][0] == "1/3"
 
 
-def test_extend_mod_rank_and_span():
+def test_sparse_echelon_rank_and_span():
     # the echelon of sparse integer rows: its size is the rank, each row
     # starts at its pivot with non-zero integers of content 1, and it spans
     # the rows
@@ -169,12 +169,12 @@ def test_extend_mod_rank_and_span():
         if rng.random() < 0.5:
             ints.append([2 * a - b for a, b in zip(ints[0], ints[-1])])
         sparse = [{c: a for c, a in enumerate(row) if a} for row in ints]
-        echelon = _extend_mod(sparse)
+        echelon = _sparse_echelon(sparse)
         assert len(echelon) == Matrix(ints).rank()
         for q, row in echelon.items():
             assert min(row) == q and 0 not in row.values() and math.gcd(*row.values()) == 1
         # every input row reduces to zero after the echelon's own rows
-        assert _extend_mod([*echelon.values(), *sparse]).keys() == echelon.keys()
+        assert _sparse_echelon([*echelon.values(), *sparse]).keys() == echelon.keys()
 
 
 @pytest.mark.parametrize("fault", ["drop a row", "skip back-substitution"])
@@ -182,7 +182,7 @@ def test_broken_elimination_raises_instead_of_hanging(monkeypatch, fault):
     # a faulty elimination fails the exact check of its one pass and raises
     # InternalContradictionError: there is no second elimination to wait for
     calls = []
-    real = exactalg._extend_mod
+    real = exactalg._sparse_echelon
 
     def drop_a_row(rows):
         calls.append(fault)
@@ -204,7 +204,7 @@ def test_broken_elimination_raises_instead_of_hanging(monkeypatch, fault):
                 break
         cases.append(([dict(enumerate(row)) for row in rows], k + 3))
     if fault == "drop a row":
-        monkeypatch.setattr(exactalg, "_extend_mod", drop_a_row)
+        monkeypatch.setattr(exactalg, "_sparse_echelon", drop_a_row)
     else:
         monkeypatch.setattr(exactalg, "_back_substitute", leave_unreduced)
     for rows, ncols in cases:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -24,8 +25,15 @@ from abelweb import (
     tangent_incidence_web,
     total_rank,
 )
+from abelweb import abelian
 from abelweb.grassmann import _monomials
-from helpers import arrangement_through_points, make_rng, random_invertible, random_pg_web
+from helpers import (
+    arrangement_through_points,
+    count_verifications,
+    make_rng,
+    random_invertible,
+    random_pg_web,
+)
 
 
 def test_projective_point_canonical():
@@ -422,3 +430,16 @@ def test_rebuilt_moment_web_has_maximal_rank():
     web = moment_web(MomentWebSpec(2, 3, list(range(8))))
     report = total_rank(web)
     assert report.maximal_rank
+
+
+def test_recovery_verifies_R1_in_one_call_and_builds_no_element(monkeypatch):
+    # R(1) of the critical (2,2,5) subweb has 2 vectors; recovery reads them
+    # once off the kernel and verifies them with one packed check
+    web = moment_web(MomentWebSpec(2, 2, range(7), Matrix(
+        [[1, 1, 0, 2], [0, 1, 1, 0], [2, 0, 1, 1], [0, 3, 0, 1]])))
+    calls = count_verifications(monkeypatch)
+    elements = mock.Mock(wraps=abelian.RelationBasisElement)
+    monkeypatch.setattr(abelian, "RelationBasisElement", elements)
+    recover_normal_form(web)
+    assert len(calls) == 1
+    assert elements.mock_calls == []

@@ -154,6 +154,23 @@ def _faulty_back_pass(exactalg):
     assert code == 3
 
 
+def _packed_batches(exactalg):
+    # dx, dy, d(x - y) in the plane: every cleared normal entry is at most 1,
+    # so at h = 0 the bound is the largest |w_k|_1, here 8, and bits = 4;
+    # neither batch is a relation, and each cancels to zero if its second
+    # vector is packed at bits 3 or at the first one's offset
+    web = ConstantWeb(1, 2, [ConstantFoliation(1, 2, Matrix([row]))
+                             for row in ([1, 0], [0, 1], [1, -1])])
+    for batch in ([(1, {0: 8}), (1, {0: -1})], [(1, {0: 1}), (1, {0: -1})]):
+        with mock.patch.object(abelian, "_packed", exactalg._packed):
+            try:
+                abelian._verify_relation(web, 0, batch)
+            except InternalContradictionError:
+                continue
+        raise AssertionError(f"{batch} passed as relations")
+    abelian._verify_relation(web, 0, [(1, {0: 1, 1: -1, 2: -1})])
+
+
 def _inverse(exactalg):
     # the columns of the inverse, (1/2, 0) and (-1/6, 1/3), have two
     # denominators; the second matrix is held as integers over den = 2
@@ -373,6 +390,18 @@ MUTANTS = {
         "if any(sum(a * packed[j] for j, a in row.items()) for row in rows):",
         "if False:",
         _faulty_back_pass,
+    ),
+    "packed-bits-one-too-small": (
+        "exactalg",
+        "    bits = bound.bit_length()\n",
+        "    bits = bound.bit_length() - 1\n",
+        _packed_batches,
+    ),
+    "two-vectors-packed-at-one-offset": (
+        "exactalg",
+        "packed[j] += w << (k * bits)",
+        "packed[j] += w << (max(k - 1, 0) * bits)",
+        _packed_batches,
     ),
     "store-without-the-gcd": (
         "exactalg",

@@ -472,7 +472,13 @@ def test_verify_relation_matches_oracle():
     of it: one coefficient + 1, one component times its own foliation's
     denominator lcm, one component zeroed."""
     rng = make_rng(49)
-    verifiers = (_verify_relation, oracle._verify_relation)
+
+    def library(web, components):
+        # the components cleared by one lcm: a batch of one integer vector
+        (ints,), den = _clear_denominators([[x for c in components for x in c.vector()]])
+        _verify_relation(web, components[0].degree, [(den, dict(enumerate(ints)))])
+
+    verifiers = (library, oracle._verify_relation)
     checked = 0
     for r, n, d in [(2, 2, 6), (2, 3, 8), (3, 2, 8)]:
         taus = list(dict.fromkeys(Fraction(rng.randint(-9, 9), rng.randint(1, 4))

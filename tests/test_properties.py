@@ -23,6 +23,9 @@ the denominators of R(1) are not 1, the integer recovery returns the
 Fraction oracle's structure; and on rational points on a rational
 normal curve, and with one point moved, the Castelnuovo test agrees
 with the rank of their Fraction Veronese images.
+On moment webs with rational taus, a base change and each foliation's
+rows mixed, a basis of R(h) with one entry of one vector raised by 1
+fails the packed verification, and the basis without that vector passes.
 On random PG (n+1)-webs with rational entries, r <= 3 and n <= 4,
 ``akivis_structure`` returns an invertible basis whose blocks span the
 first n foliations and whose block sums span the last.  On d <= 9
@@ -86,6 +89,7 @@ from abelweb import (
     ConstantFoliation,
     ConstantWeb,
     DegenerateWebError,
+    InternalContradictionError,
     Matrix,
     MomentWebSpec,
     PlaneArrangement,
@@ -102,6 +106,7 @@ from abelweb import (
     lagrange_identity,
     moment_point,
     moment_web,
+    poly_space_dim,
     rational,
     recover_normal_form,
     relation_space,
@@ -111,7 +116,7 @@ from abelweb import (
     total_rank,
     vandermonde_weights,
 )
-from abelweb.abelian import _relation_kernel
+from abelweb.abelian import _relation_kernel, _verify_relation
 from abelweb.cli import main
 from abelweb.exactalg import certified_kernel
 from abelweb.grassmann import _foliation_on_invertible
@@ -412,6 +417,29 @@ def test_recovery_matches_oracle_on_mixed_rational_moment_webs(data):
     assume(critical.cleared_kappas()[1] != 1)
     assume(all(den != 1 for den, _ in _relation_kernel(critical, 1, False)))
     assert recover_normal_form(mixed).to_json() == oracle.recover_normal_form(mixed).to_json()
+
+
+@seed(DEFAULT_SEED)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_packed_verification_rejects_one_perturbed_vector(data):
+    r, n, d = data.draw(st.sampled_from([(1, 2, 6), (2, 2, 6), (2, 2, 7), (2, 3, 8), (3, 2, 8)]))
+    taus = data.draw(st.lists(st.sampled_from(TAUS), min_size=d, max_size=d, unique=True))
+    web = moment_web(MomentWebSpec(r, n, taus, data.draw(invertible(r * n))))
+    web = ConstantWeb(r, n, [ConstantFoliation(r, n, data.draw(invertible(r)) * f.matrix)
+                             for f in web.foliations])
+    h = data.draw(st.integers(0, h_cutoff(r, n, d) - 1))
+    basis = _relation_kernel(web, h, False)
+    assume(basis)
+    k = data.draw(st.integers(0, len(basis) - 1))
+    column = data.draw(st.integers(0, d * poly_space_dim(r, h) - 1))
+    # vec + e_column is no relation: a single monomial of one foliation
+    # pulls back to a non-zero form times a non-zero normal
+    den, vec = basis[k]
+    bumped = {**vec, column: vec.get(column, 0) + 1}
+    with pytest.raises(InternalContradictionError):
+        _verify_relation(web, h, basis[:k] + [(den, bumped)] + basis[k + 1 :])
+    _verify_relation(web, h, basis[:k] + basis[k + 1 :])
 
 
 @seed(DEFAULT_SEED)

@@ -72,7 +72,7 @@ def _without_echelons(monkeypatch):
     def unused(*args):
         raise AssertionError("check_pg builds no echelon and no kernel")
 
-    monkeypatch.setattr(exactalg, "_extend_mod", unused)
+    monkeypatch.setattr(exactalg, "_sparse_echelon", unused)
     monkeypatch.setattr(exactalg, "certified_kernel", unused)
 
 
