@@ -39,7 +39,7 @@ R(h).
 
 Every row is built from ``ConstantWeb.cleared_kappas``, the kappa_j
 times one lcm L of all their denominators; their maximal minors
-(``ConstantWeb.cleared_normals``, one table per web) are L^r * Omega_j,
+(``ConstantWeb.cleared_normals``, one colex table each) are L^r * Omega_j,
 the integer normals.
 Verification (``_verify_relation``) also runs in integers, once per
 degree for all the vectors w_k of a basis, in the form
@@ -145,13 +145,12 @@ def _verify_relation(
     vectors = [vec for _, vec in basis]
     widest = max((sum(map(abs, vec.values())) for vec in vectors), default=0)
     packed = _packed(vectors, web.d * len(monomials), widest * row_norm**h * top_normal)
-    positions = subset_position(web.r * web.n, web.r)
-    width = len(positions)
+    width = len(normals[0])
     total: dict[int, int] = {}
     for j, kappa in enumerate(kappas):
         column = packed[j * len(monomials) : (j + 1) * len(monomials)]
         pulled = _expand({m: p for m, p in zip(monomials, column) if p}, kappa, h)
-        terms = [(positions[s], v) for s, v in normals[j].items()]
+        terms = [(pos, v) for pos, v in enumerate(normals[j].values()) if v]
         for code, p in pulled.items():
             if p:
                 for pos, v in terms:
@@ -185,11 +184,13 @@ def relation_matrix(web: ConstantWeb, h: int) -> Matrix:
 
 
 def _normal_rows(web: ConstantWeb) -> list[dict[int, int]]:
-    """The rows of R(0): one per r-subset, the cleared normals' minors there."""
-    rows: dict[tuple[int, ...], dict[int, int]] = {}
+    """The rows of R(0): one per r-subset where some cleared normal is
+    non-zero, holding the normals' minors there."""
+    rows: dict[int, dict[int, int]] = {}
     for j, normal in enumerate(web.cleared_normals()):
-        for subset, c in normal.items():
-            rows.setdefault(subset, {})[j] = c
+        for pos, c in enumerate(normal.values()):
+            if c:
+                rows.setdefault(pos, {})[j] = c
     return list(rows.values())
 
 

@@ -23,10 +23,10 @@ below r, and otherwise projects the rows of every later foliation onto
 their kernel (``_project``), where m drops by r.  After n - 2
 foliations m = 2r, and the 2r stacked projected rows of the last two
 are square: their determinant is the pairing of their maximal minors
-(``_pairings``, the generalized Laplace expansion).  For n = 2 nothing
-is projected, and the pairings read the integer normals that
-``ConstantWeb.cleared_normals`` keeps for R(0).  No sparse echelon and
-no ``exactalg.certified_kernel`` is needed.
+(``_pairings``, the generalized Laplace expansion).  The walk is the same
+for every n: for n = 2 the prefix is empty, nothing is projected, and
+the pairings read the integer normals that ``ConstantWeb.cleared_normals``
+keeps for R(0), so one sweep of minors per foliation serves both.
 
 The closed-form quantities:
 
@@ -136,13 +136,12 @@ class ConstantWeb(_Value):
         return self._kappas
 
     def cleared_normals(self) -> list[dict[tuple[int, ...], int]]:
-        """The non-zero maximal minors of each cleared kappa_j by column
-        subset (colex): L^r * Omega_j, one table per foliation."""
+        """The maximal minors of each cleared kappa_j, L^r * Omega_j: one
+        complete table per foliation, every r-subset of columns in colex
+        order, zeros included, as ``exactalg._minors`` returns it, so a
+        reader indexes it by position."""
         if self._normals is None:
-            normals = [
-                {s: v for s, v in _minors(kappa, self.r * self.n).items() if v}
-                for kappa in self.cleared_kappas()[0]
-            ]
+            normals = [_minors(kappa, self.r * self.n) for kappa in self.cleared_kappas()[0]]
             object.__setattr__(self, "_normals", normals)
         return self._normals
 
@@ -222,11 +221,7 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     the first failing index set (1-based), by size and then
     lexicographically.
 
-    For n = 2 every subset tested is a pair, and the first pair in
-    lexicographic order whose pairing (``_pairings``) of the cached
-    ``cleared_normals`` is 0 is reported.
-
-    For n >= 3 the subsets of the top size min(d, n) are tested first:
+    The subsets of the top size min(d, n) are tested first:
     rows that are independent stay independent in every subset, and
     every smaller subset lies in one of the top size, so if all of those
     pass the web is PG.  Otherwise let T be the first failing one; sizes
@@ -246,14 +241,12 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
     subset that extends it: the first one not skipped is reported.  A
     subset of n foliations is projected along its first n - 2 only,
     which leaves 2r columns, and its last two are decided by the pairing
-    of their projected normals, computed once per prefix.  Every step is
-    exact, in integers: no sparse echelon and no
-    ``exactalg.certified_kernel``.
+    of their projected normals, computed once per prefix.  For n = 2 that
+    prefix is empty: every pair of foliations is one pairing of the
+    cached ``cleared_normals``, the sweep R(0) reads too, and a web of
+    one foliation is the walk of size 1.  Every step is exact, in
+    integers.
     """
-    if web.n == 2:
-        pairs = _pairings(web.r, web.cleared_normals())
-        failing = next((pair for pair, value in pairs if not value), None)
-        return (True, None) if failing is None else (False, (failing[0] + 1, failing[1] + 1))
     root = dict(enumerate(web.cleared_kappas()[0]))
     top = min(web.d, web.n)
 
@@ -279,10 +272,14 @@ def check_pg(web: ConstantWeb) -> tuple[bool, tuple[int, ...] | None]:
                 stack.append(node)
             previous = prefix
             if paired:
-                normals = [_minors(rows, 2 * web.r) for rows in stack[-1].values()]
+                start = prefix[-1] + 1 if prefix else 0
+                normals = (
+                    [_minors(rows, 2 * web.r) for rows in stack[-1].values()] if prefix
+                    else web.cleared_normals()  # nothing projected: R(0)'s sweep
+                )
                 pair = next((pair for pair, value in _pairings(web.r, normals) if not value), None)
                 if pair is not None:
-                    return prefix + (prefix[-1] + 1 + pair[0], prefix[-1] + 1 + pair[1])
+                    return prefix + (start + pair[0], start + pair[1])
         return None
 
     failing = first_failure(top)
@@ -338,32 +335,33 @@ def _kernel(rows: list[list[int]]) -> list[tuple[operator.itemgetter, list[int]]
 
 
 @functools.cache
-def _pairing_terms(r: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """``(eps, T, T^c)`` for each r-subset T of range(2r) (colex), where
-    eps = (-1)^(sum(T) + r(r+1)/2) is the sign of the shuffle (T^c, T)."""
-    return tuple(
-        ((-1) ** (sum(t) + r * (r + 1) // 2), t, tuple(c for c in range(2 * r) if c not in t))
-        for t in index_subsets(2 * r, r)
-    )
+def _pairing_signs(r: int) -> tuple[int, ...]:
+    """eps(T) = (-1)^(sum(T) + r(r+1)/2), the sign of the shuffle (T^c, T),
+    for each r-subset T of range(2r) in colex order."""
+    return tuple((-1) ** (sum(t) + r * (r + 1) // 2) for t in index_subsets(2 * r, r))
 
 
 def _pairings(
     r: int, normals: Sequence[dict[tuple[int, ...], int]]
 ) -> Iterator[tuple[tuple[int, int], int]]:
-    """For the maximal minors N of r x 2r integer blocks, by column subset
-    (a missing subset reads 0), each pair of positions i < j
-    (lexicographic) with sum_T eps(T) N_i(T^c) N_j(T): by the generalized
-    Laplace expansion along the first r rows, the determinant of the two
-    blocks stacked.
+    """For the maximal minors N of r x 2r integer blocks, each a complete
+    table in colex order (``exactalg._minors``), each pair of positions
+    i < j (lexicographic) with sum_T eps(T) N_i(T^c) N_j(T): by the
+    generalized Laplace expansion along the first r rows, the determinant
+    of the two blocks stacked.
 
-    Each normal is laid out once as two lists in the order of the terms,
-    N(T) and eps(T) N(T^c), so a pair is one sum of products.
+    Complements reverse colex order.  S precedes T in colex order exactly
+    when max(S delta T) lies in T, and S^c delta T^c = S delta T, whose
+    largest element lies in S^c exactly when it does not lie in S, that
+    is, when it lies in T.  So S^c follows T^c exactly when S precedes T,
+    the complement of the k-th r-subset of range(2r) is the k-th from
+    the end, and N(T^c) is the table read backwards.  Each normal is laid
+    out once as two lists in colex order, N(T) and eps(T) N(T^c), so a
+    pair is one sum of products and no subset is looked up.
     """
-    terms = _pairing_terms(r)
-    plain, dual = [], []
-    for normal in normals:
-        plain.append([normal.get(t, 0) for _, t, _ in terms])
-        dual.append([eps * normal.get(tc, 0) for eps, t, tc in terms])
+    signs = _pairing_signs(r)
+    plain = [list(normal.values()) for normal in normals]
+    dual = [list(map(operator.mul, signs, reversed(values))) for values in plain]
     for i, j in itertools.combinations(range(len(normals)), 2):
         yield (i, j), sum(map(operator.mul, dual[i], plain[j]))
 

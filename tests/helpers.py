@@ -9,7 +9,7 @@ import random
 import sys
 from fractions import Fraction
 
-from abelweb import ConstantFoliation, ConstantWeb, Matrix, abelian
+from abelweb import ConstantFoliation, ConstantWeb, Matrix
 
 DEFAULT_SEED = int(os.environ.get("ABELWEB_SEED", "20260825"))
 
@@ -22,35 +22,46 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5) -> Matrix:
     return Matrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
-def random_invertible(rng, m) -> Matrix:
-    while True:
-        candidate = random_matrix(rng, m, m)
-        if candidate.is_invertible():
+DRAW_TRIES = 1000
+
+
+def draw(make, accept, predicate: str):
+    """The first result of ``make()`` that ``accept`` holds for, in at most
+    DRAW_TRIES calls; ``predicate`` names ``accept`` in the failure.
+
+    A fault that makes ``accept`` refuse every draw then fails the test
+    that draws, instead of hanging it.
+    """
+    for _ in range(DRAW_TRIES):
+        candidate = make()
+        if accept(candidate):
             return candidate
+    raise AssertionError(f"no draw in {DRAW_TRIES} tries satisfied {predicate}")
+
+
+def random_invertible(rng, m) -> Matrix:
+    return draw(lambda: random_matrix(rng, m, m), Matrix.is_invertible, "Matrix.is_invertible")
 
 
 def random_foliation(rng, r, n) -> ConstantFoliation:
-    while True:
-        matrix = random_matrix(rng, r, r * n)
-        if matrix.rank() == r:
-            return ConstantFoliation(r, n, matrix)
+    return ConstantFoliation(r, n, _rank_r(lambda: random_matrix(rng, r, r * n), r))
 
 
 def random_pg_web(rng, r, n, d) -> ConstantWeb:
-    while True:
-        web = ConstantWeb(r, n, [random_foliation(rng, r, n) for _ in range(d)])
-        if web.is_pg():
-            return web
+    return draw(lambda: ConstantWeb(r, n, [random_foliation(rng, r, n) for _ in range(d)]),
+                ConstantWeb.is_pg, "ConstantWeb.is_pg")
 
 
 def small_entry_web(rng, r, n, d) -> ConstantWeb:
     """A web with entries in -2..2, so that many fail general position."""
-    foliations = []
-    while len(foliations) < d:
-        matrix = Matrix([[rng.randint(-2, 2) for _ in range(r * n)] for _ in range(r)])
-        if matrix.rank() == r:
-            foliations.append(ConstantFoliation(r, n, matrix))
-    return ConstantWeb(r, n, foliations)
+    def matrix():
+        return Matrix([[rng.randint(-2, 2) for _ in range(r * n)] for _ in range(r)])
+
+    return ConstantWeb(r, n, [ConstantFoliation(r, n, _rank_r(matrix, r)) for _ in range(d)])
+
+
+def _rank_r(make, r) -> Matrix:
+    return draw(make, lambda matrix: matrix.rank() == r, f"Matrix.rank() == {r}")
 
 
 def arrangement_through_points(rng, r, n, points):
@@ -66,17 +77,21 @@ def arrangement_through_points(rng, r, n, points):
     for coords in points:
         p = [Fraction(0)] * r + [Fraction(c) for c in coords]
         assert p[r] != 0
-        while True:
+
+        def through_p():
             rows = []
             for _ in range(n - 1):
                 row = [Fraction(rng.randint(-3, 3)) for _ in range(r + n)]
                 value = sum(a * b for a, b in zip(row, p))
                 row[r] -= value / p[r]
                 rows.append(row)
-            matrix = Matrix(rows)
-            if matrix.rank() == n - 1 and Matrix(rows + eta).rank() == r + n - 1:
-                planes.append(matrix)
-                break
+            return rows
+
+        rows = draw(through_p,
+                    lambda rows: Matrix(rows).rank() == n - 1
+                    and Matrix(rows + eta).rank() == r + n - 1,
+                    "rank n - 1, and r + n - 1 with the base plane")
+        planes.append(Matrix(rows))
     return PlaneArrangement(r, n, planes)
 
 
@@ -109,16 +124,16 @@ def dense_kernel(basis, ncols: int) -> list[tuple[Fraction, ...]]:
     return dense
 
 
-def count_verifications(monkeypatch) -> list:
-    """Wrap ``abelian._verify_relation`` in every ``abelweb`` module that
+def count_calls(monkeypatch, real) -> list:
+    """Wrap the library function ``real`` in every ``abelweb`` module that
     binds it, calling through; returns the list of the arguments of each call."""
-    real, calls = abelian._verify_relation, []
+    calls = []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("abelweb") and getattr(module, "_verify_relation", None) is real:
-            monkeypatch.setattr(module, "_verify_relation", counting)
+        if name.startswith("abelweb") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counting)
     return calls

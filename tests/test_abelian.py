@@ -20,10 +20,10 @@ from abelweb import (
     subweb,
     total_rank,
 )
-from abelweb import abelian
+from abelweb import abelian, exactalg
 from abelweb.webcore import check_pg
 from abelweb.errors import InternalContradictionError
-from helpers import count_verifications, make_rng, random_pg_web, small_entry_web
+from helpers import count_calls, make_rng, random_pg_web, small_entry_web
 
 
 def three_pencils():
@@ -86,11 +86,22 @@ def test_relation_space_verifies_its_degree_in_one_call(monkeypatch):
     # each degree is verified by one packed check, not one per vector
     web = moment_web(MomentWebSpec(2, 2, range(6), Matrix(
         [[1, 1, 0, 2], [0, 1, 1, 0], [2, 0, 1, 1], [0, 3, 0, 1]])))
-    calls = count_verifications(monkeypatch)
+    calls = count_calls(monkeypatch, abelian._verify_relation)
     for h, dim in enumerate((3, 4, 3)):
         calls.clear()
         assert len(relation_space(web, h)) == dim
         assert len(calls) == 1, (h, len(calls))
+
+
+def test_total_rank_of_type_r_2_sweeps_each_normal_once(monkeypatch):
+    # PG pairs the cached normals that R(0) reads: one table of minors per
+    # foliation, whatever d
+    for r, d in ((1, 2), (1, 5), (2, 7), (3, 10)):
+        web = moment_web(MomentWebSpec(r, 2, range(d)))
+        calls = count_calls(monkeypatch, exactalg._minors)
+        total_rank(web)
+        assert len(calls) == d, (r, d, len(calls))
+        monkeypatch.undo()
 
 
 def test_relation_elements_need_one_component_per_foliation():

@@ -33,6 +33,7 @@ from abelweb import (
 )
 from helpers import (
     arrangement_through_points,
+    draw,
     make_rng,
     random_invertible,
     random_pg_web,
@@ -151,10 +152,8 @@ def test_criterion_7_vandermonde_lagrange():
             system = Matrix([[Fraction(t) ** rho for t in taus] for rho in range(d)])
             assert vandermonde_weights(taus) == system.inverse().apply([0] * (d - 1) + [1])
         for d in range(2, 9):
-            while True:
-                taus = [Fraction(rng.randint(-12, 12)) for _ in range(d)]
-                if len(set(taus)) == d:
-                    break
+            taus = draw(lambda: [Fraction(rng.randint(-12, 12)) for _ in range(d)],
+                        lambda taus: len(set(taus)) == len(taus), "distinct")
             for e in range(d):
                 assert lagrange_identity(taus, [0] * e + [1])
             assert not lagrange_identity(taus, [0] * d + [1])

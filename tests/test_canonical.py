@@ -14,7 +14,7 @@ from abelweb import (
     solution_polynomial,
     vandermonde_weights,
 )
-from helpers import make_rng
+from helpers import draw, make_rng
 
 
 def brute_force_weights(taus):
@@ -23,6 +23,10 @@ def brute_force_weights(taus):
     system = Matrix([[Fraction(t) ** rho for t in taus] for rho in range(d)])
     rhs = [0] * (d - 1) + [1]
     return system.inverse().apply(rhs)
+
+
+def _distinct(values):
+    return len(set(values)) == len(values)
 
 
 def test_weights_small_cases():
@@ -39,12 +43,8 @@ def test_weights_match_linear_solve():
     for d in range(2, 11):
         taus = list(range(d))
         assert vandermonde_weights(taus) == brute_force_weights(taus)
-        while True:
-            fancy = [
-                Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d)
-            ]
-            if len(set(fancy)) == d:
-                break
+        fancy = draw(lambda: [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d)],
+                     _distinct, "distinct")
         assert vandermonde_weights(fancy) == brute_force_weights(fancy)
     with pytest.raises(ValueError):
         vandermonde_weights([1, 1])
@@ -92,10 +92,8 @@ def test_lagrange_identity_constant():
 def test_lagrange_identity_sharpness():
     rng = make_rng(20)
     for d in range(3, 9):
-        while True:
-            taus = [Fraction(rng.randint(-15, 15)) for _ in range(d)]
-            if len(set(taus)) == d:
-                break
+        taus = draw(lambda: [Fraction(rng.randint(-15, 15)) for _ in range(d)],
+                    _distinct, "distinct")
         for e in range(d):
             assert lagrange_identity(taus, [0] * e + [1])
         assert not lagrange_identity(taus, [0] * d + [1])

@@ -7,7 +7,7 @@ import oracle
 from abelweb import InternalContradictionError, Matrix, binomial, rational
 from abelweb import exactalg
 from abelweb.exactalg import _sparse_echelon, certified_kernel
-from helpers import dense_kernel, make_rng, random_invertible, random_matrix, sparse_rows
+from helpers import dense_kernel, draw, make_rng, random_invertible, random_matrix, sparse_rows
 
 
 def test_rational_parsing():
@@ -193,16 +193,18 @@ def test_broken_elimination_raises_instead_of_hanging(monkeypatch, fault):
         calls.append(fault)
 
     rng = make_rng(41)
+
+    def full_rows():
+        k = rng.randint(2, 6)
+        return [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k + 3)] for _ in range(k)]
+
     cases = [([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 2, 3: 1}], 4)]
     for _ in range(10):
         # dense rows of full row rank: every row counts, and the first row has
         # entries at the later pivots, so back-substitution has work to do
-        while True:
-            k = rng.randint(2, 6)
-            rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k + 3)] for _ in range(k)]
-            if Matrix(rows).rank() == k:
-                break
-        cases.append(([dict(enumerate(row)) for row in rows], k + 3))
+        rows = draw(full_rows, lambda rows: Matrix(rows).rank() == len(rows),
+                    "Matrix(rows).rank() == len(rows)")
+        cases.append(([dict(enumerate(row)) for row in rows], len(rows) + 3))
     if fault == "drop a row":
         monkeypatch.setattr(exactalg, "_sparse_echelon", drop_a_row)
     else:

@@ -29,7 +29,8 @@ from abelweb import abelian
 from abelweb.grassmann import _monomials
 from helpers import (
     arrangement_through_points,
-    count_verifications,
+    count_calls,
+    draw,
     make_rng,
     random_invertible,
     random_pg_web,
@@ -333,18 +334,18 @@ def test_fit_rnc_point_at_a_frame_point_is_degenerate():
 
 def test_fit_rnc_rejects_generic_points():
     rng = make_rng(15)
-    while True:
-        points = [
-            ProjectivePoint([rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9)])
-            for _ in range(6)
-        ]
+
+    def refused(points):
         try:
             fit_rnc(points)
         except DegenerateWebError as exc:
             assert "not on a common RNC" in str(exc) or "general position" in str(exc)
-            break
-        else:
-            continue
+            return True
+        return False
+
+    draw(lambda: [ProjectivePoint([rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9)])
+                  for _ in range(6)],
+         refused, "fit_rnc raises DegenerateWebError")
 
 
 def test_fit_rnc_needs_enough_points():
@@ -437,7 +438,7 @@ def test_recovery_verifies_R1_in_one_call_and_builds_no_element(monkeypatch):
     # once off the kernel and verifies them with one packed check
     web = moment_web(MomentWebSpec(2, 2, range(7), Matrix(
         [[1, 1, 0, 2], [0, 1, 1, 0], [2, 0, 1, 1], [0, 3, 0, 1]])))
-    calls = count_verifications(monkeypatch)
+    calls = count_calls(monkeypatch, abelian._verify_relation)
     elements = mock.Mock(wraps=abelian.RelationBasisElement)
     monkeypatch.setattr(abelian, "RelationBasisElement", elements)
     recover_normal_form(web)

@@ -268,7 +268,8 @@ def _plane_rank(incidence):
 
 def _pairing(webcore):
     # (1,2,4): foliations 2 and 4 are parallel, so pair (2,4) fails after
-    # (1,2), (1,3), (1,4), (2,3) pass; (2,2,3) and (3,2,3) are PG
+    # (1,2), (1,3), (1,4), (2,3) pass, and a pair read at another offset is
+    # reported wrong; (2,2,3) and (3,2,3) are PG
     webs = [
         ConstantWeb(1, 2, [ConstantFoliation(1, 2, Matrix([row]))
                            for row in ([1, 2], [3, -1], [0, 1], [6, -2])]),
@@ -519,8 +520,14 @@ MUTANTS = {
     ),
     "pairing-reads-N_i-at-T": (
         "webcore",
-        "eps * normal.get(tc, 0)",
-        "eps * normal.get(t, 0)",
+        "reversed(values)",
+        "values",
+        _pairing,
+    ),
+    "empty-prefix-pair-offset-by-one": (
+        "webcore",
+        "start = prefix[-1] + 1 if prefix else 0",
+        "start = prefix[-1] + 1 if prefix else 1",
         _pairing,
     ),
     "kernel-vector-with-one-sign-flipped": (

@@ -61,7 +61,7 @@ from abelweb.grassmann import (
     ProjectivePoint, _point_from_block_matrix, foliation_from_point, omega_expansion,
 )
 from abelweb.multilinear import index_subsets, monomial_exponents, poly_space_dim
-from helpers import dense_kernel, make_rng, random_invertible, random_pg_web, sparse_rows
+from helpers import dense_kernel, draw, make_rng, random_invertible, random_pg_web, sparse_rows
 
 
 def _small_rational(rng) -> Fraction:
@@ -406,11 +406,9 @@ def test_moment_relation_bases_match_the_closed_form(r, n, d, dense):
         tau = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         if tau not in taus:
             taus.append(tau)
-    base = None
-    while dense and base is None:
-        candidate = Matrix([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r * n)]
-                            for _ in range(r * n)])
-        base = candidate if candidate.is_invertible() else None
+    base = draw(lambda: Matrix([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r * n)]
+                                for _ in range(r * n)]),
+                Matrix.is_invertible, "Matrix.is_invertible") if dense else None
     spec = MomentWebSpec(r, n, taus, base)
     web = moment_web(spec)
     for h in range(h_cutoff(r, n, d)):
@@ -420,11 +418,9 @@ def test_moment_relation_bases_match_the_closed_form(r, n, d, dense):
 
 
 def _rational_invertible(rng, m: int) -> Matrix:
-    while True:
-        candidate = Matrix([[Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5)))
-                             for _ in range(m)] for _ in range(m)])
-        if candidate.is_invertible():
-            return candidate
+    return draw(lambda: Matrix([[Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5)))
+                                 for _ in range(m)] for _ in range(m)]),
+                Matrix.is_invertible, "Matrix.is_invertible")
 
 
 def test_foliation_from_point_matches_oracle():

@@ -232,6 +232,11 @@ def test_check_pg_with_fewer_foliations_than_n():
     # failures of sizes 2, 3 and 4 or more, of all d foliations and of fewer
     assert {min(size, 4) for size, _ in sizes} == {2, 3, 4}
     assert {whole for _, whole in sizes} == {False, True}
+    # one foliation of type (r, 2): the walk of size 1, no pairing
+    rng = make_rng(67)
+    for r in (1, 2, 3) * 2:
+        web = small_entry_web(rng, r, 2, 1)
+        assert check_pg(web) == oracle.check_pg(web) == (True, None), web.to_json()
 
 
 def test_check_pg_on_a_pg_web_tests_the_top_size_only(monkeypatch):
