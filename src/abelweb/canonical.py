@@ -13,7 +13,11 @@ system, the polynomial identity
 
 and the canonical data of a moment web — a relation basis in a fixed
 order, the resulting points [1 : tau_j : ... : tau_j^q : 0 : ... : 0],
-and the degree-q curve through them.  The solution polynomial, the
+and the degree-q curve through them.  The verified relation spaces
+R(h) of ``abelian.relation_space`` are the one certificate: the basis's
+designated relations of degrees 0 and 1 are plain vectors, checked to
+lie in the span of R(0) and R(1) by one rank test each, and the points
+are the columns of the degree-0 block.  The solution polynomial, the
 identity and the curve are each one sum sum_j v_j Q_j (``_interpolate``).
 
 Univariate polynomials are plain ascending coefficient lists of exact
@@ -27,9 +31,8 @@ from typing import Sequence
 
 from .errors import InternalContradictionError
 from .exactalg import Matrix, binomial, rational
-from .multilinear import HomogeneousPoly
 from .webcore import h_cutoff, q_of, require_web_type
-from .abelian import RankReport, RelationBasisElement, relation_space
+from .abelian import RankReport, relation_space
 from .grassmann import MomentWebSpec, ProjectivePoint, moment_web
 
 
@@ -209,16 +212,25 @@ class CanonicalData:
 def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     """Ordered relation basis, points, and curve of a moment web.
 
-    Each relation space R(h), h below the cutoff, is computed once; the
-    rank report is read off their dimensions.  The basis order is fixed:
-    the q+1 weighted power relations z_j = c_j tau_j^rho of degree 0,
-    then the r weighted linear relations z_j = c_j y_a, then the
-    canonical kernel vectors of R(1) that the linear relations leave
-    independent (the pivot columns after them, in order), then R(h) for
-    h >= 2.  With that order the j-th point is
-    [1 : tau_j : ... : tau_j^q : 0 : ... : 0] and the curve through them
-    is [1 : t : ... : t^q : 0 : ... : 0]; both facts are asserted rather
-    than assumed.
+    Each relation space R(h), h below the cutoff, is computed and
+    verified once; the rank report is read off their dimensions, and
+    their saturation certifies N.  The basis order is fixed: the q+1
+    weighted power relations z_j = c_j tau_j^rho of degree 0, then the r
+    weighted linear relations z_j = c_j y_a, then the canonical kernel
+    vectors of R(1) that the linear relations leave independent (the
+    pivot columns after them, in order), then R(h) for h >= 2.
+
+    The designated relations are plain vectors, checked against the
+    verified bases: the block of degree h followed by the basis of R(h)
+    must have the block's vectors as its first pivots and rank dim R(h).
+    Then the block is independent and lies in the span of verified
+    relations, that is in R(h); no relation is built or verified twice.
+    The j-th point is the j-th column of the degree-0 block,
+    [c_j : c_j tau_j : ... : c_j tau_j^q : 0 : ... : 0], which is
+    [1 : tau_j : ... : tau_j^q : 0 : ... : 0] since c_j != 0.  The curve
+    through the points is interpolated from the same block; that it is
+    [1 : t : ... : t^q : 0 : ... : 0], closing at degree q and meeting
+    every point, is asserted rather than assumed.
     """
     r, n = spec.r, spec.n
     d = len(spec.taus)
@@ -234,59 +246,34 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
         raise InternalContradictionError("moment web fails to saturate the rank bounds")
     weights = vandermonde_weights(spec.taus)
 
-    # designated degree-0 block: z_j = c_j tau_j^rho, rho = 0..q
-    degree0 = [
-        RelationBasisElement(web, 0, [
-            HomogeneousPoly.constant(r, c * t**rho) for c, t in zip(weights, spec.taus)
-        ])
-        for rho in range(q + 1)
-    ]
+    # designated degree-0 block z_j = c_j tau_j^rho, rho = 0..q, and
+    # degree-1 block z_j = c_j y_a, a = 1..r, with c_j at column j r + a
+    powers = [[c * t**rho for c, t in zip(weights, spec.taus)] for rho in range(q + 1)]
+    linear = [[c if b == a else 0 for c in weights for b in range(r)] for a in range(r)]
 
-    # designated degree-1 block: z_j = c_j y_a, a = 1..r
-    linear = [
-        RelationBasisElement(web, 1, [
-            HomogeneousPoly(r, 1, {tuple(1 if i == a else 0 for i in range(r)): c})
-            for c in weights
-        ])
-        for a in range(r)
-    ]
-
-    # completion of the degree-1 block from the canonical kernel basis: a
-    # vector is a pivot column exactly when it is independent of all
-    # vectors before it.  The basis goes on with the kernel vectors at
-    # pivots[r:], then R(h) for h >= 2; no output reads them, so they are
-    # not assembled.  With dim R(0) = d - r(n-1) - 1 = q + 1 (semi-extremal)
-    # and len(pivots) = dim R(1) it holds exactly total_rank = sum_h dim R(h)
-    # relations.
-    kernel1 = spaces[1]
-    columns = Matrix([el.vector() for el in linear + kernel1]).transpose()
-    _, pivots = columns.rref()
-    if pivots[:r] != tuple(range(r)) or len(pivots) != len(kernel1):
-        raise InternalContradictionError(
-            "degree-1 kernel basis fails to complete the designated relations"
-        )
+    # a vector is a pivot column exactly when it is independent of all
+    # vectors before it.  The basis goes on with the kernel vectors at the
+    # pivots after each block; no output reads them, so they are not
+    # assembled.  With len(pivots) = dim R(h) at h = 0, 1 it holds exactly
+    # total_rank = sum_h dim R(h) relations.
+    for h, block in enumerate((powers, linear)):
+        _, pivots = Matrix(block + [el.vector() for el in spaces[h]]).transpose().rref()
+        if pivots[: len(block)] != tuple(range(len(block))) or len(pivots) != len(spaces[h]):
+            raise InternalContradictionError(
+                f"degree-{h} kernel basis fails to complete the designated relations"
+            )
     N = report.total_rank - 1
 
     # evaluation at the origin: constants survive, positive degrees
     # vanish, so only the q+1 relations of degree 0, which come first,
-    # give non-zero entries; the N-q after them are zeros
-    zeros = [Fraction(0)] * (N - q)
-    columns = [[el.components[j].coefficient((0,) * r) for el in degree0] for j in range(d)]
-
-    # each point is checked to be [1 : tau_j : ...], and the taus are
+    # give non-zero entries; the N-q after them are zeros.  The taus are
     # distinct with q >= n - 1 >= 1, so the points are pairwise distinct
-    points = []
-    for j, column in enumerate(columns):
-        point = ProjectivePoint(column + zeros)
-        if point != ProjectivePoint([spec.taus[j] ** rho for rho in range(q + 1)] + zeros):
-            raise InternalContradictionError(
-                f"point {j + 1} differs from its displayed coordinate form"
-            )
-        points.append(point)
+    zeros = [Fraction(0)] * (N - q)
+    points = [ProjectivePoint(list(column) + zeros) for column in zip(*powers)]
 
     # curve z(t) = sum_j P(t)/(t - tau_j) z_j by coordinates; must close at degree q
     cofactors = _cofactors(spec.taus)
-    curve = list(zip(*(_interpolate(cofactors, values) for values in zip(*columns))))
+    curve = list(zip(*(_interpolate(cofactors, values) for values in powers)))
     for e in range(q + 1, d):
         if any(c != 0 for c in curve[e]):
             raise InternalContradictionError(

@@ -6,8 +6,8 @@ import pytest
 
 import oracle
 from abelweb import (
-    ConstantWeb, DegenerateWebError, Matrix, MomentWebSpec, ProjectivePoint, abelian,
-    grassmann, moment_web,
+    ConstantWeb, DegenerateWebError, InternalContradictionError, Matrix, MomentWebSpec,
+    ProjectivePoint, abelian, grassmann, h_cutoff, moment_web, poly_space_dim,
 )
 from abelweb.cli import _build_parser, main
 
@@ -460,6 +460,28 @@ def test_a_relation_space_above_its_bound_exits_3(tmp_path, capsys, monkeypatch)
     assert (code, out) == (3, "")
     assert ("dim R(0) = 4 exceeds the proven bound 3 for a general-position web "
             "of type (2,2), d=6") in err
+
+
+def test_a_relation_at_the_cutoff_exits_3_under_paranoid(tmp_path, capsys, monkeypatch):
+    """The bound at the cutoff is 0, so a kernel vector there is refused by
+    the per-degree bound guard: ``total_rank(paranoid=True)`` raises and
+    ``rank --paranoid`` exits 3, while ``rank`` never computes that degree."""
+    path = tmp_path / "w.json"
+    run(capsys, "moment", "-r", "2", "-n", "2", "--taus", "0,1,2,3,4,5", "-o", str(path))
+    cutoff = h_cutoff(2, 2, 6)
+    real = abelian.certified_kernel
+    at_cutoff = 6 * poly_space_dim(2, cutoff)
+    monkeypatch.setattr(abelian, "certified_kernel", lambda rows, ncols: real(rows, ncols) + (
+        [(1, {0: 1})] if ncols == at_cutoff else []))
+    message = (f"dim R({cutoff}) = 1 exceeds the proven bound 0 for a general-position web "
+               "of type (2,2), d=6")
+    web = ConstantWeb.from_json(json.loads(path.read_text()))
+    with pytest.raises(InternalContradictionError, match=re.escape(message)):
+        abelian.total_rank(web, paranoid=True)
+    assert run(capsys, "rank", "--web", str(path))[0] == 0
+    code, out, err = run(capsys, "rank", "--web", str(path), "--paranoid")
+    assert (code, out) == (3, "")
+    assert message in err
 
 
 def test_bad_taus_option_names_its_entry(capsys):

@@ -61,10 +61,15 @@ def _general_solution(canonical):
     assert _outcome(lambda: canonical.solution_polynomial(r, n, taus, z)) == ("value", tuple(f))
 
 
+# taus whose reversal is no affine map of them: some c_j tau_(d+1-j)^rho
+# is c_j f(tau_j) for no f of degree <= q, so it is not a relation
+_SKEWED_SPEC = MomentWebSpec(2, 2, [0, 1, 3, Fraction(-1, 2), 4, 7])
+
+
 def _canonical_data(canonical):
-    spec = MomentWebSpec(2, 2, range(6))
-    expected = oracle.canonical_data(spec).to_json()
-    assert _outcome(lambda: canonical.canonical_data(spec).to_json()) == ("value", expected)
+    for spec in (MomentWebSpec(2, 2, range(6)), _SKEWED_SPEC):
+        expected = oracle.canonical_data(spec).to_json()
+        assert _outcome(lambda: canonical.canonical_data(spec).to_json()) == ("value", expected)
 
 
 def _recovery(grassmann):
@@ -350,6 +355,12 @@ MUTANTS = {
         "total[e] += c",
         _canonical_data,
     ),
+    "designated-powers-pair-the-reversed-taus": (
+        "canonical",
+        "for c, t in zip(weights, spec.taus)]",
+        "for c, t in zip(weights, spec.taus[::-1])]",
+        _canonical_data,
+    ),
     "recovery-reads-inverse-rows": (
         "grassmann",
         "list(zip(*inverse.ints))",
@@ -580,3 +591,20 @@ def test_mutant_is_killed(name):
     mutant = _mutant(module, snippet, replacement)
     with pytest.raises((AssertionError, InternalContradictionError)):
         check(mutant)
+
+
+def test_designated_powers_off_R0_exit_3_at_the_degree_0_span_check():
+    """A degree-0 block outside R(0) is refused by the rank check against
+    the verified basis of R(0), before any point is read off it."""
+    mutant = _mutant(*MUTANTS["designated-powers-pair-the-reversed-taus"][:3])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(_SKEWED_SPEC.to_json(), handle)
+        with mock.patch.object(cli, "canonical_data", mutant.canonical_data), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["canonical", "--moment", path])
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue() == ("internal contradiction: degree-0 kernel basis fails to "
+                              "complete the designated relations\n")
