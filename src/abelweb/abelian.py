@@ -14,22 +14,27 @@ tuple D_a c = (sum_i kappa_j[i, a] * dc_j/dx_i)_j, so D_a maps R(h) into
 R(h-1).  Conversely, if every D_a c lies in R(h-1), every first
 derivative of the left-hand side vanishes, and so does the left-hand
 side, by Euler's identity (h times a degree-h form is sum_a x_a times
-its derivative along a).  This holds for every web, PG or not.  Since y
-lies in R(h-1) exactly when y_q = sum_f K_f[q] * y_f at every column q
-outside the free columns f of its canonical basis K, R(h) is the kernel
+its derivative along a).  This holds for every web, PG or not.
+R(h-1) is the kernel of the reduced rows ``certified_kernel`` returned
+for it: one primitive integer row per pivot q, non-zero only at q and at
+the free columns of the canonical basis.  So c lies in R(h) exactly when
+row_q . D_a c = 0 for every direction a and pivot q: R(h) is the kernel
 of rn * (d * C(r+h-2, h-1) - dim R(h-1)) sparse integer rows, where the
-relation matrix has C(rn+h-1, h) * C(rn, r).
+relation matrix has C(rn+h-1, h) * C(rn, r).  Each is a row of R(h-1)
+composed with D_a, read as it is held; nothing is read back from the
+basis vectors.
 
 An empty R(h-1) leaves only the rows D_a c = 0 for every a.  For each
 j these say kappa_j^T grad c_j = 0, and kappa_j has rank r, so every
 c_j is constant, hence zero in degree h >= 1: R(h) = 0, for every web,
 PG or not.  So the chain ends at its first empty degree, and no degree
-above it builds rows or calls the kernel.  The bases are kept on the
-web (``ConstantWeb._relations``), so each degree is eliminated once, in
-the sparse integer form ``certified_kernel`` returns: each vector as a
-dict of integers over its support and one positive denominator, so the
-next degree's rows are built in integers.  ``relation_space`` alone
-turns them into ``Fraction`` coefficients.
+above it builds rows or calls the kernel; its reduced rows are the unit
+rows.  The chain is kept on the web (``ConstantWeb._relations``), one
+:class:`_Degree` per degree, so each degree is eliminated once: its
+reduced rows, which the next degree reads, and its canonical basis, in
+the sparse integer form ``certified_kernel`` returns, each vector as a
+dict of integers over its support and one positive denominator.
+``relation_space`` alone turns them into ``Fraction`` coefficients.
 
 Every kernel comes from :func:`exactalg.certified_kernel`: one sparse
 elimination over Z, whose exact row operations keep the rows' span over
@@ -72,9 +77,8 @@ InternalContradictionError instead of returning.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InternalContradictionError
 from .exactalg import Matrix, _Frozen, _clear_denominators, _packed, certified_kernel
@@ -195,15 +199,17 @@ def _normal_rows(web: ConstantWeb) -> list[dict[int, int]]:
 
 
 def _prolonged_rows(
-    web: ConstantWeb, h: int, lower: list[tuple[int, dict[int, int]]]
+    web: ConstantWeb, h: int, lower: dict[int, dict[int, int]]
 ) -> Iterator[dict[int, int]]:
-    """Rows whose kernel is R(h), h >= 1, from the canonical basis K of R(h-1).
+    """Rows whose kernel is R(h), h >= 1, from the reduced rows of R(h-1).
 
-    K comes as ``certified_kernel`` returns it: each K_f as ``(den, vec)``
-    with K_f = vec / den, keys ascending and the free column f last.  One
-    row per direction a and non-free column q of K: (e_q - sum_f K_f[q]
-    e_f) applied to D_a c, times the lcm of the denominators of the
-    K_f[q], so that every weight is an integer, computed in integers.
+    ``lower`` is the ``reduced`` echelon ``certified_kernel`` returned for
+    R(h-1): each pivot q to a primitive integer row whose kernel, over all
+    q, is R(h-1).  One row per pivot q, ascending, and direction a: row_q
+    applied to D_a c, in integers.  Up to sign this is the row that the
+    canonical basis K of R(h-1) gives, (e_q - sum_f K_f[q] e_f) cleared to
+    integers: K_f[q] = -row_q[f] / row_q[q], and row_q is primitive, so the
+    least clearing scale is |row_q[q]|.
     """
     r, rn = web.r, web.r * web.n
     dim_e = poly_space_dim(r, h)
@@ -222,24 +228,21 @@ def _prolonged_rows(
                 [(col, factor * row[a]) for row, col, factor in raised if row[a]]
                 for a in range(rn)
             ])
-    # y is in span K iff y_q = sum_f K_f[q] * y_f at every non-free q
-    touching: dict[int, list[tuple[int, int, int]]] = {q: [] for q in range(len(derivative))}
-    for den, vec in lower:
-        f = next(reversed(vec))
-        del touching[f]
-        for q, x in vec.items():
-            if q != f:
-                touching[q].append((f, x, den))
-    for q, terms in touching.items():
-        # K_f[q] = x / den has the denominator den / gcd(x, den) in lowest terms
-        scale = math.lcm(*(den // math.gcd(x, den) for _, x, den in terms))
-        weight = [(q, scale)] + [(f, -x * scale // den) for f, x, den in terms]
+    for _, weight in sorted(lower.items()):
         for a in range(rn):
             row: dict[int, int] = {}
-            for t, w in weight:
+            for t, w in weight.items():
                 for col, c in derivative[t][a]:
                     row[col] = row.get(col, 0) + w * c
             yield {col: c for col, c in row.items() if c}
+
+
+class _Degree(NamedTuple):
+    """One degree h of the relation chain, as ``certified_kernel`` returns
+    it: the reduced rows whose kernel is R(h), and the canonical basis of R(h)."""
+
+    rows: dict[int, dict[int, int]]
+    basis: list[tuple[int, dict[int, int]]]
 
 
 def _relation_kernel(
@@ -255,18 +258,19 @@ def _relation_kernel(
     chain = web._relations
     while len(chain) <= h:
         g = len(chain)
-        if g and not chain[-1]:
-            chain.append([])
+        ncols = web.d * poly_space_dim(web.r, g)
+        if g and not chain[-1].basis:
+            chain.append(_Degree({q: {q: 1} for q in range(ncols)}, []))
             continue
-        rows = _prolonged_rows(web, g, chain[-1]) if g else _normal_rows(web)
-        chain.append(certified_kernel(rows, web.d * poly_space_dim(web.r, g)))
+        rows = _prolonged_rows(web, g, chain[-1].rows) if g else _normal_rows(web)
+        chain.append(_Degree(*certified_kernel(rows, ncols)))
     bound = degree_bound(web.r, web.n, web.d, h)
-    if web.is_pg() and len(chain[h]) > bound:
+    if web.is_pg() and len(chain[h].basis) > bound:
         raise InternalContradictionError(
-            f"dim R({h}) = {len(chain[h])} exceeds the proven bound {bound} "
+            f"dim R({h}) = {len(chain[h].basis)} exceeds the proven bound {bound} "
             f"for a general-position web of type ({web.r},{web.n}), d={web.d}"
         )
-    return chain[h]
+    return chain[h].basis
 
 
 def relation_space_dim(web: ConstantWeb, h: int, allow_degenerate: bool = False) -> int:

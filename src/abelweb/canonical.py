@@ -13,12 +13,13 @@ system, the polynomial identity
 
 and the canonical data of a moment web — a relation basis in a fixed
 order, the resulting points [1 : tau_j : ... : tau_j^q : 0 : ... : 0],
-and the degree-q curve through them.  The verified relation spaces
-R(h) of ``abelian.relation_space`` are the one certificate: the basis's
-designated relations of degrees 0 and 1 are plain vectors, checked to
-lie in the span of R(0) and R(1) by one rank test each, and the points
-are the columns of the degree-0 block.  The solution polynomial, the
-identity and the curve are each one sum sum_j v_j Q_j (``_interpolate``).
+and the degree-q curve through them.  The relation spaces R(h), read
+off the web's chain in integers and each verified once, are the one
+certificate: the basis's designated relations of degrees 0 and 1 are
+plain vectors, checked to lie in the span of R(0) and R(1) by one rank
+test each, and the points are the columns of the degree-0 block.  The
+solution polynomial, the identity and the curve are each one sum
+sum_j v_j Q_j (``_interpolate``).
 
 Univariate polynomials are plain ascending coefficient lists of exact
 rationals.
@@ -32,7 +33,7 @@ from typing import Sequence
 from .errors import InternalContradictionError
 from .exactalg import Matrix, binomial, rational
 from .webcore import h_cutoff, q_of, require_web_type
-from .abelian import RankReport, relation_space
+from .abelian import RankReport, _relation_kernel, _verify_relation
 from .grassmann import MomentWebSpec, ProjectivePoint, moment_web
 
 
@@ -212,19 +213,24 @@ class CanonicalData:
 def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     """Ordered relation basis, points, and curve of a moment web.
 
-    Each relation space R(h), h below the cutoff, is computed and
-    verified once; the rank report is read off their dimensions, and
-    their saturation certifies N.  The basis order is fixed: the q+1
-    weighted power relations z_j = c_j tau_j^rho of degree 0, then the r
-    weighted linear relations z_j = c_j y_a, then the canonical kernel
-    vectors of R(1) that the linear relations leave independent (the
-    pivot columns after them, in order), then R(h) for h >= 2.
+    Each relation space R(h), h below the cutoff, is read off the web's
+    chain as integer kernel vectors (``abelian._relation_kernel``) and
+    verified once (``abelian._verify_relation``), as ``relation_space``
+    does, but no relation element is built; the rank report is read off
+    their dimensions, and their saturation certifies N.  The basis order
+    is fixed: the q+1 weighted power relations z_j = c_j tau_j^rho of
+    degree 0, then the r weighted linear relations z_j = c_j y_a, then
+    the canonical kernel vectors of R(1) that the linear relations leave
+    independent (the pivot columns after them, in order), then R(h) for
+    h >= 2.
 
     The designated relations are plain vectors, checked against the
-    verified bases: the block of degree h followed by the basis of R(h)
-    must have the block's vectors as its first pivots and rank dim R(h).
-    Then the block is independent and lies in the span of verified
-    relations, that is in R(h); no relation is built or verified twice.
+    verified bases: the block of degree h followed by the integer kernel
+    vectors of R(h) (each basis vector times its denominator, which moves
+    no pivot) must have the block's vectors as its first pivots and rank
+    dim R(h).  Then the block is independent and lies in the span of
+    verified relations, that is in R(h); no relation is built or verified
+    twice.
     The j-th point is the j-th column of the degree-0 block,
     [c_j : c_j tau_j : ... : c_j tau_j^q : 0 : ... : 0], which is
     [1 : tau_j : ... : tau_j^q : 0 : ... : 0] since c_j != 0.  The curve
@@ -240,8 +246,10 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
             f"canonical data requires at least (r+1)(n-1)+2 = {(r + 1) * (n - 1) + 2} parameters"
         )
     web = moment_web(spec)
-    spaces = [relation_space(web, h) for h in range(h_cutoff(r, n, d))]
-    report = RankReport(web, [len(space) for space in spaces])
+    bases = [_relation_kernel(web, h, False) for h in range(h_cutoff(r, n, d))]
+    for h, basis in enumerate(bases):
+        _verify_relation(web, h, basis)
+    report = RankReport(web, [len(basis) for basis in bases])
     if not report.maximal_rank or not report.semi_extremal:
         raise InternalContradictionError("moment web fails to saturate the rank bounds")
     weights = vandermonde_weights(spec.taus)
@@ -257,8 +265,9 @@ def canonical_data(spec: MomentWebSpec) -> CanonicalData:
     # assembled.  With len(pivots) = dim R(h) at h = 0, 1 it holds exactly
     # total_rank = sum_h dim R(h) relations.
     for h, block in enumerate((powers, linear)):
-        _, pivots = Matrix(block + [el.vector() for el in spaces[h]]).transpose().rref()
-        if pivots[: len(block)] != tuple(range(len(block))) or len(pivots) != len(spaces[h]):
+        kernel = [[vec.get(c, 0) for c in range(len(block[0]))] for _, vec in bases[h]]
+        _, pivots = Matrix(block + kernel).transpose().rref()
+        if pivots[: len(block)] != tuple(range(len(block))) or len(pivots) != len(bases[h]):
             raise InternalContradictionError(
                 f"degree-{h} kernel basis fails to complete the designated relations"
             )

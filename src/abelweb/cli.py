@@ -67,7 +67,6 @@ def _parse_taus(text: str) -> list:
     return [
         json_rational(part, f"taus entry {k}")
         for k, part in enumerate(text.split(","), start=1)
-        if part.strip()
     ]
 
 

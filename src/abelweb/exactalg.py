@@ -22,7 +22,8 @@ fraction-free step of :func:`_eliminate`; the basis is read off the
 reduced rows and checked against all the rows in exact integers, a net
 for the code that raises InternalContradictionError on a failure.  Each
 basis vector is a dict of integers over its support and one positive
-denominator.
+denominator; the reduced rows are returned too, one primitive integer
+row per pivot.
 
 Every dense matrix goes through :func:`_echelon`, a fraction-free
 Gauss-Jordan elimination (Bareiss) that is exact in integers by itself,
@@ -303,17 +304,22 @@ def _packed(vectors: Sequence[dict[int, int]], ncols: int, bound: int) -> list[i
 
 def certified_kernel(
     rows: Iterable[dict[int, int]], ncols: int
-) -> list[tuple[int, dict[int, int]]]:
-    """Canonical kernel basis over Q of an integer matrix, given by sparse rows.
+) -> tuple[dict[int, dict[int, int]], list[tuple[int, dict[int, int]]]]:
+    """Reduced rows and canonical kernel basis over Q of an integer matrix,
+    given by sparse rows: ``(reduced, basis)``.
 
-    Each row maps column indices to non-zero integers.  The result is
+    Each row maps column indices to non-zero integers.  ``basis`` is
     the canonical basis of the right null space: one vector per free
     column f of the RREF, in increasing order, with v[f] = 1, zero at
     every other free column, and support in f and the pivots before f.
     Each vector v comes as ``(den, vec)`` with v = vec / den: ``den`` > 0
     is its least common denominator and ``vec`` maps the columns of its
     non-zero entries, in increasing order, to integers, so the last key
-    is f and ``vec[f] == den``.
+    is f and ``vec[f] == den``.  ``reduced`` maps each pivot q of the
+    RREF to a primitive integer row, non-zero only at q and at free
+    columns, with the same span over Q as ``rows``: its kernel is the
+    kernel of ``rows``.  With no free column, each such row is the unit
+    row at q, and no back pass runs.
 
     Method: one sparse elimination over Z, no prime.  The rows, sparsest
     first, go through :func:`_sparse_echelon` and then :func:`_back_substitute`.
@@ -322,9 +328,9 @@ def certified_kernel(
     have distinct least columns, so they are a basis of that span, and
     those columns are the pivots of the RREF over Q.  After the back pass
     row q is non-zero only at q and at free columns, so row_q / row_q[q]
-    is the RREF row of pivot q, and the canonical vector of free column f
-    is -row_q[f] / row_q[q] at each pivot q < f, over the least common
-    denominator of those entries.
+    is the RREF row of pivot q.  These rows are ``reduced``, and the
+    canonical vector of free column f is -row_q[f] / row_q[q] at each
+    pivot q < f, over the least common denominator of those entries.
 
     The vectors are then checked against all rows at once, in integers,
     on their :func:`_packed` columns: every |a . w_k| <= |a|_1 * max|w_k|,
@@ -335,7 +341,7 @@ def certified_kernel(
     rows = sorted((row for row in rows if row), key=len)
     echelon = _sparse_echelon(rows)
     if len(echelon) == ncols:
-        return []
+        return {q: {q: 1} for q in echelon}, []
     _back_substitute(echelon)
     # an entry at another pivot means a faulty elimination; the read-out
     # skips it, and the check fails on it
@@ -358,7 +364,7 @@ def certified_kernel(
     packed = _packed([vec for _, vec in basis], ncols, top * widest)
     if any(sum(a * packed[j] for j, a in row.items()) for row in rows):
         raise InternalContradictionError("certified_kernel: a kernel vector fails A v = 0")
-    return basis
+    return echelon, basis
 
 
 def _format(a: int, den: int) -> str:

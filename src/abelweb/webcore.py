@@ -96,7 +96,8 @@ class ConstantWeb(_Value):
 
     Construction never refuses a web that fails general position; the
     ``pg`` result is computed lazily and rank computations gate on it.
-    ``_relations`` keeps the bases of R(0), R(1), ... (see ``abelian``).
+    ``_relations`` keeps one record per degree of R(0), R(1), ...: its
+    reduced rows and its basis (see ``abelian._Degree``).
     """
 
     __slots__ = ("r", "n", "foliations", "_pg", "_relations", "_kappas", "_normals")

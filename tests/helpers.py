@@ -4,6 +4,7 @@ The seed honors the ABELWEB_SEED environment variable so failures can be
 reproduced bit-exactly.
 """
 
+import math
 import os
 import random
 import sys
@@ -122,6 +123,20 @@ def dense_kernel(basis, ncols: int) -> list[tuple[Fraction, ...]]:
             row[c] = Fraction(x, den)
         dense.append(tuple(row))
     return dense
+
+
+def check_reduced(reduced, basis, ncols: int) -> None:
+    """Assert what ``certified_kernel`` promises of its ``reduced`` rows next
+    to ``basis``: one primitive integer row per pivot q, non-zero only at
+    q and at the free columns (the basis vectors' last keys), vanishing on
+    every basis vector, and len(reduced) + len(basis) = ncols."""
+    free = {next(reversed(vec)) for _, vec in basis}
+    assert len(reduced) + len(basis) == ncols and not free & set(reduced)
+    for q, row in reduced.items():
+        assert row.get(q) and set(row) <= free | {q} and 0 not in row.values(), (q, row)
+        assert math.gcd(*row.values()) == 1, (q, row)
+        for _, vec in basis:
+            assert sum(a * vec.get(c, 0) for c, a in row.items()) == 0, (q, row, vec)
 
 
 def count_calls(monkeypatch, real) -> list:

@@ -69,6 +69,11 @@ pivot columns once, takes its weights from the product formula and
 forms each P(t)/(t - tau_j) as a product of d - 1 linear factors, where
 the library divides P(t) synthetically.
 Both use only the ``Fraction`` copies above.
+``prolonged_rows`` is the former prolongation: it inverts the canonical
+basis K of R(h-1) into one weight per non-free column q,
+e_q - sum_f K_f[q] e_f times the lcm of the denominators of the
+K_f[q], where the library takes each weight straight from the reduced
+rows that ``certified_kernel`` returned for R(h-1).
 ``from_vector``, a polynomial from its graded-lex coefficients, is a test
 helper that the library does not need.
 """
@@ -443,6 +448,52 @@ def relation_space(web: ConstantWeb, h: int) -> list[RelationBasisElement]:
         ])
         for vec in dense_kernel(_relation_kernel(web, h, False), web.d * dim_e)
     ]
+
+
+def prolonged_rows(web: ConstantWeb, h: int, lower: list[tuple[int, dict[int, int]]]):
+    """Rows whose kernel is R(h), h >= 1, from the canonical basis K of R(h-1).
+
+    K comes as ``certified_kernel`` returns it: each K_f as ``(den, vec)``
+    with K_f = vec / den, keys ascending and the free column f last.  One
+    row per non-free column q of K and direction a: (e_q - sum_f K_f[q]
+    e_f) applied to D_a c, times the lcm of the denominators of the
+    K_f[q], so that every weight is an integer, computed in integers.
+    """
+    r, rn = web.r, web.r * web.n
+    dim_e = poly_space_dim(r, h)
+    pos = monomial_position(r, h)
+    # derivative[t][a]: the lcm of the kappas' denominators times
+    # coordinate t = (j, m) of D_a c, as (column, integer) pairs; x^m in
+    # dc_j/dx_i has (m_i + 1) times the coefficient of x^(m + e_i) in c_j
+    derivative = []
+    for j, kappa in enumerate(web.cleared_kappas()[0]):
+        for m in monomial_exponents(r, h - 1):
+            raised = [
+                (kappa[i], j * dim_e + pos[m[:i] + (m[i] + 1,) + m[i + 1 :]], m[i] + 1)
+                for i in range(r)
+            ]
+            derivative.append([
+                [(col, factor * row[a]) for row, col, factor in raised if row[a]]
+                for a in range(rn)
+            ])
+    # y is in span K iff y_q = sum_f K_f[q] * y_f at every non-free q
+    touching: dict[int, list[tuple[int, int, int]]] = {q: [] for q in range(len(derivative))}
+    for den, vec in lower:
+        f = next(reversed(vec))
+        del touching[f]
+        for q, x in vec.items():
+            if q != f:
+                touching[q].append((f, x, den))
+    for q, terms in touching.items():
+        # K_f[q] = x / den has the denominator den / gcd(x, den) in lowest terms
+        scale = math.lcm(*(den // math.gcd(x, den) for _, x, den in terms))
+        weight = [(q, scale)] + [(f, -x * scale // den) for f, x, den in terms]
+        for a in range(rn):
+            row: dict[int, int] = {}
+            for t, w in weight:
+                for col, c in derivative[t][a]:
+                    row[col] = row.get(col, 0) + w * c
+            yield {col: c for col, c in row.items() if c}
 
 
 def foliation_from_point(basis: Matrix, p: ProjectivePoint) -> ConstantFoliation:

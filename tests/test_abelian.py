@@ -14,6 +14,7 @@ from abelweb import (
     degree_bound,
     h_cutoff,
     moment_web,
+    poly_space_dim,
     relation_matrix,
     relation_space,
     relation_space_dim,
@@ -23,7 +24,14 @@ from abelweb import (
 from abelweb import abelian, exactalg
 from abelweb.webcore import check_pg
 from abelweb.errors import InternalContradictionError
-from helpers import count_calls, make_rng, random_pg_web, small_entry_web
+from helpers import (
+    check_reduced,
+    count_calls,
+    make_rng,
+    random_invertible,
+    random_pg_web,
+    small_entry_web,
+)
 
 
 def three_pencils():
@@ -314,3 +322,42 @@ def test_relation_chain_stop_matches_oracle_under_paranoid():
         assert list(report.dims) == expected[:-1], web.to_json()
         cutoff = len(expected) - 1
         assert relation_space_dim(web, cutoff, allow_degenerate=True) == expected[-1] == 0
+
+
+def _prolongation_webs(rng) -> list[ConstantWeb]:
+    """Moment webs under a base change with each foliation's rows mixed;
+    each again with a row-mixed copy of its foliation 1 appended, which
+    fails PG; and a (2,2,5) web failing PG whose chain empties below the
+    cutoff."""
+    webs = []
+    for r, n, d in [(1, 2, 6), (2, 2, 6), (2, 3, 8), (3, 2, 8)]:
+        web = moment_web(MomentWebSpec(r, n, rng.sample(range(-6, 7), d),
+                                       random_invertible(rng, r * n)))
+        mixed = [ConstantFoliation(r, n, random_invertible(rng, r) * f.matrix)
+                 for f in web.foliations]
+        copy = ConstantFoliation(r, n, random_invertible(rng, r) * web.foliations[0].matrix)
+        webs += [ConstantWeb(r, n, mixed), ConstantWeb(r, n, mixed + [copy])]
+    return webs + _webs_whose_chain_empties(rng)[-1:]
+
+
+def test_prolonged_rows_match_the_inverted_basis_oracle():
+    """Each degree's rows, taken from the reduced rows of the degree below,
+    are the rows the oracle builds by inverting that degree's canonical
+    basis, row by row up to sign; and every chain entry holds reduced rows
+    that vanish on its basis and leave exactly dim R(h) columns free."""
+    mixed = repeated = 0
+    for web in _prolongation_webs(make_rng(34)):
+        relation_space_dim(web, h_cutoff(web.r, web.n, web.d), allow_degenerate=True)
+        chain = web._relations
+        for h, (reduced, basis) in enumerate(chain):
+            check_reduced(reduced, basis, web.d * poly_space_dim(web.r, h))
+        for h in range(1, len(chain)):
+            rows = list(abelian._prolonged_rows(web, h, chain[h - 1].rows))
+            expected = list(oracle.prolonged_rows(web, h, chain[h - 1].basis))
+            assert len(rows) == len(expected), (web.to_json(), h)
+            for row, other in zip(rows, expected):
+                assert row in (other, {c: -x for c, x in other.items()}), (web.to_json(), h)
+                mixed += row != other
+        repeated += not web.is_pg() and all(entry.basis for entry in chain)
+    # some reduced rows have a negative pivot entry; four webs never empty
+    assert mixed and repeated == 4

@@ -2,19 +2,22 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from abelweb import (
     Matrix,
     MomentWebSpec,
     canonical_data,
     check_general_solution,
     dimension_formula,
+    h_cutoff,
     lagrange_identity,
     q_of,
     rho_bound,
     solution_polynomial,
     vandermonde_weights,
 )
-from helpers import draw, make_rng
+from abelweb import abelian, canonical
+from helpers import count_calls, draw, make_rng
 
 
 def brute_force_weights(taus):
@@ -163,3 +166,29 @@ def test_canonical_data_json():
     assert blob["q"] == data.q
     assert len(blob["points"]) == 6
     assert len(blob["curve"]) == data.q + 1
+
+
+def test_canonical_data_reads_the_chain_and_builds_no_relation_element(monkeypatch):
+    """Each degree below the cutoff is verified once, on the chain's integer
+    kernel vectors: with ``relation_space`` and the relation constructors
+    made to raise, canonical data are the same, on (2,2,8) and on the
+    (3,2,10) spec under a dense base change."""
+    base = Matrix([[2, 1, -1, 3, 1, 1], [1, -1, 2, 1, 1, 3], [3, 2, 1, 1, -2, 1],
+                   [3, 1, 1, -1, 2, 2], [1, 2, -3, 2, 1, 1], [2, 2, 1, 1, 3, -1]])
+    specs = [MomentWebSpec(2, 2, range(8)), MomentWebSpec(3, 2, range(10), base)]
+    expected = [canonical_data(spec).to_json() for spec in specs]
+    assert expected[0] == oracle.canonical_data(specs[0]).to_json()
+
+    def unused(*args):
+        raise AssertionError("canonical_data builds no relation element")
+
+    for module in (abelian, canonical):
+        monkeypatch.setattr(module, "relation_space", unused, raising=False)
+    for name in ("__init__", "_of_verified"):
+        monkeypatch.setattr(abelian.RelationBasisElement, name, unused)
+    calls = count_calls(monkeypatch, abelian._verify_relation)
+    for spec, data in zip(specs, expected):
+        calls.clear()
+        assert canonical_data(spec).to_json() == data
+        cutoff = h_cutoff(spec.r, spec.n, len(spec.taus))
+        assert [h for _, h, _ in calls] == list(range(cutoff))

@@ -454,8 +454,12 @@ def test_a_relation_space_above_its_bound_exits_3(tmp_path, capsys, monkeypatch)
     path = tmp_path / "w.json"
     run(capsys, "moment", "-r", "2", "-n", "2", "--taus", "0,1,2,3,4,5", "-o", str(path))
     real = abelian.certified_kernel
-    monkeypatch.setattr(abelian, "certified_kernel",
-                        lambda rows, ncols: real(rows, ncols) + [(1, {0: 1})])
+
+    def one_too_many(rows, ncols):
+        reduced, basis = real(rows, ncols)
+        return reduced, basis + [(1, {0: 1})]
+
+    monkeypatch.setattr(abelian, "certified_kernel", one_too_many)
     code, out, err = run(capsys, "rank", "--web", str(path))
     assert (code, out) == (3, "")
     assert ("dim R(0) = 4 exceeds the proven bound 3 for a general-position web "
@@ -471,8 +475,11 @@ def test_a_relation_at_the_cutoff_exits_3_under_paranoid(tmp_path, capsys, monke
     cutoff = h_cutoff(2, 2, 6)
     real = abelian.certified_kernel
     at_cutoff = 6 * poly_space_dim(2, cutoff)
-    monkeypatch.setattr(abelian, "certified_kernel", lambda rows, ncols: real(rows, ncols) + (
-        [(1, {0: 1})] if ncols == at_cutoff else []))
+    def one_at_the_cutoff(rows, ncols):
+        reduced, basis = real(rows, ncols)
+        return reduced, basis + ([(1, {0: 1})] if ncols == at_cutoff else [])
+
+    monkeypatch.setattr(abelian, "certified_kernel", one_at_the_cutoff)
     message = (f"dim R({cutoff}) = 1 exceeds the proven bound 0 for a general-position web "
                "of type (2,2), d=6")
     web = ConstantWeb.from_json(json.loads(path.read_text()))
@@ -488,6 +495,14 @@ def test_bad_taus_option_names_its_entry(capsys):
     code, out, err = run(capsys, "moment", "-r", "1", "-n", "2", "--taus", "1,x,3")
     assert (code, out) == (1, "")
     assert 'taus entry 2 must be an integer or a "p/q" string with q != 0, got "x"' in err
+
+
+@pytest.mark.parametrize("taus, entry", [("0,,1", 2), ("0,1,", 3), ("", 1)],
+                         ids=["inner", "trailing", "only"])
+def test_an_empty_taus_entry_is_bad_input(capsys, taus, entry):
+    code, out, err = run(capsys, "moment", "-r", "1", "-n", "2", "--taus", taus)
+    assert (code, out) == (1, "")
+    assert f'taus entry {entry} must be an integer or a "p/q" string with q != 0, got ""' in err
 
 
 def test_key_error_is_a_bug_not_bad_input(monkeypatch, capsys):

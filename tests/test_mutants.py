@@ -128,7 +128,7 @@ def _kernel(exactalg):
     # the pivot-0 row meets pivot 1 only; reducing it there by the
     # pivot-1 row, not yet reduced, fills in at pivot 2
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1, 4: 1}, {0: 2, 3: -1, 4: 5}]
-    assert _outcome(lambda: exactalg.certified_kernel(rows, 5)) == (
+    assert _outcome(lambda: exactalg.certified_kernel(rows, 5)[1]) == (
         "value", _oracle_kernel(rows, 5))
 
 
@@ -138,7 +138,7 @@ def _reduction(exactalg):
     # (-2, 1, 0) has the denominator 2 / gcd(-4, 2) = 1
     for rows, ncols in (([{0: 2, 1: 1, 2: 1}, {0: 3, 1: 1, 2: 2}], 3),
                         ([{0: 2, 1: 4, 2: 1}], 3)):
-        assert _outcome(lambda: exactalg.certified_kernel(rows, ncols)) == (
+        assert _outcome(lambda: exactalg.certified_kernel(rows, ncols)[1]) == (
             "value", _oracle_kernel(rows, ncols))
 
 
@@ -326,14 +326,39 @@ def _bound_guard(abelian):
     # web: dim R(0) = 4 > 3 must be refused as a contradiction
     web = moment_web(MomentWebSpec(1, 2, range(5)))
     real = abelian.certified_kernel
-    with mock.patch.object(abelian, "certified_kernel",
-                           lambda rows, ncols: real(rows, ncols) + [(1, {0: 1})]):
+
+    def one_too_many(rows, ncols):
+        reduced, basis = real(rows, ncols)
+        return reduced, basis + [(1, {0: 1})]
+
+    with mock.patch.object(abelian, "certified_kernel", one_too_many):
         try:
             outcome = _outcome(lambda: abelian.total_rank(web).to_json())
         except InternalContradictionError as exc:
             outcome = ("contradiction", str(exc))
     assert outcome == ("contradiction", "dim R(0) = 4 exceeds the proven bound 3 for a "
                                         "general-position web of type (1,2), d=5")
+
+
+def _prolongation(abelian):
+    # the (2,2,6) moment web under a base change with foliation 1's rows
+    # mixed, which is PG, and the same web with that mixed foliation
+    # appended as a seventh, which fails PG.  Wrong prolonged rows let
+    # too many vectors through: on the PG web R(1) exceeds its bound, and
+    # the other web, which has no bound, gets dims above the oracle's
+    # whose vectors fail their verification
+    web = moment_web(MomentWebSpec(2, 2, range(6), Matrix(
+        [[1, 1, 0, 2], [0, 1, 1, 0], [2, 0, 1, 1], [0, 3, 0, 1]])))
+    first, *rest = web.foliations
+    mixed = ConstantFoliation(2, 2, Matrix([[1, 2], [-1, 1]]) * first.matrix)
+    for web, degenerate in ((ConstantWeb(2, 2, [mixed, *rest]), False),
+                            (ConstantWeb(2, 2, [first, *rest, mixed]), True)):
+        dims = []
+        for h in range(h_cutoff(web.r, web.n, web.d)):
+            matrix = oracle.relation_matrix(web, h)
+            dims.append(matrix.cols - oracle.rank(matrix))
+        assert _outcome(lambda: [len(abelian.relation_space(web, h, degenerate))
+                                 for h in range(len(dims))]) == ("value", dims)
 
 
 MUTANTS = {
@@ -559,9 +584,22 @@ MUTANTS = {
         "(1, c, position[s[:t] + s[t + 1 :]])",
         _minors_sweep,
     ),
+    "derivative-factor-m_i-not-m_i-plus-1": (
+        "abelian",
+        "]], m[i] + 1)",
+        "]], m[i])",
+        _prolongation,
+    ),
+    "prolonged-weights-drop-the-pivot-entry": (
+        "abelian",
+        "for _, weight in sorted(lower.items()):",
+        "for q, weight in sorted(lower.items()):\n"
+        "        weight = {t: w for t, w in weight.items() if t != q}",
+        _prolongation,
+    ),
     "relation-kernel-without-the-bound-guard": (
         "abelian",
-        "if web.is_pg() and len(chain[h]) > bound:",
+        "if web.is_pg() and len(chain[h].basis) > bound:",
         "if False:",
         _bound_guard,
     ),

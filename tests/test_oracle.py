@@ -334,7 +334,8 @@ def test_certified_kernel_matches_oracle():
 
 def _dense_certified_kernel(rows, ncols):
     """``certified_kernel`` densified to the tuples ``oracle.kernel_basis`` gives."""
-    return dense_kernel(certified_kernel(rows, ncols), ncols)
+    _, basis = certified_kernel(rows, ncols)
+    return dense_kernel(basis, ncols)
 
 
 def _oracle_kernel(rows, ncols):
@@ -361,7 +362,8 @@ def test_certified_kernel_combines_primes():
             b += 1
         for rows, ncols in (([{0: a, 1: b}], 2), ([{0: a, 2: b}, {1: 1}], 3)):
             assert _dense_certified_kernel(rows, ncols) == _oracle_kernel(rows, ncols)
-        assert certified_kernel([{0: a, 1: b}], 2) == [(a, {0: -b, 1: a})]
+        # one primitive row is its own reduced row
+        assert certified_kernel([{0: a, 1: b}], 2) == ({0: {0: a, 1: b}}, [(a, {0: -b, 1: a})])
 
 
 def test_recovery_and_canonical_data_match_oracle():

@@ -26,6 +26,10 @@ with the rank of their Fraction Veronese images.
 On moment webs with rational taus, a base change and each foliation's
 rows mixed, a basis of R(h) with one entry of one vector raised by 1
 fails the packed verification, and the basis without that vector passes.
+Appending a copy of foliation 1 with its rows mixed, to a moment web
+under a base change or to a small web with entries in -2..2, adds
+exactly C(r-1+h, h) to dim R(h) at every degree up to two past the
+cutoff, under ``allow_degenerate``.
 On random PG (n+1)-webs with rational entries, r <= 3 and n <= 4,
 ``akivis_structure`` returns an invertible basis whose blocks span the
 first n foliations and whose block sums span the last.  On d <= 9
@@ -120,7 +124,7 @@ from abelweb.abelian import _relation_kernel, _verify_relation
 from abelweb.cli import main
 from abelweb.exactalg import certified_kernel
 from abelweb.grassmann import _foliation_on_invertible
-from helpers import DEFAULT_SEED, dense_kernel
+from helpers import DEFAULT_SEED, check_reduced, dense_kernel
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
@@ -267,15 +271,30 @@ def test_certified_kernel_matches_rref_kernel_in_any_row_order(data):
     ncols = len(rows[0])
     sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
     expected = oracle.kernel_basis(Matrix(rows))
-    basis = certified_kernel(sparse, ncols)
+    reduced, basis = certified_kernel(sparse, ncols)
     assert dense_kernel(basis, ncols) == expected
+    _check_reduced_against_rref(reduced, basis, Matrix(rows))
     for den, vec in basis:
         # support ascending up to the free column, which holds den; den is
         # the least common denominator, so the integers are coprime
         keys = list(vec)
         assert keys == sorted(keys) and den > 0 and vec[keys[-1]] == den
         assert 0 not in vec.values() and math.gcd(*vec.values()) == 1
-    assert certified_kernel(data.draw(st.permutations(sparse)), ncols) == basis
+    # in another row order each reduced row may change its sign only
+    again, permuted = certified_kernel(data.draw(st.permutations(sparse)), ncols)
+    assert permuted == basis and again.keys() == reduced.keys()
+    assert all(again[q] in (row, {c: -x for c, x in row.items()}) for q, row in reduced.items())
+
+
+def _check_reduced_against_rref(reduced, basis, matrix: Matrix) -> None:
+    """``certified_kernel``'s reduced rows are what it promises, and row q
+    over its entry at q is the oracle's RREF row of pivot q."""
+    check_reduced(reduced, basis, matrix.cols)
+    rref, pivots = oracle.rref(matrix)
+    assert sorted(reduced) == list(pivots)
+    for i, q in enumerate(pivots):
+        row = reduced[q]
+        assert tuple(Fraction(row.get(c, 0), row[q]) for c in range(matrix.cols)) == rref.row(i)
 
 
 # primes just above 2**16: two distinct ones multiply to more than 2**32
@@ -328,9 +347,10 @@ def test_certified_kernel_matches_the_two_pass_per_entry_oracle(drawn):
     # the RREF kernel basis, each vector over its least common denominator
     # with its keys ascending to the free column
     kind, rows, ncols = drawn
-    basis = certified_kernel([dict(row) for row in rows], ncols)
+    reduced, basis = certified_kernel([dict(row) for row in rows], ncols)
     matrix = Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
     assert dense_kernel(basis, ncols) == oracle.kernel_basis(matrix)
+    _check_reduced_against_rref(reduced, basis, matrix)
     for den, vec in basis:
         keys = list(vec)
         assert keys == sorted(keys) and den > 0 and vec[keys[-1]] == den
@@ -440,6 +460,31 @@ def test_packed_verification_rejects_one_perturbed_vector(data):
     with pytest.raises(InternalContradictionError):
         _verify_relation(web, h, basis[:k] + [(den, bumped)] + basis[k + 1 :])
     _verify_relation(web, h, basis[:k] + basis[k + 1 :])
+
+
+@seed(DEFAULT_SEED)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_a_repeated_foliation_adds_the_forms_of_each_degree(data):
+    # with kappa_(d+1) = A kappa_1, e -> (e o A, 0, ..., 0, -e / det A) maps
+    # the degree-h forms in r variables one to one into the relations, and
+    # subtracting the image of -det A * c_(d+1) leaves a relation of the
+    # first d foliations: dim R(h) grows by C(r-1+h, h) at every degree,
+    # past the cutoff too, and the web so extended fails PG
+    if data.draw(st.booleans()):
+        r, n, d = data.draw(st.sampled_from([(1, 2, 5), (2, 2, 6), (1, 3, 7), (2, 3, 8),
+                                             (3, 2, 8)]))
+        taus = data.draw(st.lists(st.sampled_from(TAUS), min_size=d, max_size=d, unique=True))
+        web = moment_web(MomentWebSpec(r, n, taus, data.draw(invertible(r * n))))
+    else:
+        web = data.draw(webs())
+    r, n, d = web.r, web.n, web.d
+    copy = ConstantFoliation(r, n, data.draw(invertible(r)) * web.foliations[0].matrix)
+    repeated = ConstantWeb(r, n, [*web.foliations, copy])
+    assert not repeated.is_pg()
+    for h in range(h_cutoff(r, n, d + 1) + 2):
+        assert (relation_space_dim(repeated, h, allow_degenerate=True)
+                == relation_space_dim(web, h, allow_degenerate=True) + poly_space_dim(r, h))
 
 
 @seed(DEFAULT_SEED)
